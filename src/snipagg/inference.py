@@ -12,10 +12,15 @@ posterior from the previous iteration's state and then applies one
 simultaneous parameter update; entities are independent given the old
 state, so the work may be split across threads, and partial counts are
 always merged in entity order, making results bit-identical for any
-thread count. The sequential schedule applies each update immediately
-(word updates sweep left to right inside a snippet) and is single
-threaded; because every step is an exact coordinate-descent move, its
-free energy never increases.
+thread count. The sequential schedule is the left-to-right sweep of
+exact coordinate moves (per snippet: aspect, value, then each word in
+order), so its free energy never increases. It runs as a positional
+wavefront over the corpus packed into one token stream: parameters are
+refit only at the end of a pass, so within a pass a snippet's updates
+read nothing of any other snippet, and position p of every snippet is
+updated in one vector step. Each word step reads the new posterior of
+position p-1 and the old one of p+1, exactly what the one-token-at-a-time
+sweep reads, so both make the same moves in the same order.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from scipy.special import xlogy
 from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus, SeedLexicon
 from snipagg.model import (
+    DirichletFactor,
     Hyperparameters,
     ModelError,
     TopicLayout,
@@ -71,15 +77,12 @@ class _EntityData:
         "nonlast_idx",
         "n_snippets",
         "n_tokens",
-        "snippet_ids",
     )
 
     def __init__(self, snippets):
         words, tags, snip_of_token = [], [], []
         offsets = [0]
-        ids = []
         for j, sn in enumerate(snippets):
-            ids.append(sn.snippet_id)
             for tok in sn.tokens:
                 words.append(tok.word)
                 tags.append(tok.tag)
@@ -100,11 +103,96 @@ class _EntityData:
         self.nonlast_idx = all_idx[~last]
         self.n_snippets = len(snippets)
         self.n_tokens = len(words)
-        self.snippet_ids = ids
 
 
 def _build_entity_data(corpus: Corpus) -> list[_EntityData]:
     return [_EntityData(group) for group in corpus.snippets]
+
+
+class _PackedCorpus:
+    """Every entity's tokens as one stream, entities in corpus order.
+
+    Snippets and tokens get global indices; entity i owns snippets
+    snippet_bounds[i]:snippet_bounds[i+1] and tokens
+    token_bounds[i]:token_bounds[i+1]. by_length pairs the snippets of
+    each length with their token indices, one row per snippet.
+    positions[p] holds the token at position p of every snippet longer
+    than p, longest snippets first, and how many of them (the leading
+    ones) have a next token.
+    """
+
+    def __init__(self, data: list[_EntityData]):
+        self.snippet_bounds = np.cumsum([0] + [ent.n_snippets for ent in data])
+        self.token_bounds = np.cumsum([0] + [ent.n_tokens for ent in data])
+        self.n_snippets = int(self.snippet_bounds[-1])
+        self.n_tokens = int(self.token_bounds[-1])
+        self.words = np.empty(self.n_tokens, dtype=np.int64)
+        self.tags = np.empty(self.n_tokens, dtype=np.int64)
+        self.snip_of_token = np.empty(self.n_tokens, dtype=np.int64)
+        offsets = np.zeros(self.n_snippets + 1, dtype=np.int64)
+        for ent, s0, t0 in zip(data, self.snippet_bounds, self.token_bounds):
+            t1 = t0 + ent.n_tokens
+            self.words[t0:t1] = ent.words
+            self.tags[t0:t1] = ent.tags
+            self.snip_of_token[t0:t1] = ent.snip_of_token + s0
+            offsets[s0 + 1:s0 + ent.n_snippets + 1] = ent.offsets[1:] + t0
+        first, lengths = offsets[:-1], np.diff(offsets)
+        self.by_length = []
+        for length in np.unique(lengths):
+            snips = np.flatnonzero(lengths == length)
+            self.by_length.append((snips, first[snips, None] + np.arange(length)))
+        order = np.argsort(-lengths, kind="stable")
+        first, lengths = first[order], lengths[order]
+        self.positions = [
+            (first[lengths > p] + p, int(np.count_nonzero(lengths > p + 1)))
+            for p in range(int(lengths.max(initial=0)))
+        ]
+
+    def entity_slices(self):
+        """(entity, snippet slice, token slice) for every entity."""
+        for i in range(len(self.snippet_bounds) - 1):
+            yield (
+                i,
+                slice(self.snippet_bounds[i], self.snippet_bounds[i + 1]),
+                slice(self.token_bounds[i], self.token_bounds[i + 1]),
+            )
+
+    def bind(self, state: VariationalState):
+        """Copy the state's posteriors into packed arrays and make the
+        state's per-entity arrays views of them; returns (qa, qv, qw)."""
+
+        def pack(arrays, width):
+            return np.concatenate([np.empty((0, width))] + arrays)
+
+        qa = pack(state.qa, state.hp.K)
+        qv = None if state.qv is None else pack(state.qv, state.hp.N)
+        qw = pack(state.qw, state.layout.n_topics)
+        for i, snips, toks in self.entity_slices():
+            state.qa[i] = qa[snips]
+            if qv is not None:
+                state.qv[i] = qv[snips]
+            state.qw[i] = qw[toks]
+        return qa, qv, qw
+
+    def snippet_sums(self, qw: np.ndarray, col: int, x: np.ndarray) -> np.ndarray:
+        """x @ qw[:, col] over the tokens of each snippet: x (C, T) -> (S, C).
+
+        The weights stay a strided column of qw, as in the per-op updates,
+        so that BLAS sums them in the same order.
+        """
+        out = np.empty((self.n_snippets, x.shape[0]))
+        for snips, idx in self.by_length:
+            out[snips] = np.matmul(qw[idx][:, None, :, col], x[:, idx].transpose(1, 2, 0))[:, 0]
+        return out
+
+    def per_snippet(
+        self, factor_of: Callable[[int], DirichletFactor], shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """factor_of(i)'s expected log table, once per snippet of entity i."""
+        out = np.empty((self.n_snippets,) + shape)
+        for i, snips, _ in self.entity_slices():
+            out[snips] = factor_of(i).expected_log()
+        return out
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -351,23 +439,133 @@ def _apply_counts(state: VariationalState, counts_list: list[dict]) -> None:
         state.psi[0].set_counts(pool_psi)
 
 
-def update_parameters(ctx: UpdateContext) -> None:
-    """Refit every parameter factor from the context's latest posteriors."""
-    state = ctx.state
+def _refit(
+    state: VariationalState,
+    data: list[_EntityData],
+    qa: list[np.ndarray],
+    qv: Optional[list[np.ndarray]],
+    qw: list[np.ndarray],
+) -> None:
+    """Set every parameter factor to prior plus the expected counts of
+    the per-entity posteriors qa, qv and qw."""
     counts = [
         _entity_counts(
             ent,
-            ctx.new_qa[i],
-            None if ctx.new_qv is None else ctx.new_qv[i],
-            ctx.new_qw[i],
+            qa[i],
+            None if qv is None else qv[i],
+            qw[i],
             state.layout,
             state.vocab_size,
             state.tag_count,
             state.eta is not None,
         )
-        for i, ent in enumerate(ctx.data)
+        for i, ent in enumerate(data)
     ]
     _apply_counts(state, counts)
+
+
+def update_parameters(ctx: UpdateContext) -> None:
+    """Refit every parameter factor from the context's latest posteriors."""
+    _refit(ctx.state, ctx.data, ctx.new_qa, ctx.new_qv, ctx.new_qw)
+
+
+def _value_step(
+    pack: _PackedCorpus,
+    qa: np.ndarray,
+    qw: np.ndarray,
+    col_v: int,
+    phi: np.ndarray,
+    ev: np.ndarray,
+) -> np.ndarray:
+    """update_snippet_value for every snippet at once.
+
+    qa is (S, K) and phi holds each snippet's E[log phi], (S, K, N);
+    col_v is the V column of qw, and ev holds the value emissions E[log
+    theta_V] of each token's word, (N, T).
+    """
+    score = np.matmul(qa[:, None, :], phi)[:, 0]
+    score += pack.snippet_sums(qw, col_v, ev)
+    return _softmax_rows(score)
+
+
+def _token_dots(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """q[t] @ e[:, t] for every token t: q (T, C), e (C, T) -> (T,)."""
+    return np.matmul(q[:, None, :], e.T[:, :, None])[:, 0, 0]
+
+
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    return float(np.abs(new - old).max()) if new.size else 0.0
+
+
+def _wavefront_pass(
+    state: VariationalState,
+    pack: _PackedCorpus,
+    qa: np.ndarray,
+    qv: Optional[np.ndarray],
+    qw: np.ndarray,
+) -> float:
+    """One sequential pass over the packed posteriors, updated in place.
+
+    Makes the moves of the per-op sweep (update_snippet_aspect, then
+    update_snippet_value, then update_word_topic left to right, snippet
+    by snippet) with the same reads: the aspect step reads the old
+    q(Z_W) and q(Z_V), the value step the new q(Z_A), and the word step
+    at position p the new q(Z_W) at p-1 and the old one at p+1. Each
+    product has the operand shapes and memory layout of its per-op
+    counterpart, so that BLAS sums it in the same order. Returns the
+    largest absolute posterior change (NaN if any posterior is NaN).
+    """
+    hp, layout = state.hp, state.layout
+    n = layout.n_topics
+    col_a = layout.col("A")
+    words = pack.words
+    ea = np.empty((hp.K, pack.n_tokens))
+    for i, _, toks in pack.entity_slices():
+        ea[:, toks] = state.theta_A_factor(i).expected_log()[:, words[toks]]
+
+    score = pack.per_snippet(state.psi_factor, (hp.K,))
+    score += pack.snippet_sums(qw, col_a, ea)
+    if qv is not None:
+        phi = pack.per_snippet(state.phi_factor, (hp.K, hp.N))
+        score += np.matmul(phi, qv[:, :, None])[:, :, 0]
+    new_qa = _softmax_rows(score)
+    changes = [_max_change(new_qa, qa)]
+    qa[:] = new_qa
+
+    emis = np.empty((pack.n_tokens, n))
+    emis[:, col_a] = _token_dots(qa[pack.snip_of_token], ea)
+    if qv is not None:
+        col_v = layout.col("V")
+        ev = state.theta_V.expected_log()[:, words]
+        new_qv = _value_step(pack, qa, qw, col_v, phi, ev)
+        changes.append(_max_change(new_qv, qv))
+        qv[:] = new_qv
+        emis[:, col_v] = _token_dots(qv[pack.snip_of_token], ev)
+    emis[:, layout.col("B")] = state.theta_B.expected_log()[words]
+    if layout.has_ignore:
+        emis[:, layout.col("I")] = state.theta_I.expected_log()[words]
+    eta = None if state.eta is None else state.eta.expected_log()[:, pack.tags].T
+
+    # The terms are added in update_word_topic's order (prior, into the
+    # token, out of it, emission, tag), so the sums round the same way.
+    prior = hp.topic_prior_vector(layout)
+    elog_main = state.trans.elog_main()
+    main, end = elog_main[:, :n], elog_main[:, layout.end_col]
+    old_qw = qw.copy()
+    for p, (tok, n_lead) in enumerate(pack.positions):
+        score = np.tile(prior, (len(tok), 1))
+        if p == 0:
+            score += state.trans.elog_start()
+        else:
+            score += np.matmul(qw[tok - 1][:, None, :], main)[:, 0]
+        score[:n_lead] += np.matmul(main, qw[tok[:n_lead] + 1][:, :, None])[:, :, 0]
+        score[n_lead:] += end
+        score += emis[tok]
+        if eta is not None:
+            score += eta[tok]
+        qw[tok] = _softmax_rows(score)
+    changes.append(_max_change(qw, old_qw))
+    return float(np.max(changes))
 
 
 def _entity_batch_update(state: VariationalState, ent: _EntityData, i: int):
@@ -516,6 +714,34 @@ def compute_free_energy(
     return _free_energy(state, _build_entity_data(corpus))
 
 
+def _end_iteration(
+    it: int,
+    fe: float,
+    delta: float,
+    t0: float,
+    reports: list[FreeEnergyReport],
+    progress: Optional[Callable[[int, float, float], None]],
+) -> bool:
+    """Report one finished pass; True when the fit should stop there.
+
+    The fit stops once no posterior component moved by EARLY_STOP_TOL,
+    and at the first pass whose free energy or posterior change is not
+    finite: no later pass can recover from it.
+    """
+    seconds = time.perf_counter() - t0
+    reports.append(FreeEnergyReport(it, fe))
+    log.info(
+        "iteration %d: free energy %.6f, max q change %.2e, %.2fs",
+        it, fe, delta, seconds,
+    )
+    if progress is not None:
+        progress(it, fe, seconds)
+    if not (np.isfinite(fe) and np.isfinite(delta)):
+        log.warning("iteration %d: free energy or posterior change is not finite", it)
+        return True
+    return delta < EARLY_STOP_TOL
+
+
 def _fit_batch(
     state: VariationalState,
     data: list[_EntityData],
@@ -554,15 +780,7 @@ def _fit_batch(
             state.refresh_caches()
 
             fe = _free_energy(state, data)
-            seconds = time.perf_counter() - t0
-            reports.append(FreeEnergyReport(it, fe))
-            log.info(
-                "iteration %d: free energy %.6f, max q change %.2e, %.2fs",
-                it, fe, delta, seconds,
-            )
-            if progress is not None:
-                progress(it, fe, seconds)
-            if delta < EARLY_STOP_TOL:
+            if _end_iteration(it, fe, delta, t0, reports, progress):
                 break
     finally:
         if pool is not None:
@@ -571,45 +789,50 @@ def _fit_batch(
 
 def _fit_sequential(
     state: VariationalState,
-    ctx: UpdateContext,
     data: list[_EntityData],
+    pack: _PackedCorpus,
+    q: tuple[np.ndarray, Optional[np.ndarray], np.ndarray],
     reports: list[FreeEnergyReport],
     progress: Optional[Callable[[int, float, float], None]],
 ) -> None:
     for it in range(1, state.hp.max_iters + 1):
         t0 = time.perf_counter()
-        old_qa = [a.copy() for a in state.qa]
-        old_qv = None if state.qv is None else [a.copy() for a in state.qv]
-        old_qw = [a.copy() for a in state.qw]
-
-        for i, ent in enumerate(data):
-            for j in range(ent.n_snippets):
-                update_snippet_aspect(ctx, i, j)
-                if state.qv is not None:
-                    update_snippet_value(ctx, i, j)
-                for w in range(ent.offsets[j + 1] - ent.offsets[j]):
-                    update_word_topic(ctx, i, j, w)
-        update_parameters(ctx)
+        delta = _wavefront_pass(state, pack, *q)
+        _refit(state, data, state.qa, state.qv, state.qw)
         state.refresh_caches()
-
-        delta = 0.0
-        for i in range(len(data)):
-            delta = max(delta, float(np.abs(state.qa[i] - old_qa[i]).max()))
-            delta = max(delta, float(np.abs(state.qw[i] - old_qw[i]).max()))
-            if old_qv is not None:
-                delta = max(delta, float(np.abs(state.qv[i] - old_qv[i]).max()))
-
         fe = _free_energy(state, data)
-        seconds = time.perf_counter() - t0
-        reports.append(FreeEnergyReport(it, fe))
-        log.info(
-            "iteration %d: free energy %.6f, max q change %.2e, %.2fs",
-            it, fe, delta, seconds,
-        )
-        if progress is not None:
-            progress(it, fe, seconds)
-        if delta < EARLY_STOP_TOL:
+        if _end_iteration(it, fe, delta, t0, reports, progress):
             break
+
+
+def _prime(
+    state: VariationalState,
+    data: list[_EntityData],
+    pack: _PackedCorpus,
+    qa: np.ndarray,
+    qv: Optional[np.ndarray],
+    qw: np.ndarray,
+) -> None:
+    """Set the parameter factors to the expected counts of the initial
+    responsibilities.
+
+    Starting the first pass from bare priors instead would hand every
+    word to the background topic (its prior concentration dwarfs the
+    sparse aspect prior when no counts back it) and the role posterior
+    never recovers. When seed words are present the value
+    responsibilities are recomputed from the seed prior before the
+    parameters absorb anything: priming the value emissions from uniform
+    responsibilities instead would bury the seed tilt under symmetric
+    counts and leave polarity identification to the initialization
+    noise, which picks the wrong orientation about half the time.
+    """
+    if qv is not None and any(state.seed_sets):
+        hp = state.hp
+        phi = pack.per_snippet(state.phi_factor, (hp.K, hp.N))
+        ev = state.theta_V.expected_log()[:, pack.words]
+        qv[:] = _value_step(pack, qa, qw, state.layout.col("V"), phi, ev)
+    _refit(state, data, state.qa, state.qv, state.qw)
+    state.refresh_caches()
 
 
 def run_inference(
@@ -623,42 +846,27 @@ def run_inference(
 
     Runs hp.max_iters passes of the configured schedule, stopping early
     once the largest absolute posterior change in a pass falls below
-    1e-5. threads only affects the batch schedule's wall time, never its
-    result; the sequential schedule is single threaded by contract.
+    1e-5, or after the first pass whose free energy or posterior change
+    is not finite (that pass is the last report). threads only affects
+    the batch schedule's wall time, never its result; the sequential
+    schedule is single threaded by contract.
     """
     hp.validate()
     if threads < 1:
         raise ModelError("threads must be at least 1")
     state = init_state(hp, corpus, seeds)
     data = _build_entity_data(corpus)
-
-    # Prime the parameter factors with the expected counts of the
-    # initial responsibilities. Starting the first pass from bare priors
-    # instead would hand every word to the background topic (its prior
-    # concentration dwarfs the sparse aspect prior when no counts back
-    # it) and the role posterior never recovers. When seed words are
-    # present the value responsibilities are recomputed from the seed
-    # prior before the parameters absorb anything: priming the value
-    # emissions from uniform responsibilities instead would bury the
-    # seed tilt under symmetric counts and leave polarity identification
-    # to the initialization noise, which picks the wrong orientation
-    # about half the time.
-    prime = UpdateContext(state, corpus)
-    prime.data = data
-    if state.qv is not None and any(state.seed_sets):
-        for i, ent in enumerate(data):
-            for j in range(ent.n_snippets):
-                update_snippet_value(prime, i, j)
-        prime.commit()
-    update_parameters(prime)
-    state.refresh_caches()
+    pack = _PackedCorpus(data)
+    q = pack.bind(state)
+    _prime(state, data, pack, *q)
 
     reports: list[FreeEnergyReport] = []
     if hp.schedule == "sequential":
-        ctx = UpdateContext(state, corpus, sequential=True)
-        ctx.data = data
-        _fit_sequential(state, ctx, data, reports, progress)
+        _fit_sequential(state, data, pack, q, reports, progress)
     else:
+        # Only priming reads the packed corpus and posteriors here; the
+        # batch pass replaces the state's views of them.
+        del pack, q
         _fit_batch(state, data, threads, reports, progress)
     return state, reports
 

@@ -277,11 +277,6 @@ class DirichletFactor:
         cross = ((a - b) * self.expected_log()).sum(axis=-1)
         return float(np.sum(post_norm - self._prior_norm + cross))
 
-    def copy(self) -> "DirichletFactor":
-        out = DirichletFactor(self.prior)
-        out.concentration = self.concentration.copy()
-        return out
-
 
 def expected_log(factor: DirichletFactor, element) -> float:
     """Expected log probability of one support element under a factor."""
@@ -332,12 +327,6 @@ class TransitionFactor:
         table[1:, :] = self.main.mean()
         return table
 
-    def copy(self) -> "TransitionFactor":
-        out = TransitionFactor(self.start.prior, self.main.prior)
-        out.start = self.start.copy()
-        out.main = self.main.copy()
-        return out
-
 
 @dataclass
 class VariationalState:
@@ -381,9 +370,6 @@ class VariationalState:
 
     def phi_factor(self, entity: int) -> DirichletFactor:
         return self.phi[0 if self.hp.shared_aspects else entity]
-
-    def token_offsets(self, entity: int) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.token_counts[entity])))
 
     def parameter_factors(self) -> list[DirichletFactor]:
         """Every Dirichlet factor in the state, in a fixed order."""

@@ -1,14 +1,22 @@
 """Variational updates, free energy behavior, and the fit loop."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from snipagg import inference
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
 from snipagg.inference import (
     EARLY_STOP_TOL,
     InferenceError,
     UpdateContext,
+    _build_entity_data,
+    _PackedCorpus,
     _softmax_rows,
+    _wavefront_pass,
     aspect_clusterings,
     compute_free_energy,
     extract_posteriors,
@@ -419,6 +427,84 @@ def test_run_inference_rejects_bad_threads():
 
     with pytest.raises(ModelError):
         run_inference(Hyperparameters(), tiny_corpus(), threads=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_values=st.sampled_from([0, 1, 2]),
+    use_ignore=st.booleans(),
+    use_pos=st.booleans(),
+    shared=st.booleans(),
+    max_len=st.sampled_from([1, 2, 7]),
+)
+def test_wavefront_pass_matches_per_op_sweep(
+    seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, n_entities=3, vocab_size=12, snippets=4, max_len=max_len)
+    hp = Hyperparameters(
+        K=3, N=n_values, use_ignore=use_ignore, use_pos=use_pos,
+        shared_aspects=shared, shared_aspect_multinomial=shared, rng_seed=seed % 1000,
+    )
+    state = init_state(hp, corpus)
+    for f in state.parameter_factors():
+        f.set_counts(rng.gamma(1.0, 2.0, size=f.prior.shape))
+    for q in state.qw:
+        q[:] = rng.dirichlet(np.ones(q.shape[1]), size=len(q))
+    before = copy.deepcopy(state)
+
+    sweep = copy.deepcopy(state)
+    ctx = UpdateContext(sweep, corpus, sequential=True)
+    for i, group in enumerate(corpus.snippets):
+        for j, sn in enumerate(group):
+            update_snippet_aspect(ctx, i, j)
+            if sweep.qv is not None:
+                update_snippet_value(ctx, i, j)
+            for w in range(len(sn)):
+                update_word_topic(ctx, i, j, w)
+
+    pack = _PackedCorpus(_build_entity_data(corpus))
+    delta = _wavefront_pass(state, pack, *pack.bind(state))
+    expected_delta = 0.0
+    for name in ("qa", "qv", "qw"):
+        if getattr(state, name) is None:
+            assert getattr(sweep, name) is None
+            continue
+        for got, want, old in zip(
+            getattr(state, name), getattr(sweep, name), getattr(before, name), strict=True
+        ):
+            assert np.abs(got - want).max() <= 1e-12
+            expected_delta = max(expected_delta, np.abs(want - old).max())
+    assert abs(delta - expected_delta) <= 1e-12
+
+
+def test_sequential_fit_on_empty_corpus():
+    hp = Hyperparameters(K=2, N=2, schedule="sequential")
+    state, reports = run_inference(hp, empty_corpus(), None)
+    assert [r.value for r in reports] == [0.0]
+    assert state.qa == [] and state.qw == []
+
+
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+def test_fit_stops_at_first_non_finite_iteration(monkeypatch, schedule):
+    states = []
+
+    def capture(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    def poison(it, fe, seconds):
+        if it == 2:
+            states[0].theta_B.set_counts(np.full(states[0].vocab_size, np.nan))
+
+    monkeypatch.setattr(inference, "init_state", capture)
+    corpus = random_corpus(np.random.default_rng(6))
+    hp = Hyperparameters(K=2, N=2, max_iters=10, rng_seed=0, schedule=schedule)
+    _, reports = run_inference(hp, corpus, None, progress=poison)
+    values = [r.value for r in reports]
+    assert len(values) == 3
+    assert np.isfinite(values[:2]).all() and not np.isfinite(values[2])
 
 
 def test_sequential_ignores_thread_count():
