@@ -64,6 +64,7 @@ from snipagg.inference import (
     InferenceError,
     aspect_clusterings,
     extract_posteriors,
+    free_energy_rises,
     polarity_predictions,
     run_inference,
     word_label_predictions,
@@ -228,6 +229,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     manifest = RunManifest("fit", args.argv)
     manifest.set_config(hp)
     manifest.payload["threads"] = args.threads
+    manifest.payload["free_energy_rises"] = free_energy_rises(reports)
     manifest.add_input("corpus", args.corpus)
     manifest.add_input("config", args.config)
     manifest.add_input("seeds", args.seeds)
@@ -502,7 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--corpus", required=True)
     f.add_argument("--seeds", help="seed lexicon file")
     f.add_argument("--out", required=True, help="output directory")
-    f.add_argument("--threads", type=int, default=1)
+    f.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; changes neither results nor speed",
+    )
     f.set_defaults(func=cmd_fit)
 
     e = sub.add_parser("eval", help="score predictions against gold")

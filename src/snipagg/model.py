@@ -229,36 +229,68 @@ def save_config(hp: Hyperparameters, path: str) -> None:
 
 
 class DirichletFactor:
-    """One or more Dirichlet posteriors sharing a support.
+    """One Dirichlet posterior, or a bank of independent ones over one support.
 
     concentration has shape (support,) for a single distribution or
-    (rows, support) for a bank of independent distributions over the
-    same support. Expected log probabilities are cached until the
-    factor's counts change.
+    (..., support) for a bank of rows over the same support. prior has
+    the concentration's shape; a stacked bank (rows=E) holds E copies of
+    one prior table as a read-only broadcast view, not as E copies.
+    Expected log probabilities are cached until the factor's counts
+    change.
+
+    digamma and gammaln run only on the cells whose concentration
+    differs from the prior, and on the prior table once. That is exact:
+    a cell at its prior has expected log digamma(prior) - digamma(row
+    total) and adds exactly 0 to the KL, whatever the rest of its row.
     """
 
-    __slots__ = ("prior", "concentration", "_elog", "_prior_norm")
+    __slots__ = (
+        "prior", "concentration", "_base", "_base_digamma", "_base_gammaln",
+        "_base_row_gammaln", "_elog", "_changed", "_row_views",
+    )
 
-    def __init__(self, prior: np.ndarray):
-        prior = np.asarray(prior, dtype=float)
-        if prior.size and prior.min() <= 0.0:
+    def __init__(self, prior: np.ndarray, rows: Optional[int] = None):
+        base = np.asarray(prior, dtype=float)
+        if base.size and base.min() <= 0.0:
             raise ModelError("Dirichlet prior concentrations must be positive")
-        self.prior = prior
-        self.concentration = prior.copy()
+        self._base = base
+        self._base_digamma = digamma(base)
+        self._base_gammaln = gammaln(base).reshape(-1)
+        self._base_row_gammaln = gammaln(base.sum(axis=-1)).reshape(-1)
+        self.prior = base if rows is None else np.broadcast_to(base, (rows,) + base.shape)
+        self.concentration = np.array(self.prior)
         self._elog: Optional[np.ndarray] = None
-        self._prior_norm: Optional[np.ndarray] = None
+        self._row_views: Optional[list[FactorRow]] = None
+
+    def rows(self) -> list[FactorRow]:
+        """One FactorRow per leading index of a stacked bank, made once."""
+        if self._row_views is None:
+            self._row_views = [FactorRow(self, i) for i in range(len(self.concentration))]
+        return self._row_views
 
     def set_counts(self, counts: np.ndarray) -> None:
         """Replace the posterior with prior + counts (counts >= 0)."""
-        self.concentration = self.prior + counts
         self._elog = None
+        self.concentration = self.prior + counts
 
     def expected_log(self) -> np.ndarray:
         """digamma(alpha) - digamma(alpha total), per row, cached."""
         if self._elog is None:
             alpha = self.concentration
             total = alpha.sum(axis=-1, keepdims=True)
-            self._elog = digamma(alpha) - digamma(total)
+            digamma_total = digamma(total)
+            elog = np.empty(alpha.shape)
+            np.subtract(self._base_digamma, digamma_total, out=elog)
+            changed = alpha != self.prior
+            cells = np.flatnonzero(changed)
+            a = alpha.reshape(-1)[cells]
+            e = digamma(a) - digamma_total.reshape(-1)[cells // alpha.shape[-1]]
+            elog.reshape(-1)[cells] = e
+            rows = np.flatnonzero(changed.any(axis=-1))
+            self._elog = elog
+            # The changed cells with their concentration and expected log,
+            # and the changed rows with their totals, for the KL.
+            self._changed = (cells, a, e, rows, total.reshape(-1)[rows])
         return self._elog
 
     def mean(self) -> np.ndarray:
@@ -267,15 +299,66 @@ class DirichletFactor:
 
     def kl_to_prior(self) -> float:
         """Sum over rows of KL(posterior row || prior row)."""
-        a = self.concentration
-        b = self.prior
-        if a.size == 0:
+        return kl_sum([self])
+
+    def _kl(self) -> float:
+        # Per row: gammaln(A) - gammaln(B) - sum (gammaln(a) - gammaln(b))
+        # + sum (a - b) E[log p], for posterior a, prior b and totals A, B;
+        # rows and cells at their prior add 0 and are left out.
+        if not self.concentration.size:
             return 0.0
-        if self._prior_norm is None:
-            self._prior_norm = gammaln(b.sum(axis=-1)) - gammaln(b).sum(axis=-1)
-        post_norm = gammaln(a.sum(axis=-1)) - gammaln(a).sum(axis=-1)
-        cross = ((a - b) * self.expected_log()).sum(axis=-1)
-        return float(np.sum(post_norm - self._prior_norm + cross))
+        self.expected_log()
+        cells, a, e, rows, totals = self._changed
+        base_cells = cells % self._base.size
+        row_part = gammaln(totals) - self._base_row_gammaln[rows % self._base_row_gammaln.size]
+        cell_part = gammaln(a) - self._base_gammaln[base_cells]
+        cross = np.dot(a - self._base.reshape(-1)[base_cells], e)
+        return float(row_part.sum() - cell_part.sum() + cross)
+
+
+def kl_sum(factors: Sequence[DirichletFactor]) -> float:
+    """Sum over factors and rows of KL(posterior row || prior row)."""
+    return sum(f._kl() for f in factors)
+
+
+class FactorRow:
+    """Row `index` of a stacked factor bank, read and written through to
+    the bank: one entity's Dirichlet factor.
+
+    Its expected_log() is a view of the bank's cached table, so every
+    entity of a bank shares one digamma refresh.
+    """
+
+    __slots__ = ("bank", "index")
+
+    def __init__(self, bank: DirichletFactor, index: int):
+        self.bank = bank
+        self.index = index
+
+    @property
+    def prior(self) -> np.ndarray:
+        return self.bank.prior[self.index]
+
+    @property
+    def concentration(self) -> np.ndarray:
+        return self.bank.concentration[self.index]
+
+    def set_counts(self, counts: np.ndarray) -> None:
+        """Replace this row of the bank with prior + counts (counts >= 0)."""
+        self.bank._elog = None
+        self.bank.concentration[self.index] = self.prior + counts
+
+    def expected_log(self) -> np.ndarray:
+        return self.bank.expected_log()[self.index]
+
+    def mean(self) -> np.ndarray:
+        alpha = self.concentration
+        return alpha / alpha.sum(axis=-1, keepdims=True)
+
+    def kl_to_prior(self) -> float:
+        row = DirichletFactor(self.prior)
+        row.concentration = self.concentration
+        return row.kl_to_prior()
 
 
 def expected_log(factor: DirichletFactor, element) -> float:
@@ -332,11 +415,12 @@ class TransitionFactor:
 class VariationalState:
     """All factors and per-snippet posteriors for one corpus.
 
-    Entity-specific factor lists hold a single shared factor when the
-    corresponding sharing flag is on; use the *_factor accessors rather
-    than indexing the lists directly. q arrays are stored per entity:
-    qa[i] has shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i]
-    (tokens_i, n_topics) with tokens concatenated in snippet order.
+    The entity-specific factors are stacked banks: psi (E, K), theta_A
+    (E, K, V) and phi (E, K, N), with E = 1 when the corresponding
+    sharing flag is on (phi is None when N = 0). The *_factor accessors
+    give one entity's row. q arrays are stored per entity: qa[i] has
+    shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i] (tokens_i,
+    n_topics) with tokens concatenated in snippet order.
     """
 
     hp: Hyperparameters
@@ -347,9 +431,9 @@ class VariationalState:
     token_counts: list[list[int]]
     theta_B: DirichletFactor
     trans: TransitionFactor
-    psi: list[DirichletFactor]
-    theta_A: list[DirichletFactor]
-    phi: list[DirichletFactor]
+    psi: DirichletFactor
+    theta_A: DirichletFactor
+    phi: Optional[DirichletFactor]
     theta_V: Optional[DirichletFactor]
     theta_I: Optional[DirichletFactor]
     eta: Optional[DirichletFactor]
@@ -362,31 +446,33 @@ class VariationalState:
     def n_entities(self) -> int:
         return len(self.snippet_counts)
 
-    def psi_factor(self, entity: int) -> DirichletFactor:
-        return self.psi[0 if self.hp.shared_aspect_multinomial else entity]
+    def psi_factor(self, entity: int) -> FactorRow:
+        return self.psi.rows()[0 if self.hp.shared_aspect_multinomial else entity]
 
-    def theta_A_factor(self, entity: int) -> DirichletFactor:
-        return self.theta_A[0 if self.hp.shared_aspects else entity]
+    def theta_A_factor(self, entity: int) -> FactorRow:
+        return self.theta_A.rows()[0 if self.hp.shared_aspects else entity]
 
-    def phi_factor(self, entity: int) -> DirichletFactor:
-        return self.phi[0 if self.hp.shared_aspects else entity]
+    def phi_factor(self, entity: int) -> FactorRow:
+        return self.phi.rows()[0 if self.hp.shared_aspects else entity]
 
-    def parameter_factors(self) -> list[DirichletFactor]:
-        """Every Dirichlet factor in the state, in a fixed order."""
+    def _shared_factors(self) -> list[DirichletFactor]:
         out = [self.theta_B, self.trans.start, self.trans.main]
-        if self.theta_V is not None:
-            out.append(self.theta_V)
-        if self.theta_I is not None:
-            out.append(self.theta_I)
-        if self.eta is not None:
-            out.append(self.eta)
-        out.extend(self.psi)
-        out.extend(self.theta_A)
-        out.extend(self.phi)
-        return out
+        return out + [f for f in (self.theta_V, self.theta_I, self.eta) if f is not None]
+
+    def _banks(self) -> list[DirichletFactor]:
+        return [f for f in (self.psi, self.theta_A, self.phi) if f is not None]
+
+    def parameter_factors(self) -> list:
+        """Every Dirichlet factor in the state, in a fixed order; a stacked
+        bank gives one factor per row (FactorRow)."""
+        return self._shared_factors() + [row for bank in self._banks() for row in bank.rows()]
+
+    def parameter_banks(self) -> list[DirichletFactor]:
+        """The factors of parameter_factors() with each bank whole."""
+        return self._shared_factors() + self._banks()
 
     def refresh_caches(self) -> None:
-        for f in self.parameter_factors():
+        for f in self.parameter_banks():
             f.expected_log()
 
     def matches_corpus(self, corpus: Corpus) -> bool:
@@ -429,6 +515,46 @@ def tag_prior(hp: Hyperparameters, layout: TopicLayout, tag_count: int) -> np.nd
     return np.full((layout.n_topics, tag_count), hp.lambda_tag)
 
 
+def _prior_state(
+    hp: Hyperparameters,
+    vocab_size: int,
+    tag_count: int,
+    token_counts: list[list[int]],
+    seed_sets: list[list[int]],
+) -> VariationalState:
+    """Every factor at its prior, stacked banks with one row per entity
+    (one row when shared), and uniform posteriors."""
+    layout = hp.layout()
+    V, n_entities = vocab_size, len(token_counts)
+    n_asp = 1 if hp.shared_aspects else n_entities
+
+    def uniform(rows, width):
+        return np.full((rows, width), 1.0 / width)
+
+    return VariationalState(
+        hp=hp,
+        layout=layout,
+        vocab_size=V,
+        tag_count=tag_count,
+        snippet_counts=[len(row) for row in token_counts],
+        token_counts=token_counts,
+        theta_B=DirichletFactor(np.full(V, hp.lambda_B)),
+        trans=TransitionFactor(*transition_priors(hp, layout)),
+        psi=DirichletFactor(
+            np.full(hp.K, hp.lambda_M), rows=1 if hp.shared_aspect_multinomial else n_entities
+        ),
+        theta_A=DirichletFactor(np.full((hp.K, V), hp.lambda_A), rows=n_asp),
+        phi=DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV), rows=n_asp) if hp.N else None,
+        theta_V=DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N else None,
+        theta_I=DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None,
+        eta=DirichletFactor(tag_prior(hp, layout, tag_count)) if hp.use_pos else None,
+        qa=[uniform(len(row), hp.K) for row in token_counts],
+        qv=[uniform(len(row), hp.N) for row in token_counts] if hp.N else None,
+        qw=[uniform(sum(row), layout.n_topics) for row in token_counts],
+        seed_sets=seed_sets,
+    )
+
+
 def build_priors(
     hp: Hyperparameters,
     corpus: Corpus,
@@ -441,9 +567,6 @@ def build_priors(
     or name more value types than N.
     """
     hp.validate()
-    layout = hp.layout()
-    V = len(corpus.vocabulary)
-    T = len(corpus.tag_set)
     seed_sets: list[list[int]] = [[] for _ in range(hp.N)]
     if seeds is not None and seeds.total_seeds() > 0:
         if hp.N == 0:
@@ -454,49 +577,9 @@ def build_priors(
             )
         for v, s in enumerate(seeds.seed_words):
             seed_sets[v] = sorted(s)
-
-    theta_B = DirichletFactor(np.full(V, hp.lambda_B))
-    trans = TransitionFactor(*transition_priors(hp, layout))
-    theta_V = DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N >= 1 else None
-    theta_I = DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None
-    eta = DirichletFactor(tag_prior(hp, layout, T)) if hp.use_pos else None
-
-    n_psi = 1 if hp.shared_aspect_multinomial else corpus.n_entities
-    n_asp = 1 if hp.shared_aspects else corpus.n_entities
-    psi = [DirichletFactor(np.full(hp.K, hp.lambda_M)) for _ in range(n_psi)]
-    theta_A = [DirichletFactor(np.full((hp.K, V), hp.lambda_A)) for _ in range(n_asp)]
-    phi = [
-        DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV)) for _ in range(n_asp)
-    ] if hp.N >= 1 else []
-
-    qa, qv, qw = [], [], []
-    for group in corpus.snippets:
-        S = len(group)
-        qa.append(np.full((S, hp.K), 1.0 / hp.K))
-        if hp.N >= 1:
-            qv.append(np.full((S, hp.N), 1.0 / hp.N))
-        n_tok = sum(len(sn) for sn in group)
-        qw.append(np.full((n_tok, layout.n_topics), 1.0 / layout.n_topics))
-
-    return VariationalState(
-        hp=hp,
-        layout=layout,
-        vocab_size=V,
-        tag_count=T,
-        snippet_counts=[len(g) for g in corpus.snippets],
-        token_counts=[[len(sn) for sn in g] for g in corpus.snippets],
-        theta_B=theta_B,
-        trans=trans,
-        psi=psi,
-        theta_A=theta_A,
-        phi=phi,
-        theta_V=theta_V,
-        theta_I=theta_I,
-        eta=eta,
-        qa=qa,
-        qv=qv if hp.N >= 1 else None,
-        qw=qw,
-        seed_sets=seed_sets,
+    token_counts = [[len(sn) for sn in g] for g in corpus.snippets]
+    return _prior_state(
+        hp, len(corpus.vocabulary), len(corpus.tag_set), token_counts, seed_sets
     )
 
 
@@ -556,9 +639,9 @@ def save_state(state: VariationalState, path: str) -> None:
             "theta_V": _factor_payload(state.theta_V),
             "theta_I": _factor_payload(state.theta_I),
             "eta": _factor_payload(state.eta),
-            "psi": [_factor_payload(f) for f in state.psi],
-            "theta_A": [_factor_payload(f) for f in state.theta_A],
-            "phi": [_factor_payload(f) for f in state.phi],
+            "psi": _factor_payload(state.psi),
+            "theta_A": _factor_payload(state.theta_A),
+            "phi": [] if state.phi is None else _factor_payload(state.phi),
         },
         "q": {
             "qa": [a.tolist() for a in state.qa],
@@ -571,99 +654,106 @@ def save_state(state: VariationalState, path: str) -> None:
         fh.write("\n")
 
 
-def _restore_factor(f: Optional[DirichletFactor], payload) -> None:
+def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A finite float array of the given shape read from a state file."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} is not a numeric array") from None
+    if arr.size == 0 and np.prod(shape) == 0:
+        arr = arr.reshape(shape)  # JSON writes any empty array as []
+    if arr.shape != shape:
+        raise ModelError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ModelError(f"{what} is not finite")
+    return arr
+
+
+def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
     if f is None:
-        if payload is not None:
-            raise ModelError("state file carries a factor the config disables")
+        if payload not in (None, []):
+            raise ModelError(f"factor {name} is present but the configuration disables it")
         return
-    arr = np.asarray(payload, dtype=float)
-    if arr.shape != f.concentration.shape:
-        raise ModelError(
-            f"factor shape mismatch: state file {arr.shape}, "
-            f"expected {f.concentration.shape}"
-        )
-    f.concentration = arr
+    conc = _array(payload, f.concentration.shape, f"factor {name}")
+    if not (conc >= f.prior).all():
+        raise ModelError(f"factor {name} has a concentration below its prior")
+    f.concentration = conc
     f._elog = None
 
 
-def load_state(path: str) -> VariationalState:
-    """Rebuild a VariationalState from its JSON serialization."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+def _restore_posteriors(payload, name: str, rows: list[int], width: int) -> list[np.ndarray]:
+    if not isinstance(payload, list) or len(payload) != len(rows):
+        raise ModelError(f"{name} needs one array per entity ({len(rows)})")
+    out = []
+    for i, (value, n) in enumerate(zip(payload, rows)):
+        q = _array(value, (n, width), f"{name}[{i}]")
+        if q.size and (q.min() < 0.0 or np.abs(q.sum(axis=1) - 1.0).max() > 1e-6):
+            raise ModelError(f"{name}[{i}] rows are not probability distributions")
+        out.append(q)
+    return out
+
+
+def _state_from_payload(payload: dict) -> VariationalState:
     if payload.get("format") != STATE_FORMAT:
-        raise ModelError(f"{path}: not a state file")
+        raise ModelError("not a state file")
     if payload.get("version") != STATE_VERSION:
-        raise ModelError(f"{path}: unsupported state version {payload.get('version')}")
+        raise ModelError(f"unsupported state version {payload.get('version')}")
     hp_dict = dict(payload["hyperparameters"])
     hp_dict["topic_prior"] = tuple(hp_dict["topic_prior"])
     hp = Hyperparameters(**hp_dict)
     hp.validate()
     layout = hp.layout()
     if list(layout.letters) != payload["topics"]:
-        raise ModelError(f"{path}: topic layout does not match configuration")
+        raise ModelError("topic layout does not match configuration")
 
     V = int(payload["vocab_size"])
     T = int(payload["tag_count"])
-    seed_sets = [list(map(int, s)) for s in payload["seed_sets"]]
-    snippet_counts = [int(x) for x in payload["snippet_counts"]]
     token_counts = [[int(x) for x in row] for row in payload["token_counts"]]
-
-    theta_B = DirichletFactor(np.full(V, hp.lambda_B))
-    trans = TransitionFactor(*transition_priors(hp, layout))
-    theta_V = DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N >= 1 else None
-    theta_I = DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None
-    eta = DirichletFactor(tag_prior(hp, layout, T)) if hp.use_pos else None
-    n_entities = len(snippet_counts)
-    n_psi = 1 if hp.shared_aspect_multinomial else n_entities
-    n_asp = 1 if hp.shared_aspects else n_entities
-    psi = [DirichletFactor(np.full(hp.K, hp.lambda_M)) for _ in range(n_psi)]
-    theta_A = [DirichletFactor(np.full((hp.K, V), hp.lambda_A)) for _ in range(n_asp)]
-    phi = [
-        DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV)) for _ in range(n_asp)
-    ] if hp.N >= 1 else []
+    if [len(row) for row in token_counts] != [int(x) for x in payload["snippet_counts"]]:
+        raise ModelError("snippet_counts do not match token_counts")
+    seed_sets = [[int(w) for w in s] for s in payload["seed_sets"]]
+    if len(seed_sets) != hp.N or any(not 0 <= w < V for s in seed_sets for w in s):
+        raise ModelError(f"seed_sets need {hp.N} lists of word indices below {V}")
+    state = _prior_state(hp, V, T, token_counts, seed_sets)
 
     fpay = payload["factors"]
-    _restore_factor(theta_B, fpay["theta_B"])
-    _restore_factor(trans.start, fpay["trans_start"])
-    _restore_factor(trans.main, fpay["trans_main"])
-    _restore_factor(theta_V, fpay["theta_V"])
-    _restore_factor(theta_I, fpay["theta_I"])
-    _restore_factor(eta, fpay["eta"])
-    for f, p in zip(psi, fpay["psi"], strict=True):
-        _restore_factor(f, p)
-    for f, p in zip(theta_A, fpay["theta_A"], strict=True):
-        _restore_factor(f, p)
-    for f, p in zip(phi, fpay["phi"], strict=True):
-        _restore_factor(f, p)
+    for name, f in (
+        ("theta_B", state.theta_B), ("trans_start", state.trans.start),
+        ("trans_main", state.trans.main), ("theta_V", state.theta_V),
+        ("theta_I", state.theta_I), ("eta", state.eta), ("psi", state.psi),
+        ("theta_A", state.theta_A), ("phi", state.phi),
+    ):
+        _restore_factor(f, fpay[name], name)
 
     qpay = payload["q"]
-    qa = [np.asarray(a, dtype=float).reshape(s, hp.K)
-          for a, s in zip(qpay["qa"], snippet_counts, strict=True)]
+    snippets = state.snippet_counts
+    state.qa = _restore_posteriors(qpay["qa"], "qa", snippets, hp.K)
     if hp.N >= 1:
-        qv = [np.asarray(a, dtype=float).reshape(s, hp.N)
-              for a, s in zip(qpay["qv"], snippet_counts, strict=True)]
-    else:
-        qv = None
-    qw = [np.asarray(a, dtype=float).reshape(sum(tc), layout.n_topics)
-          for a, tc in zip(qpay["qw"], token_counts, strict=True)]
+        state.qv = _restore_posteriors(qpay["qv"], "qv", snippets, hp.N)
+    elif qpay["qv"] is not None:
+        raise ModelError("qv is present but N = 0")
+    tokens = [sum(row) for row in token_counts]
+    state.qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics)
+    return state
 
-    return VariationalState(
-        hp=hp,
-        layout=layout,
-        vocab_size=V,
-        tag_count=T,
-        snippet_counts=snippet_counts,
-        token_counts=token_counts,
-        theta_B=theta_B,
-        trans=trans,
-        psi=psi,
-        theta_A=theta_A,
-        phi=phi,
-        theta_V=theta_V,
-        theta_I=theta_I,
-        eta=eta,
-        qa=qa,
-        qv=qv,
-        qw=qw,
-        seed_sets=seed_sets,
-    )
+
+def load_state(path: str) -> VariationalState:
+    """Rebuild a VariationalState from its JSON serialization.
+
+    Checks the keys, every shape, that all numbers are finite, that the
+    posterior rows are distributions and that no concentration is below
+    its prior; any fault raises ModelError naming the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ModelError(f"{path}: not valid JSON: {exc}") from None
+    try:
+        return _state_from_payload(payload)
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+    except KeyError as exc:
+        raise ModelError(f"{path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ModelError(f"{path}: malformed state: {exc}") from None

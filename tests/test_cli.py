@@ -212,3 +212,56 @@ def test_fit_manifest_records_inputs(workspace):
     assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
     assert manifest["config"]["K"] == 2
     assert "state" in manifest["outputs"]
+
+
+def _report(capsys, data, state_path):
+    code = main(["-q", "report", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--state", state_path])
+    return code, capsys.readouterr().err
+
+
+def _edited_state(fit, tmp_path, edit):
+    with open(os.path.join(fit, "state.json")) as fh:
+        payload = json.load(fh)
+    edit(payload)
+    path = tmp_path / "edited_state.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_report_rejects_truncated_posterior_row(workspace, tmp_path, capsys):
+    data, fit = workspace
+    path = _edited_state(fit, tmp_path, lambda p: p["q"]["qa"][1][2].pop())
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert path in err and "qa[1]" in err
+
+
+def test_report_rejects_missing_factor(workspace, tmp_path, capsys):
+    data, fit = workspace
+    path = _edited_state(fit, tmp_path, lambda p: p["factors"].pop("theta_B"))
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert path in err and "theta_B" in err
+
+
+def test_report_rejects_non_finite_posterior(workspace, tmp_path, capsys):
+    data, fit = workspace
+
+    def poison(payload):
+        payload["q"]["qa"][0][0][0] = float("nan")
+
+    path = _edited_state(fit, tmp_path, poison)
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert path in err and "not finite" in err
+
+
+def test_fit_manifest_counts_free_energy_rises(workspace):
+    _, fit = workspace
+    with open(os.path.join(fit, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    with open(os.path.join(fit, "free_energy.tsv")) as fh:
+        values = [float(line.split("\t")[1]) for line in fh]
+    rises = sum(b > a for a, b in zip(values, values[1:]))
+    assert manifest["free_energy_rises"] == rises

@@ -13,13 +13,18 @@ from snipagg.inference import (
     EARLY_STOP_TOL,
     InferenceError,
     UpdateContext,
-    _build_entity_data,
+    FreeEnergyReport,
+    _batch_pass,
+    _end_iteration,
+    _gather,
     _PackedCorpus,
+    _refit,
     _softmax_rows,
     _wavefront_pass,
     aspect_clusterings,
     compute_free_energy,
     extract_posteriors,
+    free_energy_rises,
     polarity_predictions,
     run_inference,
     update_parameters,
@@ -28,7 +33,7 @@ from snipagg.inference import (
     update_word_topic,
     word_label_predictions,
 )
-from snipagg.model import Hyperparameters, build_priors, init_state
+from snipagg.model import Hyperparameters, ModelError, build_priors, init_state
 
 
 def tiny_corpus(n_entities=1):
@@ -429,54 +434,205 @@ def test_run_inference_rejects_bad_threads():
         run_inference(Hyperparameters(), tiny_corpus(), threads=0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_values=st.sampled_from([0, 1, 2]),
-    use_ignore=st.booleans(),
-    use_pos=st.booleans(),
-    shared=st.booleans(),
-    max_len=st.sampled_from([1, 2, 7]),
-)
-def test_wavefront_pass_matches_per_op_sweep(
-    seed, n_values, use_ignore, use_pos, shared, max_len
-):
+def random_state(seed, n_values, use_ignore, use_pos, shared, max_len, sparse=False):
+    """A random corpus and a state on it with random counts in its factors
+    (in about half the cells when sparse) and random posteriors. shared
+    is how many sharing flags are on: none, shared_aspects, or both."""
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, n_entities=3, vocab_size=12, snippets=4, max_len=max_len)
     hp = Hyperparameters(
         K=3, N=n_values, use_ignore=use_ignore, use_pos=use_pos,
-        shared_aspects=shared, shared_aspect_multinomial=shared, rng_seed=seed % 1000,
+        shared_aspects=shared >= 1, shared_aspect_multinomial=shared == 2,
+        rng_seed=seed % 1000,
     )
     state = init_state(hp, corpus)
     for f in state.parameter_factors():
-        f.set_counts(rng.gamma(1.0, 2.0, size=f.prior.shape))
+        counts = rng.gamma(1.0, 2.0, size=f.prior.shape)
+        if sparse:
+            counts *= rng.random(f.prior.shape) < 0.5
+        f.set_counts(counts)
     for q in state.qw:
         q[:] = rng.dirichlet(np.ones(q.shape[1]), size=len(q))
-    before = copy.deepcopy(state)
+    return corpus, state
 
-    sweep = copy.deepcopy(state)
-    ctx = UpdateContext(sweep, corpus, sequential=True)
+
+STATE_FLAGS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_values=st.sampled_from([0, 1, 2]),
+    use_ignore=st.booleans(),
+    use_pos=st.booleans(),
+    shared=st.sampled_from([0, 1, 2]),
+    max_len=st.sampled_from([1, 2, 7]),
+)
+
+
+def per_op_pass(state, corpus, sequential):
+    """A copy of state after one pass of the per-op updates over every
+    snippet (aspect, value, then each word), committed in batch mode."""
+    state = copy.deepcopy(state)
+    ctx = UpdateContext(state, corpus, sequential=sequential)
     for i, group in enumerate(corpus.snippets):
         for j, sn in enumerate(group):
             update_snippet_aspect(ctx, i, j)
-            if sweep.qv is not None:
+            if state.qv is not None:
                 update_snippet_value(ctx, i, j)
             for w in range(len(sn)):
                 update_word_topic(ctx, i, j, w)
+    ctx.commit()
+    return state, ctx
 
-    pack = _PackedCorpus(_build_entity_data(corpus))
-    delta = _wavefront_pass(state, pack, *pack.bind(state))
+
+def assert_same_posteriors(got_state, want_state, old_state, delta):
+    """Posteriors within 1e-12, and delta the largest change from old."""
     expected_delta = 0.0
     for name in ("qa", "qv", "qw"):
-        if getattr(state, name) is None:
-            assert getattr(sweep, name) is None
+        if getattr(got_state, name) is None:
+            assert getattr(want_state, name) is None
             continue
         for got, want, old in zip(
-            getattr(state, name), getattr(sweep, name), getattr(before, name), strict=True
+            getattr(got_state, name), getattr(want_state, name), getattr(old_state, name),
+            strict=True,
         ):
-            assert np.abs(got - want).max() <= 1e-12
-            expected_delta = max(expected_delta, np.abs(want - old).max())
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12
+            expected_delta = max(expected_delta, np.abs(want - old).max(initial=0.0))
     assert abs(delta - expected_delta) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STATE_FLAGS)
+def test_wavefront_pass_matches_per_op_sweep(
+    seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
+    before = copy.deepcopy(state)
+    sweep, _ = per_op_pass(state, corpus, sequential=True)
+    pack = _PackedCorpus(corpus)
+    delta = _wavefront_pass(state, pack, _gather(state, pack), *pack.bind(state))
+    assert_same_posteriors(state, sweep, before, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**STATE_FLAGS)
+def test_batch_pass_and_refit_match_per_op_updates(
+    seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
+    before = copy.deepcopy(state)
+    oracle, ctx = per_op_pass(state, corpus, sequential=False)
+    update_parameters(ctx)
+    pack = _PackedCorpus(corpus)
+    q = pack.bind(state)
+    delta = _batch_pass(state, pack, _gather(state, pack), *q)
+    _refit(state, pack, *q)
+    assert_same_posteriors(state, oracle, before, delta)
+    for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):
+        assert np.abs(got.concentration - want.concentration).max() <= 1e-12
+
+
+def dense_elog(conc):
+    from scipy.special import digamma
+
+    return digamma(conc) - digamma(conc.sum(axis=-1, keepdims=True))
+
+
+def dense_kl(conc, prior):
+    from scipy.special import gammaln
+
+    per_row = (
+        gammaln(conc.sum(axis=-1)) - gammaln(conc).sum(axis=-1)
+        - gammaln(prior.sum(axis=-1)) + gammaln(prior).sum(axis=-1)
+        + ((conc - prior) * dense_elog(conc)).sum(axis=-1)
+    )
+    return float(np.sum(per_row))
+
+
+def dense_free_energy(state, corpus):
+    """The free energy term by term, from dense expected-log tables."""
+    from scipy.special import xlogy
+
+    layout, hp = state.layout, state.hp
+    n = layout.n_topics
+    kl = sum(dense_kl(f.concentration, np.asarray(f.prior)) for f in state.parameter_factors())
+    e_b = dense_elog(state.theta_B.concentration)
+    e_v = None if state.theta_V is None else dense_elog(state.theta_V.concentration)
+    e_i = None if state.theta_I is None else dense_elog(state.theta_I.concentration)
+    e_eta = None if state.eta is None else dense_elog(state.eta.concentration)
+    e_start = dense_elog(state.trans.start.concentration)
+    e_main = dense_elog(state.trans.main.concentration)
+    like = neg_entropy = 0.0
+    for i, group in enumerate(corpus.snippets):
+        e_psi = dense_elog(state.psi_factor(i).concentration)
+        e_a = dense_elog(state.theta_A_factor(i).concentration)
+        qw = state.qw[i]
+        t = 0
+        for j, sn in enumerate(group):
+            qa = state.qa[i][j]
+            like += qa @ e_psi
+            neg_entropy += xlogy(qa, qa).sum()
+            if state.qv is not None:
+                qv = state.qv[i][j]
+                like += qa @ dense_elog(state.phi_factor(i).concentration) @ qv
+                neg_entropy += xlogy(qv, qv).sum()
+            for w, tok in enumerate(sn.tokens):
+                score = hp.topic_prior_vector(layout).copy()
+                score[layout.col("A")] += qa @ e_a[:, tok.word]
+                if e_v is not None:
+                    score[layout.col("V")] += qv @ e_v[:, tok.word]
+                score[layout.col("B")] += e_b[tok.word]
+                if e_i is not None:
+                    score[layout.col("I")] += e_i[tok.word]
+                if e_eta is not None:
+                    score += e_eta[:, tok.tag]
+                like += qw[t] @ score
+                like += qw[t] @ e_start if w == 0 else qw[t - 1] @ e_main[:, :n] @ qw[t]
+                if w == len(sn) - 1:
+                    like += qw[t] @ e_main[:, layout.end_col]
+                neg_entropy += xlogy(qw[t], qw[t]).sum()
+                t += 1
+    return kl - like + neg_entropy
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse=st.booleans(), **STATE_FLAGS)
+def test_free_energy_matches_dense_reference(
+    seed, n_values, use_ignore, use_pos, shared, max_len, sparse
+):
+    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len, sparse)
+    want = dense_free_energy(state, corpus)
+    got = compute_free_energy(state, corpus)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    kl = sum(f.kl_to_prior() for f in state.parameter_factors())
+    dense = sum(dense_kl(f.concentration, np.asarray(f.prior)) for f in state.parameter_factors())
+    assert abs(kl - dense) <= 1e-12 * abs(dense)
+    for f in state.parameter_factors():
+        assert np.abs(f.expected_log() - dense_elog(f.concentration)).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+def test_fit_rejects_snippet_without_tokens(schedule):
+    corpus = Corpus(
+        ["r1"],
+        [[
+            Snippet(0, "r1-a", [Token(0, 0), Token(1, 0)]),
+            Snippet(0, "r1-empty", []),
+            Snippet(0, "r1-b", [Token(1, 0)]),
+        ]],
+        Indexer(["w0", "w1"]),
+        Indexer(["T"]),
+    )
+    hp = Hyperparameters(K=2, N=2, max_iters=2, schedule=schedule)
+    with pytest.raises(ModelError, match="'r1'.*'r1-empty'"):
+        run_inference(hp, corpus, None)
+
+
+def test_free_energy_rises_are_counted_and_logged(caplog):
+    reports = [FreeEnergyReport(1, 10.0)]
+    with caplog.at_level("WARNING", logger="snipagg.inference"):
+        _end_iteration(2, 12.5, 1.0, 0.0, reports, None)
+        _end_iteration(3, 11.0, 1.0, 0.0, reports, None)
+    rises = [r.getMessage() for r in caplog.records if "rose" in r.getMessage()]
+    assert rises == ["iteration 2: free energy rose from 10.0 to 12.5"]
+    assert free_energy_rises(reports) == 1
 
 
 def test_sequential_fit_on_empty_corpus():

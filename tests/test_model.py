@@ -338,7 +338,118 @@ def test_load_state_rejects_other_format(tmp_path):
         load_state(str(path))
 
 
+def test_load_state_rejects_concentration_below_prior(tmp_path):
+    _, state = fit_like_state()
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    payload = json.loads(path.read_text())
+    payload["factors"]["theta_A"][1][0][2] = 0.5 * state.hp.lambda_A
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match="theta_A has a concentration below its prior"):
+        load_state(str(path))
+
+
 def test_matches_corpus_detects_mismatch():
     corpus, state = fit_like_state()
     other = toy_corpus(n_entities=3)
     assert not state.matches_corpus(other)
+
+
+def random_corpus_and_state(seed, n_entities, n_values, use_ignore, use_pos, shared):
+    """A small random corpus and a state on it with random factor counts
+    (every cell or about half of them) and random posteriors."""
+    rng = np.random.default_rng(seed)
+    vocab, tags = Indexer([f"w{k}" for k in range(6)]), Indexer(["NN", "JJ"])
+    groups = [
+        [Snippet(i, f"e{i}-s{j}", [Token(int(rng.integers(6)), int(rng.integers(2)))
+                                   for _ in range(int(rng.integers(1, 5)))])
+         for j in range(int(rng.integers(1, 4)))]
+        for i in range(n_entities)
+    ]
+    corpus = Corpus([f"e{i}" for i in range(n_entities)], groups, vocab, tags)
+    hp = Hyperparameters(
+        K=int(rng.integers(1, 4)), N=n_values, use_ignore=use_ignore, use_pos=use_pos,
+        shared_aspects=shared >= 1, shared_aspect_multinomial=shared == 2,
+        rng_seed=seed % 1000,
+    )
+    seeds = None
+    if n_values:
+        seeds = SeedLexicon([f"v{v}" for v in range(n_values)],
+                            [{int(rng.integers(6))} for _ in range(n_values)])
+    state = init_state(hp, corpus, seeds)
+    sparse = bool(rng.integers(2))
+    for f in state.parameter_factors():
+        counts = rng.gamma(1.0, 2.0, size=f.prior.shape)
+        if sparse:
+            counts *= rng.random(f.prior.shape) < 0.5
+        f.set_counts(counts)
+    for arrays in (state.qa, state.qv or [], state.qw):
+        for q in arrays:
+            q[:] = rng.dirichlet(np.ones(q.shape[1]), size=len(q))
+    return corpus, state
+
+
+STATE_SHAPES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n_entities=st.integers(0, 3),
+    n_values=st.sampled_from([0, 1, 2]),
+    use_ignore=st.booleans(),
+    use_pos=st.booleans(),
+    shared=st.sampled_from([0, 1, 2]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STATE_SHAPES)
+def test_state_round_trip_is_byte_identical(
+    tmp_path_factory, seed, n_entities, n_values, use_ignore, use_pos, shared
+):
+    corpus, state = random_corpus_and_state(
+        seed, n_entities, n_values, use_ignore, use_pos, shared
+    )
+    tmp = tmp_path_factory.mktemp("round_trip")
+    save_state(state, str(tmp / "s1.json"))
+    loaded = load_state(str(tmp / "s1.json"))
+    save_state(loaded, str(tmp / "s2.json"))
+    assert (tmp / "s1.json").read_bytes() == (tmp / "s2.json").read_bytes()
+    assert loaded.matches_corpus(corpus)
+    for fa, fb in zip(state.parameter_factors(), loaded.parameter_factors(), strict=True):
+        assert np.array_equal(fa.concentration, fb.concentration)
+        assert np.array_equal(fa.prior, fb.prior)
+        assert np.array_equal(fa.expected_log(), fb.expected_log())
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pick=st.integers(0, 10**9),
+    action=st.sampled_from(["delete", "null", "string", "negative", "nan", "empty", "dict"]),
+)
+def test_load_state_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, action):
+    _, state = random_corpus_and_state(pick % 97, 2, 2, True, True, 0)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    save_state(state, str(tmp / "s.json"))
+    payload = json.loads((tmp / "s.json").read_text())
+    paths = list(_paths(payload))
+    prefix, key = paths[pick % len(paths)]
+    parent = payload
+    for step in prefix:
+        parent = parent[step]
+    if action == "delete":
+        del parent[key]
+    else:
+        parent[key] = {"null": None, "string": "x", "negative": -1.0, "nan": math.nan,
+                       "empty": [], "dict": {}}[action]
+    (tmp / "s.json").write_text(json.dumps(payload))
+    try:
+        load_state(str(tmp / "s.json"))
+    except ModelError as exc:
+        assert str(tmp / "s.json") in str(exc)
