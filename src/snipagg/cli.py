@@ -77,6 +77,7 @@ from snipagg.model import (
     parse_config_value,
     save_state,
 )
+from snipagg.output import atomic_open, write_json
 
 log = logging.getLogger(__name__)
 
@@ -127,7 +128,7 @@ class RunManifest:
         self.payload["outputs"][name] = {"path": path, "sha256": _sha256(path)}
 
     def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             json.dump(self.payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -199,9 +200,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             manifest.add_output("seeds", seeds_path)
 
     params_path = os.path.join(out, "true_params.json")
-    with open(params_path, "w", encoding="utf-8") as fh:
-        json.dump(syn.true_parameters, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(syn.true_parameters, params_path)
     manifest.add_output("true_params", params_path)
 
     manifest.payload["timings"]["total"] = round(time.perf_counter() - t0, 3)
@@ -222,8 +221,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     state, reports = run_inference(hp, corpus, seeds, threads=args.threads)
     elapsed = time.perf_counter() - t0
-    if any(not math.isfinite(r.value) for r in reports):
-        raise InferenceError("free energy is not finite")
+    for r in reports:
+        if not math.isfinite(r.value):
+            raise InferenceError(
+                f"free energy is not finite at iteration {r.iteration}: {r.value!r}"
+            )
 
     out = _outdir(args)
     manifest = RunManifest("fit", args.argv)
@@ -239,7 +241,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     manifest.add_output("state", state_path)
 
     fe_path = os.path.join(out, "free_energy.tsv")
-    with open(fe_path, "w", encoding="utf-8") as fh:
+    with atomic_open(fe_path) as fh:
         for r in reports:
             fh.write(f"{r.iteration}\t{r.value!r}\n")
     manifest.add_output("free_energy", fe_path)
@@ -289,6 +291,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         state = load_state(args.state)
         if not state.matches_corpus(corpus):
             raise CorpusError("state was fit on a different corpus")
+        if args.metric == "sentiment" and len(value_names) != state.hp.N:
+            raise UsageError(
+                f"--value-names gives {len(value_names)} names but the state "
+                f"has N={state.hp.N} value types"
+            )
         post = extract_posteriors(state)
 
     if args.metric == "muc":
@@ -351,7 +358,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     text = json.dumps(results, indent=2, sort_keys=True) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 
@@ -463,7 +470,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_open(args.out) as fh:
             fh.write(text)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ Words are lowercased on load; tags are kept verbatim. There is no
 stemming and no stop-word removal, the background topic is expected to
 absorb function words. Vocabulary and tag indices are dense and follow
 first appearance order, so loading the same file twice gives identical
-indexing.
+indexing. The writers replace their target file atomically.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from snipagg.output import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -207,7 +209,7 @@ def load_corpus(path: str) -> Corpus:
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus back out in the JSON-lines format."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for group in corpus.snippets:
             for sn in group:
                 rec = {
@@ -333,7 +335,7 @@ def load_seed_lexicon(
 
 
 def save_seed_lexicon(lexicon: SeedLexicon, corpus: Corpus, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for name, words in zip(lexicon.value_names, lexicon.seed_words):
             fh.write(f"[value:{name}]\n")
             for widx in sorted(words):
@@ -471,7 +473,7 @@ def load_gold(
 
 def save_cluster_tsv(corpus: Corpus, labels: Mapping[str, str], path: str) -> None:
     """Write snippet -> cluster label assignments as gold-format TSV."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sn in corpus.iter_snippets():
             if sn.snippet_id in labels:
                 fh.write(
@@ -487,7 +489,7 @@ def save_polarity_tsv(
     path: str,
 ) -> None:
     """Write snippet polarity as TSV; None values are written as 'split'."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sn in corpus.iter_snippets():
             if sn.snippet_id in polarity:
                 v = polarity[sn.snippet_id]
@@ -500,7 +502,7 @@ def save_polarity_tsv(
 def save_word_labels_jsonl(
     corpus: Corpus, labels: Mapping[str, Sequence[str]], path: str
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sn in corpus.iter_snippets():
             if sn.snippet_id in labels:
                 rec = {"id": sn.snippet_id, "labels": list(labels[sn.snippet_id])}

@@ -6,8 +6,17 @@ priors, each entity draws its aspect mixture and aspect word
 distributions, and every snippet draws an aspect, a value type, and a
 role chain that starts at the virtual start state and emits one word
 (and one tag) per step. All latent draws are recorded as gold
-annotations, and every sampled distribution is returned for parameter
-recovery checks.
+annotations, and every sampled distribution is returned (as an array)
+for parameter recovery checks.
+
+The draws come from one PCG64 stream, one uniform per categorical
+choice, in a fixed order: per snippet the aspect, the value type and
+the length, then the role chain, then two uniforms per token (word,
+tag). The role chain of a Poisson-length snippet and all of its word
+and tag uniforms are drawn as blocks, which consume the stream exactly
+as the same number of scalar draws, and the words and tags are picked
+after the loop with one searchsorted per distribution. A fixed seed
+therefore gives the same corpus as a one-draw-per-choice sampler.
 
 make_separable additionally interpolates the aspect word priors toward
 disjoint vocabulary blocks: at separation 1 the blocks are fully
@@ -19,6 +28,7 @@ sample_corpus.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -103,10 +113,34 @@ def _draw_multinomial(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray
     return draw / total
 
 
-def _choice(rng: np.random.Generator, probs: np.ndarray) -> int:
-    edges = np.cumsum(probs)
-    idx = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
-    return min(idx, len(probs) - 1)
+def _edges(probs: np.ndarray) -> list[float]:
+    """Cumulative edges of a distribution, as _pick reads them."""
+    return np.cumsum(probs).tolist()
+
+
+def _pick(edges: list[float], u: float) -> int:
+    """The category a uniform u in [0, 1) selects: the first edge above
+    u times the total mass (searchsorted side="right"), clipped to the
+    last category against rounding."""
+    return min(bisect_right(edges, u * edges[-1]), len(edges) - 1)
+
+
+def _pick_grouped(
+    dists: Sequence[np.ndarray], keys: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """For every draw k, the category dists[keys[k]] selects with u[k].
+
+    One searchsorted per distribution in use over all of its draws;
+    element by element this is _pick on the same edges and uniforms.
+    """
+    out = np.empty(len(keys), dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        if len(idx):
+            edges = np.cumsum(dists[keys[idx[0]]])
+            hit = np.searchsorted(edges, u[idx] * edges[-1], side="right")
+            out[idx] = np.minimum(hit, len(edges) - 1)
+    return out
 
 
 def sample_corpus(
@@ -228,68 +262,94 @@ def _sample(
     n_psi = 1 if hp.shared_aspect_multinomial else shape.n_entities
     psi = [_draw_multinomial(rng, np.full(hp.K, hp.lambda_M)) for _ in range(n_psi)]
 
-    emit_dists = {"B": theta_b}
-    if theta_i is not None:
-        emit_dists["I"] = theta_i
+    # Every word distribution by row: aspect rows scope-major, then value
+    # rows, then background and ignore.
+    word_dists = [row for t in theta_a for row in t]
+    v_base = len(word_dists)
+    if theta_v is not None:
+        word_dists.extend(theta_v)
+    fixed_rows: dict[str, int] = {}
+    for letter, dist in (("B", theta_b), ("I", theta_i)):
+        if dist is not None:
+            fixed_rows[letter] = len(word_dists)
+            word_dists.append(dist)
 
-    vocabulary = Indexer(words)
-    tag_set = Indexer(SYNTHETIC_TAGS)
+    poisson = shape.length_mode == "poisson"
+    psi_edges = [_edges(p) for p in psi]
+    phi_edges = None if phi is None else [[_edges(row) for row in p] for p in phi]
+    start_edges = _edges(trans_start)
+    # A Poisson-length walk never ends early, so it draws over the role
+    # columns only; a chain walk also draws the end marker.
+    main_edges = [_edges(row[:n] if poisson else row) for row in trans_main]
+
     entities = [f"e{i:03d}" for i in range(shape.n_entities)]
-    groups: list[list[Snippet]] = []
-    gold = GoldAnnotations()
+    # Per snippet: the row each role's words come from, the length, and
+    # the gold labels.
+    snippet_rows: list[list[int]] = []
+    lengths: list[int] = []
+    labels: list[tuple[str, int, Optional[int]]] = []
+    roles: list[int] = []
+    word_tag_draws: list[np.ndarray] = []
 
     for i in range(shape.n_entities):
         scope = 0 if hp.shared_aspects else i
         pscope = 0 if hp.shared_aspect_multinomial else i
-        group: list[Snippet] = []
         for j in range(shape.snippets_per_entity):
-            sid = f"{entities[i]}-s{j:05d}"
-            z_a = _choice(rng, psi[pscope])
-            z_v = _choice(rng, phi[scope][z_a]) if hp.N >= 1 else None
+            z_a = _pick(psi_edges[pscope], rng.random())
+            z_v = _pick(phi_edges[scope][z_a], rng.random()) if hp.N >= 1 else None
 
-            if shape.length_mode == "poisson":
+            chain: list[int] = []
+            edges = start_edges
+            if poisson:
                 length = int(rng.poisson(shape.mean_words))
                 while not (1 <= length <= 30):
                     length = int(rng.poisson(shape.mean_words))
+                for u in rng.random(length).tolist():
+                    chain.append(_pick(edges, u))
+                    edges = main_edges[chain[-1]]
             else:
-                length = MAX_CHAIN_LENGTH
+                # One draw per step: the walk must not draw past the end.
+                for _ in range(MAX_CHAIN_LENGTH):
+                    role = _pick(edges, rng.random())
+                    if role == layout.end_col:
+                        break
+                    chain.append(role)
+                    edges = main_edges[role]
+            # One word and one tag per token, drawn in token order.
+            word_tag_draws.append(rng.random(2 * len(chain)))
 
-            roles: list[int] = []
-            state = -1  # start
-            for _ in range(length):
-                if state < 0:
-                    nxt = _choice(rng, trans_start)
-                else:
-                    if shape.length_mode == "poisson":
-                        nxt = _choice(rng, trans_main[state, :n])
-                    else:
-                        nxt = _choice(rng, trans_main[state])
-                        if nxt == layout.end_col:
-                            break
-                roles.append(nxt)
-                state = nxt
-
-            tokens: list[Token] = []
-            letters: list[str] = []
-            for role in roles:
-                letter = layout.letters[role]
-                if letter == "A":
-                    dist = theta_a[scope][z_a]
-                elif letter == "V":
-                    dist = theta_v[z_v]
-                else:
-                    dist = emit_dists[letter]
-                word = _choice(rng, dist)
-                tag = _choice(rng, eta[role])
-                tokens.append(Token(word, tag))
-                letters.append(letter)
-
-            group.append(Snippet(i, sid, tokens))
-            gold.clusters[sid] = f"a{z_a}"
+            rows = dict(fixed_rows, A=scope * hp.K + z_a)
             if z_v is not None:
-                gold.polarity[sid] = z_v
-            gold.word_labels[sid] = letters
-        groups.append(group)
+                rows["V"] = v_base + z_v
+            snippet_rows.append([rows[letter] for letter in layout.letters])
+            lengths.append(len(chain))
+            roles.extend(chain)
+            labels.append((f"{entities[i]}-s{j:05d}", z_a, z_v))
+
+    draws = np.concatenate(word_tag_draws)
+    token_roles = np.asarray(roles, dtype=np.int64)
+    token_snippets = np.repeat(np.arange(len(lengths)), lengths)
+    token_rows = np.asarray(snippet_rows, dtype=np.int64)[token_snippets, token_roles]
+    token_words = _pick_grouped(word_dists, token_rows, draws[0::2]).tolist()
+    token_tags = _pick_grouped(eta, token_roles, draws[1::2]).tolist()
+
+    vocabulary = Indexer(words)
+    tag_set = Indexer(SYNTHETIC_TAGS)
+    groups: list[list[Snippet]] = [[] for _ in range(shape.n_entities)]
+    gold = GoldAnnotations()
+    start = 0
+    for s, (sid, z_a, z_v) in enumerate(labels):
+        stop = start + lengths[s]
+        tokens = [
+            Token(w, t) for w, t in zip(token_words[start:stop], token_tags[start:stop])
+        ]
+        i = s // shape.snippets_per_entity
+        groups[i].append(Snippet(i, sid, tokens))
+        gold.clusters[sid] = f"a{z_a}"
+        if z_v is not None:
+            gold.polarity[sid] = z_v
+        gold.word_labels[sid] = [layout.letters[r] for r in roles[start:stop]]
+        start = stop
 
     corpus = Corpus(entities, groups, vocabulary, tag_set)
     true_parameters = {
@@ -298,16 +358,16 @@ def _sample(
         "vocab": words,
         "separation": separation,
         "topic_mix": None if topic_mix is None else list(map(float, topic_mix)),
-        "theta_B": theta_b.tolist(),
-        "theta_I": None if theta_i is None else theta_i.tolist(),
-        "theta_V": None if theta_v is None else theta_v.tolist(),
-        "eta": eta.tolist(),
+        "theta_B": theta_b,
+        "theta_I": theta_i,
+        "theta_V": theta_v,
+        "eta": eta,
         "tags": list(SYNTHETIC_TAGS),
-        "transition_start": trans_start.tolist(),
-        "transition_main": trans_main.tolist(),
-        "psi": [p.tolist() for p in psi],
-        "theta_A": [t.tolist() for t in theta_a],
-        "phi": None if phi is None else [p.tolist() for p in phi],
+        "transition_start": trans_start,
+        "transition_main": trans_main,
+        "psi": psi,
+        "theta_A": theta_a,
+        "phi": phi,
         "aspect_blocks": [b.tolist() for b in blocks],
     }
     log.info(

@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from snipagg.corpus import Corpus, SeedLexicon
+from snipagg.output import write_json
 
 log = logging.getLogger(__name__)
 
@@ -609,16 +610,16 @@ def init_state(
 
 
 def _factor_payload(f: Optional[DirichletFactor]):
-    if f is None:
-        return None
-    return f.concentration.tolist()
+    return None if f is None else f.concentration
 
 
 def save_state(state: VariationalState, path: str) -> None:
-    """Serialize a state to versioned JSON.
+    """Serialize a state to versioned JSON, atomically.
 
     Floats are written with Python's shortest round-trip repr, so a
-    load followed by a save reproduces the file byte for byte.
+    load followed by a save reproduces the file byte for byte. The
+    arrays go to the streaming writer as they are, so the payload is
+    never held as nested Python lists.
     """
     hp_dict = asdict(state.hp)
     hp_dict["topic_prior"] = list(hp_dict["topic_prior"])
@@ -644,14 +645,12 @@ def save_state(state: VariationalState, path: str) -> None:
             "phi": [] if state.phi is None else _factor_payload(state.phi),
         },
         "q": {
-            "qa": [a.tolist() for a in state.qa],
-            "qv": None if state.qv is None else [a.tolist() for a in state.qv],
-            "qw": [a.tolist() for a in state.qw],
+            "qa": state.qa,
+            "qv": state.qv,
+            "qw": state.qw,
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:

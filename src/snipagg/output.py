@@ -1,0 +1,111 @@
+"""Atomic file output and a streaming compact JSON writer.
+
+Every file the package writes goes through atomic_open: the content is
+written to a temporary file in the target directory and moved over the
+target with os.replace only once it is complete, so a failed or
+interrupted write leaves any earlier file intact and no partial file
+behind.
+
+write_json emits exactly json.dumps(obj, sort_keys=True,
+separators=(",", ":")) plus a newline, with numpy arrays standing for
+their .tolist(), but builds the text piece by piece: each piece comes
+from the C encoder, an array is converted at most CHUNK elements at a
+time, and the pieces go straight to the file. The nested Python lists
+of a large state never exist all at once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from functools import partial
+from typing import Callable, Iterator, TextIO
+
+import numpy as np
+
+# Elements per json.dumps call when an array is written in pieces.
+CHUNK = 1 << 14
+
+_dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def atomic_open(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file that replaces path only when the block succeeds."""
+    head, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the target, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def write_json(obj, path: str) -> None:
+    """Write obj as compact sort_keys JSON and a newline, atomically."""
+    with atomic_open(path) as fh:
+        _emit(obj, fh.write)
+        fh.write("\n")
+
+
+def _streamed(obj) -> bool:
+    """Whether a dict or list is written member by member: only when a
+    member is itself an array or a container, so flat lists of scalars
+    go to the encoder in one call."""
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            return False
+        obj = obj.values()
+    return any(isinstance(v, (np.ndarray, dict, list, tuple)) for v in obj)
+
+
+def _emit(obj, write: Callable[[str], object]) -> None:
+    if isinstance(obj, np.ndarray):
+        _emit_array(obj, write)
+    elif isinstance(obj, dict) and _streamed(obj):
+        write("{")
+        for n, key in enumerate(sorted(obj)):
+            write(("," if n else "") + _dumps(key) + ":")
+            _emit(obj[key], write)
+        write("}")
+    elif isinstance(obj, (list, tuple)) and _streamed(obj):
+        write("[")
+        for n, item in enumerate(obj):
+            if n:
+                write(",")
+            _emit(item, write)
+        write("]")
+    else:
+        write(_dumps(obj))
+
+
+def _emit_array(a: np.ndarray, write: Callable[[str], object]) -> None:
+    """An array as its nested lists, CHUNK elements per encoder call:
+    whole rows grouped while they fit a chunk, larger rows recursively."""
+    if a.size <= CHUNK:
+        write(_dumps(a.tolist()))
+        return
+    row = a.size // len(a)
+    write("[")
+    if row > CHUNK:
+        for n, sub in enumerate(a):
+            if n:
+                write(",")
+            _emit_array(sub, write)
+    else:
+        step = CHUNK // row
+        for start in range(0, len(a), step):
+            if start:
+                write(",")
+            write(_dumps(a[start:start + step].tolist())[1:-1])
+    write("]")

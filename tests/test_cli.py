@@ -1,11 +1,14 @@
 """End-to-end command line workflows against temporary directories."""
 
+import functools
 import json
 import os
 
+import numpy as np
 import pytest
 
-from snipagg.cli import main
+from snipagg import cli, inference
+from snipagg.cli import RunManifest, main
 
 
 def run(capsys, *argv):
@@ -206,7 +209,8 @@ def test_data_errors_exit_3(tmp_path, capsys):
 
 def test_fit_manifest_records_inputs(workspace):
     data, fit = workspace
-    manifest = json.loads(open(os.path.join(fit, "manifest.json")).read())
+    with open(os.path.join(fit, "manifest.json")) as fh:
+        manifest = json.load(fh)
     assert manifest["command"] == "fit"
     assert "corpus" in manifest["inputs"]
     assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
@@ -265,3 +269,56 @@ def test_fit_manifest_counts_free_energy_rises(workspace):
         values = [float(line.split("\t")[1]) for line in fh]
     rises = sum(b > a for a, b in zip(values, values[1:]))
     assert manifest["free_energy_rises"] == rises
+
+
+def test_eval_rejects_value_names_that_disagree_with_state(workspace, capsys):
+    data, fit = workspace
+    code = main([
+        "-q", "eval", "--corpus", os.path.join(data, "corpus.jsonl"),
+        "--metric", "sentiment", "--state", os.path.join(fit, "state.json"),
+        "--gold-polarity", os.path.join(data, "gold_polarity.tsv"),
+        "--value-names", "positive,negative,neutral",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "gives 3 names" in captured.err and "N=2" in captured.err
+
+
+def test_fit_exit_4_names_first_non_finite_iteration(workspace, tmp_path, capsys, monkeypatch):
+    data, _ = workspace
+    states = []
+    init_state = inference.init_state
+
+    def capture(*args, **kwargs):
+        states.append(init_state(*args, **kwargs))
+        return states[-1]
+
+    def poison(it, fe, seconds):
+        if it == 2:
+            states[0].theta_B.set_counts(np.full(states[0].vocab_size, np.nan))
+
+    monkeypatch.setattr(inference, "init_state", capture)
+    monkeypatch.setattr(
+        cli, "run_inference", functools.partial(inference.run_inference, progress=poison)
+    )
+    out = tmp_path / "fit_nan"
+    code = main(["-q", *fit_args(data, str(out))])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "not finite at iteration 3: nan" in err
+    assert not out.exists() or "state.json" not in os.listdir(out)
+
+
+def test_manifest_write_failure_keeps_earlier_manifest(tmp_path):
+    path = str(tmp_path / "manifest.json")
+    manifest = RunManifest("fit", ["fit"])
+    manifest.write(path)
+    with open(path, "rb") as fh:
+        before = fh.read()
+    manifest.payload["outputs"]["bad"] = object()
+    with pytest.raises(TypeError):
+        manifest.write(path)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]

@@ -1,12 +1,18 @@
 """Synthetic corpus sampling and the separable benchmark variant."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from snipagg.cli import main
 from snipagg.generator import (
     CorpusShape,
     GeneratorError,
+    _edges,
+    _pick,
+    _pick_grouped,
     aspect_vocabularies_disjoint,
     make_separable,
     sample_corpus,
@@ -269,3 +275,91 @@ def test_topic_mix_validation():
     with pytest.raises(GeneratorError):
         make_separable(hp, small_shape(), separation=0.5, rng_seed=0,
                        topic_mix=[0.9, -0.1, 0.2])
+
+
+# sha256 prefixes of every `snipagg generate` output (except the manifest)
+# for fixed seeds, recorded with the scalar one-draw-per-choice sampler
+# that preceded the block-drawn one. Any change to the order or number of
+# draws from the PCG64 stream, or to how a uniform selects a category,
+# changes these files.
+PINNED_OUTPUTS = {
+    "poisson-N2-sep0": (
+        ["--entities", "3", "--snippets", "5", "--vocab-size", "60",
+         "--seed-words-per-value", "2", "--separation", "0", "--seed", "7",
+         "--set", "K=3", "--set", "N=2"],
+        {"corpus.jsonl": "434815c7cd5befca", "gold_clusters.tsv": "d77e540ea6eac742",
+         "gold_polarity.tsv": "769171260ebc2052",
+         "gold_word_labels.jsonl": "133f36a4e1f236c6", "seeds.txt": "46f186cdd7c41da4",
+         "true_params.json": "119c284d4d900033"},
+    ),
+    "chain-N0-ignore-sep0.5": (
+        ["--entities", "4", "--snippets", "6", "--vocab-size", "90",
+         "--length-mode", "chain", "--mean-words", "4", "--separation", "0.5",
+         "--seed", "3", "--set", "K=3", "--set", "N=0", "--set", "use_ignore=true"],
+        {"corpus.jsonl": "563c44d88faf081c", "gold_clusters.tsv": "2602179b5b7a76f5",
+         "gold_word_labels.jsonl": "ec20396f21b43c62",
+         "true_params.json": "ab466b9d0a47d4f3"},
+    ),
+    "poisson-N3-shared-sep1": (
+        ["--entities", "5", "--snippets", "4", "--vocab-size", "70",
+         "--seed-words-per-value", "1", "--separation", "1.0", "--seed", "11",
+         "--set", "K=4", "--set", "N=3", "--set", "shared_aspects=true",
+         "--set", "shared_aspect_multinomial=true"],
+        {"corpus.jsonl": "cd05f66db427f161", "gold_clusters.tsv": "cc94a35b8c734f60",
+         "gold_polarity.tsv": "8a49a3731ad8b589",
+         "gold_word_labels.jsonl": "100d8b404d480e09", "seeds.txt": "3a1a41806208174f",
+         "true_params.json": "d8b3bff7e01d66dc"},
+    ),
+    "chain-N1-mix-sep1": (
+        ["--entities", "3", "--snippets", "7", "--vocab-size", "50",
+         "--length-mode", "chain", "--topic-mix", "0.5,0.3,0.2", "--separation", "1.0",
+         "--seed", "5", "--mean-words", "6", "--set", "K=2", "--set", "N=1"],
+        {"corpus.jsonl": "626291ae993326cb", "gold_clusters.tsv": "e40943e9d48fd792",
+         "gold_polarity.tsv": "455afdc8e2a96f86",
+         "gold_word_labels.jsonl": "ec3e28ea9eadb27e",
+         "true_params.json": "bfd52654e133e8b8"},
+    ),
+    "poisson-N2-ignore-mix-sep0.5": (
+        ["--entities", "4", "--snippets", "5", "--vocab-size", "80",
+         "--topic-mix", "0.4,0.3,0.2,0.1", "--seed-words-per-value", "3",
+         "--separation", "0.5", "--seed", "2", "--set", "K=3", "--set", "N=2",
+         "--set", "use_ignore=true", "--set", "shared_aspects=true"],
+        {"corpus.jsonl": "e2a1c1a4a46cd819", "gold_clusters.tsv": "6175ee9bcf272024",
+         "gold_polarity.tsv": "9339b78cd1b003b1",
+         "gold_word_labels.jsonl": "92fd2537eeb286ce", "seeds.txt": "3f18efbd93481448",
+         "true_params.json": "53a6ab35cd7d3c17"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_generate_outputs_match_pinned_draw_stream(tmp_path, name):
+    argv, pinned = PINNED_OUTPUTS[name]
+    out = tmp_path / "gen"
+    assert main(["-q", "generate", "--out", str(out), *argv]) == 0
+    written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert written == sorted(pinned)
+    for fname, prefix in pinned.items():
+        digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
+        assert digest[:16] == prefix, fname
+
+
+def test_block_draws_equal_scalar_draws():
+    # The sampler's contract with numpy: rng.random(n) consumes the
+    # stream exactly as n scalar rng.random() calls, and a grouped pick
+    # selects what the scalar pick selects from the same uniforms.
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    assert a.random(37).tolist() == [b.random() for _ in range(37)]
+    rng = np.random.default_rng(4)
+    dists = [rng.dirichlet(np.full(6, 0.3)) for _ in range(4)]
+    dists[1][2:4] = 0.0  # zero-mass categories repeat an edge
+    dists[2][0] = 0.0  # ... or sit at 0, where u = 0 lands
+    keys = rng.integers(0, 4, size=500)
+    u = rng.random(500)
+    keys[:4] = [2, 1, 2, 1]
+    u[:4] = [0.0, 1.0 - 2 ** -53, 0.5, 0.0]
+    picked = _pick_grouped(dists, keys, u)
+    assert picked.tolist() == [
+        _pick(_edges(dists[k]), x) for k, x in zip(keys.tolist(), u.tolist())
+    ]
+    assert all(dists[k][c] > 0 for k, c in zip(keys.tolist(), picked.tolist()))
