@@ -423,6 +423,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.top_k < 1:
+        raise UsageError(f"--top-k must be at least 1, got {args.top_k}")
     corpus = load_corpus(args.corpus)
     state = load_state(args.state)
     if not state.matches_corpus(corpus):

@@ -15,19 +15,21 @@ every word and tag. The free energy at the end of a pass and the next
 pass read that same gather. The M-step puts the expected counts of all
 tokens into each factor bank with one bincount.
 
-The batch schedule recomputes every latent posterior from the previous
-pass's state, in one vector step for all aspects, one for all values
-and one for all words, then refits the parameters. Its free energy is
-not promised to fall at every pass, so each rise is logged and counted.
-The sequential schedule is the left-to-right sweep of exact coordinate
-moves (per snippet: aspect, value, then each word in order), so its
-free energy never increases. It runs as a positional wavefront:
-parameters are refit only at the end of a pass, so within a pass a
-snippet's updates read nothing of any other snippet, and position p of
-every snippet is updated in one vector step. Each word step reads the
-new posterior of position p-1 and the old one of p+1, exactly what the
-one-token-at-a-time sweep reads, so both make the same moves in the
-same order.
+Both schedules run one pass kernel with the same coordinate moves (per
+snippet: aspect, value, then each word) and differ only in when a new
+posterior becomes visible to the next move. The batch schedule
+recomputes every latent posterior from the previous pass's state, in
+one vector step for all aspects, one for all values and one for all
+words. Its free energy is not promised to fall at every pass, so each
+rise is logged and counted. The sequential schedule is the
+left-to-right sweep of exact coordinate moves, so its free energy never
+increases. It runs as a positional wavefront: parameters are refit only
+at the end of a pass, so within a pass a snippet's updates read nothing
+of any other snippet, and position p of every snippet is updated in one
+vector step that reads the new posterior of position p-1 and the old
+one of p+1, what the one-token-at-a-time sweep reads. The word step and
+the free energy read one role score (prior, emissions and the
+transition into the role).
 
 The digamma refresh and the KL to the prior run only on factor cells
 whose concentration differs from the prior (see DirichletFactor). A
@@ -84,14 +86,13 @@ class _PackedCorpus:
     token_bounds[i]:token_bounds[i+1], and snippet s owns tokens
     offsets[s]:offsets[s+1]. first and last hold each snippet's first
     and last token, inner every token but a first one (so inner - 1 is
-    every token but a last one). by_length pairs the snippets of each
-    length with their token indices, one row per snippet. positions[p]
-    holds the token at position p of every snippet longer than p,
-    longest snippets first, and how many of them (the leading ones)
-    have a next token.
+    every token but a last one). positions[p] holds the token at
+    position p of every snippet longer than p, longest snippets first,
+    and how many of them (the leading ones) have a next token.
 
     A snippet without tokens is rejected: the model gives every snippet
-    a first and a last word.
+    a first and a last word, and the per-snippet sums (np.add.reduceat
+    at first) would give an empty snippet its successor's first token.
     """
 
     def __init__(self, corpus: Corpus):
@@ -121,10 +122,6 @@ class _PackedCorpus:
         is_first = np.zeros(self.n_tokens, dtype=bool)
         is_first[first] = True
         self.inner = np.flatnonzero(~is_first)
-        self.by_length = []
-        for length in np.unique(lengths):
-            snips = np.flatnonzero(lengths == length)
-            self.by_length.append((snips, first[snips, None] + np.arange(length)))
         order = np.argsort(-lengths, kind="stable")
         first, lengths = first[order], lengths[order]
         self.positions = [
@@ -144,17 +141,6 @@ class _PackedCorpus:
                 state.qv[i] = qv[snips]
             state.qw[i] = qw[toks]
         return qa, qv, qw
-
-    def snippet_sums(self, qw: np.ndarray, col: int, x: np.ndarray) -> np.ndarray:
-        """x @ qw[:, col] over the tokens of each snippet: x (C, T) -> (S, C).
-
-        The weights stay a strided column of qw, as in the per-op updates,
-        so that BLAS sums them in the same order.
-        """
-        out = np.empty((self.n_snippets, x.shape[0]))
-        for snips, idx in self.by_length:
-            out[snips] = np.matmul(qw[idx][:, None, :, col], x[:, idx].transpose(1, 2, 0))[:, 0]
-        return out
 
 
 def _packed_posteriors(
@@ -435,9 +421,9 @@ def _aspect_step(
 ) -> np.ndarray:
     """update_snippet_aspect for every snippet at once (col_a is the A
     column of qw)."""
-    score = g.psi + pack.snippet_sums(qw, col_a, g.ea)
+    score = g.psi + np.add.reduceat(g.ea * qw[:, col_a], pack.first, axis=1).T
     if qv is not None:
-        score += np.matmul(g.phi, qv[:, :, None])[:, :, 0]
+        score += np.einsum("skn,sn->sk", g.phi, qv)
     return _softmax_rows(score)
 
 
@@ -446,14 +432,9 @@ def _value_step(
 ) -> np.ndarray:
     """update_snippet_value for every snippet at once (col_v is the V
     column of qw)."""
-    score = np.matmul(qa[:, None, :], g.phi)[:, 0]
-    score += pack.snippet_sums(qw, col_v, g.ev)
+    score = np.einsum("sk,skn->sn", qa, g.phi)
+    score += np.add.reduceat(g.ev * qw[:, col_v], pack.first, axis=1).T
     return _softmax_rows(score)
-
-
-def _token_dots(q: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """q[t] @ e[:, t] for every token t: q (T, C), e (C, T) -> (T,)."""
-    return np.matmul(q[:, None, :], e.T[:, :, None])[:, 0, 0]
 
 
 def _emissions(
@@ -463,34 +444,68 @@ def _emissions(
     qa: np.ndarray,
     qv: Optional[np.ndarray],
 ) -> np.ndarray:
-    """Expected log emission of each token under each role, (T, n): the
-    A and V columns marginalize over the snippet's aspect and value."""
+    """The score of each role at each token that does not depend on its
+    neighbours, (T, n): the topic prior, the tag emission and the word
+    emission, whose A and V columns marginalize over the snippet's
+    aspect and value."""
     layout = state.layout
     emis = np.empty((pack.n_tokens, layout.n_topics))
-    emis[:, layout.col("A")] = _token_dots(qa[pack.snip_of_token], g.ea)
+    emis[:, layout.col("A")] = np.einsum("tk,kt->t", qa[pack.snip_of_token], g.ea)
     if qv is not None:
-        emis[:, layout.col("V")] = _token_dots(qv[pack.snip_of_token], g.ev)
+        emis[:, layout.col("V")] = np.einsum("tn,nt->t", qv[pack.snip_of_token], g.ev)
     emis[:, layout.col("B")] = g.eb
     if g.ei is not None:
         emis[:, layout.col("I")] = g.ei
+    emis += state.hp.topic_prior_vector(layout)
+    if g.eta is not None:
+        emis += g.eta
     return emis
 
 
-def _into(pack: _PackedCorpus, g: _Gathered, qw: np.ndarray, n: int) -> np.ndarray:
-    """Expected log transition into each role of every token, (T, n):
-    from the start row at a snippet's first token, else from the previous
-    token's posterior."""
-    into = np.empty((pack.n_tokens, n))
-    into[1:] = qw[:-1] @ g.main[:, :n]
-    into[pack.first] = g.start
-    return into
+def _role_scores(
+    g: _Gathered, emis: np.ndarray, prev: np.ndarray, first: np.ndarray | slice
+) -> np.ndarray:
+    """Expected log score of each role at a group of m tokens, (m, n):
+    emis, their rows of _emissions, plus the transition into the role.
+    prev holds the current q(Z_W) of the predecessors of the last
+    len(prev) tokens; the rows first (snippet starts) take the start row
+    instead."""
+    n = emis.shape[1]
+    score = np.empty_like(emis)
+    score[len(emis) - len(prev):] = prev @ g.main[:, :n]
+    score[first] = g.start
+    score += emis
+    return score
+
+
+def _word_step(
+    g: _Gathered,
+    emis: np.ndarray,
+    prev: np.ndarray,
+    first: np.ndarray | slice,
+    nxt: np.ndarray,
+    last: np.ndarray | slice,
+) -> np.ndarray:
+    """update_word_topic for a group of m tokens: their new q(Z_W), (m, n).
+
+    The transition into each role is read as in _role_scores. nxt holds
+    the current q(Z_W) of the successors of the first len(nxt) tokens;
+    the rows last (snippet ends) take the end column instead.
+    """
+    n = emis.shape[1]
+    out = np.empty_like(emis)
+    out[: len(nxt)] = nxt @ g.main[:, :n].T
+    out[last] = g.main[:, n]
+    score = _role_scores(g, emis, prev, first)
+    score += out
+    return _softmax_rows(score)
 
 
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max()) if new.size else 0.0
 
 
-def _batch_pass(
+def _pass(
     state: VariationalState,
     pack: _PackedCorpus,
     g: _Gathered,
@@ -498,87 +513,39 @@ def _batch_pass(
     qv: Optional[np.ndarray],
     qw: np.ndarray,
 ) -> float:
-    """One batch pass over the packed posteriors, updated in place.
+    """One pass of hp.schedule over the packed posteriors, updated in place.
 
-    Every new posterior reads only the old ones: all aspects, all values
-    and all words each in one vector step. Returns the largest absolute
-    posterior change (NaN if any posterior is NaN).
+    Both schedules make the coordinate moves of the per-op updates: each
+    snippet's aspect, then its value, then each of its words. They differ
+    only in when a new posterior is read. The batch schedule reads only
+    the old posteriors and runs each step once over the whole corpus,
+    the word step on the old q(Z_W) of both neighbours. The sequential
+    schedule is the left-to-right sweep: the value step and the
+    emissions read the new q(Z_A), and the word step runs once per token
+    position p, reading the new q(Z_W) at p-1 and the old one at p+1.
+    Returns the largest absolute posterior change (NaN if any posterior
+    is NaN).
     """
+    sequential = state.hp.schedule == "sequential"
     layout = state.layout
-    n = layout.n_topics
     new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
-    new_qv = None
-    if qv is not None:
-        new_qv = _value_step(pack, g, qa, qw, layout.col("V"))
-
-    # The terms are added in update_word_topic's order (prior, into the
-    # token, out of it, emission, tag).
-    out = np.empty((pack.n_tokens, n))
-    out[:-1] = qw[1:] @ g.main[:, :n].T
-    out[pack.last] = g.main[:, layout.end_col]
-    score = state.hp.topic_prior_vector(layout) + _into(pack, g, qw, n)
-    score += out
-    score += _emissions(state, pack, g, qa, qv)
-    if g.eta is not None:
-        score += g.eta
-    new_qw = _softmax_rows(score)
+    seen_qa = new_qa if sequential else qa
+    new_qv = None if qv is None else _value_step(pack, g, seen_qa, qw, layout.col("V"))
+    emis = _emissions(state, pack, g, seen_qa, new_qv if sequential else qv)
+    if sequential:
+        new_qw = qw.copy()
+        for p, (tok, n_lead) in enumerate(pack.positions):
+            prev, first = (new_qw[:0], slice(None)) if p == 0 else (new_qw[tok - 1], slice(0))
+            nxt = new_qw[tok[:n_lead] + 1]
+            new_qw[tok] = _word_step(g, emis[tok], prev, first, nxt, slice(n_lead, None))
+    else:
+        new_qw = _word_step(g, emis, qw[:-1], pack.first, qw[1:], pack.last)
 
     changes = [_max_change(new_qa, qa), _max_change(new_qw, qw)]
     qa[:], qw[:] = new_qa, new_qw
     if qv is not None:
         changes.append(_max_change(new_qv, qv))
         qv[:] = new_qv
-    return float(np.max(changes))
-
-
-def _wavefront_pass(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    g: _Gathered,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
-    qw: np.ndarray,
-) -> float:
-    """One sequential pass over the packed posteriors, updated in place.
-
-    Makes the moves of the per-op sweep (update_snippet_aspect, then
-    update_snippet_value, then update_word_topic left to right, snippet
-    by snippet) with the same reads: the aspect step reads the old
-    q(Z_W) and q(Z_V), the value step the new q(Z_A), and the word step
-    at position p the new q(Z_W) at p-1 and the old one at p+1. Each
-    product has the operand shapes and memory layout of its per-op
-    counterpart, so that BLAS sums it in the same order. Returns the
-    largest absolute posterior change (NaN if any posterior is NaN).
-    """
-    layout = state.layout
-    n = layout.n_topics
-    new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
-    changes = [_max_change(new_qa, qa)]
-    qa[:] = new_qa
-    if qv is not None:
-        new_qv = _value_step(pack, g, qa, qw, layout.col("V"))
-        changes.append(_max_change(new_qv, qv))
-        qv[:] = new_qv
-    emis = _emissions(state, pack, g, qa, qv)
-
-    # The terms are added in update_word_topic's order (prior, into the
-    # token, out of it, emission, tag), so the sums round the same way.
-    prior = state.hp.topic_prior_vector(layout)
-    main, end = g.main[:, :n], g.main[:, layout.end_col]
-    old_qw = qw.copy()
-    for p, (tok, n_lead) in enumerate(pack.positions):
-        score = np.tile(prior, (len(tok), 1))
-        if p == 0:
-            score += g.start
-        else:
-            score += np.matmul(qw[tok - 1][:, None, :], main)[:, 0]
-        score[:n_lead] += np.matmul(main, qw[tok[:n_lead] + 1][:, :, None])[:, :, 0]
-        score[n_lead:] += end
-        score += emis[tok]
-        if g.eta is not None:
-            score += g.eta[tok]
-        qw[tok] = _softmax_rows(score)
-    changes.append(_max_change(qw, old_qw))
     return float(np.max(changes))
 
 
@@ -597,19 +564,13 @@ def _free_energy(
     order, so entities with the same data and factors contribute the
     same value.
     """
-    layout = state.layout
-    n = layout.n_topics
     snip = xlogy(qa, qa).sum(axis=1) - np.einsum("sk,sk->s", qa, g.psi)
     if qv is not None:
         snip += xlogy(qv, qv).sum(axis=1) - np.einsum("sk,skn,sn->s", qa, g.phi, qv)
 
-    emis = _emissions(state, pack, g, qa, qv)
-    emis += state.hp.topic_prior_vector(layout)
-    if g.eta is not None:
-        emis += g.eta
-    emis += _into(pack, g, qw, n)
-    tok = xlogy(qw, qw).sum(axis=1) - np.einsum("tn,tn->t", qw, emis)
-    tok[pack.last] -= qw[pack.last] @ g.main[:, layout.end_col]
+    score = _role_scores(g, _emissions(state, pack, g, qa, qv), qw[:-1], pack.first)
+    tok = xlogy(qw, qw).sum(axis=1) - np.einsum("tn,tn->t", qw, score)
+    tok[pack.last] -= qw[pack.last] @ g.main[:, state.layout.end_col]
 
     n_entities = len(pack.snippet_bounds) - 1
     per_entity = np.bincount(pack.ent_of_snip, snip, minlength=n_entities)
@@ -684,11 +645,10 @@ def _fit(
     """hp.max_iters passes of the configured schedule, each followed by
     a refit and the free energy, which share one gather with the next
     pass unless a factor changed in between."""
-    step = _wavefront_pass if state.hp.schedule == "sequential" else _batch_pass
     g = None
     for it in range(1, state.hp.max_iters + 1):
         t0 = time.perf_counter()
-        delta = step(state, pack, _gather(state, pack, g), *q)
+        delta = _pass(state, pack, _gather(state, pack, g), *q)
         # Drop the old gather (and the factor tables it holds) before the
         # refit allocates the new ones.
         g = None

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from snipagg.corpus import Corpus, SeedLexicon
-from snipagg.output import write_json
+from snipagg.output import atomic_open, write_json
 
 log = logging.getLogger(__name__)
 
@@ -164,6 +164,29 @@ _INT_KEYS = {"K", "N", "max_iters", "rng_seed"}
 _STR_KEYS = {"schedule"}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_json_types(hp_dict: dict) -> None:
+    """Raise ModelError naming the first hyperparameter whose JSON value
+    has the wrong type for its field (a bool is not an int here)."""
+    for key, value in hp_dict.items():
+        if key in _BOOL_KEYS:
+            ok, want = isinstance(value, bool), "a bool"
+        elif key in _INT_KEYS:
+            ok, want = isinstance(value, int) and not isinstance(value, bool), "an int"
+        elif key in _STR_KEYS:
+            ok, want = isinstance(value, str), "a string"
+        elif key == "topic_prior":
+            ok = isinstance(value, list) and all(_is_number(v) for v in value)
+            want = "a list of numbers"
+        else:
+            ok, want = _is_number(value), "a number"
+        if not ok:
+            raise ModelError(f"hyperparameter {key!r} must be {want}, got {value!r}")
+
+
 def parse_config_value(key: str, raw: str):
     """Coerce a configuration value string to its typed form.
 
@@ -219,7 +242,8 @@ def load_config(path: str) -> Hyperparameters:
 
 
 def save_config(hp: Hyperparameters, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write hp in the load_config format, atomically."""
+    with atomic_open(path) as fh:
         for f in fields(Hyperparameters):
             v = getattr(hp, f.name)
             if f.name == "topic_prior":
@@ -698,6 +722,7 @@ def _state_from_payload(payload: dict) -> VariationalState:
     if payload.get("version") != STATE_VERSION:
         raise ModelError(f"unsupported state version {payload.get('version')}")
     hp_dict = dict(payload["hyperparameters"])
+    _check_json_types(hp_dict)
     hp_dict["topic_prior"] = tuple(hp_dict["topic_prior"])
     hp = Hyperparameters(**hp_dict)
     hp.validate()

@@ -166,6 +166,16 @@ def test_report_summarizes_state(workspace, tmp_path, capsys):
     assert "e000" in out
 
 
+@pytest.mark.parametrize("top_k", ["0", "-2"])
+def test_report_rejects_top_k_below_one(workspace, capsys, top_k):
+    data, fit = workspace
+    code = main(["-q", "report", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--state", os.path.join(fit, "state.json"), "--top-k", top_k])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--top-k" in captured.err and captured.out == ""
+
+
 def test_usage_errors_exit_2(workspace, capsys):
     data, fit = workspace
     code, _ = run(

@@ -14,13 +14,12 @@ from snipagg.inference import (
     InferenceError,
     UpdateContext,
     FreeEnergyReport,
-    _batch_pass,
     _end_iteration,
     _gather,
     _PackedCorpus,
+    _pass,
     _refit,
     _softmax_rows,
-    _wavefront_pass,
     aspect_clusterings,
     compute_free_energy,
     extract_posteriors,
@@ -498,31 +497,20 @@ def assert_same_posteriors(got_state, want_state, old_state, delta):
     assert abs(delta - expected_delta) <= 1e-12
 
 
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
 @settings(max_examples=60, deadline=None)
 @given(**STATE_FLAGS)
-def test_wavefront_pass_matches_per_op_sweep(
-    seed, n_values, use_ignore, use_pos, shared, max_len
+def test_pass_and_refit_match_per_op_updates(
+    schedule, seed, n_values, use_ignore, use_pos, shared, max_len
 ):
     corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
+    state.hp.schedule = schedule
     before = copy.deepcopy(state)
-    sweep, _ = per_op_pass(state, corpus, sequential=True)
-    pack = _PackedCorpus(corpus)
-    delta = _wavefront_pass(state, pack, _gather(state, pack), *pack.bind(state))
-    assert_same_posteriors(state, sweep, before, delta)
-
-
-@settings(max_examples=60, deadline=None)
-@given(**STATE_FLAGS)
-def test_batch_pass_and_refit_match_per_op_updates(
-    seed, n_values, use_ignore, use_pos, shared, max_len
-):
-    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
-    before = copy.deepcopy(state)
-    oracle, ctx = per_op_pass(state, corpus, sequential=False)
+    oracle, ctx = per_op_pass(state, corpus, sequential=schedule == "sequential")
     update_parameters(ctx)
     pack = _PackedCorpus(corpus)
     q = pack.bind(state)
-    delta = _batch_pass(state, pack, _gather(state, pack), *q)
+    delta = _pass(state, pack, _gather(state, pack), *q)
     _refit(state, pack, *q)
     assert_same_posteriors(state, oracle, before, delta)
     for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):

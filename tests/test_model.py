@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -191,6 +192,21 @@ def test_config_round_trip(tmp_path):
     assert load_config(str(path)) == hp
 
 
+def test_save_config_failure_keeps_earlier_file(tmp_path):
+    class Unprintable(float):
+        def __repr__(self):
+            raise RuntimeError("interrupted")
+
+    path = tmp_path / "model.cfg"
+    save_config(Hyperparameters(K=4), str(path))
+    before = path.read_bytes()
+    # topic_prior comes after most fields, so the failure is mid-file.
+    with pytest.raises(RuntimeError):
+        save_config(Hyperparameters(K=5, topic_prior=(0.0, 0.0, 0.0, Unprintable())), str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.cfg"]
+
+
 def test_config_rejects_unknown_and_duplicate(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("K = 5\nwhatever = 3\n")
@@ -346,6 +362,21 @@ def test_load_state_rejects_concentration_below_prior(tmp_path):
     payload["factors"]["theta_A"][1][0][2] = 0.5 * state.hp.lambda_A
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="theta_A has a concentration below its prior"):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("use_ignore", "false"), ("K", 2.0), ("N", True), ("schedule", 1),
+    ("lambda_A", "0.075"), ("topic_prior", [0, 0, 0, "0"]),
+])
+def test_load_state_rejects_wrong_hyperparameter_type(tmp_path, key, value):
+    _, state = fit_like_state()
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    payload = json.loads(path.read_text())
+    payload["hyperparameters"][key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"{path}: hyperparameter '{key}' must be"):
         load_state(str(path))
 
 
