@@ -12,8 +12,9 @@ stream. After each parameter update the kernel gathers the expected
 logs once: E[log theta_A] at the (entity, word) of every token, E[log
 psi] and E[log phi] at every snippet's entity, and the shared tables at
 every word and tag. The free energy at the end of a pass and the next
-pass read that same gather. The M-step puts the expected counts of all
-tokens into each factor bank with one bincount.
+pass read that same gather, and in the batch schedule the same
+emission scores. The M-step puts the expected counts of all tokens into
+each factor bank with one bincount.
 
 Both schedules run one pass kernel with the same coordinate moves (per
 snippet: aspect, value, then each word) and differ only in when a new
@@ -31,12 +32,13 @@ one of p+1, what the one-token-at-a-time sweep reads. The word step and
 the free energy read one role score (prior, emissions and the
 transition into the role).
 
-The digamma refresh and the KL to the prior run only on factor cells
-whose concentration differs from the prior (see DirichletFactor). A
-cell at its prior has expected log digamma(prior) - digamma(row total)
-and adds exactly 0 to the KL, so the restriction is exact for any
-state. In a fit only the (entity, word) pairs that occur carry counts;
-on the reference corpus that is 14% of the aspect emission bank.
+The digamma refresh and the KL to the prior run only on each factor's
+support (see DirichletFactor). A cell off it sits at its prior, has
+expected log digamma(prior) - digamma(row total) and adds exactly 0 to
+the KL, so the restriction is exact for any state. theta_A's support
+is the (entity, word) pairs of the corpus, 15% of a dense bank on the
+reference corpus: the M-step counts into its (K, P) table, and the
+gather takes each token's column from it.
 """
 
 from __future__ import annotations
@@ -128,6 +130,7 @@ class _PackedCorpus:
             (first[lengths > p] + p, int(np.count_nonzero(lengths > p + 1)))
             for p in range(int(lengths.max(initial=0)))
         ]
+        self._aspect: Optional[tuple] = None
 
     def bind(self, state: VariationalState):
         """Copy the state's posteriors into packed arrays and make the
@@ -141,6 +144,22 @@ class _PackedCorpus:
                 state.qv[i] = qv[snips]
             state.qw[i] = qw[toks]
         return qa, qv, qw
+
+    def aspect_columns(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's column in the theta_A table, (T,), and the flat
+        index of (aspect, token) into that table, (K, T). theta_A's support
+        first grows to every (bank row, word) pair of the corpus; the
+        result is kept until the support changes."""
+        bank = state.theta_A
+        if self._aspect is None or self._aspect[0] is not bank.support:
+            rows = _bank_rows(state.hp.shared_aspects, self.ent_of_token)
+            flat_pairs = rows * state.vocab_size + self.words
+            pairs, pair_of_token = np.unique(flat_pairs, return_inverse=True)
+            bank.grow(pairs)
+            cols = np.searchsorted(bank.support, pairs)[pair_of_token]
+            flat = np.arange(state.hp.K)[:, None] * len(bank.support) + cols
+            self._aspect = (bank.support, cols, flat)
+        return self._aspect[1:]
 
 
 def _packed_posteriors(
@@ -167,20 +186,15 @@ def _bank_rows(shared: bool, entities: np.ndarray) -> np.ndarray:
     return np.zeros_like(entities) if shared else entities
 
 
-def _aspect_cells(state: VariationalState, pack: _PackedCorpus) -> np.ndarray:
-    """Flat index into the theta_A bank of (aspect, token): (K, T)."""
-    K, V = state.hp.K, state.vocab_size
-    rows = _bank_rows(state.hp.shared_aspects, pack.ent_of_token)
-    return (rows * (K * V) + pack.words) + (np.arange(K) * V)[:, None]
-
-
 @dataclass
 class _Gathered:
     """The expected logs of one parameter state, read where the corpus
     uses them: psi (S, K) and phi (S, K, N) at each snippet's entity, ea
-    (K, T) at each token's entity and word, ev (N, T), eb (T,) and ei
-    (T,) at each word, eta (T, n) at each tag, and the transition rows.
-    sources holds the factor tables they were read from."""
+    (K, T) at each token's entity and word (a take from the theta_A
+    support table), ev (N, T), eb (T,) and ei (T,) at each word, eta
+    (T, n) at each tag, and the transition rows. sources holds the
+    factor tables they were read from. emis holds the _emissions of the
+    posteriors the free energy last read, for the next batch pass."""
 
     sources: list
     psi: np.ndarray
@@ -192,6 +206,7 @@ class _Gathered:
     eta: Optional[np.ndarray]
     start: np.ndarray
     main: np.ndarray
+    emis: Optional[np.ndarray] = None
 
 
 def _gather(
@@ -199,7 +214,8 @@ def _gather(
 ) -> _Gathered:
     """Gather the factors' expected logs, or return prev when no factor
     has changed since prev was gathered."""
-    sources = [f.expected_log() for f in state.parameter_banks()]
+    cols = pack.aspect_columns(state)[0]
+    sources = [f.table_elog() for f in state.parameter_banks()]
     if prev is not None and all(a is b for a, b in zip(prev.sources, sources, strict=True)):
         return prev
     hp, words = state.hp, pack.words
@@ -211,7 +227,7 @@ def _gather(
         sources=sources,
         psi=state.psi.expected_log()[psi_rows],
         phi=phi,
-        ea=state.theta_A.expected_log().reshape(-1)[_aspect_cells(state, pack)],
+        ea=np.take(state.theta_A.table_elog(), cols, axis=1),
         ev=None if state.theta_V is None else state.theta_V.expected_log()[:, words],
         eb=state.theta_B.expected_log()[words],
         ei=None if state.theta_I is None else state.theta_I.expected_log()[words],
@@ -362,9 +378,11 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     return q
 
 
-def _weights(q: np.ndarray, qw: np.ndarray, col: int) -> np.ndarray:
-    """q[t, c] * qw[t, col] for every token t, laid out as (C, T)."""
-    return np.multiply(q.T, qw[:, col], order="C")
+def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.ndarray:
+    """q[rows[t], c] * qw[t, col] for every token t, laid out as (C, T)."""
+    weights = np.take(q.T, rows, axis=1)
+    weights *= qw[:, col]
+    return weights
 
 
 def _refit(
@@ -382,21 +400,25 @@ def _refit(
     words, snip = pack.words, pack.snip_of_token
 
     def counts(f, index, weights):
-        size = f.concentration.size
-        return np.bincount(index.ravel(), weights.ravel(), minlength=size).reshape(f.prior.shape)
+        size = f.table.size
+        return np.bincount(index.ravel(), weights.ravel(), minlength=size).reshape(f.table.shape)
 
+    # Bank tables are laid out (..., bank row * V + element) over their
+    # support: every pair for psi and phi, the corpus pairs for theta_A.
     ent_rows = _bank_rows(hp.shared_aspect_multinomial, pack.ent_of_snip)
     state.psi.set_counts(counts(state.psi, ent_rows[:, None] * K + np.arange(K), qa))
+    aspect_cells = pack.aspect_columns(state)[1]
     state.theta_A.set_counts(
-        counts(state.theta_A, _aspect_cells(state, pack), _weights(qa[snip], qw, layout.col("A")))
+        counts(state.theta_A, aspect_cells, _weights(qa, snip, qw, layout.col("A")))
     )
     if qv is not None:
         ent_rows = _bank_rows(hp.shared_aspects, pack.ent_of_snip)
-        phi_cells = (ent_rows[:, None, None] * K + np.arange(K)[:, None]) * N + np.arange(N)
+        row_cells = ent_rows[:, None, None] * N + np.arange(N)
+        phi_cells = np.arange(K)[:, None] * state.phi.table.shape[-1] + row_cells
         state.phi.set_counts(counts(state.phi, phi_cells, qa[:, :, None] * qv[:, None, :]))
         value_cells = np.arange(N)[:, None] * V + words
         state.theta_V.set_counts(
-            counts(state.theta_V, value_cells, _weights(qv[snip], qw, layout.col("V")))
+            counts(state.theta_V, value_cells, _weights(qv, snip, qw, layout.col("V")))
         )
     state.theta_B.set_counts(np.bincount(words, qw[:, layout.col("B")], minlength=V))
     if state.theta_I is not None:
@@ -531,7 +553,11 @@ def _pass(
     new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
     seen_qa = new_qa if sequential else qa
     new_qv = None if qv is None else _value_step(pack, g, seen_qa, qw, layout.col("V"))
-    emis = _emissions(state, pack, g, seen_qa, new_qv if sequential else qv)
+    if sequential or g.emis is None:
+        emis = _emissions(state, pack, g, seen_qa, new_qv if sequential else qv)
+    else:
+        emis = g.emis
+    g.emis = None  # the posteriors it was made from change below
     if sequential:
         new_qw = qw.copy()
         for p, (tok, n_lead) in enumerate(pack.positions):
@@ -568,7 +594,8 @@ def _free_energy(
     if qv is not None:
         snip += xlogy(qv, qv).sum(axis=1) - np.einsum("sk,skn,sn->s", qa, g.phi, qv)
 
-    score = _role_scores(g, _emissions(state, pack, g, qa, qv), qw[:-1], pack.first)
+    g.emis = _emissions(state, pack, g, qa, qv)
+    score = _role_scores(g, g.emis, qw[:-1], pack.first)
     tok = xlogy(qw, qw).sum(axis=1) - np.einsum("tn,tn->t", qw, score)
     tok[pack.last] -= qw[pack.last] @ g.main[:, state.layout.end_col]
 
@@ -643,8 +670,9 @@ def _fit(
     progress: Optional[Callable[[int, float, float], None]],
 ) -> None:
     """hp.max_iters passes of the configured schedule, each followed by
-    a refit and the free energy, which share one gather with the next
-    pass unless a factor changed in between."""
+    a refit and the free energy, which share one gather (and, in the
+    batch schedule, its emissions) with the next pass unless a factor
+    changed in between."""
     g = None
     for it in range(1, state.hp.max_iters + 1):
         t0 = time.perf_counter()

@@ -10,6 +10,11 @@ form
 
     E[log p(e)] = psi(alpha_e) - psi(sum_k alpha_k).
 
+A factor keeps its posterior on its support, the cells that may be off
+the prior (see DirichletFactor): all of them for the small factors, the
+(entity, word) pairs of the corpus for the aspect emissions, whose
+dense entities x aspects x words bank is built only to be saved.
+
 Word roles are A (aspect word), V (value word), B (background), and,
 when enabled, I (ignore). Roles are laid out in that canonical order,
 skipping disabled ones; the transition chain adds a virtual start row
@@ -256,67 +261,159 @@ def save_config(hp: Hyperparameters, path: str) -> None:
 class DirichletFactor:
     """One Dirichlet posterior, or a bank of independent ones over one support.
 
-    concentration has shape (support,) for a single distribution or
-    (..., support) for a bank of rows over the same support. prior has
-    the concentration's shape; a stacked bank (rows=E) holds E copies of
-    one prior table as a read-only broadcast view, not as E copies.
-    Expected log probabilities are cached until the factor's counts
-    change.
+    prior has shape (..., V): each slice along its last axis is one
+    Dirichlet over V elements. A stacked bank (rows=R) holds R copies of
+    that table as a read-only broadcast view, not as R copies, and its
+    dense shape gains a leading axis of R.
 
-    digamma and gammaln run only on the cells whose concentration
-    differs from the prior, and on the prior table once. That is exact:
-    a cell at its prior has expected log digamma(prior) - digamma(row
-    total) and adds exactly 0 to the KL, whatever the rest of its row.
+    The posterior is kept on the factor's support: the (bank row,
+    element) pairs that may be off the prior, as flat indices row * V +
+    element in ascending order, every pair unless a support is given.
+    table holds the concentration of every support cell, shape
+    prior.shape[:-1] + (P,). A cell off the support sits at its prior, so
+    its expected log is digamma(prior) - digamma(row total) and it adds
+    exactly 0 to the KL: digamma and gammaln run on the support cells and
+    the row totals only, with no approximation. A row total is its prior
+    total plus its counts. The support only grows: a dense write with
+    cells off the prior adds their pairs. The dense concentration and
+    expected log are built on demand.
     """
 
     __slots__ = (
-        "prior", "concentration", "_base", "_base_digamma", "_base_gammaln",
-        "_base_row_gammaln", "_elog", "_changed", "_row_views",
+        "prior", "support", "table", "_base", "_n_rows", "_base_digamma", "_base_gammaln",
+        "_base_total", "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals",
+        "_elog", "_dense_elog", "_last_row", "_row_views",
     )
 
-    def __init__(self, prior: np.ndarray, rows: Optional[int] = None):
+    def __init__(
+        self, prior: np.ndarray, rows: Optional[int] = None, support: Optional[np.ndarray] = None
+    ):
         base = np.asarray(prior, dtype=float)
         if base.size and base.min() <= 0.0:
             raise ModelError("Dirichlet prior concentrations must be positive")
         self._base = base
+        self._n_rows = 1 if rows is None else rows
         self._base_digamma = digamma(base)
-        self._base_gammaln = gammaln(base).reshape(-1)
-        self._base_row_gammaln = gammaln(base.sum(axis=-1)).reshape(-1)
+        self._base_gammaln = gammaln(base)
+        self._base_total = base.sum(axis=-1)
         self.prior = base if rows is None else np.broadcast_to(base, (rows,) + base.shape)
-        self.concentration = np.array(self.prior)
-        self._elog: Optional[np.ndarray] = None
         self._row_views: Optional[list[FactorRow]] = None
+        if support is None:
+            support = np.arange(self._n_rows * base.shape[-1])
+        self._set_support(np.asarray(support, dtype=np.int64), None)
+
+    def _set_support(self, support: np.ndarray, table: Optional[np.ndarray]) -> None:
+        """Adopt a support and its cells' concentration (the prior if None):
+        the bank row, element and prior of every support cell, and the bank
+        rows that have support cells with the first cell of each."""
+        self.support = support
+        self._row_of, self._col_of = np.divmod(support, max(self._base.shape[-1], 1))
+        self._prior_table = np.take(self._base, self._col_of, axis=-1)
+        self._rows, self._starts = np.unique(self._row_of, return_index=True)
+        self.table = self._prior_table.copy() if table is None else table
+        self._changed()
+
+    def _changed(self) -> None:
+        """Recompute the row totals after a write to table, each the prior
+        total plus the row's counts summed over its support cells, and drop
+        the cached expected logs."""
+        counts = np.zeros(self.table.shape[:-1] + (self._n_rows,))
+        counts[..., self._rows] = np.add.reduceat(
+            self.table - self._prior_table, self._starts, axis=-1
+        )
+        self._totals = self._base_total[..., None] + counts
+        self._elog = self._dense_elog = self._last_row = None
+
+    def grow(self, pairs: np.ndarray) -> None:
+        """Add distinct (bank row, element) pairs, as flat indices, to the
+        support."""
+        new = pairs[~np.isin(pairs, self.support)]
+        if new.size:
+            support = np.sort(np.concatenate((self.support, new)))
+            table = np.take(self._base, support % max(self._base.shape[-1], 1), axis=-1)
+            table[..., np.searchsorted(support, self.support)] = self.table
+            self._set_support(support, table)
 
     def rows(self) -> list[FactorRow]:
         """One FactorRow per leading index of a stacked bank, made once."""
         if self._row_views is None:
-            self._row_views = [FactorRow(self, i) for i in range(len(self.concentration))]
+            self._row_views = [FactorRow(self, i) for i in range(self._n_rows)]
         return self._row_views
 
     def set_counts(self, counts: np.ndarray) -> None:
-        """Replace the posterior with prior + counts (counts >= 0)."""
-        self._elog = None
-        self.concentration = self.prior + counts
+        """Replace the posterior with prior + counts (counts >= 0), counts
+        given per support cell in the shape of table: for a factor over
+        every pair of one table, the prior's shape."""
+        if np.shape(counts) != self.table.shape:
+            raise ModelError(f"counts have shape {np.shape(counts)}, expected {self.table.shape}")
+        self.table = self._prior_table + counts
+        self._changed()
+
+    def _set_row(self, row: int, counts: np.ndarray) -> None:
+        """Replace bank row `row` with prior + counts, counts dense (..., V)."""
+        counts = np.asarray(counts, dtype=float)
+        used = counts.any(axis=tuple(range(counts.ndim - 1)))
+        self.grow(row * self._base.shape[-1] + np.flatnonzero(used))
+        lo, hi = np.searchsorted(self._row_of, [row, row + 1])
+        self.table[..., lo:hi] = self._prior_table[..., lo:hi] + counts[..., self._col_of[lo:hi]]
+        self._changed()
+
+    def table_elog(self) -> np.ndarray:
+        """digamma(alpha) - digamma(row total) at every support cell, cached
+        with the digamma of the row totals."""
+        if self._elog is None:
+            digamma_total = digamma(self._totals)
+            elog = digamma(self.table) - np.take(digamma_total, self._row_of, axis=-1)
+            self._elog = (digamma_total, elog)
+        return self._elog[1]
+
+    def _dense(
+        self, fill: np.ndarray, values: np.ndarray, rows: slice = slice(None)
+    ) -> np.ndarray:
+        """The dense table of bank rows `rows`, (n, ..., V): fill (per bank
+        row) with values, one per support cell, put at the support cells."""
+        start, stop, _ = rows.indices(self._n_rows)
+        lo, hi = np.searchsorted(self._row_of, [start, stop])
+        out = np.empty((stop - start,) + self._base.shape)
+        out[...] = fill
+        cells = (self._row_of[lo:hi] - start, Ellipsis, self._col_of[lo:hi])
+        out[cells] = np.moveaxis(values[..., lo:hi], -1, 0)
+        return out
+
+    def _elog_of(self, rows: slice = slice(None)) -> np.ndarray:
+        """The dense expected log of bank rows `rows`, (n, ..., V)."""
+        elog = self.table_elog()
+        digamma_total = np.moveaxis(self._elog[0], -1, 0)[rows, ..., None]
+        return self._dense(self._base_digamma - digamma_total, elog, rows)
+
+    def _row_elog(self, row: int) -> np.ndarray:
+        """The dense expected log of bank row `row`. The last row built is
+        kept: the per-op updates read one entity's row many times."""
+        if self._last_row is None or self._last_row[0] != row:
+            self._last_row = (row, self._elog_of(slice(row, row + 1))[0])
+        return self._last_row[1]
+
+    @property
+    def concentration(self) -> np.ndarray:
+        """The dense concentration, built from the support."""
+        return self._dense(self._base, self.table).reshape(self.prior.shape)
+
+    @concentration.setter
+    def concentration(self, conc: np.ndarray) -> None:
+        """Set the dense concentration (>= prior); the pairs it takes off
+        the prior join the support."""
+        dense = np.reshape(conc, (self._n_rows,) + self._base.shape)
+        off_prior = (dense != self._base).any(axis=tuple(range(1, dense.ndim - 1)))
+        self.grow(np.flatnonzero(off_prior))
+        cells = dense[self._row_of, ..., self._col_of]
+        self.table = np.ascontiguousarray(np.moveaxis(cells, 0, -1))
+        self._changed()
 
     def expected_log(self) -> np.ndarray:
-        """digamma(alpha) - digamma(alpha total), per row, cached."""
-        if self._elog is None:
-            alpha = self.concentration
-            total = alpha.sum(axis=-1, keepdims=True)
-            digamma_total = digamma(total)
-            elog = np.empty(alpha.shape)
-            np.subtract(self._base_digamma, digamma_total, out=elog)
-            changed = alpha != self.prior
-            cells = np.flatnonzero(changed)
-            a = alpha.reshape(-1)[cells]
-            e = digamma(a) - digamma_total.reshape(-1)[cells // alpha.shape[-1]]
-            elog.reshape(-1)[cells] = e
-            rows = np.flatnonzero(changed.any(axis=-1))
-            self._elog = elog
-            # The changed cells with their concentration and expected log,
-            # and the changed rows with their totals, for the KL.
-            self._changed = (cells, a, e, rows, total.reshape(-1)[rows])
-        return self._elog
+        """digamma(alpha) - digamma(alpha total), dense, per row, cached."""
+        if self._dense_elog is None:
+            self._dense_elog = self._elog_of().reshape(self.prior.shape)
+        return self._dense_elog
 
     def mean(self) -> np.ndarray:
         alpha = self.concentration
@@ -329,15 +426,11 @@ class DirichletFactor:
     def _kl(self) -> float:
         # Per row: gammaln(A) - gammaln(B) - sum (gammaln(a) - gammaln(b))
         # + sum (a - b) E[log p], for posterior a, prior b and totals A, B;
-        # rows and cells at their prior add 0 and are left out.
-        if not self.concentration.size:
-            return 0.0
-        self.expected_log()
-        cells, a, e, rows, totals = self._changed
-        base_cells = cells % self._base.size
-        row_part = gammaln(totals) - self._base_row_gammaln[rows % self._base_row_gammaln.size]
-        cell_part = gammaln(a) - self._base_gammaln[base_cells]
-        cross = np.dot(a - self._base.reshape(-1)[base_cells], e)
+        # cells off the support and rows without support cells add 0.
+        a = self.table
+        row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
+        cell_part = gammaln(a) - np.take(self._base_gammaln, self._col_of, axis=-1)
+        cross = np.vdot(a - self._prior_table, self.table_elog())
         return float(row_part.sum() - cell_part.sum() + cross)
 
 
@@ -350,8 +443,8 @@ class FactorRow:
     """Row `index` of a stacked factor bank, read and written through to
     the bank: one entity's Dirichlet factor.
 
-    Its expected_log() is a view of the bank's cached table, so every
-    entity of a bank shares one digamma refresh.
+    Its dense concentration and expected log are built on demand from the
+    bank's support, so no dense table of the whole bank is made.
     """
 
     __slots__ = ("bank", "index")
@@ -366,15 +459,15 @@ class FactorRow:
 
     @property
     def concentration(self) -> np.ndarray:
-        return self.bank.concentration[self.index]
+        rows = slice(self.index, self.index + 1)
+        return self.bank._dense(self.bank._base, self.bank.table, rows)[0]
 
     def set_counts(self, counts: np.ndarray) -> None:
         """Replace this row of the bank with prior + counts (counts >= 0)."""
-        self.bank._elog = None
-        self.bank.concentration[self.index] = self.prior + counts
+        self.bank._set_row(self.index, counts)
 
     def expected_log(self) -> np.ndarray:
-        return self.bank.expected_log()[self.index]
+        return self.bank._row_elog(self.index)
 
     def mean(self) -> np.ndarray:
         alpha = self.concentration
@@ -408,7 +501,7 @@ class TransitionFactor:
 
     @property
     def n_topics(self) -> int:
-        return self.start.concentration.shape[0]
+        return self.start.prior.shape[0]
 
     def set_counts(self, start_counts: np.ndarray, main_counts: np.ndarray) -> None:
         self.start.set_counts(start_counts)
@@ -443,7 +536,11 @@ class VariationalState:
     The entity-specific factors are stacked banks: psi (E, K), theta_A
     (E, K, V) and phi (E, K, N), with E = 1 when the corresponding
     sharing flag is on (phi is None when N = 0). The *_factor accessors
-    give one entity's row. q arrays are stored per entity: qa[i] has
+    give one entity's row. theta_A is held on its support, the (bank
+    row, word) pairs that may be off the prior: its table is (K, P), and
+    a fit grows the support to the pairs of its corpus, so every other
+    cell stays at the prior. theta_A_factor(i) builds entity i's dense
+    (K, V) row on demand. q arrays are stored per entity: qa[i] has
     shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i] (tokens_i,
     n_topics) with tokens concatenated in snippet order.
     """
@@ -498,7 +595,7 @@ class VariationalState:
 
     def refresh_caches(self) -> None:
         for f in self.parameter_banks():
-            f.expected_log()
+            f.table_elog()
 
     def matches_corpus(self, corpus: Corpus) -> bool:
         if corpus.n_entities != self.n_entities:
@@ -508,7 +605,7 @@ class VariationalState:
                 return False
             if [len(sn) for sn in group] != self.token_counts[i]:
                 return False
-        return len(corpus.vocabulary) == self.vocab_size
+        return len(corpus.vocabulary) == self.vocab_size and len(corpus.tag_set) == self.tag_count
 
 
 def value_prior(hp: Hyperparameters, vocab_size: int, seed_sets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -548,7 +645,8 @@ def _prior_state(
     seed_sets: list[list[int]],
 ) -> VariationalState:
     """Every factor at its prior, stacked banks with one row per entity
-    (one row when shared), and uniform posteriors."""
+    (one row when shared) and theta_A on an empty support, and uniform
+    posteriors."""
     layout = hp.layout()
     V, n_entities = vocab_size, len(token_counts)
     n_asp = 1 if hp.shared_aspects else n_entities
@@ -568,7 +666,7 @@ def _prior_state(
         psi=DirichletFactor(
             np.full(hp.K, hp.lambda_M), rows=1 if hp.shared_aspect_multinomial else n_entities
         ),
-        theta_A=DirichletFactor(np.full((hp.K, V), hp.lambda_A), rows=n_asp),
+        theta_A=DirichletFactor(np.full((hp.K, V), hp.lambda_A), rows=n_asp, support=[]),
         phi=DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV), rows=n_asp) if hp.N else None,
         theta_V=DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N else None,
         theta_I=DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None,
@@ -643,7 +741,8 @@ def save_state(state: VariationalState, path: str) -> None:
     Floats are written with Python's shortest round-trip repr, so a
     load followed by a save reproduces the file byte for byte. The
     arrays go to the streaming writer as they are, so the payload is
-    never held as nested Python lists.
+    never held as nested Python lists. Factors are written dense,
+    theta_A as its (entities, K, V) bank.
     """
     hp_dict = asdict(state.hp)
     hp_dict["topic_prior"] = list(hp_dict["topic_prior"])
@@ -697,11 +796,10 @@ def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
         if payload not in (None, []):
             raise ModelError(f"factor {name} is present but the configuration disables it")
         return
-    conc = _array(payload, f.concentration.shape, f"factor {name}")
+    conc = _array(payload, f.prior.shape, f"factor {name}")
     if not (conc >= f.prior).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
     f.concentration = conc
-    f._elog = None
 
 
 def _restore_posteriors(payload, name: str, rows: list[int], width: int) -> list[np.ndarray]:
@@ -766,7 +864,8 @@ def load_state(path: str) -> VariationalState:
 
     Checks the keys, every shape, that all numbers are finite, that the
     posterior rows are distributions and that no concentration is below
-    its prior; any fault raises ModelError naming the file.
+    its prior; any fault raises ModelError naming the file. theta_A's
+    support is the (entity, word) pairs the file has off the prior.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -113,6 +113,18 @@ def test_criterion_02_seeded_polarity_accuracy(separable_fits):
     report(2, ok, detail)
 
 
+def test_aspect_bank_holds_only_the_corpus_pairs(separable_fits):
+    # theta_A keeps K cells per distinct (entity, word) pair of the corpus;
+    # a dense entities x aspects x words bank would hold K * V per entity.
+    results, _ = separable_fits
+    for syn, state in results:
+        pairs = {(i, tok.word) for i, group in enumerate(syn.corpus.snippets)
+                 for sn in group for tok in sn.tokens}
+        rows, words = np.divmod(state.theta_A.support, state.vocab_size)
+        assert set(zip(rows.tolist(), words.tolist())) == pairs
+        assert state.theta_A.table.shape == (state.hp.K, len(pairs))
+
+
 def test_criterion_03_beats_clustering_baseline():
     margins = []
     for seed in (1, 2, 3):

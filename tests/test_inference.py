@@ -32,7 +32,14 @@ from snipagg.inference import (
     update_word_topic,
     word_label_predictions,
 )
-from snipagg.model import Hyperparameters, ModelError, build_priors, init_state
+from snipagg.model import (
+    Hyperparameters,
+    ModelError,
+    build_priors,
+    init_state,
+    load_state,
+    save_state,
+)
 
 
 def tiny_corpus(n_entities=1):
@@ -594,6 +601,118 @@ def test_free_energy_matches_dense_reference(
     assert abs(kl - dense) <= 1e-12 * abs(dense)
     for f in state.parameter_factors():
         assert np.abs(f.expected_log() - dense_elog(f.concentration)).max(initial=0.0) <= 1e-13
+
+
+def aspect_counts_by_hand(state, corpus, qa, qw):
+    """Dense (E, K, V) theta_A counts of packed posteriors, token by token."""
+    col = state.layout.col("A")
+    counts = np.zeros(state.theta_A.prior.shape)
+    s = t = 0
+    for i, group in enumerate(corpus.snippets):
+        row = 0 if state.hp.shared_aspects else i
+        for sn in group:
+            for tok in sn.tokens:
+                counts[row, :, tok.word] += qa[s] * qw[t, col]
+                t += 1
+            s += 1
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shared=st.booleans(),
+    ops=st.lists(st.sampled_from(["refit", "write"]), min_size=1, max_size=4),
+)
+def test_aspect_bank_support_matches_dense_reference(seed, shared, ops):
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, n_entities=3, vocab_size=10, snippets=3, max_len=4)
+    state = init_state(Hyperparameters(K=3, N=1, shared_aspects=shared), corpus)
+    pack = _PackedCorpus(corpus)
+    qa, qv, qw = pack.bind(state)
+    qa[:] = rng.dirichlet(np.ones(qa.shape[1]), size=len(qa))
+    qw[:] = rng.dirichlet(np.ones(qw.shape[1]), size=len(qw))
+    bank = state.theta_A
+    prior = np.array(bank.prior)
+    dense = prior.copy()
+    for op in ops:
+        if op == "refit":
+            _refit(state, pack, qa, qv, qw)
+            dense = prior + aspect_counts_by_hand(state, corpus, qa, qw)
+        else:
+            # A dense row write with nonzero cells off the corpus pairs.
+            row = int(rng.integers(len(dense)))
+            counts = rng.gamma(1.0, 2.0, size=prior.shape[1:])
+            counts *= rng.random(prior.shape[1:]) < 0.3
+            bank.rows()[row].set_counts(counts)
+            dense[row] = prior[row] + counts
+    rows, words = np.divmod(bank.support, state.vocab_size)
+    on_support = np.zeros((len(dense), state.vocab_size), dtype=bool)
+    on_support[rows, words] = True
+    assert np.array_equal(bank.concentration.transpose(0, 2, 1)[~on_support],
+                          prior.transpose(0, 2, 1)[~on_support])
+    assert bank.table.shape == (3, len(bank.support))
+    assert np.abs(bank.concentration - dense).max() <= 1e-13
+    assert np.abs(bank.expected_log() - dense_elog(dense)).max() <= 1e-13
+    want_kl = dense_kl(dense, prior)
+    assert abs(bank.kl_to_prior() - want_kl) <= 1e-13 * max(1.0, abs(want_kl))
+    for i, row in enumerate(bank.rows()):
+        assert np.abs(row.concentration - dense[i]).max() <= 1e-13
+        assert np.abs(row.expected_log() - dense_elog(dense[i])).max() <= 1e-13
+        assert np.abs(row.mean() - dense[i] / dense[i].sum(axis=-1, keepdims=True)).max() <= 1e-13
+        want_kl = dense_kl(dense[i], prior[i])
+        assert abs(row.kl_to_prior() - want_kl) <= 1e-13 * max(1.0, abs(want_kl))
+
+
+@pytest.mark.parametrize("fitted", [True, False])
+def test_loaded_state_refits_like_the_state_in_memory(tmp_path, fitted):
+    # A loaded state keeps only the pairs off the prior on its theta_A
+    # support (none for a prior state); the refit grows it to the corpus.
+    corpus = random_corpus(np.random.default_rng(5), n_entities=4, vocab_size=25)
+    hp = Hyperparameters(K=3, N=2, max_iters=3, rng_seed=2)
+    state = run_inference(hp, corpus)[0] if fitted else init_state(hp, corpus)
+    save_state(state, str(tmp_path / "state.json"))
+    loaded = load_state(str(tmp_path / "state.json"))
+    for s in (state, loaded):
+        update_parameters(UpdateContext(s, corpus))
+    for got, want in zip(loaded.parameter_factors(), state.parameter_factors(), strict=True):
+        assert np.abs(got.concentration - want.concentration).max() <= 1e-12
+    assert len(loaded.theta_A.support) == len(state.theta_A.support)
+    fe = compute_free_energy(state, corpus)
+    assert abs(compute_free_energy(loaded, corpus) - fe) <= 1e-12 * abs(fe)
+
+
+def test_batch_fit_builds_emissions_once_per_iteration(monkeypatch):
+    corpus = random_corpus(np.random.default_rng(8), n_entities=4, vocab_size=25)
+    hp = Hyperparameters(K=3, N=2, max_iters=6, rng_seed=1)
+    # Reference: every pass builds its own emissions, as the free energy does.
+    free_energy = inference._free_energy
+
+    def without_handoff(state, pack, g, *q):
+        value = free_energy(state, pack, g, *q)
+        g.emis = None
+        return value
+
+    monkeypatch.setattr(inference, "_free_energy", without_handoff)
+    want_state, want = run_inference(hp, corpus)
+    monkeypatch.undo()
+    calls = []
+    emissions = inference._emissions
+    monkeypatch.setattr(inference, "_emissions", lambda *a: calls.append(1) or emissions(*a))
+    state, reports = run_inference(hp, corpus)
+    # One per free energy, plus the first pass, which has none before it.
+    assert len(calls) == len(reports) + 1
+    assert [r.value for r in reports] == [r.value for r in want]
+    for got, exp in zip(state.qw, want_state.qw, strict=True):
+        assert np.array_equal(got, exp)
+    # A pass consumes the handed-over emissions: they belong to the
+    # posteriors it replaces.
+    pack = _PackedCorpus(corpus)
+    q = pack.bind(state)
+    g = _gather(state, pack)
+    inference._free_energy(state, pack, g, *q)
+    _pass(state, pack, g, *q)
+    assert g.emis is None
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])

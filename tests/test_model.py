@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
+from snipagg.inference import compute_free_energy
 from snipagg.model import (
     DirichletFactor,
     Hyperparameters,
@@ -98,6 +99,19 @@ def test_factor_counts_and_mean():
     assert f.kl_to_prior() > 0.0
     f.set_counts(np.zeros(2))
     assert f.kl_to_prior() == 0.0
+
+
+def test_bank_counts_follow_the_support_table():
+    # A bank's set_counts takes one count per support cell, (..., P); its
+    # rows take dense counts.
+    bank = DirichletFactor(np.ones((2, 3)), rows=2, support=[1, 4])
+    with pytest.raises(ModelError, match=r"counts have shape \(2, 2, 3\), expected \(2, 2\)"):
+        bank.set_counts(np.zeros((2, 2, 3)))
+    bank.set_counts(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert np.array_equal(bank.concentration, [[[1, 2, 1], [1, 4, 1]], [[1, 3, 1], [1, 5, 1]]])
+    bank.rows()[1].set_counts(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert np.array_equal(bank.support, [1, 4, 5])
+    assert np.array_equal(bank.concentration[1], [[1, 1, 2], [1, 1, 1]])
 
 
 def test_factor_rows():
@@ -384,6 +398,13 @@ def test_matches_corpus_detects_mismatch():
     corpus, state = fit_like_state()
     other = toy_corpus(n_entities=3)
     assert not state.matches_corpus(other)
+    # The same snippets and words with one more tag, which a token uses:
+    # the tag emission table of the state has no column for it.
+    more_tags = toy_corpus(tags=("NN", "JJ", "VB"))
+    more_tags.snippets[0][0].tokens[0] = Token(0, 2)
+    assert not state.matches_corpus(more_tags)
+    with pytest.raises(ModelError, match="state shape does not match corpus"):
+        compute_free_energy(state, more_tags)
 
 
 def random_corpus_and_state(seed, n_entities, n_values, use_ignore, use_pos, shared):
