@@ -30,7 +30,6 @@ from snipagg.model import (
     DirichletFactor,
     Hyperparameters,
     TopicLayout,
-    TransitionFactor,
     VariationalState,
     build_priors,
     expected_log,
@@ -38,6 +37,7 @@ from snipagg.model import (
     load_config,
     load_state,
     save_state,
+    transition_means,
 )
 from snipagg.inference import (
     FreeEnergyReport,

@@ -10,8 +10,8 @@ Subcommands:
 Every artifact-producing command writes a manifest.json alongside its
 outputs recording the exact invocation, configuration, input and output
 content hashes, seed, thread count, and wall-clock timings. Given the
-same inputs, seed, and thread count, the data outputs are byte
-identical across runs.
+same inputs, configuration and seed, the data outputs are byte
+identical across runs; the thread count changes nothing.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
 malformed inputs), 4 numeric failure during inference.
@@ -32,11 +32,11 @@ from typing import Optional, Sequence
 
 from snipagg.baselines import BaselineError, cluster_snippets, majority_sentiment, seed_sentiment
 from snipagg.corpus import (
-    Corpus,
     CorpusError,
     default_value_names,
     load_corpus,
     load_gold,
+    load_polarity_predictions,
     load_seed_lexicon,
     save_cluster_tsv,
     save_corpus,
@@ -76,6 +76,7 @@ from snipagg.model import (
     load_state,
     parse_config_value,
     save_state,
+    transition_means,
 )
 from snipagg.output import atomic_open, write_json
 
@@ -145,7 +146,10 @@ def _load_hp(args: argparse.Namespace) -> Hyperparameters:
         except ValueError as exc:
             raise UsageError(f"--set {key}: {exc}") from None
         setattr(hp, key, value)
-    hp.validate()
+    try:
+        hp.validate()  # load_config has validated the file already
+    except ModelError as exc:
+        raise UsageError(f"--set: {exc}") from None
     return hp
 
 
@@ -166,7 +170,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     topic_mix = None
     if args.topic_mix:
-        topic_mix = [float(p) for p in args.topic_mix.split(",")]
+        try:
+            topic_mix = [float(p) for p in args.topic_mix.split(",")]
+        except ValueError:
+            raise UsageError(
+                f"--topic-mix expects comma-separated numbers, got {args.topic_mix!r}"
+            ) from None
     t0 = time.perf_counter()
     syn = make_separable(hp, shape, args.separation, args.seed, topic_mix)
     if args.separation >= 1.0 and not aspect_vocabularies_disjoint(syn):
@@ -213,6 +222,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     hp = _load_hp(args)
     corpus = load_corpus(args.corpus)
     seeds = None
@@ -255,32 +266,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_polarity_predictions(
-    path: str, corpus: Corpus, value_names: Sequence[str]
-) -> dict[str, Optional[int]]:
-    """Read a polarity TSV allowing the 'split' marker (no prediction)."""
-    by_id = {sn.snippet_id for sn in corpus.iter_snippets()}
-    out: dict[str, Optional[int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            _, sid, label = parts
-            if sid not in by_id:
-                raise CorpusError(f"{path}:{lineno}: unknown snippet {sid!r}")
-            if label == "split":
-                out[sid] = None
-            elif label in value_names:
-                out[sid] = list(value_names).index(label)
-            else:
-                raise CorpusError(f"{path}:{lineno}: unknown value label {label!r}")
-    return out
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     value_names = [n.strip() for n in args.value_names.split(",")]
@@ -320,7 +305,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             corpus, polarity_path=args.gold_polarity, value_names=value_names
         )
         if args.pred_polarity:
-            preds = _load_polarity_predictions(args.pred_polarity, corpus, value_names)
+            preds = load_polarity_predictions(corpus, args.pred_polarity, value_names)
         elif post is not None:
             preds = dict(polarity_predictions(corpus, post))
         else:
@@ -454,7 +439,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 lines.append(f"    polarity: {pol}")
         lines.append("")
 
-    mean = state.trans.mean_matrix()
+    mean = transition_means(state.trans_start, state.trans_main)
     letters = list(state.layout.letters)
     header = ["from/to"] + letters + ["END"]
     lines.append("transition means")

@@ -7,7 +7,7 @@ File formats, all UTF-8:
 * seed lexicon: plain text with ``[value:<name>]`` section headers and
   one word per line
 * gold clusters / gold polarity: TSV with columns entity, snippet_id,
-  label
+  label; polarity predictions may also use the label ``split``
 * gold word labels: JSON lines ``{"id": "s1", "labels": ["B", "A", ...]}``
 * parse spans: TSV with columns snippet_id, start, end, kind
   (half-open token intervals, kind one of NP, ADJP, ADVP)
@@ -372,6 +372,20 @@ def _read_tsv(path: str, n_cols: int) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
+def _check_snippet(
+    corpus: Corpus, by_id: Mapping[str, Snippet], path: str, lineno: int, entity: str, sid: str
+) -> None:
+    """Check that the snippet a line names exists and belongs to entity."""
+    sn = by_id.get(sid)
+    if sn is None:
+        raise CorpusError(f"{path}:{lineno}: unknown snippet id {sid!r}")
+    if corpus.entities[sn.entity] != entity:
+        raise CorpusError(
+            f"{path}:{lineno}: snippet {sid!r} belongs to "
+            f"{corpus.entities[sn.entity]!r}, not {entity!r}"
+        )
+
+
 def load_gold(
     corpus: Corpus,
     clusters_path: Optional[str] = None,
@@ -390,25 +404,13 @@ def load_gold(
     by_id = corpus.snippet_by_id()
     names = list(value_names) if value_names is not None else default_value_names(2)
     lexicon = empty_lexicon(names)
-
-    def check_snippet(path: str, lineno: int, entity: str, sid: str) -> Snippet:
-        sn = by_id.get(sid)
-        if sn is None:
-            raise CorpusError(f"{path}:{lineno}: unknown snippet id {sid!r}")
-        if corpus.entities[sn.entity] != entity:
-            raise CorpusError(
-                f"{path}:{lineno}: snippet {sid!r} belongs to "
-                f"{corpus.entities[sn.entity]!r}, not {entity!r}"
-            )
-        return sn
-
     if clusters_path is not None:
         for lineno, (entity, sid, label) in _read_tsv(clusters_path, 3):
-            check_snippet(clusters_path, lineno, entity, sid)
+            _check_snippet(corpus, by_id, clusters_path, lineno, entity, sid)
             gold.clusters[sid] = label
     if polarity_path is not None:
         for lineno, (entity, sid, label) in _read_tsv(polarity_path, 3):
-            check_snippet(polarity_path, lineno, entity, sid)
+            _check_snippet(corpus, by_id, polarity_path, lineno, entity, sid)
             try:
                 gold.polarity[sid] = lexicon.resolve_value(label)
             except CorpusError as exc:
@@ -425,6 +427,8 @@ def load_gold(
                     raise CorpusError(
                         f"{word_labels_path}:{lineno}: invalid JSON: {exc}"
                     ) from None
+                if not isinstance(rec, dict):
+                    raise CorpusError(f"{word_labels_path}:{lineno}: record is not an object")
                 sid = rec.get("id")
                 labels = rec.get("labels")
                 if not isinstance(sid, str) or not isinstance(labels, list):
@@ -469,6 +473,26 @@ def load_gold(
                 )
             gold.parse_spans.setdefault(sid, []).append((start, end, kind))
     return gold
+
+
+def load_polarity_predictions(
+    corpus: Corpus, path: str, value_names: Sequence[str]
+) -> dict[str, Optional[int]]:
+    """Read polarity predictions from a TSV in the gold polarity format,
+    with the checks of load_gold. A label is an exact value name, or
+    'split' for a snippet without a prediction (read as None)."""
+    by_id = corpus.snippet_by_id()
+    names = list(value_names)
+    out: dict[str, Optional[int]] = {}
+    for lineno, (entity, sid, label) in _read_tsv(path, 3):
+        _check_snippet(corpus, by_id, path, lineno, entity, sid)
+        if label == "split":
+            out[sid] = None
+        elif label in names:
+            out[sid] = names.index(label)
+        else:
+            raise CorpusError(f"{path}:{lineno}: unknown value label {label!r}")
+    return out
 
 
 def save_cluster_tsv(corpus: Corpus, labels: Mapping[str, str], path: str) -> None:

@@ -16,6 +16,13 @@ pass read that same gather, and in the batch schedule the same
 emission scores. The M-step puts the expected counts of all tokens into
 each factor bank with one bincount.
 
+UpdateContext is where a state meets its corpus: it packs the corpus
+and stacks the state's per-entity posteriors into packed arrays, which
+the kernels read and write in place. A fit binds its state once, so the
+state's per-entity posteriors are views of those arrays;
+compute_free_energy reads a copy and leaves the caller's posteriors as
+they are.
+
 Both schedules run one pass kernel with the same coordinate moves (per
 snippet: aspect, value, then each word) and differ only in when a new
 posterior becomes visible to the next move. The batch schedule
@@ -132,19 +139,6 @@ class _PackedCorpus:
         ]
         self._aspect: Optional[tuple] = None
 
-    def bind(self, state: VariationalState):
-        """Copy the state's posteriors into packed arrays and make the
-        state's per-entity arrays views of them; returns (qa, qv, qw)."""
-        qa, qv, qw = _packed_posteriors(state, state.qa, state.qv, state.qw)
-        sb, tb = self.snippet_bounds, self.token_bounds
-        for i in range(len(sb) - 1):
-            snips, toks = slice(sb[i], sb[i + 1]), slice(tb[i], tb[i + 1])
-            state.qa[i] = qa[snips]
-            if qv is not None:
-                state.qv[i] = qv[snips]
-            state.qw[i] = qw[toks]
-        return qa, qv, qw
-
     def aspect_columns(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
         """Each token's column in the theta_A table, (T,), and the flat
         index of (aspect, token) into that table, (K, T). theta_A's support
@@ -160,25 +154,6 @@ class _PackedCorpus:
             flat = np.arange(state.hp.K)[:, None] * len(bank.support) + cols
             self._aspect = (bank.support, cols, flat)
         return self._aspect[1:]
-
-
-def _packed_posteriors(
-    state: VariationalState,
-    qa: Sequence[np.ndarray],
-    qv: Optional[Sequence[np.ndarray]],
-    qw: Sequence[np.ndarray],
-):
-    """Per-entity posterior arrays stacked into (S, K), (S, N), (T, n)."""
-
-    def pack(arrays, width):
-        return np.concatenate([np.empty((0, width))] + list(arrays))
-
-    hp = state.hp
-    return (
-        pack(qa, hp.K),
-        None if qv is None else pack(qv, hp.N),
-        pack(qw, state.layout.n_topics),
-    )
 
 
 def _bank_rows(shared: bool, entities: np.ndarray) -> np.ndarray:
@@ -209,11 +184,10 @@ class _Gathered:
     emis: Optional[np.ndarray] = None
 
 
-def _gather(
-    state: VariationalState, pack: _PackedCorpus, prev: Optional[_Gathered] = None
-) -> _Gathered:
+def _gather(ctx: UpdateContext, prev: Optional[_Gathered] = None) -> _Gathered:
     """Gather the factors' expected logs, or return prev when no factor
     has changed since prev was gathered."""
+    state, pack = ctx.state, ctx.pack
     cols = pack.aspect_columns(state)[0]
     sources = [f.table_elog() for f in state.parameter_banks()]
     if prev is not None and all(a is b for a, b in zip(prev.sources, sources, strict=True)):
@@ -232,8 +206,8 @@ def _gather(
         eb=state.theta_B.expected_log()[words],
         ei=None if state.theta_I is None else state.theta_I.expected_log()[words],
         eta=None if state.eta is None else state.eta.expected_log()[:, pack.tags].T,
-        start=state.trans.elog_start(),
-        main=state.trans.elog_main(),
+        start=state.trans_start.expected_log(),
+        main=state.trans_main.expected_log(),
     )
 
 
@@ -252,35 +226,42 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 class UpdateContext:
-    """A read state plus write buffers for one update pass.
+    """A state bound to its packed corpus, with packed write buffers.
 
-    In batch mode every read sees the state as it was when the context
-    was created, and writes land in separate buffers (commit() copies
-    them back into the state). In sequential mode reads and writes share
-    the state's own arrays, so each update sees the freshest values.
+    The constructor packs the corpus and stacks the state's per-entity
+    posteriors into qa (S, K), qv (S, N; None when N = 0) and qw (T, n),
+    in corpus order. new_qa, new_qv and new_qw hold one view of them per
+    entity; the updates read the state's lists and write these views.
+
+    In batch mode the packed arrays are copies, so every read sees the
+    state as it was when the context was created; commit() makes the
+    views the state's posteriors. In sequential mode the state's lists
+    are these views from the start, so each update sees the freshest
+    values and commit() changes nothing.
     """
 
     def __init__(self, state: VariationalState, corpus: Corpus, sequential: bool = False):
         if not state.matches_corpus(corpus):
             raise ModelError("state shape does not match corpus")
         self.state = state
-        self.pack = _PackedCorpus(corpus)
-        self.sequential = sequential
+        self.pack = pack = _PackedCorpus(corpus)
+
+        def stack(lists, width, bounds):
+            if lists is None:
+                return None, None
+            packed = np.concatenate([np.empty((0, width))] + list(lists))
+            return packed, [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+        hp, sb = state.hp, pack.snippet_bounds
+        self.qa, self.new_qa = stack(state.qa, hp.K, sb)
+        self.qv, self.new_qv = stack(state.qv, hp.N, sb)
+        self.qw, self.new_qw = stack(state.qw, state.layout.n_topics, pack.token_bounds)
         if sequential:
-            self.new_qa = state.qa
-            self.new_qv = state.qv
-            self.new_qw = state.qw
-        else:
-            self.new_qa = [a.copy() for a in state.qa]
-            self.new_qv = None if state.qv is None else [a.copy() for a in state.qv]
-            self.new_qw = [a.copy() for a in state.qw]
+            self.commit()
 
     def commit(self) -> None:
-        """Adopt the write buffers as the state's posteriors (batch mode)."""
-        if not self.sequential:
-            self.state.qa = self.new_qa
-            self.state.qv = self.new_qv
-            self.state.qw = self.new_qw
+        """Make the per-entity views the state's posteriors."""
+        self.state.qa, self.state.qv, self.state.qw = self.new_qa, self.new_qv, self.new_qw
 
     def _snippet_tokens(self, entity: int, snippet: int):
         """(lo, hi, words, tags): the snippet owns tokens lo:hi of the
@@ -352,11 +333,11 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     w = words[word]
     qw_read = state.qw[entity]
     qa = state.qa[entity][snippet]
-    elog_main = state.trans.elog_main()
+    elog_main = state.trans_main.expected_log()
 
     score = state.hp.topic_prior_vector(layout).copy()
     if t == lo:
-        score += state.trans.elog_start()
+        score += state.trans_start.expected_log()
     else:
         score += qw_read[t - 1] @ elog_main[:, :n]
     if t == hi - 1:
@@ -385,16 +366,10 @@ def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.nd
     return weights
 
 
-def _refit(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
-    qw: np.ndarray,
-) -> None:
+def _refit(ctx: UpdateContext) -> None:
     """Set every parameter factor to prior plus the expected counts of
-    the packed posteriors qa (S, K), qv (S, N) and qw (T, n), with one
-    bincount per factor bank."""
+    the context's packed posteriors, with one bincount per factor bank."""
+    state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     hp, layout = state.hp, state.layout
     K, N, V, n = hp.K, hp.N, state.vocab_size, layout.n_topics
     words, snip = pack.words, pack.snip_of_token
@@ -429,13 +404,13 @@ def _refit(
     main = np.empty((n, n + 1))
     main[:, :n] = qw[pack.inner - 1].T @ qw[pack.inner]
     main[:, layout.end_col] = qw[pack.last].sum(axis=0)
-    state.trans.set_counts(qw[pack.first].sum(axis=0), main)
+    state.trans_start.set_counts(qw[pack.first].sum(axis=0))
+    state.trans_main.set_counts(main)
 
 
 def update_parameters(ctx: UpdateContext) -> None:
     """Refit every parameter factor from the context's latest posteriors."""
-    q = _packed_posteriors(ctx.state, ctx.new_qa, ctx.new_qv, ctx.new_qw)
-    _refit(ctx.state, ctx.pack, *q)
+    _refit(ctx)
 
 
 def _aspect_step(
@@ -460,17 +435,13 @@ def _value_step(
 
 
 def _emissions(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    g: _Gathered,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
+    ctx: UpdateContext, g: _Gathered, qa: np.ndarray, qv: Optional[np.ndarray]
 ) -> np.ndarray:
     """The score of each role at each token that does not depend on its
     neighbours, (T, n): the topic prior, the tag emission and the word
     emission, whose A and V columns marginalize over the snippet's
     aspect and value."""
-    layout = state.layout
+    layout, pack = ctx.state.layout, ctx.pack
     emis = np.empty((pack.n_tokens, layout.n_topics))
     emis[:, layout.col("A")] = np.einsum("tk,kt->t", qa[pack.snip_of_token], g.ea)
     if qv is not None:
@@ -478,7 +449,7 @@ def _emissions(
     emis[:, layout.col("B")] = g.eb
     if g.ei is not None:
         emis[:, layout.col("I")] = g.ei
-    emis += state.hp.topic_prior_vector(layout)
+    emis += ctx.state.hp.topic_prior_vector(layout)
     if g.eta is not None:
         emis += g.eta
     return emis
@@ -527,15 +498,9 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max()) if new.size else 0.0
 
 
-def _pass(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    g: _Gathered,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
-    qw: np.ndarray,
-) -> float:
-    """One pass of hp.schedule over the packed posteriors, updated in place.
+def _pass(ctx: UpdateContext, g: _Gathered) -> float:
+    """One pass of hp.schedule over the context's packed posteriors,
+    updated in place.
 
     Both schedules make the coordinate moves of the per-op updates: each
     snippet's aspect, then its value, then each of its words. They differ
@@ -548,13 +513,14 @@ def _pass(
     Returns the largest absolute posterior change (NaN if any posterior
     is NaN).
     """
+    state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     sequential = state.hp.schedule == "sequential"
     layout = state.layout
     new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
     seen_qa = new_qa if sequential else qa
     new_qv = None if qv is None else _value_step(pack, g, seen_qa, qw, layout.col("V"))
     if sequential or g.emis is None:
-        emis = _emissions(state, pack, g, seen_qa, new_qv if sequential else qv)
+        emis = _emissions(ctx, g, seen_qa, new_qv if sequential else qv)
     else:
         emis = g.emis
     g.emis = None  # the posteriors it was made from change below
@@ -575,26 +541,21 @@ def _pass(
     return float(np.max(changes))
 
 
-def _free_energy(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    g: _Gathered,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
-    qw: np.ndarray,
-) -> float:
+def _free_energy(ctx: UpdateContext, g: _Gathered) -> float:
     """KL of every factor to its prior, minus the expected complete log
-    likelihood, minus the posterior entropy.
+    likelihood, minus the posterior entropy, of the context's packed
+    posteriors.
 
     The snippet and token terms are summed per entity first, in corpus
     order, so entities with the same data and factors contribute the
     same value.
     """
+    state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     snip = xlogy(qa, qa).sum(axis=1) - np.einsum("sk,sk->s", qa, g.psi)
     if qv is not None:
         snip += xlogy(qv, qv).sum(axis=1) - np.einsum("sk,skn,sn->s", qa, g.phi, qv)
 
-    g.emis = _emissions(state, pack, g, qa, qv)
+    g.emis = _emissions(ctx, g, qa, qv)
     score = _role_scores(g, g.emis, qw[:-1], pack.first)
     tok = xlogy(qw, qw).sum(axis=1) - np.einsum("tn,tn->t", qw, score)
     tok[pack.last] -= qw[pack.last] @ g.main[:, state.layout.end_col]
@@ -617,11 +578,8 @@ def compute_free_energy(
     """
     if hp is not None and hp != state.hp:
         raise ModelError("hyperparameters do not match the state")
-    if not state.matches_corpus(corpus):
-        raise ModelError("state shape does not match corpus")
-    pack = _PackedCorpus(corpus)
-    q = _packed_posteriors(state, state.qa, state.qv, state.qw)
-    return _free_energy(state, pack, _gather(state, pack), *q)
+    ctx = UpdateContext(state, corpus)
+    return _free_energy(ctx, _gather(ctx))
 
 
 def free_energy_rises(reports: Sequence[FreeEnergyReport]) -> int:
@@ -663,9 +621,7 @@ def _end_iteration(
 
 
 def _fit(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    q: tuple[np.ndarray, Optional[np.ndarray], np.ndarray],
+    ctx: UpdateContext,
     reports: list[FreeEnergyReport],
     progress: Optional[Callable[[int, float, float], None]],
 ) -> None:
@@ -674,26 +630,20 @@ def _fit(
     batch schedule, its emissions) with the next pass unless a factor
     changed in between."""
     g = None
-    for it in range(1, state.hp.max_iters + 1):
+    for it in range(1, ctx.state.hp.max_iters + 1):
         t0 = time.perf_counter()
-        delta = _pass(state, pack, _gather(state, pack, g), *q)
+        delta = _pass(ctx, _gather(ctx, g))
         # Drop the old gather (and the factor tables it holds) before the
         # refit allocates the new ones.
         g = None
-        _refit(state, pack, *q)
-        g = _gather(state, pack)
-        fe = _free_energy(state, pack, g, *q)
+        _refit(ctx)
+        g = _gather(ctx)
+        fe = _free_energy(ctx, g)
         if _end_iteration(it, fe, delta, t0, reports, progress):
             break
 
 
-def _prime(
-    state: VariationalState,
-    pack: _PackedCorpus,
-    qa: np.ndarray,
-    qv: Optional[np.ndarray],
-    qw: np.ndarray,
-) -> None:
+def _prime(ctx: UpdateContext) -> None:
     """Set the parameter factors to the expected counts of the initial
     responsibilities.
 
@@ -707,11 +657,11 @@ def _prime(
     counts and leave polarity identification to the initialization
     noise, which picks the wrong orientation about half the time.
     """
-    if qv is not None and any(state.seed_sets):
-        g = _gather(state, pack)
-        qv[:] = _value_step(pack, g, qa, qw, state.layout.col("V"))
+    if ctx.qv is not None and any(ctx.state.seed_sets):
+        g = _gather(ctx)
+        ctx.qv[:] = _value_step(ctx.pack, g, ctx.qa, ctx.qw, ctx.state.layout.col("V"))
         del g  # frees the prior tables before the refit allocates new ones
-    _refit(state, pack, qa, qv, qw)
+    _refit(ctx)
 
 
 def run_inference(
@@ -734,13 +684,11 @@ def run_inference(
     hp.validate()
     if threads < 1:
         raise ModelError("threads must be at least 1")
-    pack = _PackedCorpus(corpus)
-    state = init_state(hp, corpus, seeds)
-    q = pack.bind(state)
-    _prime(state, pack, *q)
+    ctx = UpdateContext(init_state(hp, corpus, seeds), corpus, sequential=True)
+    _prime(ctx)
     reports: list[FreeEnergyReport] = []
-    _fit(state, pack, q, reports, progress)
-    return state, reports
+    _fit(ctx, reports, progress)
+    return ctx.state, reports
 
 
 @dataclass

@@ -484,49 +484,15 @@ def expected_log(factor: DirichletFactor, element) -> float:
     return float(factor.expected_log()[element])
 
 
-class TransitionFactor:
-    """Dirichlet rows of the word-role chain.
-
-    Row sources are the virtual start plus every enabled role; row
-    destinations are every role plus the end marker. The start row's
-    support excludes end (a snippet always emits at least one word), so
-    start-to-end carries no prior mass by construction.
-    """
-
-    __slots__ = ("start", "main")
-
-    def __init__(self, start_prior: np.ndarray, main_prior: np.ndarray):
-        self.start = DirichletFactor(start_prior)
-        self.main = DirichletFactor(main_prior)
-
-    @property
-    def n_topics(self) -> int:
-        return self.start.prior.shape[0]
-
-    def set_counts(self, start_counts: np.ndarray, main_counts: np.ndarray) -> None:
-        self.start.set_counts(start_counts)
-        self.main.set_counts(main_counts)
-
-    def elog_start(self) -> np.ndarray:
-        """Expected log transition from start to each role, shape (n_topics,)."""
-        return self.start.expected_log()
-
-    def elog_main(self) -> np.ndarray:
-        """Expected log transitions, shape (n_topics, n_topics + 1); the
-        last column is the end marker."""
-        return self.main.expected_log()
-
-    def mean_matrix(self) -> np.ndarray:
-        """Posterior mean table with the start row first, end column last.
-
-        The start-to-end cell is exactly 0 (the transition is outside
-        the start row's support). Rows sum to 1.
-        """
-        n = self.n_topics
-        table = np.zeros((n + 1, n + 1))
-        table[0, :n] = self.start.mean()
-        table[1:, :] = self.main.mean()
-        return table
+def transition_means(start: DirichletFactor, main: DirichletFactor) -> np.ndarray:
+    """Posterior mean transition table, start row first and end column
+    last. The start-to-end cell is exactly 0 (the transition is outside
+    the start row's support). Rows sum to 1."""
+    n = len(start.prior)
+    table = np.zeros((n + 1, n + 1))
+    table[0, :n] = start.mean()
+    table[1:] = main.mean()
+    return table
 
 
 @dataclass
@@ -540,9 +506,13 @@ class VariationalState:
     row, word) pairs that may be off the prior: its table is (K, P), and
     a fit grows the support to the pairs of its corpus, so every other
     cell stays at the prior. theta_A_factor(i) builds entity i's dense
-    (K, V) row on demand. q arrays are stored per entity: qa[i] has
-    shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i] (tokens_i,
-    n_topics) with tokens concatenated in snippet order.
+    (K, V) row on demand. trans_start (n_topics,) and trans_main
+    (n_topics, n_topics + 1, the last column the end marker) are the
+    role chain's transition rows. q arrays are stored per entity: qa[i]
+    has shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i]
+    (tokens_i, n_topics) with tokens concatenated in snippet order; a
+    fitted state's arrays are views of the packed arrays of the
+    UpdateContext that fit it.
     """
 
     hp: Hyperparameters
@@ -552,7 +522,8 @@ class VariationalState:
     snippet_counts: list[int]
     token_counts: list[list[int]]
     theta_B: DirichletFactor
-    trans: TransitionFactor
+    trans_start: DirichletFactor
+    trans_main: DirichletFactor
     psi: DirichletFactor
     theta_A: DirichletFactor
     phi: Optional[DirichletFactor]
@@ -578,7 +549,7 @@ class VariationalState:
         return self.phi.rows()[0 if self.hp.shared_aspects else entity]
 
     def _shared_factors(self) -> list[DirichletFactor]:
-        out = [self.theta_B, self.trans.start, self.trans.main]
+        out = [self.theta_B, self.trans_start, self.trans_main]
         return out + [f for f in (self.theta_V, self.theta_I, self.eta) if f is not None]
 
     def _banks(self) -> list[DirichletFactor]:
@@ -622,7 +593,8 @@ def transition_priors(hp: Hyperparameters, layout: TopicLayout) -> tuple[np.ndar
 
     lambda_T everywhere, gamma_self added to the A, V, and B self loops,
     and gamma_ignore added to the I self loop when the ignore role is
-    enabled.
+    enabled. The start row has no end column: a snippet always emits at
+    least one word.
     """
     n = layout.n_topics
     start = np.full(n, hp.lambda_T)
@@ -650,6 +622,7 @@ def _prior_state(
     layout = hp.layout()
     V, n_entities = vocab_size, len(token_counts)
     n_asp = 1 if hp.shared_aspects else n_entities
+    start, main = transition_priors(hp, layout)
 
     def uniform(rows, width):
         return np.full((rows, width), 1.0 / width)
@@ -662,7 +635,8 @@ def _prior_state(
         snippet_counts=[len(row) for row in token_counts],
         token_counts=token_counts,
         theta_B=DirichletFactor(np.full(V, hp.lambda_B)),
-        trans=TransitionFactor(*transition_priors(hp, layout)),
+        trans_start=DirichletFactor(start),
+        trans_main=DirichletFactor(main),
         psi=DirichletFactor(
             np.full(hp.K, hp.lambda_M), rows=1 if hp.shared_aspect_multinomial else n_entities
         ),
@@ -731,6 +705,12 @@ def init_state(
     return state
 
 
+# The state attributes of the factors, which name them in the state file.
+_FACTOR_KEYS = (
+    "theta_B", "trans_start", "trans_main", "theta_V", "theta_I", "eta", "psi", "theta_A", "phi"
+)
+
+
 def _factor_payload(f: Optional[DirichletFactor]):
     return None if f is None else f.concentration
 
@@ -756,23 +736,15 @@ def save_state(state: VariationalState, path: str) -> None:
         "snippet_counts": state.snippet_counts,
         "token_counts": state.token_counts,
         "seed_sets": [list(s) for s in state.seed_sets],
-        "factors": {
-            "theta_B": _factor_payload(state.theta_B),
-            "trans_start": _factor_payload(state.trans.start),
-            "trans_main": _factor_payload(state.trans.main),
-            "theta_V": _factor_payload(state.theta_V),
-            "theta_I": _factor_payload(state.theta_I),
-            "eta": _factor_payload(state.eta),
-            "psi": _factor_payload(state.psi),
-            "theta_A": _factor_payload(state.theta_A),
-            "phi": [] if state.phi is None else _factor_payload(state.phi),
-        },
+        "factors": {name: _factor_payload(getattr(state, name)) for name in _FACTOR_KEYS},
         "q": {
             "qa": state.qa,
             "qv": state.qv,
             "qw": state.qw,
         },
     }
+    if state.phi is None:
+        payload["factors"]["phi"] = []
     write_json(payload, path)
 
 
@@ -839,13 +811,8 @@ def _state_from_payload(payload: dict) -> VariationalState:
     state = _prior_state(hp, V, T, token_counts, seed_sets)
 
     fpay = payload["factors"]
-    for name, f in (
-        ("theta_B", state.theta_B), ("trans_start", state.trans.start),
-        ("trans_main", state.trans.main), ("theta_V", state.theta_V),
-        ("theta_I", state.theta_I), ("eta", state.eta), ("psi", state.psi),
-        ("theta_A", state.theta_A), ("phi", state.phi),
-    ):
-        _restore_factor(f, fpay[name], name)
+    for name in _FACTOR_KEYS:
+        _restore_factor(getattr(state, name), fpay[name], name)
 
     qpay = payload["q"]
     snippets = state.snippet_counts

@@ -327,8 +327,8 @@ def test_criterion_08_latent_updates_match_brute_force():
     e_i = _elog(state.theta_I.concentration)
     e_phi = _elog(state.phi_factor(0).concentration)
     e_eta = _elog(state.eta.concentration)
-    e_start = _elog(state.trans.start.concentration)
-    e_main = _elog(state.trans.main.concentration)
+    e_start = _elog(state.trans_start.concentration)
+    e_main = _elog(state.trans_main.concentration)
 
     def softmax(scores):
         z = np.exp(scores - scores.max())
@@ -465,8 +465,8 @@ def test_criterion_09_parameter_updates_match_brute_force():
         err(state.theta_B, theta_b_c),
         err(state.theta_I, theta_i_c),
         err(state.eta, eta_c),
-        err(state.trans.start, start_c),
-        err(state.trans.main, main_c),
+        err(state.trans_start, start_c),
+        err(state.trans_main, main_c),
     )
     ok = max_err <= 1e-12
     detail = (

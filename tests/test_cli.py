@@ -200,6 +200,48 @@ def test_usage_errors_exit_2(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--set", "K=0"], ["--set", "schedule=fast"], ["--threads", "0"],
+])
+def test_fit_flag_errors_exit_2(workspace, tmp_path, capsys, flags):
+    data, _ = workspace
+    code = main(["-q", "fit", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--out", str(tmp_path / "out"), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert flags[0] in captured.err and "Traceback" not in captured.err
+
+
+def test_generate_rejects_non_numeric_topic_mix(tmp_path, capsys):
+    code = main(["-q", *generate_args(str(tmp_path / "gen")), "--topic-mix", "a,b"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--topic-mix" in captured.err
+    assert not (tmp_path / "gen").exists()
+
+
+def test_eval_reads_polarity_predictions(workspace, tmp_path, capsys):
+    data, _ = workspace
+    gold = os.path.join(data, "gold_polarity.tsv")
+    with open(gold, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("# predictions copied from gold\n" + "\n".join(lines) + "\n")
+    argv = ["eval", "--corpus", os.path.join(data, "corpus.jsonl"), "--metric", "sentiment",
+            "--gold-polarity", gold, "--pred-polarity", str(pred)]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["accuracy"] == 1.0
+    # A line naming the wrong entity for its snippet is a data error.
+    entity, sid, label = lines[0].split("\t")
+    other = next(l.split("\t")[0] for l in lines if l.split("\t")[0] != entity)
+    pred.write_text(f"{other}\t{sid}\t{label}\n")
+    code = main(["-q", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"belongs to {entity!r}" in captured.err
+
+
 def test_argparse_rejects_unknown_flags(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--bogus"])

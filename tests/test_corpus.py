@@ -14,6 +14,7 @@ from snipagg.corpus import (
     default_value_names,
     load_corpus,
     load_gold,
+    load_polarity_predictions,
     load_seed_lexicon,
     save_cluster_tsv,
     save_corpus,
@@ -244,6 +245,29 @@ def test_load_gold_rejects_bad_span(tmp_path, corpus):
         load_gold(corpus, parse_spans_path=str(spath))
 
 
+def test_load_gold_rejects_word_label_record_that_is_not_an_object(tmp_path, corpus):
+    wpath = tmp_path / "wl.jsonl"
+    wpath.write_text('{"id": "s1", "labels": ["V", "A"]}\n[1, 2]\n')
+    with pytest.raises(CorpusError, match=r"wl\.jsonl:2: record is not an object"):
+        load_gold(corpus, word_labels_path=str(wpath))
+
+
+def test_polarity_predictions_skip_comments_and_check_lines(tmp_path, corpus):
+    ppath = tmp_path / "p.tsv"
+    ppath.write_text("# entity\tid\tlabel\n   \ncafe\ts1\tnegative\n\nbar\ts3\tsplit\n")
+    names = ["positive", "negative"]
+    assert load_polarity_predictions(corpus, str(ppath), names) == {"s1": 1, "s3": None}
+    for text, fragment in (
+        ("bar\ts1\tpositive\n", "belongs to 'cafe', not 'bar'"),
+        ("cafe\tnope\tpositive\n", "unknown snippet id 'nope'"),
+        ("cafe\ts1\tpos\n", "unknown value label 'pos'"),   # no prefix match
+        ("cafe\ts1\n", "expected 3 tab-separated columns"),
+    ):
+        ppath.write_text(text)
+        with pytest.raises(CorpusError, match=fragment):
+            load_polarity_predictions(corpus, str(ppath), names)
+
+
 def test_gold_writers_round_trip(tmp_path, corpus):
     gold = GoldAnnotations(
         clusters={"s1": "food", "s2": "food", "s3": "drinks"},
@@ -260,14 +284,18 @@ def test_gold_writers_round_trip(tmp_path, corpus):
     assert back.clusters == gold.clusters
     assert back.polarity == gold.polarity
     assert back.word_labels == gold.word_labels
+    names = ["positive", "negative"]
+    assert load_polarity_predictions(corpus, str(ppath), names) == gold.polarity
 
 
 def test_polarity_writer_spells_split(tmp_path, corpus):
     ppath = tmp_path / "p.tsv"
-    save_polarity_tsv(corpus, {"s1": None, "s2": 1}, ["positive", "negative"], str(ppath))
+    preds = {"s1": None, "s2": 1}
+    save_polarity_tsv(corpus, preds, ["positive", "negative"], str(ppath))
     lines = ppath.read_text().splitlines()
     assert lines[0].endswith("\tsplit")
     assert lines[1].endswith("\tnegative")
+    assert load_polarity_predictions(corpus, str(ppath), ["positive", "negative"]) == preds
 
 
 def test_corpus_entity_index(corpus):

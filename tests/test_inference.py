@@ -16,7 +16,6 @@ from snipagg.inference import (
     FreeEnergyReport,
     _end_iteration,
     _gather,
-    _PackedCorpus,
     _pass,
     _refit,
     _softmax_rows,
@@ -105,24 +104,51 @@ def test_softmax_rows_matrix():
 # --- per-snippet update operations ---------------------------------------
 
 def test_update_ops_write_buffers_only_in_batch_mode():
-    corpus = tiny_corpus()
+    corpus = tiny_corpus(n_entities=2)
     hp = Hyperparameters(K=2, N=2, rng_seed=0)
     state = init_state(hp, corpus, None)
     ctx = UpdateContext(state, corpus)
-    old = state.qa[0].copy()
-    q = update_snippet_aspect(ctx, 0, 0)
-    assert np.array_equal(state.qa[0], old)        # read state untouched
-    assert np.array_equal(ctx.new_qa[0][0], q)
+    lists = state.qa
+    old = [a.copy() for a in state.qa]
+    q = update_snippet_aspect(ctx, 1, 1)
+    # The read state is untouched until commit().
+    assert state.qa is lists
+    for got, want in zip(state.qa, old, strict=True):
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, ctx.qa)
+    assert np.array_equal(ctx.new_qa[1][1], q)
+    assert np.array_equal(ctx.qa[3], q)            # entity 1, snippet 1
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
+    ctx.commit()
+    assert np.array_equal(state.qa[1][1], q)
+    assert np.array_equal(state.qa[0], old[0])
+    assert all(np.shares_memory(a, ctx.qa) for a in state.qa)
 
 
 def test_update_ops_apply_immediately_in_sequential_mode():
-    corpus = tiny_corpus()
+    corpus = tiny_corpus(n_entities=2)
     hp = Hyperparameters(K=2, N=2, rng_seed=0, schedule="sequential")
     state = init_state(hp, corpus, None)
     ctx = UpdateContext(state, corpus, sequential=True)
-    q = update_snippet_aspect(ctx, 0, 0)
-    assert np.array_equal(state.qa[0][0], q)
+    q = update_snippet_aspect(ctx, 1, 1)
+    # One write shows through the state's list and the packed array.
+    assert np.array_equal(state.qa[1][1], q)
+    assert np.array_equal(ctx.qa[3], q)            # entity 1, snippet 1
+    qw = update_word_topic(ctx, 1, 1, 1)
+    assert np.array_equal(state.qw[1][4], qw)
+    assert np.array_equal(ctx.qw[9], qw)           # 5 tokens of entity 0 before it
+    # The refit reads the packed arrays, so it counts both writes.
+    update_parameters(ctx)
+    want_psi = hp.lambda_M + state.qa[1][0] + q
+    assert np.abs(state.psi_factor(1).concentration - want_psi).max() <= 1e-12
+    word = corpus.snippets[1][1].tokens[1].word
+    want_b = hp.lambda_B + sum(
+        state.qw[i][t, state.layout.col("B")]
+        for i, group in enumerate(corpus.snippets)
+        for t, tok in enumerate(tok for sn in group for tok in sn.tokens)
+        if tok.word == word
+    )
+    assert abs(state.theta_B.concentration[word] - want_b) <= 1e-12
 
 
 def test_update_snippet_value_requires_values():
@@ -171,7 +197,7 @@ def test_update_word_topic_matches_brute_force():
     qw = state.qw[0]
     off = 0  # first snippet starts at token 0
     scores = np.zeros(3)
-    trans_main = elog(state.trans.main.concentration)
+    trans_main = elog(state.trans_main.concentration)
     for t, letter in enumerate(layout.letters):
         s = hp.topic_prior_vector(layout)[t]
         s += float(qw[off + w - 1] @ trans_main[:, t])          # from previous word
@@ -256,8 +282,8 @@ def test_update_parameters_chain_counts():
     state.qw[0] = np.vstack([qw0, qw1])
     ctx = UpdateContext(state, corpus)
     update_parameters(ctx)
-    start = state.trans.start.concentration
-    main = state.trans.main.concentration
+    start = state.trans_start.concentration
+    main = state.trans_main.concentration
     lamT = hp.lambda_T
     # start row: first words of both snippets
     assert start[0] == pytest.approx(lamT + 0.6 + 1.0, abs=1e-12)
@@ -515,10 +541,10 @@ def test_pass_and_refit_match_per_op_updates(
     before = copy.deepcopy(state)
     oracle, ctx = per_op_pass(state, corpus, sequential=schedule == "sequential")
     update_parameters(ctx)
-    pack = _PackedCorpus(corpus)
-    q = pack.bind(state)
-    delta = _pass(state, pack, _gather(state, pack), *q)
-    _refit(state, pack, *q)
+    ctx = UpdateContext(state, corpus)
+    delta = _pass(ctx, _gather(ctx))
+    _refit(ctx)
+    ctx.commit()
     assert_same_posteriors(state, oracle, before, delta)
     for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):
         assert np.abs(got.concentration - want.concentration).max() <= 1e-12
@@ -552,8 +578,8 @@ def dense_free_energy(state, corpus):
     e_v = None if state.theta_V is None else dense_elog(state.theta_V.concentration)
     e_i = None if state.theta_I is None else dense_elog(state.theta_I.concentration)
     e_eta = None if state.eta is None else dense_elog(state.eta.concentration)
-    e_start = dense_elog(state.trans.start.concentration)
-    e_main = dense_elog(state.trans.main.concentration)
+    e_start = dense_elog(state.trans_start.concentration)
+    e_main = dense_elog(state.trans_main.concentration)
     like = neg_entropy = 0.0
     for i, group in enumerate(corpus.snippets):
         e_psi = dense_elog(state.psi_factor(i).concentration)
@@ -594,8 +620,15 @@ def test_free_energy_matches_dense_reference(
 ):
     corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len, sparse)
     want = dense_free_energy(state, corpus)
+    lists = [state.qa, state.qv, state.qw]
+    arrays = [[(a, a.copy()) for a in q or []] for q in lists]
     got = compute_free_energy(state, corpus)
     assert abs(got - want) <= 1e-12 * abs(want)
+    # It reads a copy: the caller's lists and arrays are left as they were.
+    for name, lst, pairs in zip(("qa", "qv", "qw"), lists, arrays, strict=True):
+        assert getattr(state, name) is lst
+        for got_q, (arr, val) in zip(lst or [], pairs, strict=True):
+            assert got_q is arr and np.array_equal(arr, val)
     kl = sum(f.kl_to_prior() for f in state.parameter_factors())
     dense = sum(dense_kl(f.concentration, np.asarray(f.prior)) for f in state.parameter_factors())
     assert abs(kl - dense) <= 1e-12 * abs(dense)
@@ -628,8 +661,8 @@ def test_aspect_bank_support_matches_dense_reference(seed, shared, ops):
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, n_entities=3, vocab_size=10, snippets=3, max_len=4)
     state = init_state(Hyperparameters(K=3, N=1, shared_aspects=shared), corpus)
-    pack = _PackedCorpus(corpus)
-    qa, qv, qw = pack.bind(state)
+    ctx = UpdateContext(state, corpus, sequential=True)
+    qa, qw = ctx.qa, ctx.qw
     qa[:] = rng.dirichlet(np.ones(qa.shape[1]), size=len(qa))
     qw[:] = rng.dirichlet(np.ones(qw.shape[1]), size=len(qw))
     bank = state.theta_A
@@ -637,7 +670,7 @@ def test_aspect_bank_support_matches_dense_reference(seed, shared, ops):
     dense = prior.copy()
     for op in ops:
         if op == "refit":
-            _refit(state, pack, qa, qv, qw)
+            _refit(ctx)
             dense = prior + aspect_counts_by_hand(state, corpus, qa, qw)
         else:
             # A dense row write with nonzero cells off the corpus pairs.
@@ -688,8 +721,8 @@ def test_batch_fit_builds_emissions_once_per_iteration(monkeypatch):
     # Reference: every pass builds its own emissions, as the free energy does.
     free_energy = inference._free_energy
 
-    def without_handoff(state, pack, g, *q):
-        value = free_energy(state, pack, g, *q)
+    def without_handoff(ctx, g):
+        value = free_energy(ctx, g)
         g.emis = None
         return value
 
@@ -707,11 +740,10 @@ def test_batch_fit_builds_emissions_once_per_iteration(monkeypatch):
         assert np.array_equal(got, exp)
     # A pass consumes the handed-over emissions: they belong to the
     # posteriors it replaces.
-    pack = _PackedCorpus(corpus)
-    q = pack.bind(state)
-    g = _gather(state, pack)
-    inference._free_energy(state, pack, g, *q)
-    _pass(state, pack, g, *q)
+    ctx = UpdateContext(state, corpus)
+    g = _gather(ctx)
+    inference._free_energy(ctx, g)
+    _pass(ctx, g)
     assert g.emis is None
 
 
@@ -788,7 +820,7 @@ def test_no_ignore_role_without_flag():
     assert state.layout.letters == ("A", "V", "B")
     assert state.theta_I is None
     assert state.qw[0].shape[1] == 3
-    assert state.trans.main.concentration.shape == (3, 4)
+    assert state.trans_main.concentration.shape == (3, 4)
 
 
 def test_no_value_factors_when_disabled():

@@ -16,7 +16,6 @@ from snipagg.model import (
     Hyperparameters,
     ModelError,
     TopicLayout,
-    TransitionFactor,
     build_priors,
     expected_log,
     init_state,
@@ -26,6 +25,7 @@ from snipagg.model import (
     save_config,
     save_state,
     tag_prior,
+    transition_means,
     transition_priors,
     value_prior,
 )
@@ -308,15 +308,21 @@ def test_init_state_single_aspect_exact():
         assert np.all(qa == 1.0)
 
 
-def test_transition_factor_mean_matrix():
+def test_transition_means():
     hp = Hyperparameters(use_ignore=True)
     layout = hp.layout()
-    start, main = transition_priors(hp, layout)
-    trans = TransitionFactor(start, main)
-    mean = trans.mean_matrix()
-    assert mean.shape == (5, 5)
-    assert np.allclose(mean.sum(axis=1), 1.0)
-    assert mean[0, -1] == 0.0  # start row never reaches end directly
+    start, main = (DirichletFactor(p) for p in transition_priors(hp, layout))
+    rng = np.random.default_rng(3)
+    for fitted in (False, True):
+        if fitted:
+            start.set_counts(rng.gamma(1.0, 2.0, size=start.prior.shape))
+            main.set_counts(rng.gamma(1.0, 2.0, size=main.prior.shape))
+        mean = transition_means(start, main)
+        assert mean.shape == (5, 5)
+        assert np.allclose(mean.sum(axis=1), 1.0)
+        assert mean[0, -1] == 0.0  # start row never reaches end directly
+        assert np.array_equal(mean[0, :-1], start.mean())
+        assert np.array_equal(mean[1:], main.mean())
 
 
 # --- serialization ---------------------------------------------------------
