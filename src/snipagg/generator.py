@@ -223,9 +223,9 @@ def _sample(
 
     if topic_mix is not None:
         mix = np.asarray(topic_mix, dtype=float)
-        if mix.shape != (n,) or mix.min() < 0 or mix.sum() <= 0:
+        if mix.shape != (n,) or not np.isfinite(mix).all() or mix.min() < 0 or mix.sum() <= 0:
             raise GeneratorError(
-                f"topic_mix needs {n} non-negative weights with positive sum"
+                f"topic_mix needs {n} finite non-negative weights with positive sum"
             )
         mix = mix / mix.sum()
         p_end = min(1.0 / shape.mean_words, 0.5)

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus, SeedLexicon
@@ -67,6 +66,8 @@ from snipagg.model import (
     VariationalState,
     init_state,
     kl_sum,
+    row_views,
+    stack_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -249,8 +250,8 @@ class UpdateContext:
         def stack(lists, width, bounds):
             if lists is None:
                 return None, None
-            packed = np.concatenate([np.empty((0, width))] + list(lists))
-            return packed, [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            packed = stack_rows(lists, width)
+            return packed, row_views(packed, bounds)
 
         hp, sb = state.hp, pack.snippet_bounds
         self.qa, self.new_qa = stack(state.qa, hp.K, sb)
@@ -550,6 +551,8 @@ def _free_energy(ctx: UpdateContext, g: _Gathered) -> float:
     order, so entities with the same data and factors contribute the
     same value.
     """
+    from scipy.special import xlogy  # on first use, as in snipagg.model
+
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     snip = xlogy(qa, qa).sum(axis=1) - np.einsum("sk,sk->s", qa, g.psi)
     if qv is not None:

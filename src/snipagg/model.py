@@ -13,7 +13,12 @@ form
 A factor keeps its posterior on its support, the cells that may be off
 the prior (see DirichletFactor): all of them for the small factors, the
 (entity, word) pairs of the corpus for the aspect emissions, whose
-dense entities x aspects x words bank is built only to be saved.
+dense entities x aspects x words bank is built only on demand. A state
+file holds each factor the same way, as its support and table.
+
+scipy.special is imported on the first special-function call, not with
+this module: loading, reading and saving a state evaluate none, and the
+import costs about 0.3 s of every process start.
 
 Word roles are A (aspect word), V (value word), B (background), and,
 when enabled, I (ignore). Roles are laid out in that canonical order,
@@ -29,7 +34,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln
 
 from snipagg.corpus import Corpus, SeedLexicon
 from snipagg.output import atomic_open, write_json
@@ -37,13 +41,27 @@ from snipagg.output import atomic_open, write_json
 log = logging.getLogger(__name__)
 
 STATE_FORMAT = "snipagg-state"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 CANONICAL_TOPICS = ("A", "V", "B", "I")
 
 
 class ModelError(ValueError):
     """Invalid configuration or state."""
+
+
+def digamma(x):
+    """scipy.special.digamma, imported on first use."""
+    from scipy.special import digamma
+
+    return digamma(x)
+
+
+def gammaln(x):
+    """scipy.special.gammaln, imported on first use."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 @dataclass(frozen=True)
@@ -276,13 +294,14 @@ class DirichletFactor:
     the row totals only, with no approximation. A row total is its prior
     total plus its counts. The support only grows: a dense write with
     cells off the prior adds their pairs. The dense concentration and
-    expected log are built on demand.
+    expected log are built on demand, and so are the digamma and gammaln
+    of the prior.
     """
 
     __slots__ = (
-        "prior", "support", "table", "_base", "_n_rows", "_base_digamma", "_base_gammaln",
-        "_base_total", "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals",
-        "_elog", "_dense_elog", "_last_row", "_row_views",
+        "prior", "support", "table", "_base", "_n_rows", "_base_special", "_base_total",
+        "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals", "_elog",
+        "_dense_elog", "_last_row", "_row_views",
     )
 
     def __init__(
@@ -293,8 +312,7 @@ class DirichletFactor:
             raise ModelError("Dirichlet prior concentrations must be positive")
         self._base = base
         self._n_rows = 1 if rows is None else rows
-        self._base_digamma = digamma(base)
-        self._base_gammaln = gammaln(base)
+        self._base_special: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._base_total = base.sum(axis=-1)
         self.prior = base if rows is None else np.broadcast_to(base, (rows,) + base.shape)
         self._row_views: Optional[list[FactorRow]] = None
@@ -312,6 +330,12 @@ class DirichletFactor:
         self._rows, self._starts = np.unique(self._row_of, return_index=True)
         self.table = self._prior_table.copy() if table is None else table
         self._changed()
+
+    def _base_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """digamma and gammaln of the prior table, computed on first use."""
+        if self._base_special is None:
+            self._base_special = (digamma(self._base), gammaln(self._base))
+        return self._base_special
 
     def _changed(self) -> None:
         """Recompute the row totals after a write to table, each the prior
@@ -384,7 +408,7 @@ class DirichletFactor:
         """The dense expected log of bank rows `rows`, (n, ..., V)."""
         elog = self.table_elog()
         digamma_total = np.moveaxis(self._elog[0], -1, 0)[rows, ..., None]
-        return self._dense(self._base_digamma - digamma_total, elog, rows)
+        return self._dense(self._base_log()[0] - digamma_total, elog, rows)
 
     def _row_elog(self, row: int) -> np.ndarray:
         """The dense expected log of bank row `row`. The last row built is
@@ -429,7 +453,7 @@ class DirichletFactor:
         # cells off the support and rows without support cells add 0.
         a = self.table
         row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
-        cell_part = gammaln(a) - np.take(self._base_gammaln, self._col_of, axis=-1)
+        cell_part = gammaln(a) - np.take(self._base_log()[1], self._col_of, axis=-1)
         cross = np.vdot(a - self._prior_table, self.table_elog())
         return float(row_part.sum() - cell_part.sum() + cross)
 
@@ -712,17 +736,32 @@ _FACTOR_KEYS = (
 
 
 def _factor_payload(f: Optional[DirichletFactor]):
-    return None if f is None else f.concentration
+    return None if f is None else {"support": f.support, "table": f.table}
+
+
+def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Per-entity (rows_i, width) arrays as one packed (sum of rows_i,
+    width) array, entities in order."""
+    return np.concatenate([np.empty((0, width))] + list(arrays))
+
+
+def row_views(packed: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
+    """The per-entity views of a packed array: entity i owns rows
+    bounds[i]:bounds[i+1]."""
+    return [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def save_state(state: VariationalState, path: str) -> None:
-    """Serialize a state to versioned JSON, atomically.
+    """Serialize a state to versioned JSON (version 2), atomically.
 
-    Floats are written with Python's shortest round-trip repr, so a
-    load followed by a save reproduces the file byte for byte. The
-    arrays go to the streaming writer as they are, so the payload is
-    never held as nested Python lists. Factors are written dense,
-    theta_A as its (entities, K, V) bank.
+    Every factor is written as it is held, {"support": flat (bank row,
+    element) indices, "table": concentration of each support cell}, and
+    each posterior as one packed array over the corpus, qa (S, K), qv
+    (S, N) and qw (T, n), whose per-entity bounds token_counts gives.
+    Floats are written with Python's shortest round-trip repr, so a load
+    followed by a save reproduces the file byte for byte. The arrays go
+    to the streaming writer as they are, so the payload is never held as
+    nested Python lists.
     """
     hp_dict = asdict(state.hp)
     hp_dict["topic_prior"] = list(hp_dict["topic_prior"])
@@ -738,13 +777,11 @@ def save_state(state: VariationalState, path: str) -> None:
         "seed_sets": [list(s) for s in state.seed_sets],
         "factors": {name: _factor_payload(getattr(state, name)) for name in _FACTOR_KEYS},
         "q": {
-            "qa": state.qa,
-            "qv": state.qv,
-            "qw": state.qw,
+            "qa": stack_rows(state.qa, state.hp.K),
+            "qv": None if state.qv is None else stack_rows(state.qv, state.hp.N),
+            "qw": stack_rows(state.qw, state.layout.n_topics),
         },
     }
-    if state.phi is None:
-        payload["factors"]["phi"] = []
     write_json(payload, path)
 
 
@@ -763,34 +800,96 @@ def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
+def _support(value, n_cells: int, what: str) -> np.ndarray:
+    """A strictly ascending array of integer indices below n_cells read
+    from a state file."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} is not an array of indices") from None
+    if arr.shape == (0,):
+        arr = arr.astype(np.int64)  # JSON writes any empty array as []
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        raise ModelError(f"{what} is not an array of indices")
+    if arr.size and (arr[0] < 0 or arr[-1] >= n_cells or (np.diff(arr) <= 0).any()):
+        raise ModelError(f"{what} is not strictly ascending in [0, {n_cells})")
+    return arr.astype(np.int64)
+
+
+def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: int) -> None:
+    """Set a prior factor to the file's posterior: in version 1 a dense
+    concentration, whose cells off the prior make the support; in
+    version 2 the support and its table."""
     if f is None:
         if payload not in (None, []):
             raise ModelError(f"factor {name} is present but the configuration disables it")
         return
-    conc = _array(payload, f.prior.shape, f"factor {name}")
-    if not (conc >= f.prior).all():
+    if version == 1:
+        conc = _array(payload, f.prior.shape, f"factor {name}")
+        if not (conc >= f.prior).all():
+            raise ModelError(f"factor {name} has a concentration below its prior")
+        f.concentration = conc
+        return
+    if not isinstance(payload, dict):
+        raise ModelError(f"factor {name} needs a support and a table")
+    support = _support(payload["support"], f._n_rows * f._base.shape[-1], f"factor {name} support")
+    shape = f._base.shape[:-1] + support.shape
+    f._set_support(support, _array(payload["table"], shape, f"factor {name} table"))
+    if not (f.table >= f._prior_table).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
-    f.concentration = conc
 
 
-def _restore_posteriors(payload, name: str, rows: list[int], width: int) -> list[np.ndarray]:
-    if not isinstance(payload, list) or len(payload) != len(rows):
-        raise ModelError(f"{name} needs one array per entity ({len(rows)})")
-    out = []
-    for i, (value, n) in enumerate(zip(payload, rows)):
-        q = _array(value, (n, width), f"{name}[{i}]")
-        if q.size and (q.min() < 0.0 or np.abs(q.sum(axis=1) - 1.0).max() > 1e-6):
-            raise ModelError(f"{name}[{i}] rows are not probability distributions")
-        out.append(q)
-    return out
+def _is_row(value, width: int) -> bool:
+    try:
+        return np.asarray(value, dtype=float).shape == (width,)
+    except (TypeError, ValueError):
+        return False
+
+
+def _restore_posteriors(
+    payload, name: str, rows: list[int], width: int, version: int
+) -> list[np.ndarray]:
+    """The file's posteriors of each entity, views of one packed array:
+    version 1 has one array per entity, version 2 the packed array with
+    rows[i] rows of entity i. A fault names the entity, as name[i]."""
+    bounds = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
+
+    def entity(row) -> int:
+        return int(np.searchsorted(bounds, row, side="right")) - 1
+
+    if version == 1:
+        if not isinstance(payload, list) or len(payload) != len(rows):
+            raise ModelError(f"{name} needs one array per entity ({len(rows)})")
+        q = stack_rows(
+            [_array(v, (n, width), f"{name}[{i}]") for i, (v, n) in enumerate(zip(payload, rows))],
+            width,
+        )
+    else:
+        n = int(bounds[-1])
+        if not isinstance(payload, list) or len(payload) != n:
+            raise ModelError(f"{name} needs {n} rows")
+        try:
+            q = np.asarray(payload, dtype=float) if n else np.empty((0, width))
+        except (TypeError, ValueError):
+            q = None
+        if q is None or q.shape != (n, width):
+            bad = next((r for r, v in enumerate(payload) if not _is_row(v, width)), 0)
+            raise ModelError(f"{name}[{entity(bad)}] has a row that is not {width} numbers")
+        finite = np.isfinite(q).all(axis=1)
+        if not finite.all():
+            raise ModelError(f"{name}[{entity(finite.argmin())}] is not finite")
+    bad = (q < 0.0).any(axis=1) | (np.abs(q.sum(axis=1) - 1.0) > 1e-6)
+    if bad.any():
+        raise ModelError(f"{name}[{entity(bad.argmax())}] rows are not probability distributions")
+    return row_views(q, bounds)
 
 
 def _state_from_payload(payload: dict) -> VariationalState:
     if payload.get("format") != STATE_FORMAT:
         raise ModelError("not a state file")
-    if payload.get("version") != STATE_VERSION:
-        raise ModelError(f"unsupported state version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version not in (1, STATE_VERSION):
+        raise ModelError(f"unsupported state version {version}")
     hp_dict = dict(payload["hyperparameters"])
     _check_json_types(hp_dict)
     hp_dict["topic_prior"] = tuple(hp_dict["topic_prior"])
@@ -812,27 +911,30 @@ def _state_from_payload(payload: dict) -> VariationalState:
 
     fpay = payload["factors"]
     for name in _FACTOR_KEYS:
-        _restore_factor(getattr(state, name), fpay[name], name)
+        _restore_factor(getattr(state, name), fpay[name], name, version)
 
     qpay = payload["q"]
     snippets = state.snippet_counts
-    state.qa = _restore_posteriors(qpay["qa"], "qa", snippets, hp.K)
+    state.qa = _restore_posteriors(qpay["qa"], "qa", snippets, hp.K, version)
     if hp.N >= 1:
-        state.qv = _restore_posteriors(qpay["qv"], "qv", snippets, hp.N)
+        state.qv = _restore_posteriors(qpay["qv"], "qv", snippets, hp.N, version)
     elif qpay["qv"] is not None:
         raise ModelError("qv is present but N = 0")
     tokens = [sum(row) for row in token_counts]
-    state.qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics)
+    state.qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics, version)
     return state
 
 
 def load_state(path: str) -> VariationalState:
-    """Rebuild a VariationalState from its JSON serialization.
+    """Rebuild a VariationalState from its JSON serialization, version 2
+    or 1.
 
     Checks the keys, every shape, that all numbers are finite, that the
-    posterior rows are distributions and that no concentration is below
-    its prior; any fault raises ModelError naming the file. theta_A's
-    support is the (entity, word) pairs the file has off the prior.
+    posterior rows are distributions, that each factor's support is
+    strictly ascending and in range and that no concentration is below
+    its prior; any fault raises ModelError naming the file. A version 2
+    factor takes the file's support; theta_A of a version 1 file takes
+    the (entity, word) pairs the file has off the prior.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -3,6 +3,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +222,15 @@ def test_generate_rejects_non_numeric_topic_mix(tmp_path, capsys):
     assert not (tmp_path / "gen").exists()
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_generate_rejects_non_finite_topic_mix(tmp_path, capsys, weight):
+    code = main(["-q", *generate_args(str(tmp_path / "gen")), "--topic-mix", f"{weight},1,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "topic_mix" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "gen").exists()
+
+
 def test_eval_reads_polarity_predictions(workspace, tmp_path, capsys):
     data, _ = workspace
     gold = os.path.join(data, "gold_polarity.tsv")
@@ -270,6 +281,40 @@ def test_fit_manifest_records_inputs(workspace):
     assert "state" in manifest["outputs"]
 
 
+# Runs each argv through the CLI in one fresh interpreter and exits 1 if
+# scipy.special was imported at start-up or by any of them.
+_SCIPY_FREE = """
+import json, sys
+from snipagg.cli import main
+assert "scipy.special" not in sys.modules, "imported by snipagg.cli"
+for argv in json.loads(sys.argv[1]):
+    assert main(["-q", *argv]) == 0, argv
+    assert "scipy.special" not in sys.modules, argv
+"""
+
+
+def test_cli_stages_that_read_a_state_never_import_scipy_special(workspace, tmp_path):
+    data, fit = workspace
+    corpus, state = os.path.join(data, "corpus.jsonl"), os.path.join(fit, "state.json")
+    stages = [
+        generate_args(str(tmp_path / "gen")),
+        ["eval", "--corpus", corpus, "--metric", "muc", "--state", state,
+         "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
+        ["eval", "--corpus", corpus, "--metric", "sentiment", "--state", state,
+         "--gold-polarity", os.path.join(data, "gold_polarity.tsv")],
+        ["report", "--corpus", corpus, "--state", state],
+        ["baseline", "--corpus", corpus, "--variant", "cluster-all", "--clusters", "2",
+         "--out", str(tmp_path / "base")],
+    ]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE, json.dumps(stages)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def _report(capsys, data, state_path):
     code = main(["-q", "report", "--corpus", os.path.join(data, "corpus.jsonl"),
                  "--state", state_path])
@@ -287,7 +332,10 @@ def _edited_state(fit, tmp_path, edit):
 
 def test_report_rejects_truncated_posterior_row(workspace, tmp_path, capsys):
     data, fit = workspace
-    path = _edited_state(fit, tmp_path, lambda p: p["q"]["qa"][1][2].pop())
+    # qa is packed: the third snippet of entity 1 follows entity 0's snippets.
+    path = _edited_state(
+        fit, tmp_path, lambda p: p["q"]["qa"][p["snippet_counts"][0] + 2].pop()
+    )
     code, err = _report(capsys, data, path)
     assert code == 3
     assert path in err and "qa[1]" in err
@@ -305,7 +353,7 @@ def test_report_rejects_non_finite_posterior(workspace, tmp_path, capsys):
     data, fit = workspace
 
     def poison(payload):
-        payload["q"]["qa"][0][0][0] = float("nan")
+        payload["q"]["qa"][0][0] = float("nan")
 
     path = _edited_state(fit, tmp_path, poison)
     code, err = _report(capsys, data, path)

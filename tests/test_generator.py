@@ -1,6 +1,7 @@
 """Synthetic corpus sampling and the separable benchmark variant."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -275,6 +276,10 @@ def test_topic_mix_validation():
     with pytest.raises(GeneratorError):
         make_separable(hp, small_shape(), separation=0.5, rng_seed=0,
                        topic_mix=[0.9, -0.1, 0.2])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(GeneratorError, match="finite"):
+            make_separable(hp, small_shape(), separation=0.5, rng_seed=0,
+                           topic_mix=[bad, 1.0, 1.0])
 
 
 # sha256 prefixes of every `snipagg generate` output (except the manifest)

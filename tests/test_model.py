@@ -364,7 +364,7 @@ def test_state_file_is_versioned(tmp_path):
     save_state(state, str(path))
     payload = json.loads(path.read_text())
     assert payload["format"] == "snipagg-state"
-    assert payload["version"] == 1
+    assert payload["version"] == 2
 
 
 def test_load_state_rejects_other_format(tmp_path):
@@ -379,10 +379,80 @@ def test_load_state_rejects_concentration_below_prior(tmp_path):
     path = tmp_path / "s.json"
     save_state(state, str(path))
     payload = json.loads(path.read_text())
-    payload["factors"]["theta_A"][1][0][2] = 0.5 * state.hp.lambda_A
+    payload["factors"]["theta_A"]["table"][0][6] = 0.5 * state.hp.lambda_A
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="theta_A has a concentration below its prior"):
         load_state(str(path))
+
+
+# fit_like_state() as the version 1 writer saved it (dense factors,
+# posteriors per entity); version 1 is still read, never written.
+V1_STATE = os.path.join(os.path.dirname(__file__), "data", "state_v1.json")
+
+
+def test_version_1_state_loads_as_the_state_it_was_saved_from(tmp_path):
+    _, state = fit_like_state()
+    loaded = load_state(V1_STATE)
+    assert loaded.hp == state.hp
+    for fa, fb in zip(state.parameter_factors(), loaded.parameter_factors(), strict=True):
+        assert np.array_equal(fa.concentration, fb.concentration)
+        assert np.array_equal(fa.expected_log(), fb.expected_log())
+    for name in ("qa", "qv", "qw"):
+        for a, b in zip(getattr(state, name), getattr(loaded, name), strict=True):
+            assert np.array_equal(a, b)
+    # Saved again it becomes a version 2 file that round-trips byte for byte.
+    p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    save_state(loaded, str(p1))
+    assert json.loads(p1.read_text())["version"] == 2
+    save_state(load_state(str(p1)), str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_version_2_state_holds_supports_and_packed_posteriors(tmp_path):
+    _, state = fit_like_state()
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    payload = json.loads(path.read_text())
+    theta_a = payload["factors"]["theta_A"]
+    assert theta_a["support"] == list(range(2 * 4))  # both entities, every word
+    assert np.shape(theta_a["table"]) == (3, 8)
+    assert payload["factors"]["theta_B"]["support"] == [0, 1, 2, 3]
+    assert np.shape(payload["q"]["qa"]) == (4, 3)  # four snippets, K = 3
+    assert np.shape(payload["q"]["qw"]) == (10, 4)  # ten tokens, roles A V B I
+
+
+def _theta_a_support(payload, edit):
+    payload["factors"]["theta_A"]["support"] = edit(payload["factors"]["theta_A"]["support"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: _theta_a_support(p, lambda s: [s[1], s[0]] + s[2:]), "not strictly ascending"),
+    (lambda p: _theta_a_support(p, lambda s: [s[0]] + s[:-1]), "not strictly ascending"),
+    (lambda p: _theta_a_support(p, lambda s: [-1] + s[1:]), "not strictly ascending"),
+    (lambda p: _theta_a_support(p, lambda s: s[:-1] + [8]), r"in \[0, 8\)"),
+    (lambda p: _theta_a_support(p, lambda s: [0.5] + s[1:]), "not an array of indices"),
+    (lambda p: _theta_a_support(p, lambda s: s[:-1]), r"theta_A table has shape \(3, 8\)"),
+    (lambda p: p["factors"]["psi"]["table"].__setitem__(4, 0.5), "psi has a concentration below"),
+    (lambda p: p["factors"].__setitem__("theta_B", [0.2] * 4), "theta_B needs a support and"),
+    (lambda p: p["q"]["qw"].pop(), "qw needs 10 rows"),
+    (lambda p: p["q"]["qv"][3].append(0.0), r"qv\[1\] has a row that is not 2 numbers"),
+    (lambda p: p["q"]["qa"][2].__setitem__(0, math.inf), r"qa\[1\] is not finite"),
+    (lambda p: p["q"]["qw"][4].__setitem__(0, 2.0), r"qw\[0\] rows are not probability"),
+], ids=[
+    "unsorted-support", "duplicate-support", "negative-support", "support-out-of-range",
+    "float-support", "table-wider-than-support", "table-below-prior", "dense-factor",
+    "q-row-count", "ragged-q-row", "non-finite-q", "q-row-not-distribution",
+])
+def test_load_state_rejects_malformed_version_2(tmp_path, edit, message):
+    _, state = fit_like_state()
+    path = tmp_path / "s.json"
+    save_state(state, str(path))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=message) as exc:
+        load_state(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -490,12 +560,19 @@ def _paths(node, prefix=()):
 @given(
     pick=st.integers(0, 10**9),
     action=st.sampled_from(["delete", "null", "string", "negative", "nan", "empty", "dict"]),
+    version=st.sampled_from([1, 2]),
 )
-def test_load_state_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, action):
-    _, state = random_corpus_and_state(pick % 97, 2, 2, True, True, 0)
+def test_load_state_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, action, version):
+    """One value of a version 1 file (the fixture) or of a version 2 file
+    replaced or deleted: loading it succeeds or raises ModelError."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    save_state(state, str(tmp / "s.json"))
-    payload = json.loads((tmp / "s.json").read_text())
+    if version == 1:
+        with open(V1_STATE, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    else:
+        _, state = random_corpus_and_state(pick % 97, 2, 2, True, True, 0)
+        save_state(state, str(tmp / "s.json"))
+        payload = json.loads((tmp / "s.json").read_text())
     paths = list(_paths(payload))
     prefix, key = paths[pick % len(paths)]
     parent = payload
