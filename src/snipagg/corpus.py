@@ -286,7 +286,7 @@ def load_seed_lexicon(
     sets: list[set[int]] = [set() for _ in names]
     current: Optional[int] = None
     dropped = 0
-    overlap = 0
+    overlap: list[int] = []  # the line of each word already under another value type
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -325,12 +325,15 @@ def load_seed_lexicon(
                 continue
             for other, s in enumerate(sets):
                 if other != current and widx in s:
-                    overlap += 1
+                    overlap.append(lineno)
             sets[current].add(widx)
     if dropped:
         log.warning("seed lexicon %s: %d word(s) not in corpus vocabulary", path, dropped)
     if overlap:
-        log.warning("seed lexicon %s: %d word(s) listed under multiple value types", path, overlap)
+        log.warning(
+            "seed lexicon %s:%d: %d word(s) listed under multiple value types, the first here",
+            path, overlap[0], len(overlap),
+        )
     return SeedLexicon(names, sets, dropped)
 
 

@@ -11,10 +11,10 @@ Both schedules run one kernel over the corpus packed into one token
 stream. After each parameter update the kernel gathers the expected
 logs once: E[log theta_A] at the (entity, word) of every token, E[log
 psi] and E[log phi] at every snippet's entity, and the shared tables at
-every word and tag. The free energy at the end of a pass and the next
-pass read that same gather, and in the batch schedule the same
-emission scores. The M-step puts the expected counts of all tokens into
-each factor bank with one bincount.
+every word and tag, and the context keeps it until the M-step drops
+it: the free energy at the end of a pass and the next pass read that
+same gather, and in the batch schedule the same emission scores. The
+M-step counts all tokens into each factor bank with one bincount.
 
 UpdateContext is where a state meets its corpus: it packs the corpus
 and stacks the state's per-entity posteriors into packed arrays, which
@@ -150,8 +150,7 @@ class _PackedCorpus:
             rows = _bank_rows(state.hp.shared_aspects, self.ent_of_token)
             flat_pairs = rows * state.vocab_size + self.words
             pairs, pair_of_token = np.unique(flat_pairs, return_inverse=True)
-            bank.grow(pairs)
-            cols = np.searchsorted(bank.support, pairs)[pair_of_token]
+            cols = bank.grow(pairs)[pair_of_token]
             flat = np.arange(state.hp.K)[:, None] * len(bank.support) + cols
             self._aspect = (bank.support, cols, flat)
         return self._aspect[1:]
@@ -185,10 +184,11 @@ class _Gathered:
     emis: Optional[np.ndarray] = None
 
 
-def _gather(ctx: UpdateContext, prev: Optional[_Gathered] = None) -> _Gathered:
-    """Gather the factors' expected logs, or return prev when no factor
-    has changed since prev was gathered."""
-    state, pack = ctx.state, ctx.pack
+def _gather(ctx: UpdateContext) -> _Gathered:
+    """The factors' expected logs gathered at the context's corpus. The
+    context keeps the last gather and returns it while no factor table
+    has changed since."""
+    state, pack, prev = ctx.state, ctx.pack, ctx.gathered
     cols = pack.aspect_columns(state)[0]
     sources = [f.table_elog() for f in state.parameter_banks()]
     if prev is not None and all(a is b for a, b in zip(prev.sources, sources, strict=True)):
@@ -198,7 +198,7 @@ def _gather(ctx: UpdateContext, prev: Optional[_Gathered] = None) -> _Gathered:
     if state.phi is not None:
         phi = state.phi.expected_log()[_bank_rows(hp.shared_aspects, pack.ent_of_snip)]
     psi_rows = _bank_rows(hp.shared_aspect_multinomial, pack.ent_of_snip)
-    return _Gathered(
+    ctx.gathered = _Gathered(
         sources=sources,
         psi=state.psi.expected_log()[psi_rows],
         phi=phi,
@@ -210,6 +210,7 @@ def _gather(ctx: UpdateContext, prev: Optional[_Gathered] = None) -> _Gathered:
         start=state.trans_start.expected_log(),
         main=state.trans_main.expected_log(),
     )
+    return ctx.gathered
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -232,7 +233,8 @@ class UpdateContext:
     The constructor packs the corpus and stacks the state's per-entity
     posteriors into qa (S, K), qv (S, N; None when N = 0) and qw (T, n),
     in corpus order. new_qa, new_qv and new_qw hold one view of them per
-    entity; the updates read the state's lists and write these views.
+    entity; the updates read the state's lists and write these views,
+    and the kernels read gathered, the last _gather.
 
     In batch mode the packed arrays are copies, so every read sees the
     state as it was when the context was created; commit() makes the
@@ -257,6 +259,7 @@ class UpdateContext:
         self.qa, self.new_qa = stack(state.qa, hp.K, sb)
         self.qv, self.new_qv = stack(state.qv, hp.N, sb)
         self.qw, self.new_qw = stack(state.qw, state.layout.n_topics, pack.token_bounds)
+        self.gathered: Optional[_Gathered] = None
         if sequential:
             self.commit()
 
@@ -370,6 +373,7 @@ def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.nd
 def _refit(ctx: UpdateContext) -> None:
     """Set every parameter factor to prior plus the expected counts of
     the context's packed posteriors, with one bincount per factor bank."""
+    ctx.gathered = None  # frees the gathered factor tables before the counts
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     hp, layout = state.hp, state.layout
     K, N, V, n = hp.K, hp.N, state.vocab_size, layout.n_topics
@@ -632,16 +636,11 @@ def _fit(
     a refit and the free energy, which share one gather (and, in the
     batch schedule, its emissions) with the next pass unless a factor
     changed in between."""
-    g = None
     for it in range(1, ctx.state.hp.max_iters + 1):
         t0 = time.perf_counter()
-        delta = _pass(ctx, _gather(ctx, g))
-        # Drop the old gather (and the factor tables it holds) before the
-        # refit allocates the new ones.
-        g = None
+        delta = _pass(ctx, _gather(ctx))
         _refit(ctx)
-        g = _gather(ctx)
-        fe = _free_energy(ctx, g)
+        fe = _free_energy(ctx, _gather(ctx))
         if _end_iteration(it, fe, delta, t0, reports, progress):
             break
 
@@ -661,9 +660,7 @@ def _prime(ctx: UpdateContext) -> None:
     noise, which picks the wrong orientation about half the time.
     """
     if ctx.qv is not None and any(ctx.state.seed_sets):
-        g = _gather(ctx)
-        ctx.qv[:] = _value_step(ctx.pack, g, ctx.qa, ctx.qw, ctx.state.layout.col("V"))
-        del g  # frees the prior tables before the refit allocates new ones
+        ctx.qv[:] = _value_step(ctx.pack, _gather(ctx), ctx.qa, ctx.qw, ctx.state.layout.col("V"))
     _refit(ctx)
 
 

@@ -292,10 +292,10 @@ class DirichletFactor:
     its expected log is digamma(prior) - digamma(row total) and it adds
     exactly 0 to the KL: digamma and gammaln run on the support cells and
     the row totals only, with no approximation. A row total is its prior
-    total plus its counts. The support only grows: a dense write with
-    cells off the prior adds their pairs. The dense concentration and
-    expected log are built on demand, and so are the digamma and gammaln
-    of the prior.
+    total plus its counts. The support only grows, through grow: a
+    dense write or a restored file adds its pairs off the prior. The
+    dense concentration and expected log are built on demand, and so
+    are the digamma and gammaln of the prior.
     """
 
     __slots__ = (
@@ -348,15 +348,16 @@ class DirichletFactor:
         self._totals = self._base_total[..., None] + counts
         self._elog = self._dense_elog = self._last_row = None
 
-    def grow(self, pairs: np.ndarray) -> None:
+    def grow(self, pairs: np.ndarray) -> np.ndarray:
         """Add distinct (bank row, element) pairs, as flat indices, to the
-        support."""
+        support; returns their columns in table."""
         new = pairs[~np.isin(pairs, self.support)]
         if new.size:
             support = np.sort(np.concatenate((self.support, new)))
             table = np.take(self._base, support % max(self._base.shape[-1], 1), axis=-1)
             table[..., np.searchsorted(support, self.support)] = self.table
             self._set_support(support, table)
+        return np.searchsorted(self.support, pairs)
 
     def rows(self) -> list[FactorRow]:
         """One FactorRow per leading index of a stacked bank, made once."""
@@ -373,13 +374,14 @@ class DirichletFactor:
         self.table = self._prior_table + counts
         self._changed()
 
-    def _set_row(self, row: int, counts: np.ndarray) -> None:
-        """Replace bank row `row` with prior + counts, counts dense (..., V)."""
-        counts = np.asarray(counts, dtype=float)
-        used = counts.any(axis=tuple(range(counts.ndim - 1)))
-        self.grow(row * self._base.shape[-1] + np.flatnonzero(used))
-        lo, hi = np.searchsorted(self._row_of, [row, row + 1])
-        self.table[..., lo:hi] = self._prior_table[..., lo:hi] + counts[..., self._col_of[lo:hi]]
+    def _write(self, start: int, dense: np.ndarray) -> None:
+        """Set bank rows start:start + len(dense) to dense, (n, ..., V); the
+        pairs it takes off the prior first join the support."""
+        off_prior = (dense != self._base).any(axis=tuple(range(1, dense.ndim - 1)))
+        self.grow(start * self._base.shape[-1] + np.flatnonzero(off_prior))
+        lo, hi = np.searchsorted(self._row_of, [start, start + len(dense)])
+        cells = dense[self._row_of[lo:hi] - start, ..., self._col_of[lo:hi]]
+        self.table[..., lo:hi] = np.moveaxis(cells, 0, -1)
         self._changed()
 
     def table_elog(self) -> np.ndarray:
@@ -426,12 +428,7 @@ class DirichletFactor:
     def concentration(self, conc: np.ndarray) -> None:
         """Set the dense concentration (>= prior); the pairs it takes off
         the prior join the support."""
-        dense = np.reshape(conc, (self._n_rows,) + self._base.shape)
-        off_prior = (dense != self._base).any(axis=tuple(range(1, dense.ndim - 1)))
-        self.grow(np.flatnonzero(off_prior))
-        cells = dense[self._row_of, ..., self._col_of]
-        self.table = np.ascontiguousarray(np.moveaxis(cells, 0, -1))
-        self._changed()
+        self._write(0, np.reshape(conc, (self._n_rows,) + self._base.shape))
 
     def expected_log(self) -> np.ndarray:
         """digamma(alpha) - digamma(alpha total), dense, per row, cached."""
@@ -487,8 +484,10 @@ class FactorRow:
         return self.bank._dense(self.bank._base, self.bank.table, rows)[0]
 
     def set_counts(self, counts: np.ndarray) -> None:
-        """Replace this row of the bank with prior + counts (counts >= 0)."""
-        self.bank._set_row(self.index, counts)
+        """Replace this row of the bank with prior + counts (counts >= 0, dense)."""
+        if np.shape(counts) != self.prior.shape:
+            raise ModelError(f"counts have shape {np.shape(counts)}, expected {self.prior.shape}")
+        self.bank._write(self.index, (self.bank._base + counts)[None])
 
     def expected_log(self) -> np.ndarray:
         return self.bank._row_elog(self.index)
@@ -817,9 +816,9 @@ def _support(value, n_cells: int, what: str) -> np.ndarray:
 
 
 def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: int) -> None:
-    """Set a prior factor to the file's posterior: in version 1 a dense
-    concentration, whose cells off the prior make the support; in
-    version 2 the support and its table."""
+    """Set a prior factor to the file's posterior, growing its support by
+    the file's pairs: in version 1 those a dense concentration has off the
+    prior, in version 2 its support, whose cells then take its table."""
     if f is None:
         if payload not in (None, []):
             raise ModelError(f"factor {name} is present but the configuration disables it")
@@ -834,9 +833,19 @@ def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: i
         raise ModelError(f"factor {name} needs a support and a table")
     support = _support(payload["support"], f._n_rows * f._base.shape[-1], f"factor {name} support")
     shape = f._base.shape[:-1] + support.shape
-    f._set_support(support, _array(payload["table"], shape, f"factor {name} table"))
+    cols = f.grow(support)
+    f.table[..., cols] = _array(payload["table"], shape, f"factor {name} table")
+    f._changed()
     if not (f.table >= f._prior_table).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
+
+
+def _count(value, key: str, least: int = 0) -> int:
+    """A JSON integer of at least `least` (a bool is not one) read from
+    the state file's `key`."""
+    if type(value) is not int or value < least:
+        raise ModelError(f"{key}: {value!r} is not an integer of at least {least}")
+    return value
 
 
 def _is_row(value, width: int) -> bool:
@@ -899,12 +908,13 @@ def _state_from_payload(payload: dict) -> VariationalState:
     if list(layout.letters) != payload["topics"]:
         raise ModelError("topic layout does not match configuration")
 
-    V = int(payload["vocab_size"])
-    T = int(payload["tag_count"])
-    token_counts = [[int(x) for x in row] for row in payload["token_counts"]]
-    if [len(row) for row in token_counts] != [int(x) for x in payload["snippet_counts"]]:
+    V = _count(payload["vocab_size"], "vocab_size")
+    T = _count(payload["tag_count"], "tag_count")
+    token_counts = [[_count(x, "token_counts", 1) for x in row] for row in payload["token_counts"]]
+    snippet_counts = [_count(x, "snippet_counts") for x in payload["snippet_counts"]]
+    if [len(row) for row in token_counts] != snippet_counts:
         raise ModelError("snippet_counts do not match token_counts")
-    seed_sets = [[int(w) for w in s] for s in payload["seed_sets"]]
+    seed_sets = [[_count(w, "seed_sets") for w in s] for s in payload["seed_sets"]]
     if len(seed_sets) != hp.N or any(not 0 <= w < V for s in seed_sets for w in s):
         raise ModelError(f"seed_sets need {hp.N} lists of word indices below {V}")
     state = _prior_state(hp, V, T, token_counts, seed_sets)
@@ -932,9 +942,9 @@ def load_state(path: str) -> VariationalState:
     Checks the keys, every shape, that all numbers are finite, that the
     posterior rows are distributions, that each factor's support is
     strictly ascending and in range and that no concentration is below
-    its prior; any fault raises ModelError naming the file. A version 2
-    factor takes the file's support; theta_A of a version 1 file takes
-    the (entity, word) pairs the file has off the prior.
+    its prior; any fault raises ModelError naming the file. Each factor
+    grows its prior support (every pair, none for theta_A) by the file's
+    support in version 2, by the pairs the file has off the prior in 1.
     """
     with open(path, encoding="utf-8") as fh:
         try:

@@ -422,3 +422,91 @@ def test_manifest_write_failure_keeps_earlier_manifest(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(tmp_path) == ["manifest.json"]
+
+
+def test_baseline_majority_variant(workspace, tmp_path, capsys):
+    data, _ = workspace
+    corpus, gold = os.path.join(data, "corpus.jsonl"), os.path.join(data, "gold_polarity.tsv")
+    base = tmp_path / "majority"
+    argv = ["baseline", "--corpus", corpus, "--variant", "majority", "--out", str(base)]
+    code, _ = run(capsys, *argv, "--gold-polarity", gold)
+    assert code == 0
+    with open(gold, encoding="utf-8") as fh:
+        labels = [line.split("\t")[2] for line in fh.read().splitlines()]
+    majority = max(["positive", "negative"], key=labels.count)
+    predicted = [line.split("\t")[2] for line in (base / "polarity.tsv").read_text().splitlines()]
+    assert predicted == [majority] * 24
+    assert "gold_polarity" in json.loads((base / "manifest.json").read_text())["inputs"]
+
+    code = main(["-q", *argv])
+    assert code == 2
+    assert "--gold-polarity" in capsys.readouterr().err
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no labels\n")
+    code = main(["-q", *argv, "--gold-polarity", str(empty)])
+    assert code == 3
+    assert "no labels" in capsys.readouterr().err
+
+
+def _word_prf(capsys, data, *flags):
+    code, out = run(
+        capsys, "eval", "--corpus", os.path.join(data, "corpus.jsonl"), "--metric", "word-prf",
+        "--gold-word-labels", os.path.join(data, "gold_word_labels.jsonl"), *flags,
+    )
+    assert code == 0
+    return json.loads(out)
+
+
+def test_eval_word_prf_reads_predicted_labels_and_expands_them(workspace, tmp_path, capsys):
+    data, _ = workspace
+    gold = os.path.join(data, "gold_word_labels.jsonl")
+    results = _word_prf(capsys, data, "--pred-word-labels", gold)
+    assert results["aspect"]["f1"] == results["value"]["f1"] == 1.0
+    # One noun phrase over every snippet: each aspect word of a snippet
+    # without value words claims the snippet's background nouns.
+    spans = tmp_path / "spans.tsv"
+    with open(gold, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    spans.write_text("".join(f"{r['id']}\t0\t{len(r['labels'])}\tNP\n" for r in records))
+    expanded = _word_prf(
+        capsys, data, "--pred-word-labels", gold, "--tree-expand", "--parse-spans", str(spans)
+    )
+    assert expanded["aspect"]["recall"] == 1.0
+    assert expanded["aspect"]["precision"] < 1.0
+
+
+def test_eval_tree_expand_needs_parse_spans(workspace, capsys):
+    data, _ = workspace
+    gold = os.path.join(data, "gold_word_labels.jsonl")
+    code = main(["-q", "eval", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--metric", "word-prf", "--gold-word-labels", gold,
+                 "--pred-word-labels", gold, "--tree-expand"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--tree-expand needs --parse-spans" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("stage", [
+    ["eval", "--metric", "muc", "--gold-clusters", "GOLD"],
+    ["report"],
+])
+def test_state_on_a_different_corpus_exits_3(workspace, tmp_path, capsys, stage):
+    data, fit = workspace
+    # The same corpus without its last snippet.
+    with open(os.path.join(data, "corpus.jsonl"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    other = tmp_path / "other.jsonl"
+    other.write_text("\n".join(lines[:-1]) + "\n")
+    argv = [os.path.join(data, "gold_clusters.tsv") if a == "GOLD" else a for a in stage]
+    code = main(["-q", *argv, "--corpus", str(other), "--state", os.path.join(fit, "state.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "state was fit on a different corpus" in captured.err and captured.out == ""
+
+
+def test_state_file_with_a_non_integer_count_exits_3(workspace, tmp_path, capsys):
+    data, fit = workspace
+    path = _edited_state(fit, tmp_path, lambda p: p.update(vocab_size=p["vocab_size"] + 0.5))
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert path in err and "vocab_size" in err

@@ -252,6 +252,49 @@ def test_load_gold_rejects_word_label_record_that_is_not_an_object(tmp_path, cor
         load_gold(corpus, word_labels_path=str(wpath))
 
 
+RECORD = json.dumps(small_records()[0]) + "\n"
+LABELS = '{"id": "s1", "labels": ["V", "A"]}\n'
+
+
+@pytest.mark.parametrize("reader, text, line, fragment", [
+    ("corpus", RECORD + "[1, 2]\n", 2, "record is not an object"),
+    ("word_labels", LABELS + '{"id": "s1", "labels": [\n', 2, "invalid JSON"),
+    ("word_labels", LABELS + '{"labels": ["V", "A"]}\n', 2, "need string id and label list"),
+    ("word_labels", LABELS + '{"id": "s1"}\n', 2, "need string id and label list"),
+    ("word_labels", LABELS + '{"id": "nope", "labels": ["V"]}\n', 2, "unknown snippet id 'nope'"),
+    ("word_labels", LABELS + '{"id": "s1", "labels": ["V", "X"]}\n', 2, "unknown label(s) ['X']"),
+    ("parse_spans", "s2\t0\t2\tNP\nnope\t0\t1\tNP\n", 2, "unknown snippet id 'nope'"),
+    ("parse_spans", "s2\t0\t2\tNP\ns1\t0\tend\tNP\n", 2, "start and end must be integers"),
+    ("parse_spans", "s2\t0\t2\tNP\ns1\t0.5\t2\tNP\n", 2, "start and end must be integers"),
+    ("polarity", "cafe\ts1\tpositive\nbar\ts3\tneutral\n", 2, "unknown value label 'neutral'"),
+    ("seeds", "[value:positive]\n[positive]\n", 2, "section header must be [value:<name>]"),
+    ("seeds", "[value:positive]\n[value: ]\n", 2, "empty value name"),
+    ("seeds", "great\n", 1, "seed word before any [value:...] header"),
+    # A warning, not an error: the re-entered section lists a negative seed.
+    ("seeds", "[value:positive]\ngreat\n[value:negative]\nsoggy\n[value:positive]\nsoggy\n",
+     6, "1 word(s) listed under multiple value types"),
+])
+def test_reader_messages_name_the_file_and_line(
+    tmp_path, corpus, caplog, reader, text, line, fragment
+):
+    path = tmp_path / "input"
+    path.write_text(text)
+    read = {
+        "corpus": lambda: load_corpus(str(path)),
+        "word_labels": lambda: load_gold(corpus, word_labels_path=str(path)),
+        "parse_spans": lambda: load_gold(corpus, parse_spans_path=str(path)),
+        "polarity": lambda: load_gold(corpus, polarity_path=str(path)),
+        "seeds": lambda: load_seed_lexicon(str(path), corpus),
+    }[reader]
+    try:
+        read()
+        message = caplog.text
+    except CorpusError as exc:
+        message = str(exc)
+    assert f"{path}:{line}: " in message
+    assert fragment in message
+
+
 def test_polarity_predictions_skip_comments_and_check_lines(tmp_path, corpus):
     ppath = tmp_path / "p.tsv"
     ppath.write_text("# entity\tid\tlabel\n   \ncafe\ts1\tnegative\n\nbar\ts3\tsplit\n")

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
-from snipagg.inference import compute_free_energy
+from snipagg.inference import (
+    UpdateContext,
+    compute_free_energy,
+    run_inference,
+    update_parameters,
+)
 from snipagg.model import (
     DirichletFactor,
     Hyperparameters,
@@ -112,6 +118,14 @@ def test_bank_counts_follow_the_support_table():
     bank.rows()[1].set_counts(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]))
     assert np.array_equal(bank.support, [1, 4, 5])
     assert np.array_equal(bank.concentration[1], [[1, 1, 2], [1, 1, 1]])
+
+
+def test_bank_row_counts_must_have_the_row_shape():
+    # A (3,) count vector would broadcast over both aspects of a (2, 3) row.
+    bank = DirichletFactor(np.ones((2, 3)), rows=2)
+    with pytest.raises(ModelError, match=r"counts have shape \(3,\), expected \(2, 3\)"):
+        bank.rows()[1].set_counts(np.array([0.0, 1.0, 2.0]))
+    assert np.array_equal(bank.concentration, np.ones((2, 2, 3)))
 
 
 def test_factor_rows():
@@ -468,6 +482,81 @@ def test_load_state_rejects_wrong_hyperparameter_type(tmp_path, key, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match=f"{path}: hyperparameter '{key}' must be"):
         load_state(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("vocab_size", 4.9), ("vocab_size", -1), ("tag_count", True), ("tag_count", "2"),
+    ("snippet_counts", [2, 2.0]), ("snippet_counts", [2, True]),
+    ("token_counts", [["3", 2], [3.7, 2]]), ("token_counts", [[3, 2], [3, 0]]),
+    ("seed_sets", [[0.2], ["3"]]), ("seed_sets", [[False], [3]]), ("seed_sets", [[0], [-1]]),
+])
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_state_rejects_integer_fields_that_are_not_json_integers(
+    tmp_path, version, key, value
+):
+    path = tmp_path / "s.json"
+    if version == 1:
+        with open(V1_STATE, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    else:
+        save_state(fit_like_state()[1], str(path))
+        payload = json.loads(path.read_text())
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    message = f"^{re.escape(str(path))}: {key}: .* is not an integer of at least"
+    with pytest.raises(ModelError, match=message):
+        load_state(str(path))
+
+
+FACTOR_NAMES = (
+    "theta_B", "trans_start", "trans_main", "theta_V", "theta_I", "eta", "psi", "theta_A", "phi"
+)
+
+
+def _refit_file(corpus, path):
+    state = load_state(str(path))
+    update_parameters(UpdateContext(state, corpus))
+    return state
+
+
+@pytest.mark.parametrize("name", FACTOR_NAMES)
+def test_partial_support_in_a_state_file_loads_and_refits(tmp_path, name):
+    # A state file may leave cells at their prior out of a factor's
+    # support. The factor is restored into its prior support, so the
+    # file loads into the full factor and refits like the full file.
+    corpus = toy_corpus()
+    hp = Hyperparameters(K=3, N=2, use_ignore=True, use_pos=True, max_iters=3)
+    seeds = SeedLexicon(["positive", "negative"], [{0}, {3}])
+    full = tmp_path / "full.json"
+    save_state(run_inference(hp, corpus, seeds)[0], str(full))
+    payload = json.loads(full.read_text())
+    want = dict(payload["factors"][name])
+    partial = payload["factors"][name]
+    assert len(partial["support"]) >= 2
+    partial["support"] = partial["support"][:1] + partial["support"][2:]
+    partial["table"] = np.delete(np.array(partial["table"]), 1, axis=-1).tolist()
+    partial_path = tmp_path / "partial.json"
+    partial_path.write_text(json.dumps(payload))
+
+    resaved = tmp_path / "resaved.json"
+    save_state(load_state(str(partial_path)), str(resaved))
+    got = json.loads(resaved.read_text())["factors"][name]
+    if name == "theta_A":
+        # Its prior support is empty: it holds the file's pairs until a fit.
+        assert got == partial
+    else:
+        # Saved again it has the full support, the left-out cell at its prior.
+        prior = getattr(build_priors(hp, corpus, seeds), name)
+        table = np.array(want["table"])
+        table[..., 1] = prior.table[..., 1]
+        assert got["support"] == want["support"]
+        assert np.array_equal(got["table"], table)
+
+    want_state, got_state = _refit_file(corpus, full), _refit_file(corpus, partial_path)
+    for key in FACTOR_NAMES:
+        want_f, got_f = getattr(want_state, key), getattr(got_state, key)
+        assert np.array_equal(got_f.support, want_f.support)
+        assert np.array_equal(got_f.concentration, want_f.concentration)
 
 
 def test_matches_corpus_detects_mismatch():
