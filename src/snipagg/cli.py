@@ -72,6 +72,7 @@ from snipagg.inference import (
 from snipagg.model import (
     Hyperparameters,
     ModelError,
+    hp_to_json,
     load_config,
     load_state,
     parse_config_value,
@@ -116,9 +117,7 @@ class RunManifest:
         }
 
     def set_config(self, hp: Hyperparameters) -> None:
-        cfg = dataclasses.asdict(hp)
-        cfg["topic_prior"] = list(cfg["topic_prior"])
-        self.payload["config"] = cfg
+        self.payload["config"] = hp_to_json(hp)
         self.payload["seed"] = hp.rng_seed
 
     def add_input(self, name: str, path: Optional[str]) -> None:
@@ -151,6 +150,11 @@ def _load_hp(args: argparse.Namespace) -> Hyperparameters:
     except ModelError as exc:
         raise UsageError(f"--set: {exc}") from None
     return hp
+
+
+def _value_names(args: argparse.Namespace) -> list[str]:
+    """The --value-names labels, one per value index."""
+    return [n.strip() for n in args.value_names.split(",")]
 
 
 def _outdir(args: argparse.Namespace) -> str:
@@ -268,7 +272,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    value_names = [n.strip() for n in args.value_names.split(",")]
+    value_names = _value_names(args)
     results: dict = {"metric": args.metric}
 
     state = post = None
@@ -378,7 +382,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     elif args.variant == "seed":
         if not args.seeds:
             raise UsageError("seed variant needs --seeds")
-        lex = load_seed_lexicon(args.seeds, corpus, default_value_names(2))
+        lex = load_seed_lexicon(args.seeds, corpus, _value_names(args))
         manifest.add_input("seeds", args.seeds)
         preds = {
             sn.snippet_id: seed_sentiment(sn, lex) for sn in corpus.iter_snippets()
@@ -389,7 +393,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     else:  # majority
         if not args.gold_polarity:
             raise UsageError("majority variant needs --gold-polarity")
-        value_names = [n.strip() for n in args.value_names.split(",")]
+        value_names = _value_names(args)
         gold_ann = load_gold(
             corpus, polarity_path=args.gold_polarity, value_names=value_names
         )
@@ -538,7 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scope", choices=("entity", "corpus"), default="entity")
     b.add_argument("--seeds", help="seed lexicon file (seed variant)")
     b.add_argument("--gold-polarity", help="training labels (majority variant)")
-    b.add_argument("--value-names", default="positive,negative")
+    b.add_argument(
+        "--value-names",
+        default="positive,negative",
+        help="comma-separated polarity label names (seed and majority variants)",
+    )
     b.set_defaults(func=cmd_baseline)
 
     r = sub.add_parser("report", help="summarize a fitted state")

@@ -249,7 +249,7 @@ def _sample(
             rows.append(_draw_multinomial(rng, alpha))
         return np.stack(rows)
 
-    n_scopes = 1 if hp.shared_aspects else shape.n_entities
+    n_psi, n_scopes = hp.bank_rows(shape.n_entities)
     theta_a = [draw_aspect_rows() for _ in range(n_scopes)]
     phi = None
     if hp.N >= 1:
@@ -259,7 +259,6 @@ def _sample(
             )
             for _ in range(n_scopes)
         ]
-    n_psi = 1 if hp.shared_aspect_multinomial else shape.n_entities
     psi = [_draw_multinomial(rng, np.full(hp.K, hp.lambda_M)) for _ in range(n_psi)]
 
     # Every word distribution by row: aspect rows scope-major, then value
@@ -292,8 +291,7 @@ def _sample(
     word_tag_draws: list[np.ndarray] = []
 
     for i in range(shape.n_entities):
-        scope = 0 if hp.shared_aspects else i
-        pscope = 0 if hp.shared_aspect_multinomial else i
+        scope, pscope = min(i, n_scopes - 1), min(i, n_psi - 1)
         for j in range(shape.snippets_per_entity):
             z_a = _pick(psi_edges[pscope], rng.random())
             z_v = _pick(phi_edges[scope][z_a], rng.random()) if hp.N >= 1 else None

@@ -103,6 +103,8 @@ class _PackedCorpus:
     A snippet without tokens is rejected: the model gives every snippet
     a first and a last word, and the per-snippet sums (np.add.reduceat
     at first) would give an empty snippet its successor's first token.
+    So is a word or tag index outside the vocabulary or tag set, which a
+    Corpus built in code can hold and no factor has a cell for.
     """
 
     def __init__(self, corpus: Corpus):
@@ -127,6 +129,18 @@ class _PackedCorpus:
         self.ent_of_snip = np.repeat(np.arange(len(group_sizes)), group_sizes)
         self.snip_of_token = np.repeat(np.arange(self.n_snippets), lengths)
         self.ent_of_token = self.ent_of_snip[self.snip_of_token]
+        for what, index, size in (
+            ("word", self.words, len(corpus.vocabulary)), ("tag", self.tags, len(corpus.tag_set))
+        ):
+            bad = np.flatnonzero((index < 0) | (index >= size))
+            if bad.size:
+                s = self.snip_of_token[bad[0]]
+                i = self.ent_of_snip[s]
+                sn = corpus.snippets[i][s - self.snippet_bounds[i]]
+                raise ModelError(
+                    f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} has {what} index "
+                    f"{index[bad[0]]} outside [0, {size})"
+                )
         first = self.offsets[:-1]
         self.first, self.last = first, self.offsets[1:] - 1
         is_first = np.zeros(self.n_tokens, dtype=bool)
@@ -147,18 +161,12 @@ class _PackedCorpus:
         result is kept until the support changes."""
         bank = state.theta_A
         if self._aspect is None or self._aspect[0] is not bank.support:
-            rows = _bank_rows(state.hp.shared_aspects, self.ent_of_token)
-            flat_pairs = rows * state.vocab_size + self.words
+            flat_pairs = bank.entity_rows(self.ent_of_token) * state.vocab_size + self.words
             pairs, pair_of_token = np.unique(flat_pairs, return_inverse=True)
             cols = bank.grow(pairs)[pair_of_token]
             flat = np.arange(state.hp.K)[:, None] * len(bank.support) + cols
             self._aspect = (bank.support, cols, flat)
         return self._aspect[1:]
-
-
-def _bank_rows(shared: bool, entities: np.ndarray) -> np.ndarray:
-    """The factor-bank row of each entity index: row 0 of a shared bank."""
-    return np.zeros_like(entities) if shared else entities
 
 
 @dataclass
@@ -193,15 +201,11 @@ def _gather(ctx: UpdateContext) -> _Gathered:
     sources = [f.table_elog() for f in state.parameter_banks()]
     if prev is not None and all(a is b for a, b in zip(prev.sources, sources, strict=True)):
         return prev
-    hp, words = state.hp, pack.words
-    phi = None
-    if state.phi is not None:
-        phi = state.phi.expected_log()[_bank_rows(hp.shared_aspects, pack.ent_of_snip)]
-    psi_rows = _bank_rows(hp.shared_aspect_multinomial, pack.ent_of_snip)
+    words, ents = pack.words, pack.ent_of_snip
     ctx.gathered = _Gathered(
         sources=sources,
-        psi=state.psi.expected_log()[psi_rows],
-        phi=phi,
+        psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
+        phi=None if state.phi is None else state.phi.expected_log()[state.phi.entity_rows(ents)],
         ea=np.take(state.theta_A.table_elog(), cols, axis=1),
         ev=None if state.theta_V is None else state.theta_V.expected_log()[:, words],
         eb=state.theta_B.expected_log()[words],
@@ -385,14 +389,14 @@ def _refit(ctx: UpdateContext) -> None:
 
     # Bank tables are laid out (..., bank row * V + element) over their
     # support: every pair for psi and phi, the corpus pairs for theta_A.
-    ent_rows = _bank_rows(hp.shared_aspect_multinomial, pack.ent_of_snip)
+    ent_rows = state.psi.entity_rows(pack.ent_of_snip)
     state.psi.set_counts(counts(state.psi, ent_rows[:, None] * K + np.arange(K), qa))
     aspect_cells = pack.aspect_columns(state)[1]
     state.theta_A.set_counts(
         counts(state.theta_A, aspect_cells, _weights(qa, snip, qw, layout.col("A")))
     )
     if qv is not None:
-        ent_rows = _bank_rows(hp.shared_aspects, pack.ent_of_snip)
+        ent_rows = state.phi.entity_rows(pack.ent_of_snip)
         row_cells = ent_rows[:, None, None] * N + np.arange(N)
         phi_cells = np.arange(K)[:, None] * state.phi.table.shape[-1] + row_cells
         state.phi.set_counts(counts(state.phi, phi_cells, qa[:, :, None] * qv[:, None, :]))

@@ -119,6 +119,13 @@ class Hyperparameters:
     tag emissions. topic_prior is a fixed additive log weight per word
     role in (A, V, B, I) order. N = 0 disables the value component
     entirely.
+
+    Every field's type is that of its default; _HP_TYPES lists them, and
+    --set, config files and state files are read and written by that
+    table alone. validate requires every float, and every topic_prior
+    weight, to be finite. The two sharing flags are read only here:
+    bank_rows turns them into the row counts the entity banks are built
+    with, and the rest of the package reads a bank's own row count.
     """
 
     K: int = 10
@@ -144,6 +151,9 @@ class Hyperparameters:
     rng_seed: int = 0
 
     def validate(self) -> None:
+        for name, kind in _HP_TYPES.items():
+            if kind in (float, tuple) and not np.isfinite(getattr(self, name)).all():
+                raise ModelError(f"{name} must be finite")
         if self.K < 1:
             raise ModelError("K must be at least 1")
         if self.N < 0:
@@ -172,6 +182,15 @@ class Hyperparameters:
         if self.shared_aspect_multinomial and not self.shared_aspects:
             raise ModelError("shared_aspect_multinomial requires shared_aspects")
 
+    def bank_rows(self, n_entities: int) -> tuple[int, int]:
+        """Row counts of psi and of the aspect banks (theta_A, phi): one
+        row when shared, else one per entity. psi follows
+        shared_aspect_multinomial only."""
+        return (
+            1 if self.shared_aspect_multinomial else n_entities,
+            1 if self.shared_aspects else n_entities,
+        )
+
     def layout(self) -> TopicLayout:
         return TopicLayout.for_config(self.N, self.use_ignore)
 
@@ -182,32 +201,42 @@ class Hyperparameters:
         return np.array([full[l] for l in layout.letters], dtype=float)
 
 
-_BOOL_KEYS = {"use_ignore", "use_pos", "shared_aspects", "shared_aspect_multinomial"}
-_INT_KEYS = {"K", "N", "max_iters", "rng_seed"}
-_STR_KEYS = {"schedule"}
+# Every field's type, that of its default: bool, int, float, str or tuple.
+_HP_TYPES = {f.name: type(f.default) for f in fields(Hyperparameters)}
+# What a state file must hold for a field of each type.
+_JSON_WANT = {
+    bool: "a bool", int: "an int", str: "a string", float: "a number", tuple: "a list of numbers"
+}
+
+
+def hp_to_json(hp: Hyperparameters) -> dict:
+    """hp as the JSON object of a state file or manifest: every field, a
+    tuple as a list."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(hp).items()}
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_json_types(hp_dict: dict) -> None:
-    """Raise ModelError naming the first hyperparameter whose JSON value
+def _hp_from_json(hp_dict: dict) -> Hyperparameters:
+    """The inverse of hp_to_json, validated. Raises ModelError naming the
+    missing and unknown keys, or the first hyperparameter whose JSON value
     has the wrong type for its field (a bool is not an int here)."""
+    missing, unknown = sorted(_HP_TYPES.keys() - hp_dict), sorted(hp_dict.keys() - _HP_TYPES)
+    if missing or unknown:
+        raise ModelError(f"hyperparameters: missing {missing}, unknown {unknown}")
     for key, value in hp_dict.items():
-        if key in _BOOL_KEYS:
-            ok, want = isinstance(value, bool), "a bool"
-        elif key in _INT_KEYS:
-            ok, want = isinstance(value, int) and not isinstance(value, bool), "an int"
-        elif key in _STR_KEYS:
-            ok, want = isinstance(value, str), "a string"
-        elif key == "topic_prior":
+        kind = _HP_TYPES[key]
+        if kind is tuple:
             ok = isinstance(value, list) and all(_is_number(v) for v in value)
-            want = "a list of numbers"
         else:
-            ok, want = _is_number(value), "a number"
+            ok = _is_number(value) if kind is float else type(value) is kind
         if not ok:
-            raise ModelError(f"hyperparameter {key!r} must be {want}, got {value!r}")
+            raise ModelError(f"hyperparameter {key!r} must be {_JSON_WANT[kind]}, got {value!r}")
+    hp = Hyperparameters(**{k: tuple(v) if isinstance(v, list) else v for k, v in hp_dict.items()})
+    hp.validate()
+    return hp
 
 
 def parse_config_value(key: str, raw: str):
@@ -215,22 +244,19 @@ def parse_config_value(key: str, raw: str):
 
     Raises ModelError on an unknown key, ValueError on a bad value.
     """
-    if key not in {f.name for f in fields(Hyperparameters)}:
+    kind = _HP_TYPES.get(key)
+    if kind is None:
         raise ModelError(f"unknown key {key!r}")
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if raw.lower() not in ("true", "false"):
             raise ValueError("expected true or false")
         return raw.lower() == "true"
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _STR_KEYS:
-        return raw
-    if key == "topic_prior":
-        parts = [float(p) for p in raw.split(",")]
+    if kind is tuple:
+        parts = tuple(float(p) for p in raw.split(","))
         if len(parts) != 4:
             raise ValueError("expected four comma-separated floats")
-        return tuple(parts)
-    return float(raw)
+        return parts
+    return kind(raw)
 
 
 def load_config(path: str) -> Hyperparameters:
@@ -238,9 +264,9 @@ def load_config(path: str) -> Hyperparameters:
 
     Keys are exactly the Hyperparameters field names; anything else is a
     hard error. Blank lines and ``#`` comments are allowed. topic_prior
-    takes four comma-separated floats.
+    takes four comma-separated floats. Every ModelError names the file:
+    a line's fault as path:line, a fault validate finds as path.
     """
-    known = {f.name for f in fields(Hyperparameters)}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -251,7 +277,7 @@ def load_config(path: str) -> Hyperparameters:
                 raise ModelError(f"{path}:{lineno}: expected key = value")
             key, _, raw = line.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in known:
+            if key not in _HP_TYPES:
                 raise ModelError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ModelError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -260,20 +286,22 @@ def load_config(path: str) -> Hyperparameters:
             except ValueError as exc:
                 raise ModelError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     hp = Hyperparameters(**values)
-    hp.validate()
+    try:
+        hp.validate()
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
     return hp
 
 
 def save_config(hp: Hyperparameters, path: str) -> None:
     """Write hp in the load_config format, atomically."""
     with atomic_open(path) as fh:
-        for f in fields(Hyperparameters):
-            v = getattr(hp, f.name)
-            if f.name == "topic_prior":
+        for key, v in hp_to_json(hp).items():
+            if isinstance(v, list):
                 v = ",".join(repr(x) for x in v)
             elif isinstance(v, bool):
                 v = "true" if v else "false"
-            fh.write(f"{f.name} = {v}\n")
+            fh.write(f"{key} = {v}\n")
 
 
 class DirichletFactor:
@@ -282,7 +310,9 @@ class DirichletFactor:
     prior has shape (..., V): each slice along its last axis is one
     Dirichlet over V elements. A stacked bank (rows=R) holds R copies of
     that table as a read-only broadcast view, not as R copies, and its
-    dense shape gains a leading axis of R.
+    dense shape gains a leading axis of R. entity_rows maps entity
+    indices to bank rows from R alone: a one-row bank is shared by every
+    entity.
 
     The posterior is kept on the factor's support: the (bank row,
     element) pairs that may be off the prior, as flat indices row * V +
@@ -358,6 +388,11 @@ class DirichletFactor:
             table[..., np.searchsorted(support, self.support)] = self.table
             self._set_support(support, table)
         return np.searchsorted(self.support, pairs)
+
+    def entity_rows(self, entities):
+        """The bank row of each entity index, an int or an int array: row
+        0 of a one-row bank."""
+        return entities if self._n_rows > 1 else 0 * entities
 
     def rows(self) -> list[FactorRow]:
         """One FactorRow per leading index of a stacked bank, made once."""
@@ -563,13 +598,13 @@ class VariationalState:
         return len(self.snippet_counts)
 
     def psi_factor(self, entity: int) -> FactorRow:
-        return self.psi.rows()[0 if self.hp.shared_aspect_multinomial else entity]
+        return self.psi.rows()[self.psi.entity_rows(entity)]
 
     def theta_A_factor(self, entity: int) -> FactorRow:
-        return self.theta_A.rows()[0 if self.hp.shared_aspects else entity]
+        return self.theta_A.rows()[self.theta_A.entity_rows(entity)]
 
     def phi_factor(self, entity: int) -> FactorRow:
-        return self.phi.rows()[0 if self.hp.shared_aspects else entity]
+        return self.phi.rows()[self.phi.entity_rows(entity)]
 
     def _shared_factors(self) -> list[DirichletFactor]:
         out = [self.theta_B, self.trans_start, self.trans_main]
@@ -639,12 +674,12 @@ def _prior_state(
     token_counts: list[list[int]],
     seed_sets: list[list[int]],
 ) -> VariationalState:
-    """Every factor at its prior, stacked banks with one row per entity
-    (one row when shared) and theta_A on an empty support, and uniform
-    posteriors."""
+    """Every factor at its prior, stacked banks with the row counts of
+    hp.bank_rows (one row per entity, one when shared) and theta_A on an
+    empty support, and uniform posteriors."""
     layout = hp.layout()
-    V, n_entities = vocab_size, len(token_counts)
-    n_asp = 1 if hp.shared_aspects else n_entities
+    V = vocab_size
+    n_psi, n_asp = hp.bank_rows(len(token_counts))
     start, main = transition_priors(hp, layout)
 
     def uniform(rows, width):
@@ -660,9 +695,7 @@ def _prior_state(
         theta_B=DirichletFactor(np.full(V, hp.lambda_B)),
         trans_start=DirichletFactor(start),
         trans_main=DirichletFactor(main),
-        psi=DirichletFactor(
-            np.full(hp.K, hp.lambda_M), rows=1 if hp.shared_aspect_multinomial else n_entities
-        ),
+        psi=DirichletFactor(np.full(hp.K, hp.lambda_M), rows=n_psi),
         theta_A=DirichletFactor(np.full((hp.K, V), hp.lambda_A), rows=n_asp, support=[]),
         phi=DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV), rows=n_asp) if hp.N else None,
         theta_V=DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N else None,
@@ -762,12 +795,10 @@ def save_state(state: VariationalState, path: str) -> None:
     to the streaming writer as they are, so the payload is never held as
     nested Python lists.
     """
-    hp_dict = asdict(state.hp)
-    hp_dict["topic_prior"] = list(hp_dict["topic_prior"])
     payload = {
         "format": STATE_FORMAT,
         "version": STATE_VERSION,
-        "hyperparameters": hp_dict,
+        "hyperparameters": hp_to_json(state.hp),
         "topics": list(state.layout.letters),
         "vocab_size": state.vocab_size,
         "tag_count": state.tag_count,
@@ -899,11 +930,7 @@ def _state_from_payload(payload: dict) -> VariationalState:
     version = payload.get("version")
     if type(version) is not int or version not in (1, STATE_VERSION):
         raise ModelError(f"unsupported state version {version}")
-    hp_dict = dict(payload["hyperparameters"])
-    _check_json_types(hp_dict)
-    hp_dict["topic_prior"] = tuple(hp_dict["topic_prior"])
-    hp = Hyperparameters(**hp_dict)
-    hp.validate()
+    hp = _hp_from_json(dict(payload["hyperparameters"]))
     layout = hp.layout()
     if list(layout.letters) != payload["topics"]:
         raise ModelError("topic layout does not match configuration")

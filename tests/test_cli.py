@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,26 @@ def test_baseline_seed_variant(workspace, tmp_path, capsys):
     assert polarity.count("\n") == 24   # one line per snippet
 
 
+def test_baseline_seed_variant_reads_value_names(workspace, tmp_path, capsys):
+    data, _ = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+    lexicon = (tmp_path / "data" / "seeds.txt").read_text()
+    renamed = tmp_path / "seeds_good_bad.txt"
+    renamed.write_text(lexicon.replace(":positive]", ":good]").replace(":negative]", ":bad]"))
+    assert renamed.read_text() != lexicon
+    for name, seeds, flags in (
+        ("default", os.path.join(data, "seeds.txt"), []),
+        ("renamed", str(renamed), ["--value-names", "good,bad"]),
+    ):
+        code, _ = run(capsys, "baseline", "--corpus", corpus, "--variant", "seed",
+                      "--seeds", seeds, "--out", str(tmp_path / name), *flags)
+        assert code == 0
+    default = (tmp_path / "default" / "polarity.tsv").read_text()
+    relabelled = default.replace("\tpositive\n", "\tgood\n").replace("\tnegative\n", "\tbad\n")
+    assert relabelled != default
+    assert (tmp_path / "renamed" / "polarity.tsv").read_text() == relabelled
+
+
 def test_report_summarizes_state(workspace, tmp_path, capsys):
     data, fit = workspace
     report_path = str(tmp_path / "report.txt")
@@ -212,6 +233,39 @@ def test_fit_flag_errors_exit_2(workspace, tmp_path, capsys, flags):
     captured = capsys.readouterr()
     assert code == 2
     assert flags[0] in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+@pytest.mark.parametrize("setting", [
+    "lambda_B=nan", "lambda_A=inf", "gamma_self=-inf", "topic_prior=0,nan,0,0",
+])
+def test_non_finite_set_exits_2_and_writes_nothing(workspace, tmp_path, capsys, command, setting):
+    data, _ = workspace
+    out = str(tmp_path / "out")
+    args = generate_args(out) if command == "generate" else fit_args(data, out)
+    code = main(["-q", *args, "--set", setting])
+    captured = capsys.readouterr()
+    assert code == 2
+    key = setting.partition("=")[0]
+    assert f"--set: {key} must be finite" in captured.err and "Traceback" not in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda_B = nan", "lambda_B must be finite"),
+    ("lambda_B = -1", "lambda_B must be positive"),
+])
+def test_config_file_errors_exit_3_naming_the_file(workspace, tmp_path, capsys, line, message):
+    data, _ = workspace
+    config = tmp_path / "model.cfg"
+    config.write_text(f"K = 2\n{line}\n")
+    out = str(tmp_path / "out")
+    code = main(["-q", "fit", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--config", str(config), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"error: {config}: {message}" in captured.err
+    assert not os.path.exists(out)
 
 
 def test_generate_rejects_non_numeric_topic_mix(tmp_path, capsys):
@@ -502,6 +556,19 @@ def test_state_on_a_different_corpus_exits_3(workspace, tmp_path, capsys, stage)
     captured = capsys.readouterr()
     assert code == 3
     assert "state was fit on a different corpus" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda hp: hp.update(topic_prior=[math.nan, 0, 0, 0]), "topic_prior must be finite"),
+    (lambda hp: hp.pop("lambda_A"), "hyperparameters: missing ['lambda_A'], unknown []"),
+    (lambda hp: hp.update(lambda_Q=1.0), "hyperparameters: missing [], unknown ['lambda_Q']"),
+], ids=["non-finite", "missing", "unknown"])
+def test_state_file_hyperparameter_errors_exit_3(workspace, tmp_path, capsys, edit, message):
+    data, fit = workspace
+    path = _edited_state(fit, tmp_path, lambda p: edit(p["hyperparameters"]))
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert f"error: {path}: {message}" in err
 
 
 def test_state_file_with_a_non_integer_count_exits_3(workspace, tmp_path, capsys):

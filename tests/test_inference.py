@@ -764,6 +764,28 @@ def test_fit_rejects_snippet_without_tokens(schedule):
         run_inference(hp, corpus, None)
 
 
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+@pytest.mark.parametrize("token, message", [
+    (Token(2, 0), r"word index 2 outside \[0, 2\)"),
+    (Token(-1, 0), r"word index -1 outside \[0, 2\)"),
+    (Token(0, 1), r"tag index 1 outside \[0, 1\)"),
+    (Token(0, -1), r"tag index -1 outside \[0, 1\)"),
+], ids=["word-past-vocabulary", "negative-word", "tag-past-tag-set", "negative-tag"])
+def test_fit_rejects_token_index_outside_its_indexer(schedule, token, message):
+    corpus = Corpus(
+        ["r1", "r2"],
+        [
+            [Snippet(0, "r1-a", [Token(0, 0), Token(1, 0)])],
+            [Snippet(1, "r2-a", [Token(1, 0)]), Snippet(1, "r2-bad", [Token(0, 0), token])],
+        ],
+        Indexer(["w0", "w1"]),
+        Indexer(["T"]),
+    )
+    hp = Hyperparameters(K=2, N=2, max_iters=2, schedule=schedule)
+    with pytest.raises(ModelError, match=f"^entity 'r2': snippet 'r2-bad' has {message}$"):
+        run_inference(hp, corpus, None)
+
+
 def test_free_energy_rises_are_counted_and_logged(caplog):
     reports = [FreeEnergyReport(1, 10.0)]
     with caplog.at_level("WARNING", logger="snipagg.inference"):

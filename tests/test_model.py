@@ -198,6 +198,18 @@ def test_hyperparameters_validation():
     Hyperparameters(shared_aspects=True, shared_aspect_multinomial=True).validate()
 
 
+@pytest.mark.parametrize("changes, key", [
+    ({"lambda_B": math.nan}, "lambda_B"),
+    ({"gamma_self": math.inf}, "gamma_self"),
+    ({"lambda_tag": -math.inf}, "lambda_tag"),
+    ({"topic_prior": (0.0, math.nan, 0.0, 0.0)}, "topic_prior"),
+    ({"topic_prior": (-math.inf, 0.0, 0.0, 0.0)}, "topic_prior"),
+])
+def test_hyperparameters_must_be_finite(changes, key):
+    with pytest.raises(ModelError, match=f"^{key} must be finite$"):
+        Hyperparameters(**changes).validate()
+
+
 def test_defaults_match_reference_settings():
     hp = Hyperparameters()
     assert (hp.lambda_B, hp.lambda_A, hp.lambda_V, hp.epsilon_V) == (0.2, 0.075, 0.15, 0.075)
@@ -257,6 +269,18 @@ def test_config_comments_and_types(tmp_path):
     hp = load_config(str(path))
     assert hp.K == 4 and hp.use_ignore and hp.schedule == "sequential"
     assert hp.topic_prior == (0.5, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda_B = -1", "lambda_B must be positive"),
+    ("lambda_B = nan", "lambda_B must be finite"),
+    ("topic_prior = 0,inf,0,0", "topic_prior must be finite"),
+])
+def test_config_value_errors_name_the_file(tmp_path, line, message):
+    path = tmp_path / "model.cfg"
+    path.write_text(f"K = 4\n{line}\n")
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_config(str(path))
 
 
 def test_parse_config_value_errors():
@@ -481,6 +505,45 @@ def test_load_state_rejects_wrong_hyperparameter_type(tmp_path, key, value):
     payload["hyperparameters"][key] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match=f"{path}: hyperparameter '{key}' must be"):
+        load_state(str(path))
+
+
+def _state_payload(tmp_path, version):
+    """The payload of the v1 fixture, or of a saved v2 state, and a path
+    to write an edit of it to."""
+    path = tmp_path / "s.json"
+    if version == 1:
+        with open(V1_STATE, encoding="utf-8") as fh:
+            return json.load(fh), path
+    save_state(fit_like_state()[1], str(path))
+    return json.loads(path.read_text()), path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda hp: [hp.pop("lambda_A"), hp.pop("schedule")],
+     r"missing \['lambda_A', 'schedule'\], unknown \[\]"),
+    (lambda hp: hp.update(lambda_Q=0.5), r"missing \[\], unknown \['lambda_Q'\]"),
+    (lambda hp: hp.update(lambda_Q=hp.pop("lambda_M")),
+     r"missing \['lambda_M'\], unknown \['lambda_Q'\]"),
+], ids=["missing", "unknown", "renamed"])
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_state_needs_exactly_the_hyperparameter_keys(tmp_path, version, edit, message):
+    payload, path = _state_payload(tmp_path, version)
+    edit(payload["hyperparameters"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: hyperparameters: {message}$"):
+        load_state(str(path))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lambda_B", math.nan), ("lambda_AV", math.inf), ("topic_prior", [math.nan, 0, 0, 0]),
+])
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_state_rejects_non_finite_hyperparameters(tmp_path, version, key, value):
+    payload, path = _state_payload(tmp_path, version)
+    payload["hyperparameters"][key] = value
+    path.write_text(json.dumps(payload))  # writes NaN and Infinity, which json.load reads
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {key} must be finite$"):
         load_state(str(path))
 
 
