@@ -132,14 +132,14 @@ class _PackedCorpus:
         for what, index, size in (
             ("word", self.words, len(corpus.vocabulary)), ("tag", self.tags, len(corpus.tag_set))
         ):
-            bad = np.flatnonzero((index < 0) | (index >= size))
-            if bad.size:
-                s = self.snip_of_token[bad[0]]
+            if index.size and not 0 <= index.min() <= index.max() < size:
+                t = np.flatnonzero((index < 0) | (index >= size))[0]
+                s = self.snip_of_token[t]
                 i = self.ent_of_snip[s]
                 sn = corpus.snippets[i][s - self.snippet_bounds[i]]
                 raise ModelError(
                     f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} has {what} index "
-                    f"{index[bad[0]]} outside [0, {size})"
+                    f"{index[t]} outside [0, {size})"
                 )
         first = self.offsets[:-1]
         self.first, self.last = first, self.offsets[1:] - 1
