@@ -204,8 +204,8 @@ def _gather(ctx: UpdateContext) -> _Gathered:
     words, ents = pack.words, pack.ent_of_snip
     ctx.gathered = _Gathered(
         sources=sources,
-        psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
         phi=None if state.phi is None else state.phi.expected_log()[state.phi.entity_rows(ents)],
+        psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
         ea=np.take(state.theta_A.table_elog(), cols, axis=1),
         ev=None if state.theta_V is None else state.theta_V.expected_log()[:, words],
         eb=state.theta_B.expected_log()[words],
