@@ -152,6 +152,19 @@ def _load_hp(args: argparse.Namespace) -> Hyperparameters:
     return hp
 
 
+def _bound_sizes(args: argparse.Namespace, hp: Hyperparameters, limit: int, what: str) -> None:
+    """Reject a K or N above limit, the inputs' snippet count, before any
+    table is built: each aspect and value type in use needs a snippet.
+    A value from --config names the file, any other names --set."""
+    set_keys = {pair.partition("=")[0].strip() for pair in args.set or []}
+    for key in ("K", "N"):
+        if getattr(hp, key) > limit:
+            message = f"{key} = {getattr(hp, key)} exceeds {what} ({limit})"
+            if args.config and key not in set_keys:
+                raise ModelError(f"{args.config}: {message}")
+            raise UsageError(f"--set: {message}")
+
+
 def _value_names(args: argparse.Namespace) -> list[str]:
     """The --value-names labels, one per value index."""
     return [n.strip() for n in args.value_names.split(",")]
@@ -163,6 +176,8 @@ def _outdir(args: argparse.Namespace) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     hp = _load_hp(args)
     shape = CorpusShape(
         n_entities=args.entities,
@@ -180,6 +195,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"--topic-mix expects comma-separated numbers, got {args.topic_mix!r}"
             ) from None
+    if args.entities >= 1 and args.snippets >= 1:  # make_separable rejects other shapes
+        _bound_sizes(args, hp, args.entities * args.snippets, "entities x snippets")
     t0 = time.perf_counter()
     syn = make_separable(hp, shape, args.separation, args.seed, topic_mix)
     if args.separation >= 1.0 and not aspect_vocabularies_disjoint(syn):
@@ -230,6 +247,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     hp = _load_hp(args)
     corpus = load_corpus(args.corpus)
+    _bound_sizes(args, hp, corpus.n_snippets, "the corpus's snippets")
     seeds = None
     if args.seeds:
         seeds = load_seed_lexicon(args.seeds, corpus, default_value_names(hp.N))

@@ -80,8 +80,8 @@ class CorpusShape:
             raise GeneratorError("need at least one entity and one snippet")
         if self.length_mode not in ("poisson", "chain"):
             raise GeneratorError(f"unknown length mode {self.length_mode!r}")
-        if self.mean_words <= 0:
-            raise GeneratorError("mean_words must be positive")
+        if not 0 < self.mean_words < np.inf:
+            raise GeneratorError("mean_words must be finite and positive")
         if self.seed_words_per_value < 0:
             raise GeneratorError("seed_words_per_value must be non-negative")
         reserved = n_values * self.seed_words_per_value

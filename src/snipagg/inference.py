@@ -8,13 +8,22 @@ under its current posterior (a snippet with q(Z_A = a) = 0.35 adds 0.35
 to aspect a's mixture count, and so on for emissions and transitions).
 
 Both schedules run one kernel over the corpus packed into one token
-stream. After each parameter update the kernel gathers the expected
-logs once: E[log theta_A] at the (entity, word) of every token, E[log
-psi] and E[log phi] at every snippet's entity, and the shared tables at
-every word and tag, and the context keeps it until the M-step drops
-it: the free energy at the end of a pass and the next pass read that
-same gather, and in the batch schedule the same emission scores. The
+stream. Each pass gathers the expected logs once: E[log theta_A] at
+the (entity, word) of every token, E[log psi] and E[log phi] at every
+snippet's entity, and the shared tables at every word and tag. The
 M-step counts all tokens into each factor bank with one bincount.
+
+Every factor is a Dirichlet conjugate to the draws it governs, so the
+expected complete log likelihood is linear in the M-step's expected
+counts c_f of the current posteriors (Beal 2003, ch. 2), and the free
+energy of any state is
+
+    F = sum_f [KL(q_f || prior_f) - <c_f, E[log theta_f]>]
+        + sum q log q - sum_t sum_r q(Z_W(t) = r) topic_prior_r.
+
+The fit takes each factor's term as it refits it (there the term is ln
+B(prior_f) - ln B(q_f)); compute_free_energy sums the same terms and
+sets no factor. No token or snippet is scored again.
 
 UpdateContext is where a state meets its corpus: it packs the corpus
 and stacks the state's per-entity posteriors into packed arrays, which
@@ -35,9 +44,7 @@ increases. It runs as a positional wavefront: parameters are refit only
 at the end of a pass, so within a pass a snippet's updates read nothing
 of any other snippet, and position p of every snippet is updated in one
 vector step that reads the new posterior of position p-1 and the old
-one of p+1, what the one-token-at-a-time sweep reads. The word step and
-the free energy read one role score (prior, emissions and the
-transition into the role).
+one of p+1, what the one-token-at-a-time sweep reads.
 
 The digamma refresh and the KL to the prior run only on each factor's
 support (see DirichletFactor). A cell off it sits at its prior, has
@@ -54,18 +61,18 @@ import functools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus, SeedLexicon
 from snipagg.model import (
+    DirichletFactor,
     Hyperparameters,
     ModelError,
     VariationalState,
     init_state,
-    kl_sum,
     row_views,
     stack_rows,
 )
@@ -175,11 +182,8 @@ class _Gathered:
     uses them: psi (S, K) and phi (S, K, N) at each snippet's entity, ea
     (K, T) at each token's entity and word (a take from the theta_A
     support table), ev (N, T), eb (T,) and ei (T,) at each word, eta
-    (T, n) at each tag, and the transition rows. sources holds the
-    factor tables they were read from. emis holds the _emissions of the
-    posteriors the free energy last read, for the next batch pass."""
+    (T, n) at each tag, and the transition rows."""
 
-    sources: list
     psi: np.ndarray
     phi: Optional[np.ndarray]
     ea: np.ndarray
@@ -189,21 +193,14 @@ class _Gathered:
     eta: Optional[np.ndarray]
     start: np.ndarray
     main: np.ndarray
-    emis: Optional[np.ndarray] = None
 
 
 def _gather(ctx: UpdateContext) -> _Gathered:
-    """The factors' expected logs gathered at the context's corpus. The
-    context keeps the last gather and returns it while no factor table
-    has changed since."""
-    state, pack, prev = ctx.state, ctx.pack, ctx.gathered
+    """The factors' expected logs gathered at the context's corpus."""
+    state, pack = ctx.state, ctx.pack
     cols = pack.aspect_columns(state)[0]
-    sources = [f.table_elog() for f in state.parameter_banks()]
-    if prev is not None and all(a is b for a, b in zip(prev.sources, sources, strict=True)):
-        return prev
     words, ents = pack.words, pack.ent_of_snip
-    ctx.gathered = _Gathered(
-        sources=sources,
+    return _Gathered(
         phi=None if state.phi is None else state.phi.expected_log()[state.phi.entity_rows(ents)],
         psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
         ea=np.take(state.theta_A.table_elog(), cols, axis=1),
@@ -214,7 +211,6 @@ def _gather(ctx: UpdateContext) -> _Gathered:
         start=state.trans_start.expected_log(),
         main=state.trans_main.expected_log(),
     )
-    return ctx.gathered
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -237,8 +233,7 @@ class UpdateContext:
     The constructor packs the corpus and stacks the state's per-entity
     posteriors into qa (S, K), qv (S, N; None when N = 0) and qw (T, n),
     in corpus order. new_qa, new_qv and new_qw hold one view of them per
-    entity; the updates read the state's lists and write these views,
-    and the kernels read gathered, the last _gather.
+    entity; the updates read the state's lists and write these views.
 
     In batch mode the packed arrays are copies, so every read sees the
     state as it was when the context was created; commit() makes the
@@ -263,7 +258,6 @@ class UpdateContext:
         self.qa, self.new_qa = stack(state.qa, hp.K, sb)
         self.qv, self.new_qv = stack(state.qv, hp.N, sb)
         self.qw, self.new_qw = stack(state.qw, state.layout.n_topics, pack.token_bounds)
-        self.gathered: Optional[_Gathered] = None
         if sequential:
             self.commit()
 
@@ -374,10 +368,10 @@ def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.nd
     return weights
 
 
-def _refit(ctx: UpdateContext) -> None:
-    """Set every parameter factor to prior plus the expected counts of
-    the context's packed posteriors, with one bincount per factor bank."""
-    ctx.gathered = None  # frees the gathered factor tables before the counts
+def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.ndarray]]:
+    """Yield every parameter bank with the expected counts of the
+    context's packed posteriors, in the shape of its table, one bank at
+    a time and each with one bincount."""
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     hp, layout = state.hp, state.layout
     K, N, V, n = hp.K, hp.N, state.vocab_size, layout.n_topics
@@ -385,41 +379,49 @@ def _refit(ctx: UpdateContext) -> None:
 
     def counts(f, index, weights):
         size = f.table.size
-        return np.bincount(index.ravel(), weights.ravel(), minlength=size).reshape(f.table.shape)
+        return f, np.bincount(index.ravel(), weights.ravel(), minlength=size).reshape(f.table.shape)
 
     # Bank tables are laid out (..., bank row * V + element) over their
     # support: every pair for psi and phi, the corpus pairs for theta_A.
     ent_rows = state.psi.entity_rows(pack.ent_of_snip)
-    state.psi.set_counts(counts(state.psi, ent_rows[:, None] * K + np.arange(K), qa))
+    yield counts(state.psi, ent_rows[:, None] * K + np.arange(K), qa)
     aspect_cells = pack.aspect_columns(state)[1]
-    state.theta_A.set_counts(
-        counts(state.theta_A, aspect_cells, _weights(qa, snip, qw, layout.col("A")))
-    )
+    yield counts(state.theta_A, aspect_cells, _weights(qa, snip, qw, layout.col("A")))
     if qv is not None:
         ent_rows = state.phi.entity_rows(pack.ent_of_snip)
         row_cells = ent_rows[:, None, None] * N + np.arange(N)
         phi_cells = np.arange(K)[:, None] * state.phi.table.shape[-1] + row_cells
-        state.phi.set_counts(counts(state.phi, phi_cells, qa[:, :, None] * qv[:, None, :]))
+        yield counts(state.phi, phi_cells, qa[:, :, None] * qv[:, None, :])
         value_cells = np.arange(N)[:, None] * V + words
-        state.theta_V.set_counts(
-            counts(state.theta_V, value_cells, _weights(qv, snip, qw, layout.col("V")))
-        )
-    state.theta_B.set_counts(np.bincount(words, qw[:, layout.col("B")], minlength=V))
+        yield counts(state.theta_V, value_cells, _weights(qv, snip, qw, layout.col("V")))
+    yield state.theta_B, np.bincount(words, qw[:, layout.col("B")], minlength=V)
     if state.theta_I is not None:
-        state.theta_I.set_counts(np.bincount(words, qw[:, layout.col("I")], minlength=V))
+        yield state.theta_I, np.bincount(words, qw[:, layout.col("I")], minlength=V)
     if state.eta is not None:
         tag_cells = np.arange(n)[:, None] * state.tag_count + pack.tags
-        state.eta.set_counts(counts(state.eta, tag_cells, qw.T))
+        yield counts(state.eta, tag_cells, qw.T)
+    yield state.trans_start, qw[pack.first].sum(axis=0)
     main = np.empty((n, n + 1))
     main[:, :n] = qw[pack.inner - 1].T @ qw[pack.inner]
     main[:, layout.end_col] = qw[pack.last].sum(axis=0)
-    state.trans_start.set_counts(qw[pack.first].sum(axis=0))
-    state.trans_main.set_counts(main)
+    yield state.trans_main, main
 
 
 def update_parameters(ctx: UpdateContext) -> None:
-    """Refit every parameter factor from the context's latest posteriors."""
-    _refit(ctx)
+    """Set every parameter factor to prior plus the expected counts of
+    the context's packed posteriors."""
+    for f, counts in _expected_counts(ctx):
+        f.set_counts(counts)
+
+
+def _refit(ctx: UpdateContext) -> float:
+    """update_parameters, returning the sum of the new factors'
+    free-energy terms (DirichletFactor._kl of the counts)."""
+    terms = 0.0
+    for f, counts in _expected_counts(ctx):
+        f.set_counts(counts)
+        terms += f._kl(counts)
+    return terms
 
 
 def _aspect_step(
@@ -464,22 +466,6 @@ def _emissions(
     return emis
 
 
-def _role_scores(
-    g: _Gathered, emis: np.ndarray, prev: np.ndarray, first: np.ndarray | slice
-) -> np.ndarray:
-    """Expected log score of each role at a group of m tokens, (m, n):
-    emis, their rows of _emissions, plus the transition into the role.
-    prev holds the current q(Z_W) of the predecessors of the last
-    len(prev) tokens; the rows first (snippet starts) take the start row
-    instead."""
-    n = emis.shape[1]
-    score = np.empty_like(emis)
-    score[len(emis) - len(prev):] = prev @ g.main[:, :n]
-    score[first] = g.start
-    score += emis
-    return score
-
-
 def _word_step(
     g: _Gathered,
     emis: np.ndarray,
@@ -490,15 +476,20 @@ def _word_step(
 ) -> np.ndarray:
     """update_word_topic for a group of m tokens: their new q(Z_W), (m, n).
 
-    The transition into each role is read as in _role_scores. nxt holds
-    the current q(Z_W) of the successors of the first len(nxt) tokens;
-    the rows last (snippet ends) take the end column instead.
+    emis holds their rows of _emissions. prev holds the current q(Z_W)
+    of the predecessors of the last len(prev) tokens; the rows first
+    (snippet starts) take the start row instead. nxt holds the current
+    q(Z_W) of the successors of the first len(nxt) tokens; the rows last
+    (snippet ends) take the end column instead.
     """
     n = emis.shape[1]
+    score = np.empty_like(emis)
+    score[len(emis) - len(prev):] = prev @ g.main[:, :n]
+    score[first] = g.start
+    score += emis
     out = np.empty_like(emis)
     out[: len(nxt)] = nxt @ g.main[:, :n].T
     out[last] = g.main[:, n]
-    score = _role_scores(g, emis, prev, first)
     score += out
     return _softmax_rows(score)
 
@@ -528,11 +519,7 @@ def _pass(ctx: UpdateContext, g: _Gathered) -> float:
     new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
     seen_qa = new_qa if sequential else qa
     new_qv = None if qv is None else _value_step(pack, g, seen_qa, qw, layout.col("V"))
-    if sequential or g.emis is None:
-        emis = _emissions(ctx, g, seen_qa, new_qv if sequential else qv)
-    else:
-        emis = g.emis
-    g.emis = None  # the posteriors it was made from change below
+    emis = _emissions(ctx, g, seen_qa, new_qv if sequential else qv)
     if sequential:
         new_qw = qw.copy()
         for p, (tok, n_lead) in enumerate(pack.positions):
@@ -550,31 +537,23 @@ def _pass(ctx: UpdateContext, g: _Gathered) -> float:
     return float(np.max(changes))
 
 
-def _free_energy(ctx: UpdateContext, g: _Gathered) -> float:
-    """KL of every factor to its prior, minus the expected complete log
-    likelihood, minus the posterior entropy, of the context's packed
-    posteriors.
-
-    The snippet and token terms are summed per entity first, in corpus
-    order, so entities with the same data and factors contribute the
-    same value.
-    """
+def _free_energy(ctx: UpdateContext, factor_terms: float) -> float:
+    """factor_terms (every factor's DirichletFactor._kl of the expected
+    counts) plus sum q log q over the context's packed posteriors, minus
+    each token's topic_prior weight under q(Z_W). The snippet and token
+    terms are summed per entity first, in corpus order, so entities with
+    the same posteriors contribute the same value."""
     from scipy.special import xlogy  # on first use, as in snipagg.model
 
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
-    snip = xlogy(qa, qa).sum(axis=1) - np.einsum("sk,sk->s", qa, g.psi)
+    snip = xlogy(qa, qa).sum(axis=1)
     if qv is not None:
-        snip += xlogy(qv, qv).sum(axis=1) - np.einsum("sk,skn,sn->s", qa, g.phi, qv)
-
-    g.emis = _emissions(ctx, g, qa, qv)
-    score = _role_scores(g, g.emis, qw[:-1], pack.first)
-    tok = xlogy(qw, qw).sum(axis=1) - np.einsum("tn,tn->t", qw, score)
-    tok[pack.last] -= qw[pack.last] @ g.main[:, state.layout.end_col]
-
+        snip += xlogy(qv, qv).sum(axis=1)
+    tok = xlogy(qw, qw).sum(axis=1) - qw @ state.hp.topic_prior_vector(state.layout)
     n_entities = len(pack.snippet_bounds) - 1
     per_entity = np.bincount(pack.ent_of_snip, snip, minlength=n_entities)
     per_entity += np.bincount(pack.ent_of_token, tok, minlength=n_entities)
-    return kl_sum(state.parameter_banks()) + float(per_entity.sum())
+    return factor_terms + float(per_entity.sum())
 
 
 def compute_free_energy(
@@ -583,14 +562,16 @@ def compute_free_energy(
     """Mean-field free energy of a state on its corpus.
 
     This is the sum over factors of KL(posterior || prior) minus the
-    expected complete-data log likelihood minus the posterior entropy.
+    expected complete-data log likelihood minus the posterior entropy,
+    with the likelihood read from the expected counts of the state's
+    posteriors. The state's factors and posteriors are left as they are.
     An empty corpus at the prior state scores exactly 0, and the value
     is additive over entities that share no factors.
     """
     if hp is not None and hp != state.hp:
         raise ModelError("hyperparameters do not match the state")
     ctx = UpdateContext(state, corpus)
-    return _free_energy(ctx, _gather(ctx))
+    return _free_energy(ctx, sum(f._kl(counts) for f, counts in _expected_counts(ctx)))
 
 
 def free_energy_rises(reports: Sequence[FreeEnergyReport]) -> int:
@@ -637,14 +618,11 @@ def _fit(
     progress: Optional[Callable[[int, float, float], None]],
 ) -> None:
     """hp.max_iters passes of the configured schedule, each followed by
-    a refit and the free energy, which share one gather (and, in the
-    batch schedule, its emissions) with the next pass unless a factor
-    changed in between."""
+    a refit, whose factor terms give the free energy."""
     for it in range(1, ctx.state.hp.max_iters + 1):
         t0 = time.perf_counter()
         delta = _pass(ctx, _gather(ctx))
-        _refit(ctx)
-        fe = _free_energy(ctx, _gather(ctx))
+        fe = _free_energy(ctx, _refit(ctx))
         if _end_iteration(it, fe, delta, t0, reports, progress):
             break
 
@@ -665,7 +643,7 @@ def _prime(ctx: UpdateContext) -> None:
     """
     if ctx.qv is not None and any(ctx.state.seed_sets):
         ctx.qv[:] = _value_step(ctx.pack, _gather(ctx), ctx.qa, ctx.qw, ctx.state.layout.col("V"))
-    _refit(ctx)
+    update_parameters(ctx)
 
 
 def run_inference(

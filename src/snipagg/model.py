@@ -177,6 +177,8 @@ class Hyperparameters:
             raise ModelError("topic_prior needs one weight per role (A, V, B, I)")
         if self.max_iters < 1:
             raise ModelError("max_iters must be at least 1")
+        if self.rng_seed < 0:
+            raise ModelError("rng_seed must be non-negative")
         if self.schedule not in ("batch", "sequential"):
             raise ModelError(f"unknown schedule {self.schedule!r}")
         if self.shared_aspect_multinomial and not self.shared_aspects:
@@ -477,22 +479,20 @@ class DirichletFactor:
 
     def kl_to_prior(self) -> float:
         """Sum over rows of KL(posterior row || prior row)."""
-        return kl_sum([self])
+        return self._kl()
 
-    def _kl(self) -> float:
-        # Per row: gammaln(A) - gammaln(B) - sum (gammaln(a) - gammaln(b))
-        # + sum (a - b) E[log p], for posterior a, prior b and totals A, B;
-        # cells off the support and rows without support cells add 0.
+    def _kl(self, counts=0.0) -> float:
+        # KL(posterior || prior) - <counts, E[log p]>, counts per support cell:
+        # the factor's free-energy term when counts are the posteriors' expected
+        # counts. Per row: gammaln(A) - gammaln(B) - sum (gammaln(a) - gammaln(b))
+        # + sum (a - b - counts) E[log p], for posterior a, prior b and totals A,
+        # B; cells off the support and rows without support cells add 0. Right
+        # after set_counts(counts), a = b + counts: the term is ln B(b) - ln B(a).
         a = self.table
         row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
         cell_part = gammaln(a) - np.take(self._base_log()[1], self._col_of, axis=-1)
-        cross = np.vdot(a - self._prior_table, self.table_elog())
+        cross = np.vdot(a - self._prior_table - counts, self.table_elog())
         return float(row_part.sum() - cell_part.sum() + cross)
-
-
-def kl_sum(factors: Sequence[DirichletFactor]) -> float:
-    """Sum over factors and rows of KL(posterior row || prior row)."""
-    return sum(f._kl() for f in factors)
 
 
 class FactorRow:

@@ -577,3 +577,98 @@ def test_state_file_with_a_non_integer_count_exits_3(workspace, tmp_path, capsys
     code, err = _report(capsys, data, path)
     assert code == 3
     assert path in err and "vocab_size" in err
+
+
+HUGE = str(10**40)
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+@pytest.mark.parametrize("key", ["K", "N"])
+def test_oversized_set_exits_2_before_allocating(workspace, tmp_path, capsys, command, key):
+    data, _ = workspace
+    out = str(tmp_path / "out")
+    args = generate_args(out) if command == "generate" else fit_args(data, out)
+    code = main(["-q", *args, "--set", f"{key}={HUGE}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--set: {key} = {HUGE} exceeds" in captured.err and "Traceback" not in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+@pytest.mark.parametrize("key", ["K", "N"])
+def test_oversized_config_value_exits_3_naming_the_file(
+    workspace, tmp_path, capsys, command, key
+):
+    data, _ = workspace
+    config = tmp_path / "model.cfg"
+    config.write_text(f"{key} = {HUGE}\n")
+    out = str(tmp_path / "out")
+    if command == "generate":
+        args = ["generate", "--entities", "3", "--snippets", "4"]
+    else:
+        args = ["fit", "--corpus", os.path.join(data, "corpus.jsonl")]
+    code = main(["-q", *args, "--out", out, "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"error: {config}: {key} = {HUGE} exceeds" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_fit_takes_as_many_aspects_as_the_corpus_has_snippets(workspace, tmp_path, capsys):
+    data, _ = workspace  # 4 entities x 6 snippets
+    for k, want in ((24, 0), (25, 2)):
+        out = str(tmp_path / f"k{k}")
+        code = main(["-q", *fit_args(data, out), "--set", f"K={k}", "--set", "max_iters=1"])
+        captured = capsys.readouterr()
+        assert code == want, captured.err
+    assert "K = 25 exceeds the corpus's snippets (24)" in captured.err
+
+
+def test_generate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "gen"
+    code = main(["-q", *generate_args(str(out), seed=-1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--seed must be non-negative" in captured.err and "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fit"])
+def test_negative_rng_seed_set_exits_2(workspace, tmp_path, capsys, command):
+    data, _ = workspace
+    out = str(tmp_path / "out")
+    args = generate_args(out) if command == "generate" else fit_args(data, out)
+    code = main(["-q", *args, "--set", "rng_seed=-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--set: rng_seed must be non-negative" in captured.err
+    assert not os.path.exists(out)
+
+
+def test_negative_rng_seed_in_config_or_state_exits_3(workspace, tmp_path, capsys):
+    data, fit = workspace
+    config = tmp_path / "model.cfg"
+    config.write_text("K = 2\nrng_seed = -1\n")
+    out = str(tmp_path / "out")
+    code = main(["-q", "fit", "--corpus", os.path.join(data, "corpus.jsonl"),
+                 "--config", str(config), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"error: {config}: rng_seed must be non-negative" in captured.err
+    assert not os.path.exists(out)
+    path = _edited_state(fit, tmp_path, lambda p: p["hyperparameters"].update(rng_seed=-1))
+    code, err = _report(capsys, data, path)
+    assert code == 3
+    assert f"error: {path}: rng_seed must be non-negative" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_rejects_non_finite_mean_words(tmp_path, capsys, value):
+    out = tmp_path / "gen"
+    code = main(["-q", *generate_args(str(out)), "--mean-words", value])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "mean_words must be finite and positive" in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()

@@ -256,6 +256,13 @@ def test_shape_validation_errors():
                     mean_words=0.0).validate(2)
 
 
+@pytest.mark.parametrize("mean_words", [math.nan, math.inf, -math.inf])
+def test_shape_rejects_non_finite_mean_words(mean_words):
+    shape = CorpusShape(n_entities=2, snippets_per_entity=2, mean_words=mean_words)
+    with pytest.raises(GeneratorError, match="mean_words must be finite and positive"):
+        shape.validate(2)
+
+
 def test_separation_range_and_block_errors():
     hp = Hyperparameters(K=3, N=0, rng_seed=0)
     with pytest.raises(GeneratorError, match="separation"):

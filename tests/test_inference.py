@@ -32,6 +32,7 @@ from snipagg.inference import (
     word_label_predictions,
 )
 from snipagg.model import (
+    DirichletFactor,
     Hyperparameters,
     ModelError,
     build_priors,
@@ -636,6 +637,31 @@ def test_free_energy_matches_dense_reference(
         assert np.abs(f.expected_log() - dense_elog(f.concentration)).max(initial=0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+@settings(max_examples=40, deadline=None)
+@given(topic_prior=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4), **STATE_FLAGS)
+def test_free_energy_matches_dense_reference_at_refits(
+    schedule, seed, n_values, use_ignore, use_pos, shared, max_len, topic_prior
+):
+    # At a refit the factor terms collapse to ln B(prior) - ln B(posterior);
+    # the fit's value and compute_free_energy must still be the full sum,
+    # after the refit and after every pass (the fit's state is the caller's).
+    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
+    state.hp.schedule, state.hp.max_iters = schedule, 3
+    state.hp.topic_prior = tuple(topic_prior)
+    ctx = UpdateContext(state, corpus, sequential=True)
+
+    def check(fe):
+        want = dense_free_energy(state, corpus)
+        assert abs(fe - want) <= 1e-12 * abs(want)
+        assert abs(compute_free_energy(state, corpus) - want) <= 1e-12 * abs(want)
+
+    check(inference._free_energy(ctx, _refit(ctx)))
+    reports = []
+    inference._fit(ctx, reports, lambda it, fe, seconds: check(fe))
+    assert reports
+
+
 def aspect_counts_by_hand(state, corpus, qa, qw):
     """Dense (E, K, V) theta_A counts of packed posteriors, token by token."""
     col = state.layout.col("A")
@@ -718,33 +744,25 @@ def test_loaded_state_refits_like_the_state_in_memory(tmp_path, fitted):
 def test_batch_fit_builds_emissions_once_per_iteration(monkeypatch):
     corpus = random_corpus(np.random.default_rng(8), n_entities=4, vocab_size=25)
     hp = Hyperparameters(K=3, N=2, max_iters=6, rng_seed=1)
-    # Reference: every pass builds its own emissions, as the free energy does.
-    free_energy = inference._free_energy
-
-    def without_handoff(ctx, g):
-        value = free_energy(ctx, g)
-        g.emis = None
-        return value
-
-    monkeypatch.setattr(inference, "_free_energy", without_handoff)
-    want_state, want = run_inference(hp, corpus)
-    monkeypatch.undo()
     calls = []
     emissions = inference._emissions
     monkeypatch.setattr(inference, "_emissions", lambda *a: calls.append(1) or emissions(*a))
     state, reports = run_inference(hp, corpus)
-    # One per free energy, plus the first pass, which has none before it.
-    assert len(calls) == len(reports) + 1
-    assert [r.value for r in reports] == [r.value for r in want]
-    for got, exp in zip(state.qw, want_state.qw, strict=True):
-        assert np.array_equal(got, exp)
-    # A pass consumes the handed-over emissions: they belong to the
-    # posteriors it replaces.
-    ctx = UpdateContext(state, corpus)
-    g = _gather(ctx)
-    inference._free_energy(ctx, g)
-    _pass(ctx, g)
-    assert g.emis is None
+    # One per pass: the free energy reads the counts, not the emissions.
+    assert len(calls) == len(reports)
+    calls.clear()
+    assert compute_free_energy(state, corpus) == reports[-1].value
+    assert not calls
+    monkeypatch.undo()
+    # The free energy has no side effect on the posteriors: a fit whose
+    # free energy is a constant makes the same moves.
+    monkeypatch.setattr(inference, "_free_energy", lambda ctx, terms: 0.0)
+    monkeypatch.setattr(DirichletFactor, "_kl", lambda self, counts=0.0: 0.0)
+    blind, blind_reports = run_inference(hp, corpus)
+    assert len(blind_reports) == len(reports)
+    for name in ("qa", "qv", "qw"):
+        for got, want in zip(getattr(blind, name), getattr(state, name), strict=True):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])

@@ -210,6 +210,12 @@ def test_hyperparameters_must_be_finite(changes, key):
         Hyperparameters(**changes).validate()
 
 
+def test_rng_seed_must_be_non_negative():
+    Hyperparameters(rng_seed=0).validate()
+    with pytest.raises(ModelError, match="^rng_seed must be non-negative$"):
+        Hyperparameters(rng_seed=-1).validate()
+
+
 def test_defaults_match_reference_settings():
     hp = Hyperparameters()
     assert (hp.lambda_B, hp.lambda_A, hp.lambda_V, hp.epsilon_V) == (0.2, 0.075, 0.15, 0.075)
