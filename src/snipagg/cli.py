@@ -55,6 +55,7 @@ from snipagg.evaluation import (
     word_label_prf,
 )
 from snipagg.generator import (
+    MAX_CELLS,
     CorpusShape,
     GeneratorError,
     aspect_vocabularies_disjoint,
@@ -197,6 +198,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
             ) from None
     if args.entities >= 1 and args.snippets >= 1:  # make_separable rejects other shapes
         _bound_sizes(args, hp, args.entities * args.snippets, "entities x snippets")
+        sizes = {
+            "--vocab-size": args.vocab_size,
+            "--entities": args.entities,
+            "--entities x --snippets": args.entities * args.snippets,
+            "--entities x K x --vocab-size": args.entities * hp.K * args.vocab_size,
+            "N x --vocab-size": hp.N * args.vocab_size,
+            "--entities x K x N": args.entities * hp.K * hp.N,
+        }
+        for what, size in sizes.items():
+            if size > MAX_CELLS:
+                raise UsageError(f"{what} = {size} exceeds the size ceiling ({MAX_CELLS})")
     t0 = time.perf_counter()
     syn = make_separable(hp, shape, args.separation, args.seed, topic_mix)
     if args.separation >= 1.0 and not aspect_vocabularies_disjoint(syn):

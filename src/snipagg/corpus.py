@@ -12,6 +12,9 @@ File formats, all UTF-8:
 * parse spans: TSV with columns snippet_id, start, end, kind
   (half-open token intervals, kind one of NP, ADJP, ADVP)
 
+A clusters, polarity or word-label file names each snippet at most
+once; a parse-span file may list several spans for one snippet.
+
 Words are lowercased on load; tags are kept verbatim. There is no
 stemming and no stop-word removal, the background topic is expected to
 absorb function words. Vocabulary and tag indices are dense and follow
@@ -140,17 +143,9 @@ def _normalize_word(word: str) -> str:
     return word.lower()
 
 
-def load_corpus(path: str) -> Corpus:
-    """Read a JSON-lines corpus file.
-
-    Raises CorpusError (with the offending line number) on malformed
-    records, empty token lists, or duplicate snippet ids.
-    """
-    entities = Indexer()
-    groups: list[list[Snippet]] = []
-    vocabulary = Indexer()
-    tag_set = Indexer()
-    seen_ids: set[str] = set()
+def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, record) for each non-blank line of a JSON-lines
+    file; every record must be a JSON object."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -162,39 +157,48 @@ def load_corpus(path: str) -> Corpus:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             if not isinstance(rec, dict):
                 raise CorpusError(f"{path}:{lineno}: record is not an object")
-            missing = {"entity", "id", "tokens"} - rec.keys()
-            if missing:
+            yield lineno, rec
+
+
+def load_corpus(path: str) -> Corpus:
+    """Read a JSON-lines corpus file.
+
+    Raises CorpusError (with the offending line number) on malformed
+    records, empty token lists, or duplicate snippet ids.
+    """
+    entities = Indexer()
+    groups: list[list[Snippet]] = []
+    vocabulary = Indexer()
+    tag_set = Indexer()
+    seen_ids: set[str] = set()
+    for lineno, rec in _read_jsonl(path):
+        missing = {"entity", "id", "tokens"} - rec.keys()
+        if missing:
+            raise CorpusError(f"{path}:{lineno}: missing field(s) {sorted(missing)}")
+        entity, snippet_id, raw_tokens = rec["entity"], rec["id"], rec["tokens"]
+        if not isinstance(entity, str) or not isinstance(snippet_id, str):
+            raise CorpusError(f"{path}:{lineno}: entity and id must be strings")
+        if snippet_id in seen_ids:
+            raise CorpusError(f"{path}:{lineno}: duplicate snippet id {snippet_id!r}")
+        seen_ids.add(snippet_id)
+        if not isinstance(raw_tokens, list) or not raw_tokens:
+            raise CorpusError(f"{path}:{lineno}: snippet has no tokens")
+        tokens = []
+        for tok in raw_tokens:
+            if (
+                not isinstance(tok, list)
+                or len(tok) != 2
+                or not all(isinstance(x, str) for x in tok)
+            ):
                 raise CorpusError(
-                    f"{path}:{lineno}: missing field(s) {sorted(missing)}"
+                    f"{path}:{lineno}: token must be a [word, tag] string pair"
                 )
-            entity, snippet_id, raw_tokens = rec["entity"], rec["id"], rec["tokens"]
-            if not isinstance(entity, str) or not isinstance(snippet_id, str):
-                raise CorpusError(f"{path}:{lineno}: entity and id must be strings")
-            if snippet_id in seen_ids:
-                raise CorpusError(
-                    f"{path}:{lineno}: duplicate snippet id {snippet_id!r}"
-                )
-            seen_ids.add(snippet_id)
-            if not isinstance(raw_tokens, list) or not raw_tokens:
-                raise CorpusError(f"{path}:{lineno}: snippet has no tokens")
-            tokens = []
-            for tok in raw_tokens:
-                if (
-                    not isinstance(tok, list)
-                    or len(tok) != 2
-                    or not all(isinstance(x, str) for x in tok)
-                ):
-                    raise CorpusError(
-                        f"{path}:{lineno}: token must be a [word, tag] string pair"
-                    )
-                word, tag = tok
-                tokens.append(
-                    Token(vocabulary.add(_normalize_word(word)), tag_set.add(tag))
-                )
-            eidx = entities.add(entity)
-            if eidx == len(groups):
-                groups.append([])
-            groups[eidx].append(Snippet(eidx, snippet_id, tokens))
+            word, tag = tok
+            tokens.append(Token(vocabulary.add(_normalize_word(word)), tag_set.add(tag)))
+        eidx = entities.add(entity)
+        if eidx == len(groups):
+            groups.append([])
+        groups[eidx].append(Snippet(eidx, snippet_id, tokens))
     corpus = Corpus(list(entities.items), groups, vocabulary, tag_set)
     log.info(
         "loaded corpus %s: %d entities, %d snippets, %d word types, %d tags",
@@ -376,17 +380,31 @@ def _read_tsv(path: str, n_cols: int) -> Iterator[tuple[int, list[str]]]:
 
 
 def _check_snippet(
-    corpus: Corpus, by_id: Mapping[str, Snippet], path: str, lineno: int, entity: str, sid: str
-) -> None:
-    """Check that the snippet a line names exists and belongs to entity."""
+    corpus: Corpus,
+    by_id: Mapping[str, Snippet],
+    path: str,
+    lineno: int,
+    sid: str,
+    entity: Optional[str] = None,
+) -> Snippet:
+    """The snippet a line names. It must exist and, where the format
+    names an entity, belong to the line's entity."""
     sn = by_id.get(sid)
     if sn is None:
         raise CorpusError(f"{path}:{lineno}: unknown snippet id {sid!r}")
-    if corpus.entities[sn.entity] != entity:
+    if entity is not None and corpus.entities[sn.entity] != entity:
         raise CorpusError(
             f"{path}:{lineno}: snippet {sid!r} belongs to "
             f"{corpus.entities[sn.entity]!r}, not {entity!r}"
         )
+    return sn
+
+
+def _add_once(table: dict, path: str, lineno: int, sid: str, value: object) -> None:
+    """Store a line's value for its snippet; a second line for it is an error."""
+    if sid in table:
+        raise CorpusError(f"{path}:{lineno}: duplicate snippet id {sid!r}")
+    table[sid] = value
 
 
 def load_gold(
@@ -400,8 +418,9 @@ def load_gold(
     """Load whichever gold annotation files are provided.
 
     Every referenced snippet id must exist in the corpus and belong to
-    the entity named on its line. Polarity labels are resolved against
-    value_names (defaults to positive/negative).
+    the entity named on its line; a clusters, polarity or word-label
+    file names each snippet at most once. Polarity labels are resolved
+    against value_names (defaults to positive/negative).
     """
     gold = GoldAnnotations()
     by_id = corpus.snippet_by_id()
@@ -409,56 +428,36 @@ def load_gold(
     lexicon = empty_lexicon(names)
     if clusters_path is not None:
         for lineno, (entity, sid, label) in _read_tsv(clusters_path, 3):
-            _check_snippet(corpus, by_id, clusters_path, lineno, entity, sid)
-            gold.clusters[sid] = label
+            _check_snippet(corpus, by_id, clusters_path, lineno, sid, entity)
+            _add_once(gold.clusters, clusters_path, lineno, sid, label)
     if polarity_path is not None:
         for lineno, (entity, sid, label) in _read_tsv(polarity_path, 3):
-            _check_snippet(corpus, by_id, polarity_path, lineno, entity, sid)
+            _check_snippet(corpus, by_id, polarity_path, lineno, sid, entity)
             try:
-                gold.polarity[sid] = lexicon.resolve_value(label)
+                value = lexicon.resolve_value(label)
             except CorpusError as exc:
                 raise CorpusError(f"{polarity_path}:{lineno}: {exc}") from None
+            _add_once(gold.polarity, polarity_path, lineno, sid, value)
     if word_labels_path is not None:
-        with open(word_labels_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(
-                        f"{word_labels_path}:{lineno}: invalid JSON: {exc}"
-                    ) from None
-                if not isinstance(rec, dict):
-                    raise CorpusError(f"{word_labels_path}:{lineno}: record is not an object")
-                sid = rec.get("id")
-                labels = rec.get("labels")
-                if not isinstance(sid, str) or not isinstance(labels, list):
-                    raise CorpusError(
-                        f"{word_labels_path}:{lineno}: need string id and label list"
-                    )
-                sn = by_id.get(sid)
-                if sn is None:
-                    raise CorpusError(
-                        f"{word_labels_path}:{lineno}: unknown snippet id {sid!r}"
-                    )
-                if len(labels) != len(sn.tokens):
-                    raise CorpusError(
-                        f"{word_labels_path}:{lineno}: {len(labels)} labels for "
-                        f"{len(sn.tokens)} tokens"
-                    )
-                bad = [l for l in labels if l not in WORD_LABELS]
-                if bad:
-                    raise CorpusError(
-                        f"{word_labels_path}:{lineno}: unknown label(s) {bad}"
-                    )
-                gold.word_labels[sid] = list(labels)
+        for lineno, rec in _read_jsonl(word_labels_path):
+            sid, labels = rec.get("id"), rec.get("labels")
+            if not isinstance(sid, str) or not isinstance(labels, list):
+                raise CorpusError(
+                    f"{word_labels_path}:{lineno}: need string id and label list"
+                )
+            sn = _check_snippet(corpus, by_id, word_labels_path, lineno, sid)
+            if len(labels) != len(sn.tokens):
+                raise CorpusError(
+                    f"{word_labels_path}:{lineno}: {len(labels)} labels for "
+                    f"{len(sn.tokens)} tokens"
+                )
+            bad = [l for l in labels if l not in WORD_LABELS]
+            if bad:
+                raise CorpusError(f"{word_labels_path}:{lineno}: unknown label(s) {bad}")
+            _add_once(gold.word_labels, word_labels_path, lineno, sid, list(labels))
     if parse_spans_path is not None:
         for lineno, (sid, start_s, end_s, kind) in _read_tsv(parse_spans_path, 4):
-            sn = by_id.get(sid)
-            if sn is None:
-                raise CorpusError(f"{parse_spans_path}:{lineno}: unknown snippet id {sid!r}")
+            sn = _check_snippet(corpus, by_id, parse_spans_path, lineno, sid)
             try:
                 start, end = int(start_s), int(end_s)
             except ValueError:
@@ -488,18 +487,20 @@ def load_polarity_predictions(
     names = list(value_names)
     out: dict[str, Optional[int]] = {}
     for lineno, (entity, sid, label) in _read_tsv(path, 3):
-        _check_snippet(corpus, by_id, path, lineno, entity, sid)
+        _check_snippet(corpus, by_id, path, lineno, sid, entity)
         if label == "split":
-            out[sid] = None
+            value = None
         elif label in names:
-            out[sid] = names.index(label)
+            value = names.index(label)
         else:
             raise CorpusError(f"{path}:{lineno}: unknown value label {label!r}")
+        _add_once(out, path, lineno, sid, value)
     return out
 
 
 def save_cluster_tsv(corpus: Corpus, labels: Mapping[str, str], path: str) -> None:
-    """Write snippet -> cluster label assignments as gold-format TSV."""
+    """Write snippet -> label assignments as gold-format TSV, in corpus
+    order; the one writer of the entity/id/label format."""
     with atomic_open(path) as fh:
         for sn in corpus.iter_snippets():
             if sn.snippet_id in labels:
@@ -516,14 +517,8 @@ def save_polarity_tsv(
     path: str,
 ) -> None:
     """Write snippet polarity as TSV; None values are written as 'split'."""
-    with atomic_open(path) as fh:
-        for sn in corpus.iter_snippets():
-            if sn.snippet_id in polarity:
-                v = polarity[sn.snippet_id]
-                label = "split" if v is None else value_names[int(v)]
-                fh.write(
-                    f"{corpus.entities[sn.entity]}\t{sn.snippet_id}\t{label}\n"
-                )
+    labels = {sid: "split" if v is None else value_names[int(v)] for sid, v in polarity.items()}
+    save_cluster_tsv(corpus, labels, path)
 
 
 def save_word_labels_jsonl(

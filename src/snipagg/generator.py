@@ -52,6 +52,16 @@ SYNTHETIC_TAGS = ("NN", "JJ", "VB", "DT", "RB")
 # adjectives so tag-aware fits have signal to find.
 TAG_BIAS = 6.0
 MAX_CHAIN_LENGTH = 200
+# A Poisson length is redrawn until it lands in [1, 30]. Inside this
+# range of means a draw lands there with probability above 9% (9.5% at
+# 0.1, 10.9% at 38), so a snippet takes about 11 draws at worst.
+POISSON_MEAN_RANGE = (0.1, 38.0)
+# Ceiling on every size `snipagg generate` builds: the vocabulary, the
+# entity list, the snippet count and the cells of the aspect, value and
+# aspect-value tables (entities x K x vocab_size, N x vocab_size and
+# entities x K x N). The reference corpus (300 x 42 snippets,
+# vocab_size 1200, K = 10) has a 3.6M-cell aspect table.
+MAX_CELLS = 10**8
 
 
 class GeneratorError(ValueError):
@@ -63,8 +73,9 @@ class CorpusShape:
     """Size and length profile of a sampled corpus.
 
     mean_words feeds either a Poisson length truncated to [1, 30]
-    (length_mode "poisson") or, with length_mode "chain", the walk runs
-    until the transition table emits the end marker. vocab_size counts
+    (length_mode "poisson", mean in POISSON_MEAN_RANGE) or, with
+    length_mode "chain", the walk runs until the transition table emits
+    the end marker (at most MAX_CHAIN_LENGTH steps). vocab_size counts
     the whole vocabulary including any reserved seed words.
     """
 
@@ -82,6 +93,9 @@ class CorpusShape:
             raise GeneratorError(f"unknown length mode {self.length_mode!r}")
         if not 0 < self.mean_words < np.inf:
             raise GeneratorError("mean_words must be finite and positive")
+        lo, hi = POISSON_MEAN_RANGE
+        if self.length_mode == "poisson" and not lo <= self.mean_words <= hi:
+            raise GeneratorError(f"mean_words must lie in [{lo:g}, {hi:g}] for Poisson lengths")
         if self.seed_words_per_value < 0:
             raise GeneratorError("seed_words_per_value must be non-negative")
         reserved = n_values * self.seed_words_per_value

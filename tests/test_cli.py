@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -671,4 +672,38 @@ def test_generate_rejects_non_finite_mean_words(tmp_path, capsys, value):
     assert code == 3
     assert "mean_words must be finite and positive" in captured.err
     assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1000", "1e-9"])
+def test_generate_rejects_poisson_mean_words_out_of_range(tmp_path, capsys, value):
+    out = tmp_path / "gen"
+    t0 = time.perf_counter()
+    code = main(["-q", *generate_args(str(out)), "--mean-words", value])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "mean_words must lie in [0.1, 38] for Poisson lengths" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, what", [
+    ("--vocab-size", "--vocab-size"),
+    ("--entities", "--entities"),
+    ("--snippets", "--entities x --snippets"),
+])
+def test_generate_rejects_sizes_above_the_ceiling(tmp_path, capsys, flag, what):
+    out = tmp_path / "gen"
+    t0 = time.perf_counter()
+    code = main(["-q", *generate_args(str(out)), flag, str(10**40)])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {what} = " in captured.err
+    assert f"exceeds the size ceiling ({cli.MAX_CELLS})" in captured.err
+    assert not out.exists()
+    # The tables count too: 4 entities x K=2 x vocab_size cells.
+    code = main(["-q", *generate_args(str(out)), "--vocab-size", str(cli.MAX_CELLS // 4)])
+    assert code == 2
+    assert "--entities x K x --vocab-size = " in capsys.readouterr().err
     assert not out.exists()

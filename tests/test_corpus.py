@@ -263,10 +263,16 @@ LABELS = '{"id": "s1", "labels": ["V", "A"]}\n'
     ("word_labels", LABELS + '{"id": "s1"}\n', 2, "need string id and label list"),
     ("word_labels", LABELS + '{"id": "nope", "labels": ["V"]}\n', 2, "unknown snippet id 'nope'"),
     ("word_labels", LABELS + '{"id": "s1", "labels": ["V", "X"]}\n', 2, "unknown label(s) ['X']"),
+    ("word_labels", LABELS + LABELS, 2, "duplicate snippet id 's1'"),
     ("parse_spans", "s2\t0\t2\tNP\nnope\t0\t1\tNP\n", 2, "unknown snippet id 'nope'"),
     ("parse_spans", "s2\t0\t2\tNP\ns1\t0\tend\tNP\n", 2, "start and end must be integers"),
     ("parse_spans", "s2\t0\t2\tNP\ns1\t0.5\t2\tNP\n", 2, "start and end must be integers"),
     ("polarity", "cafe\ts1\tpositive\nbar\ts3\tneutral\n", 2, "unknown value label 'neutral'"),
+    ("polarity", "cafe\ts1\tpositive\ncafe\ts1\tnegative\n", 2, "duplicate snippet id 's1'"),
+    ("clusters", "cafe\ts1\tfood\ncafe\tnope\tfood\n", 2, "unknown snippet id 'nope'"),
+    ("clusters", "cafe\ts1\tfood\nbar\ts2\tfood\n", 2,
+     "snippet 's2' belongs to 'cafe', not 'bar'"),
+    ("clusters", "cafe\ts1\tfood\ncafe\ts1\tservice\n", 2, "duplicate snippet id 's1'"),
     ("seeds", "[value:positive]\n[positive]\n", 2, "section header must be [value:<name>]"),
     ("seeds", "[value:positive]\n[value: ]\n", 2, "empty value name"),
     ("seeds", "great\n", 1, "seed word before any [value:...] header"),
@@ -284,6 +290,7 @@ def test_reader_messages_name_the_file_and_line(
         "word_labels": lambda: load_gold(corpus, word_labels_path=str(path)),
         "parse_spans": lambda: load_gold(corpus, parse_spans_path=str(path)),
         "polarity": lambda: load_gold(corpus, polarity_path=str(path)),
+        "clusters": lambda: load_gold(corpus, clusters_path=str(path)),
         "seeds": lambda: load_seed_lexicon(str(path), corpus),
     }[reader]
     try:
@@ -305,6 +312,7 @@ def test_polarity_predictions_skip_comments_and_check_lines(tmp_path, corpus):
         ("cafe\tnope\tpositive\n", "unknown snippet id 'nope'"),
         ("cafe\ts1\tpos\n", "unknown value label 'pos'"),   # no prefix match
         ("cafe\ts1\n", "expected 3 tab-separated columns"),
+        ("cafe\ts1\tpositive\ncafe\ts1\tsplit\n", r"p\.tsv:2: duplicate snippet id 's1'"),
     ):
         ppath.write_text(text)
         with pytest.raises(CorpusError, match=fragment):

@@ -263,6 +263,26 @@ def test_shape_rejects_non_finite_mean_words(mean_words):
         shape.validate(2)
 
 
+@pytest.mark.parametrize("mean_words, length_mode, ok", [
+    (1000.0, "poisson", False),
+    (1e-9, "poisson", False),
+    (0.09, "poisson", False),
+    (38.5, "poisson", False),
+    (0.1, "poisson", True),
+    (38.0, "poisson", True),
+    (1000.0, "chain", True),   # a chain stops at MAX_CHAIN_LENGTH
+    (1e-9, "chain", True),
+])
+def test_shape_bounds_poisson_mean_words(mean_words, length_mode, ok):
+    shape = CorpusShape(n_entities=2, snippets_per_entity=2, mean_words=mean_words,
+                        length_mode=length_mode)
+    if ok:
+        shape.validate(2)
+    else:
+        with pytest.raises(GeneratorError, match=r"mean_words must lie in \[0\.1, 38\]"):
+            shape.validate(2)
+
+
 def test_separation_range_and_block_errors():
     hp = Hyperparameters(K=3, N=0, rng_seed=0)
     with pytest.raises(GeneratorError, match="separation"):
