@@ -59,16 +59,10 @@ def tfidf_vectors(
     """
     if not snippets:
         raise BaselineError("empty snippet scope")
-    per_snippet: list[Counter] = []
-    for sn in snippets:
-        if noun_only:
-            kept = [
-                t.word for t in sn.tokens
-                if corpus.tag_set[t.tag].startswith(NOUN_TAG_PREFIX)
-            ]
-        else:
-            kept = [t.word for t in sn.tokens]
-        per_snippet.append(Counter(kept))
+    noun = np.array([t.startswith(NOUN_TAG_PREFIX) for t in corpus.tag_set.items], dtype=bool)
+    per_snippet = [
+        Counter((sn.words[noun[sn.tags]] if noun_only else sn.words).tolist()) for sn in snippets
+    ]
     df = Counter()
     for counts in per_snippet:
         df.update(counts.keys())
@@ -222,8 +216,9 @@ def seed_sentiment(snippet: Snippet, seeds: SeedLexicon) -> Optional[int]:
     """
     if seeds.n_values != 2:
         raise BaselineError("seed sentiment needs exactly two value types")
-    pos = sum(1 for t in snippet.tokens if t.word in seeds.seed_words[0])
-    neg = sum(1 for t in snippet.tokens if t.word in seeds.seed_words[1])
+    words = snippet.words.tolist()
+    pos = sum(map(seeds.seed_words[0].__contains__, words))
+    neg = sum(map(seeds.seed_words[1].__contains__, words))
     if pos > neg:
         return 0
     if neg > pos:

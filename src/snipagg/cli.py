@@ -368,7 +368,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 if sid not in preds:
                     continue
                 spans = gold_ann.parse_spans.get(sid, [])
-                tags = [corpus.tag_set[t.tag] for t in sn.tokens]
+                tags = [corpus.tag_set[t] for t in sn.tags.tolist()]
                 preds[sid] = tree_expand(preds[sid], spans, tags)
         prf = word_label_prf(preds, gold_ann.word_labels)
         results["aspect"] = dataclasses.asdict(prf.aspect)

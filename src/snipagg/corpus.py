@@ -19,7 +19,9 @@ Words are lowercased on load; tags are kept verbatim. There is no
 stemming and no stop-word removal, the background topic is expected to
 absorb function words. Vocabulary and tag indices are dense and follow
 first appearance order, so loading the same file twice gives identical
-indexing. The writers replace their target file atomically.
+indexing. A Corpus holds its tokens packed, as flat word and tag index
+arrays with snippet offsets; load_corpus fills them as it reads and
+makes no Token objects. The writers replace their target file atomically.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import json
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+import numpy as np
 
 from snipagg.output import atomic_open
 
@@ -51,12 +55,10 @@ class Indexer:
             self.add(it)
 
     def add(self, item: str) -> int:
-        idx = self._index.get(item)
-        if idx is None:
-            idx = len(self.items)
-            self._index[item] = idx
+        if item not in self._index:
+            self._index[item] = len(self.items)
             self.items.append(item)
-        return idx
+        return self._index[item]
 
     def index(self, item: str) -> int:
         return self._index[item]
@@ -82,33 +84,96 @@ class Token:
     tag: int
 
 
-@dataclass
-class Snippet:
-    """A short opinion phrase owned by one entity."""
+def _frozen(values) -> np.ndarray:
+    out = np.asarray(values, dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
-    entity: int
-    snippet_id: str
-    tokens: list[Token]
+
+class Snippet:
+    """A short opinion phrase owned by one entity.
+
+    words and tags hold its word and tag indices, read-only int64 arrays
+    (views of one flat array when the corpus was loaded or sampled).
+    Snippet(entity, snippet_id, tokens) builds one from Token objects,
+    for corpora built in code; tokens gives them back.
+    """
+
+    __slots__ = ("entity", "snippet_id", "words", "tags")
+
+    def __init__(self, entity: int, snippet_id: str, tokens: Sequence[Token]):
+        words, tags = _frozen([t.word for t in tokens]), _frozen([t.tag for t in tokens])
+        self._set(entity, snippet_id, words, tags)
+
+    def _set(self, entity: int, snippet_id: str, words: np.ndarray, tags: np.ndarray) -> Snippet:
+        self.entity, self.snippet_id, self.words, self.tags = entity, snippet_id, words, tags
+        return self
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return tuple(map(Token, self.words.tolist(), self.tags.tolist()))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Snippet) and (self.entity, self.snippet_id, self.tokens) == (
+            other.entity, other.snippet_id, other.tokens)
 
 
-@dataclass
 class Corpus:
-    """Snippets grouped by entity, plus the shared vocabularies.
+    """Snippets grouped by entity and the shared vocabularies, with every
+    token in one stream, packed when the corpus is built.
 
     Attributes:
         entities: entity ids in first appearance order.
         snippets: one list per entity, input order preserved.
         vocabulary: dense word index (lowercased surface forms).
         tag_set: dense tag index (verbatim tag strings).
+        words, tags: (T,) word and tag index of every token, snippets in
+            corpus order; snippet s (counted over the corpus) owns tokens
+            offsets[s]:offsets[s+1], and entity i owns snippets
+            snippet_bounds[i]:snippet_bounds[i+1].
+
+    A corpus is immutable, not invalidated: its arrays and its snippets'
+    words and tags are read-only and tokens is a tuple. So nothing that
+    is derived from the arrays can go stale; inference builds its pack
+    once per corpus and keeps it in _pack. To change a corpus, build a
+    new one.
     """
 
-    entities: list[str]
-    snippets: list[list[Snippet]]
-    vocabulary: Indexer
-    tag_set: Indexer
+    def __init__(self, entities: list[str], snippets: list[list[Snippet]], vocabulary: Indexer,
+                 tag_set: Indexer):
+        flat = [sn for group in snippets for sn in group]
+        self.entities, self.snippets = entities, snippets
+        self.vocabulary, self.tag_set = vocabulary, tag_set
+        self.words = _frozen(np.concatenate([sn.words for sn in flat] or [[]]))
+        self.tags = _frozen(np.concatenate([sn.tags for sn in flat] or [[]]))
+        self.offsets = _frozen(np.cumsum([0] + [len(sn) for sn in flat]))
+        self.snippet_bounds = _frozen(np.cumsum([0] + [len(g) for g in snippets]))
+        self._pack = None
+
+    @classmethod
+    def from_arrays(
+        cls, entities: list[str], vocabulary: Indexer, tag_set: Indexer, snippet_entity,
+        snippet_ids: Sequence[str], lengths, words, tags,
+    ) -> Corpus:
+        """The corpus whose snippet s belongs to entity snippet_entity[s],
+        has id snippet_ids[s] and owns the next lengths[s] tokens of
+        words and tags. A stable sort groups the snippets by entity, so
+        each entity keeps its snippets in input order."""
+        ent = np.asarray(snippet_entity, dtype=np.int64)
+        order = np.argsort(ent, kind="stable")
+        lengths = np.asarray(lengths, dtype=np.int64)
+        starts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
+        ends = np.cumsum(lengths)
+        take = np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+        words, tags = (_frozen(np.asarray(x, dtype=np.int64)[take]) for x in (words, tags))
+        rows = zip(ent[order].tolist(), order.tolist(), lengths.tolist(), ends.tolist())
+        views = [Snippet.__new__(Snippet)._set(i, snippet_ids[s], words[b - n:b], tags[b - n:b])
+                 for i, s, n, b in rows]
+        groups = np.cumsum([0] + np.bincount(ent, minlength=len(entities)).tolist()).tolist()
+        return cls(entities, [views[a:b] for a, b in zip(groups, groups[1:])], vocabulary, tag_set)
 
     @property
     def n_entities(self) -> int:
@@ -116,11 +181,16 @@ class Corpus:
 
     @property
     def n_snippets(self) -> int:
-        return sum(len(s) for s in self.snippets)
+        return len(self.offsets) - 1
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(sn) for group in self.snippets for sn in group)
+        return len(self.words)
+
+    def token_counts(self) -> list[list[int]]:
+        """Each entity's snippet lengths, in corpus order."""
+        lengths, bounds = np.diff(self.offsets).tolist(), self.snippet_bounds.tolist()
+        return [lengths[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def iter_snippets(self) -> Iterator[Snippet]:
         for group in self.snippets:
@@ -136,7 +206,7 @@ class Corpus:
             raise CorpusError(f"unknown entity {entity!r}") from None
 
     def words_of(self, snippet: Snippet) -> list[str]:
-        return [self.vocabulary[t.word] for t in snippet.tokens]
+        return [self.vocabulary[w] for w in snippet.words.tolist()]
 
 
 def _normalize_word(word: str) -> str:
@@ -161,70 +231,63 @@ def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
 
 
 def load_corpus(path: str) -> Corpus:
-    """Read a JSON-lines corpus file.
+    """Read a JSON-lines corpus file into a packed Corpus.
 
     Raises CorpusError (with the offending line number) on malformed
     records, empty token lists, or duplicate snippet ids.
     """
     entities = Indexer()
-    groups: list[list[Snippet]] = []
-    vocabulary = Indexer()
-    tag_set = Indexer()
-    seen_ids: set[str] = set()
+    snippet_ids: dict[str, None] = {}  # in input order
+    # Each token as the index of its surface form and of its tag, both in
+    # first appearance order (a lowercased word first appears with its
+    # first surface form), and each snippet's entity and length.
+    form_of: dict[str, int] = {}
+    tag_of: dict[str, int] = {}
+    words, tags, snippet_entity, lengths = [], [], [], []
     for lineno, rec in _read_jsonl(path):
-        missing = {"entity", "id", "tokens"} - rec.keys()
-        if missing:
-            raise CorpusError(f"{path}:{lineno}: missing field(s) {sorted(missing)}")
-        entity, snippet_id, raw_tokens = rec["entity"], rec["id"], rec["tokens"]
+        try:
+            entity, snippet_id, raw_tokens = rec["entity"], rec["id"], rec["tokens"]
+        except KeyError:
+            missing = sorted({"entity", "id", "tokens"} - rec.keys())
+            raise CorpusError(f"{path}:{lineno}: missing field(s) {missing}") from None
         if not isinstance(entity, str) or not isinstance(snippet_id, str):
             raise CorpusError(f"{path}:{lineno}: entity and id must be strings")
-        if snippet_id in seen_ids:
+        if snippet_id in snippet_ids:
             raise CorpusError(f"{path}:{lineno}: duplicate snippet id {snippet_id!r}")
-        seen_ids.add(snippet_id)
+        snippet_ids[snippet_id] = None
         if not isinstance(raw_tokens, list) or not raw_tokens:
             raise CorpusError(f"{path}:{lineno}: snippet has no tokens")
-        tokens = []
         for tok in raw_tokens:
-            if (
-                not isinstance(tok, list)
-                or len(tok) != 2
-                or not all(isinstance(x, str) for x in tok)
-            ):
-                raise CorpusError(
-                    f"{path}:{lineno}: token must be a [word, tag] string pair"
-                )
-            word, tag = tok
-            tokens.append(Token(vocabulary.add(_normalize_word(word)), tag_set.add(tag)))
-        eidx = entities.add(entity)
-        if eidx == len(groups):
-            groups.append([])
-        groups[eidx].append(Snippet(eidx, snippet_id, tokens))
-    corpus = Corpus(list(entities.items), groups, vocabulary, tag_set)
+            if not (isinstance(tok, list) and len(tok) == 2 and isinstance(tok[0], str)
+                    and isinstance(tok[1], str)):
+                raise CorpusError(f"{path}:{lineno}: token must be a [word, tag] string pair")
+            words.append(form_of.setdefault(tok[0], len(form_of)))
+            tags.append(tag_of.setdefault(tok[1], len(tag_of)))
+        snippet_entity.append(entities.add(entity))
+        lengths.append(len(raw_tokens))
+    vocabulary, tag_set = Indexer(), Indexer(tag_of)
+    word_of_form = np.array([vocabulary.add(_normalize_word(f)) for f in form_of], dtype=np.int64)
+    corpus = Corpus.from_arrays(
+        list(entities.items), vocabulary, tag_set, snippet_entity, list(snippet_ids), lengths,
+        word_of_form[np.asarray(words, dtype=np.int64)], tags,
+    )
     log.info(
         "loaded corpus %s: %d entities, %d snippets, %d word types, %d tags",
-        path,
-        corpus.n_entities,
-        corpus.n_snippets,
-        len(vocabulary),
-        len(tag_set),
+        path, corpus.n_entities, corpus.n_snippets, len(vocabulary), len(tag_set),
     )
     return corpus
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
     """Write a corpus back out in the JSON-lines format."""
+    words = [corpus.vocabulary[w] for w in corpus.words.tolist()]
+    tags = [corpus.tag_set[t] for t in corpus.tags.tolist()]
+    bounds = corpus.offsets.tolist()
     with atomic_open(path) as fh:
-        for group in corpus.snippets:
-            for sn in group:
-                rec = {
-                    "entity": corpus.entities[sn.entity],
-                    "id": sn.snippet_id,
-                    "tokens": [
-                        [corpus.vocabulary[t.word], corpus.tag_set[t.tag]]
-                        for t in sn.tokens
-                    ],
-                }
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        for sn, a, b in zip(corpus.iter_snippets(), bounds, bounds[1:]):
+            tokens = list(zip(words[a:b], tags[a:b]))  # written as [word, tag] arrays
+            rec = {"entity": corpus.entities[sn.entity], "id": sn.snippet_id, "tokens": tokens}
+            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
 @dataclass
@@ -299,30 +362,19 @@ def load_seed_lexicon(
             if line.startswith("[") and line.endswith("]"):
                 header = line[1:-1]
                 if not header.startswith("value:"):
-                    raise CorpusError(
-                        f"{path}:{lineno}: section header must be [value:<name>]"
-                    )
+                    raise CorpusError(f"{path}:{lineno}: section header must be [value:<name>]")
                 name = header[len("value:"):].strip()
                 if not name:
                     raise CorpusError(f"{path}:{lineno}: empty value name")
-                if value_names is not None:
-                    if name not in names:
-                        raise CorpusError(
-                            f"{path}:{lineno}: unknown value type {name!r}"
-                        )
-                    current = names.index(name)
-                else:
-                    if name in names:
-                        current = names.index(name)
-                    else:
-                        names.append(name)
-                        sets.append(set())
-                        current = len(names) - 1
+                if name not in names:
+                    if value_names is not None:
+                        raise CorpusError(f"{path}:{lineno}: unknown value type {name!r}")
+                    names.append(name)
+                    sets.append(set())
+                current = names.index(name)
                 continue
             if current is None:
-                raise CorpusError(
-                    f"{path}:{lineno}: seed word before any [value:...] header"
-                )
+                raise CorpusError(f"{path}:{lineno}: seed word before any [value:...] header")
             widx = corpus.vocabulary.get(_normalize_word(line))
             if widx is None:
                 dropped += 1
@@ -446,11 +498,9 @@ def load_gold(
                     f"{word_labels_path}:{lineno}: need string id and label list"
                 )
             sn = _check_snippet(corpus, by_id, word_labels_path, lineno, sid)
-            if len(labels) != len(sn.tokens):
+            if len(labels) != len(sn):
                 raise CorpusError(
-                    f"{word_labels_path}:{lineno}: {len(labels)} labels for "
-                    f"{len(sn.tokens)} tokens"
-                )
+                    f"{word_labels_path}:{lineno}: {len(labels)} labels for {len(sn)} tokens")
             bad = [l for l in labels if l not in WORD_LABELS]
             if bad:
                 raise CorpusError(f"{word_labels_path}:{lineno}: unknown label(s) {bad}")
@@ -464,11 +514,9 @@ def load_gold(
                 raise CorpusError(
                     f"{parse_spans_path}:{lineno}: start and end must be integers"
                 ) from None
-            if not (0 <= start < end <= len(sn.tokens)):
-                raise CorpusError(
-                    f"{parse_spans_path}:{lineno}: span [{start}, {end}) out of "
-                    f"bounds for {len(sn.tokens)} tokens"
-                )
+            if not (0 <= start < end <= len(sn)):
+                raise CorpusError(f"{parse_spans_path}:{lineno}: span [{start}, {end}) "
+                                  f"out of bounds for {len(sn)} tokens")
             if kind not in SPAN_KINDS:
                 raise CorpusError(
                     f"{parse_spans_path}:{lineno}: unknown span kind {kind!r}"

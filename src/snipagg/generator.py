@@ -39,8 +39,6 @@ from snipagg.corpus import (
     GoldAnnotations,
     Indexer,
     SeedLexicon,
-    Snippet,
-    Token,
     default_value_names,
 )
 from snipagg.model import Hyperparameters, transition_priors, value_prior
@@ -342,28 +340,21 @@ def _sample(
     token_roles = np.asarray(roles, dtype=np.int64)
     token_snippets = np.repeat(np.arange(len(lengths)), lengths)
     token_rows = np.asarray(snippet_rows, dtype=np.int64)[token_snippets, token_roles]
-    token_words = _pick_grouped(word_dists, token_rows, draws[0::2]).tolist()
-    token_tags = _pick_grouped(eta, token_roles, draws[1::2]).tolist()
-
-    vocabulary = Indexer(words)
-    tag_set = Indexer(SYNTHETIC_TAGS)
-    groups: list[list[Snippet]] = [[] for _ in range(shape.n_entities)]
+    corpus = Corpus.from_arrays(
+        entities, Indexer(words), Indexer(SYNTHETIC_TAGS),
+        np.repeat(np.arange(shape.n_entities), shape.snippets_per_entity),
+        [sid for sid, _, _ in labels], lengths,
+        _pick_grouped(word_dists, token_rows, draws[0::2]),
+        _pick_grouped(eta, token_roles, draws[1::2]),
+    )
     gold = GoldAnnotations()
-    start = 0
-    for s, (sid, z_a, z_v) in enumerate(labels):
-        stop = start + lengths[s]
-        tokens = [
-            Token(w, t) for w, t in zip(token_words[start:stop], token_tags[start:stop])
-        ]
-        i = s // shape.snippets_per_entity
-        groups[i].append(Snippet(i, sid, tokens))
+    bounds = corpus.offsets.tolist()
+    for (sid, z_a, z_v), start, stop in zip(labels, bounds, bounds[1:]):
         gold.clusters[sid] = f"a{z_a}"
         if z_v is not None:
             gold.polarity[sid] = z_v
         gold.word_labels[sid] = [layout.letters[r] for r in roles[start:stop]]
-        start = stop
 
-    corpus = Corpus(entities, groups, vocabulary, tag_set)
     true_parameters = {
         "topic_letters": list(layout.letters),
         "value_names": list(value_names),
@@ -392,16 +383,9 @@ def _sample(
 def aspect_vocabularies_disjoint(syn: SyntheticCorpus) -> bool:
     """Whether words observed under different gold aspects never overlap."""
     seen: dict[str, set[int]] = {}
-    for group in syn.corpus.snippets:
-        for sn in group:
-            cluster = syn.gold.clusters[sn.snippet_id]
-            labels = syn.gold.word_labels[sn.snippet_id]
-            for tok, letter in zip(sn.tokens, labels):
-                if letter == "A":
-                    seen.setdefault(cluster, set()).add(tok.word)
-    clusters = list(seen)
-    for x in range(len(clusters)):
-        for y in range(x + 1, len(clusters)):
-            if seen[clusters[x]] & seen[clusters[y]]:
-                return False
-    return True
+    for sn in syn.corpus.iter_snippets():
+        labels = syn.gold.word_labels[sn.snippet_id]
+        words = seen.setdefault(syn.gold.clusters[sn.snippet_id], set())
+        words.update(w for w, letter in zip(sn.words.tolist(), labels) if letter == "A")
+    sets = list(seen.values())
+    return not any(a & b for x, a in enumerate(sets) for b in sets[x + 1:])

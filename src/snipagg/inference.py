@@ -25,12 +25,15 @@ The fit takes each factor's term as it refits it (there the term is ln
 B(prior_f) - ln B(q_f)); compute_free_energy sums the same terms and
 sets no factor. No token or snippet is scored again.
 
-UpdateContext is where a state meets its corpus: it packs the corpus
-and stacks the state's per-entity posteriors into packed arrays, which
-the kernels read and write in place. A fit binds its state once, so the
-state's per-entity posteriors are views of those arrays;
-compute_free_energy reads a copy and leaves the caller's posteriors as
-they are.
+UpdateContext is where a state meets its corpus: it reads the corpus's
+pack and stacks the state's per-entity posteriors into packed arrays,
+which the kernels read and write in place. The corpus arrives packed
+(Corpus.words, tags and offsets) and is immutable, so the index arrays
+derived from it are built on first use and kept with the corpus: a fit,
+every later UpdateContext and every compute_free_energy share them. A
+fit binds its state once, so the state's per-entity posteriors are
+views of those arrays; compute_free_energy reads a copy and leaves the
+caller's posteriors as they are.
 
 Both schedules run one pass kernel with the same coordinate moves (per
 snippet: aspect, value, then each word) and differ only in when a new
@@ -96,7 +99,9 @@ class FreeEnergyReport:
 
 
 class _PackedCorpus:
-    """Every entity's tokens as one stream, entities in corpus order.
+    """The index arrays the kernels read, derived from a corpus's token
+    stream (Corpus.words, tags, offsets and snippet_bounds) once per
+    corpus: UpdateContext keeps them on the corpus, which is immutable.
 
     Snippets and tokens get global indices; entity i owns snippets
     snippet_bounds[i]:snippet_bounds[i+1] and tokens
@@ -115,39 +120,28 @@ class _PackedCorpus:
     """
 
     def __init__(self, corpus: Corpus):
-        words, tags, lengths, group_sizes = [], [], [], []
-        for i, group in enumerate(corpus.snippets):
-            for sn in group:
-                if not sn.tokens:
-                    raise ModelError(
-                        f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} has no tokens"
-                    )
-                words.extend(tok.word for tok in sn.tokens)
-                tags.extend(tok.tag for tok in sn.tokens)
-                lengths.append(len(sn.tokens))
-            group_sizes.append(len(group))
-        self.words = np.asarray(words, dtype=np.int64)
-        self.tags = np.asarray(tags, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        self.n_snippets, self.n_tokens = len(lengths), len(words)
-        self.offsets = np.concatenate(([0], np.cumsum(lengths)))
-        self.snippet_bounds = np.concatenate(([0], np.cumsum(group_sizes, dtype=np.int64)))
+        self.words, self.tags = corpus.words, corpus.tags
+        self.offsets, self.snippet_bounds = corpus.offsets, corpus.snippet_bounds
+        lengths, group_sizes = np.diff(self.offsets), np.diff(self.snippet_bounds)
+        self.n_snippets, self.n_tokens = len(lengths), len(self.words)
         self.token_bounds = self.offsets[self.snippet_bounds]
         self.ent_of_snip = np.repeat(np.arange(len(group_sizes)), group_sizes)
         self.snip_of_token = np.repeat(np.arange(self.n_snippets), lengths)
         self.ent_of_token = self.ent_of_snip[self.snip_of_token]
+
+        def reject(s, what):
+            i = self.ent_of_snip[s]
+            sn = corpus.snippets[i][s - self.snippet_bounds[i]]
+            raise ModelError(f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} {what}")
+
+        if self.n_snippets and lengths.min() == 0:
+            reject(np.flatnonzero(lengths == 0)[0], "has no tokens")
         for what, index, size in (
             ("word", self.words, len(corpus.vocabulary)), ("tag", self.tags, len(corpus.tag_set))
         ):
             if index.size and not 0 <= index.min() <= index.max() < size:
                 t = np.flatnonzero((index < 0) | (index >= size))[0]
-                s = self.snip_of_token[t]
-                i = self.ent_of_snip[s]
-                sn = corpus.snippets[i][s - self.snippet_bounds[i]]
-                raise ModelError(
-                    f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} has {what} index "
-                    f"{index[t]} outside [0, {size})"
-                )
+                reject(self.snip_of_token[t], f"has {what} index {index[t]} outside [0, {size})")
         first = self.offsets[:-1]
         self.first, self.last = first, self.offsets[1:] - 1
         is_first = np.zeros(self.n_tokens, dtype=bool)
@@ -230,7 +224,8 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 class UpdateContext:
     """A state bound to its packed corpus, with packed write buffers.
 
-    The constructor packs the corpus and stacks the state's per-entity
+    The constructor takes the corpus's pack (built by the corpus's first
+    context and kept in corpus._pack) and stacks the state's per-entity
     posteriors into qa (S, K), qv (S, N; None when N = 0) and qw (T, n),
     in corpus order. new_qa, new_qv and new_qw hold one view of them per
     entity; the updates read the state's lists and write these views.
@@ -246,7 +241,9 @@ class UpdateContext:
         if not state.matches_corpus(corpus):
             raise ModelError("state shape does not match corpus")
         self.state = state
-        self.pack = pack = _PackedCorpus(corpus)
+        if corpus._pack is None:
+            corpus._pack = _PackedCorpus(corpus)
+        self.pack = pack = corpus._pack
 
         def stack(lists, width, bounds):
             if lists is None:
@@ -691,13 +688,9 @@ class Posteriors:
 
     def word_labels(self, entity: int) -> list[list[str]]:
         """Per-snippet role letters for one entity's tokens."""
-        out = []
-        pos = 0
-        roles = self.word_role[entity]
-        for n_tok in self.token_counts[entity]:
-            out.append([self.letters[c] for c in roles[pos:pos + n_tok]])
-            pos += n_tok
-        return out
+        letters = [self.letters[c] for c in self.word_role[entity].tolist()]
+        bounds = np.cumsum([0] + self.token_counts[entity]).tolist()
+        return [letters[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def extract_posteriors(state: VariationalState) -> Posteriors:
@@ -705,23 +698,15 @@ def extract_posteriors(state: VariationalState) -> Posteriors:
     aspect = [np.argmax(a, axis=1) for a in state.qa]
     value = None if state.qv is None else [np.argmax(a, axis=1) for a in state.qv]
     word_role = [np.argmax(a, axis=1) for a in state.qw]
-    return Posteriors(
-        letters=state.layout.letters,
-        aspect=aspect,
-        value=value,
-        word_role=word_role,
-        token_counts=state.token_counts,
-    )
+    return Posteriors(state.layout.letters, aspect, value, word_role, state.token_counts)
 
 
 def aspect_clusterings(corpus: Corpus, post: Posteriors) -> list[Clustering]:
     """Per-entity clusterings labeled by hard aspect assignment."""
     out = []
     for i, group in enumerate(corpus.snippets):
-        assignment = {
-            sn.snippet_id: int(post.aspect[i][j]) for j, sn in enumerate(group)
-        }
-        n_clusters = max(assignment.values()) + 1 if assignment else 0
+        assignment = dict(zip((sn.snippet_id for sn in group), post.aspect[i].tolist()))
+        n_clusters = max(assignment.values(), default=-1) + 1
         out.append(Clustering(corpus.entities[i], assignment, n_clusters))
     return out
 
@@ -730,18 +715,11 @@ def polarity_predictions(corpus: Corpus, post: Posteriors) -> dict[str, int]:
     """Hard value assignment per snippet id (requires the value component)."""
     if post.value is None:
         raise InferenceError("no value posteriors: model was fit with N = 0")
-    out: dict[str, int] = {}
-    for i, group in enumerate(corpus.snippets):
-        for j, sn in enumerate(group):
-            out[sn.snippet_id] = int(post.value[i][j])
-    return out
+    values = (v for row in post.value for v in row.tolist())
+    return {sn.snippet_id: v for sn, v in zip(corpus.iter_snippets(), values)}
 
 
 def word_label_predictions(corpus: Corpus, post: Posteriors) -> dict[str, list[str]]:
     """Per-token role letters keyed by snippet id."""
-    out: dict[str, list[str]] = {}
-    for i, group in enumerate(corpus.snippets):
-        labels = post.word_labels(i)
-        for j, sn in enumerate(group):
-            out[sn.snippet_id] = labels[j]
-    return out
+    labels = (row for i in range(corpus.n_entities) for row in post.word_labels(i))
+    return {sn.snippet_id: row for sn, row in zip(corpus.iter_snippets(), labels)}

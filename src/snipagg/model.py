@@ -627,14 +627,9 @@ class VariationalState:
             f.table_elog()
 
     def matches_corpus(self, corpus: Corpus) -> bool:
-        if corpus.n_entities != self.n_entities:
-            return False
-        for i, group in enumerate(corpus.snippets):
-            if len(group) != self.snippet_counts[i]:
-                return False
-            if [len(sn) for sn in group] != self.token_counts[i]:
-                return False
-        return len(corpus.vocabulary) == self.vocab_size and len(corpus.tag_set) == self.tag_count
+        counts = corpus.token_counts()
+        shape = (counts, [len(row) for row in counts], len(corpus.vocabulary), len(corpus.tag_set))
+        return shape == (self.token_counts, self.snippet_counts, self.vocab_size, self.tag_count)
 
 
 def value_prior(hp: Hyperparameters, vocab_size: int, seed_sets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -730,9 +725,8 @@ def build_priors(
             )
         for v, s in enumerate(seeds.seed_words):
             seed_sets[v] = sorted(s)
-    token_counts = [[len(sn) for sn in g] for g in corpus.snippets]
     return _prior_state(
-        hp, len(corpus.vocabulary), len(corpus.tag_set), token_counts, seed_sets
+        hp, len(corpus.vocabulary), len(corpus.tag_set), corpus.token_counts(), seed_sets
     )
 
 

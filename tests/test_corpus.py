@@ -2,7 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snipagg.corpus import (
     Corpus,
@@ -354,3 +357,113 @@ def test_corpus_entity_index(corpus):
     assert corpus.entity_index("bar") == 1
     with pytest.raises(CorpusError):
         corpus.entity_index("nope")
+
+
+# --- the packed loader --------------------------------------------------
+
+GOOD_LINE = '{"entity": "e0", "id": "s1", "tokens": [["Great", "JJ"]]}'
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"entity": "x", "id": "s9", "tokens": [[',
+     "invalid JSON: Expecting value: line 1 column 41 (char 40)"),
+    ("[1, 2]", "record is not an object"),
+    ('{"entity": "x", "tokens": [["a", "T"]]}', "missing field(s) ['id']"),
+    ('{"tokens": [["a", "T"]]}', "missing field(s) ['entity', 'id']"),
+    ("{}", "missing field(s) ['entity', 'id', 'tokens']"),
+    ('{"entity": 7, "id": "s9", "tokens": [["a", "T"]]}', "entity and id must be strings"),
+    ('{"entity": "x", "id": 9, "tokens": [["a", "T"]]}', "entity and id must be strings"),
+    ('{"entity": "x", "id": "s1", "tokens": [["a", "T"]]}', "duplicate snippet id 's1'"),
+    ('{"entity": "x", "id": "s9", "tokens": []}', "snippet has no tokens"),
+    ('{"entity": "x", "id": "s9", "tokens": "ab"}', "snippet has no tokens"),
+    ('{"entity": "x", "id": "s9", "tokens": [["a", "T"], ["a"]]}',
+     "token must be a [word, tag] string pair"),
+    ('{"entity": "x", "id": "s9", "tokens": [["a", "T", "x"]]}',
+     "token must be a [word, tag] string pair"),
+    ('{"entity": "x", "id": "s9", "tokens": ["ab"]}', "token must be a [word, tag] string pair"),
+    ('{"entity": "x", "id": "s9", "tokens": [["a", 1]]}',
+     "token must be a [word, tag] string pair"),
+    # Several faults on one line: the checks run in the order above.
+    ('{"entity": 1, "id": "s1", "tokens": []}', "entity and id must be strings"),
+    ('{"entity": "x", "id": "s1", "tokens": [[1, 2]]}', "duplicate snippet id 's1'"),
+])
+def test_load_corpus_message_for_each_malformed_record(tmp_path, bad, message):
+    # Blank lines count toward the line number, and the first bad line
+    # wins over a later one.
+    path = tmp_path / "c.jsonl"
+    path.write_text(GOOD_LINE + "\n\n   \n" + bad + "\n" + '{"entity": "e0", "id": "s1"}\n')
+    with pytest.raises(CorpusError) as err:
+        load_corpus(str(path))
+    assert str(err.value) == f"{path}:4: {message}"
+
+
+def reference_corpus(records):
+    """The corpus of the records built through Snippet and Token, one
+    token at a time, as load_corpus did before it packed."""
+    entities, vocabulary, tag_set = Indexer(), Indexer(), Indexer()
+    groups = []
+    for rec in records:
+        tokens = [Token(vocabulary.add(w.lower()), tag_set.add(t)) for w, t in rec["tokens"]]
+        i = entities.add(rec["entity"])
+        if i == len(groups):
+            groups.append([])
+        groups[i].append(Snippet(i, rec["id"], tokens))
+    return Corpus(list(entities.items), groups, vocabulary, tag_set)
+
+
+WORD = st.text(alphabet="aAbBzZéÉßçÇøØΣσΩω日本", min_size=1, max_size=4)
+TOKEN = st.tuples(WORD, st.sampled_from(["NN", "JJ", "VB", "DT", "nn", "ÄDJ"]))
+RECORD = st.tuples(
+    st.sampled_from(["e0", "e1", "E1", "ë2"]),
+    st.one_of(st.lists(TOKEN, min_size=1, max_size=3), st.lists(TOKEN, min_size=20, max_size=40)),
+    st.sampled_from(["", "\n", "  \n"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(RECORD, max_size=12))
+def test_load_corpus_matches_the_token_path(tmp_path_factory, rows):
+    records = [{"entity": e, "id": f"s{k}", "tokens": [list(t) for t in toks]}
+               for k, (e, toks, _) in enumerate(rows)]
+    path = tmp_path_factory.mktemp("c") / "c.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec, (_, _, blank) in zip(records, rows):
+            # Non-ASCII text written both verbatim and as \u escapes.
+            fh.write(blank + json.dumps(rec, ensure_ascii=bool(len(rec["id"]) % 2)) + "\n")
+    got, want = load_corpus(str(path)), reference_corpus(records)
+    assert got.entities == want.entities
+    assert got.vocabulary.items == want.vocabulary.items
+    assert got.tag_set.items == want.tag_set.items
+    assert [[sn.snippet_id for sn in g] for g in got.snippets] == \
+        [[sn.snippet_id for sn in g] for g in want.snippets]
+    assert [sn.tokens for sn in got.iter_snippets()] == [sn.tokens for sn in want.iter_snippets()]
+    assert all(sn.entity == i for i, g in enumerate(got.snippets) for sn in g)
+    for name in ("words", "tags", "offsets", "snippet_bounds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.token_counts() == want.token_counts()
+
+    # A file already in save_corpus's form, lowercase words and snippets
+    # grouped by entity, is written back byte for byte.
+    lower = [dict(rec, tokens=[[w.lower(), t] for w, t in rec["tokens"]]) for rec in records]
+    order = {e: k for k, e in enumerate(dict.fromkeys(rec["entity"] for rec in lower))}
+    lower.sort(key=lambda rec: order[rec["entity"]])
+    canon, out = path.with_name("canon.jsonl"), path.with_name("out.jsonl")
+    canon.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lower),
+                     encoding="utf-8")
+    save_corpus(load_corpus(str(canon)), str(out))
+    assert out.read_bytes() == canon.read_bytes()
+
+
+def test_corpus_is_immutable(corpus):
+    sn = corpus.snippets[0][0]
+    with pytest.raises(ValueError):
+        corpus.words[0] = 1
+    with pytest.raises(ValueError):
+        sn.tags[0] = 1
+    with pytest.raises(TypeError):
+        sn.tokens[0] = Token(0, 0)
+    built = Corpus(["e"], [[Snippet(0, "s", [Token(0, 0), Token(1, 0)])]],
+                   Indexer(["a", "b"]), Indexer(["T"]))
+    with pytest.raises(ValueError):
+        built.snippets[0][0].words[0] = 1
+    assert built.words.tolist() == [0, 1] and built.offsets.tolist() == [0, 2]

@@ -766,6 +766,29 @@ def test_batch_fit_builds_emissions_once_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])
+def test_corpus_is_packed_once(monkeypatch, schedule):
+    """A fit, two free energies and a later context share one pack of the
+    corpus; a second compute_free_energy does not repack it."""
+    corpus = random_corpus(np.random.default_rng(4), n_entities=3, vocab_size=20)
+    builds = []
+    build = inference._PackedCorpus.__init__
+    monkeypatch.setattr(
+        inference._PackedCorpus, "__init__", lambda self, c: builds.append(c) or build(self, c)
+    )
+    hp = Hyperparameters(K=3, N=2, max_iters=3, rng_seed=2, schedule=schedule)
+    state, reports = run_inference(hp, corpus)
+    first = compute_free_energy(state, corpus)
+    assert compute_free_energy(state, corpus) == first == reports[-1].value
+    ctx = UpdateContext(state, corpus)
+    assert ctx.pack is corpus._pack
+    assert builds == [corpus]
+    # Another corpus gets its own pack.
+    other = random_corpus(np.random.default_rng(4), n_entities=3, vocab_size=20)
+    compute_free_energy(state, other)
+    assert builds == [corpus, other]
+
+
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
 def test_fit_rejects_snippet_without_tokens(schedule):
     corpus = Corpus(
         ["r1"],

@@ -37,13 +37,13 @@ from snipagg.model import (
 )
 
 
-def toy_corpus(n_entities=2, words=("a", "b", "c", "d"), tags=("NN", "JJ")):
+def toy_corpus(n_entities=2, words=("a", "b", "c", "d"), tags=("NN", "JJ"), first=Token(0, 0)):
     vocab = Indexer(words)
     tagset = Indexer(tags)
     entities = [f"e{i}" for i in range(n_entities)]
     groups = []
     for i in range(n_entities):
-        toks1 = [Token(0, 0), Token(1, 1), Token(2, 0)]
+        toks1 = [first, Token(1, 1), Token(2, 0)]
         toks2 = [Token(3, 1), Token(0, 0)]
         groups.append([
             Snippet(i, f"e{i}-s0", toks1),
@@ -633,9 +633,10 @@ def test_matches_corpus_detects_mismatch():
     other = toy_corpus(n_entities=3)
     assert not state.matches_corpus(other)
     # The same snippets and words with one more tag, which a token uses:
-    # the tag emission table of the state has no column for it.
-    more_tags = toy_corpus(tags=("NN", "JJ", "VB"))
-    more_tags.snippets[0][0].tokens[0] = Token(0, 2)
+    # the tag emission table of the state has no column for it. A corpus
+    # is immutable, so the token carries the new tag from the start.
+    more_tags = toy_corpus(tags=("NN", "JJ", "VB"), first=Token(0, 2))
+    assert more_tags.tags.max() == 2
     assert not state.matches_corpus(more_tags)
     with pytest.raises(ModelError, match="state shape does not match corpus"):
         compute_free_energy(state, more_tags)
