@@ -213,21 +213,36 @@ def _normalize_word(word: str) -> str:
     return word.lower()
 
 
+def read_lines(path: str, error: type[ValueError] = CorpusError) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each line of a UTF-8 text file, split
+    as text mode splits it. A line that is not valid UTF-8 raises error
+    naming path:line. Undecodable bytes are read as lone surrogates, which
+    valid UTF-8 never yields, so a line holds one exactly when it fails to
+    encode back; an ASCII line (str.isascii takes constant time) cannot."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{lineno}: not valid UTF-8") from None
+            yield lineno, line
+
+
 def _read_jsonl(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, record) for each non-blank line of a JSON-lines
     file; every record must be a JSON object."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            if not isinstance(rec, dict):
-                raise CorpusError(f"{path}:{lineno}: record is not an object")
-            yield lineno, rec
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{path}:{lineno}: record is not an object")
+        yield lineno, rec
 
 
 def load_corpus(path: str) -> Corpus:
@@ -354,35 +369,34 @@ def load_seed_lexicon(
     current: Optional[int] = None
     dropped = 0
     overlap: list[int] = []  # the line of each word already under another value type
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                header = line[1:-1]
-                if not header.startswith("value:"):
-                    raise CorpusError(f"{path}:{lineno}: section header must be [value:<name>]")
-                name = header[len("value:"):].strip()
-                if not name:
-                    raise CorpusError(f"{path}:{lineno}: empty value name")
-                if name not in names:
-                    if value_names is not None:
-                        raise CorpusError(f"{path}:{lineno}: unknown value type {name!r}")
-                    names.append(name)
-                    sets.append(set())
-                current = names.index(name)
-                continue
-            if current is None:
-                raise CorpusError(f"{path}:{lineno}: seed word before any [value:...] header")
-            widx = corpus.vocabulary.get(_normalize_word(line))
-            if widx is None:
-                dropped += 1
-                continue
-            for other, s in enumerate(sets):
-                if other != current and widx in s:
-                    overlap.append(lineno)
-            sets[current].add(widx)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            header = line[1:-1]
+            if not header.startswith("value:"):
+                raise CorpusError(f"{path}:{lineno}: section header must be [value:<name>]")
+            name = header[len("value:"):].strip()
+            if not name:
+                raise CorpusError(f"{path}:{lineno}: empty value name")
+            if name not in names:
+                if value_names is not None:
+                    raise CorpusError(f"{path}:{lineno}: unknown value type {name!r}")
+                names.append(name)
+                sets.append(set())
+            current = names.index(name)
+            continue
+        if current is None:
+            raise CorpusError(f"{path}:{lineno}: seed word before any [value:...] header")
+        widx = corpus.vocabulary.get(_normalize_word(line))
+        if widx is None:
+            dropped += 1
+            continue
+        for other, s in enumerate(sets):
+            if other != current and widx in s:
+                overlap.append(lineno)
+        sets[current].add(widx)
     if dropped:
         log.warning("seed lexicon %s: %d word(s) not in corpus vocabulary", path, dropped)
     if overlap:
@@ -417,18 +431,16 @@ class GoldAnnotations:
 
 
 def _read_tsv(path: str, n_cols: int) -> Iterator[tuple[int, list[str]]]:
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_cols:
-                raise CorpusError(
-                    f"{path}:{lineno}: expected {n_cols} tab-separated columns, "
-                    f"got {len(parts)}"
-                )
-            yield lineno, parts
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_cols:
+            raise CorpusError(
+                f"{path}:{lineno}: expected {n_cols} tab-separated columns, got {len(parts)}"
+            )
+        yield lineno, parts
 
 
 def _check_snippet(

@@ -28,20 +28,22 @@ and an end column.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from snipagg.corpus import Corpus, SeedLexicon
+from snipagg.corpus import Corpus, SeedLexicon, read_lines
 from snipagg.output import atomic_open, write_json
 
 log = logging.getLogger(__name__)
 
 STATE_FORMAT = "snipagg-state"
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 CANONICAL_TOPICS = ("A", "V", "B", "I")
 
@@ -270,23 +272,22 @@ def load_config(path: str) -> Hyperparameters:
     a line's fault as path:line, a fault validate finds as path.
     """
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ModelError(f"{path}:{lineno}: expected key = value")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _HP_TYPES:
-                raise ModelError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ModelError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = parse_config_value(key, raw)
-            except ValueError as exc:
-                raise ModelError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, line in read_lines(path, ModelError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ModelError(f"{path}:{lineno}: expected key = value")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in _HP_TYPES:
+            raise ModelError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ModelError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = parse_config_value(key, raw)
+        except ValueError as exc:
+            raise ModelError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     hp = Hyperparameters(**values)
     try:
         hp.validate()
@@ -761,8 +762,54 @@ _FACTOR_KEYS = (
 )
 
 
+# The dtype of each kind of array in a version 3 state file: supports
+# hold indices, tables and posteriors concentrations and probabilities.
+_INDEX, _FLOAT = "<i8", "<f8"
+_BLOB_KEYS = {"data", "dtype", "shape"}
+
+
+def _blob(a: np.ndarray, dtype: str) -> dict:
+    """An array as a version 3 state file holds it: its dtype, its shape
+    and its little-endian C-order bytes, which write_json writes as their
+    base64 in bounded pieces."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    data = memoryview(a.reshape(-1).view(np.uint8))
+    return {"dtype": dtype, "shape": list(a.shape), "data": data}
+
+
+def _decoded(value, dtype: str, what: str, version: int):
+    """An array field of a state file as the shared checks read it: a
+    version 3 blob as a writable array of dtype, an earlier version's JSON
+    list as it is. A blob must have exactly the keys data, dtype and
+    shape, the given dtype, a shape of non-negative JSON integers and
+    base64 data of exactly the bytes that shape needs, checked before any
+    array is made, so a large declared shape allocates nothing."""
+    if version < 3:
+        return value
+    if not isinstance(value, dict) or value.keys() != _BLOB_KEYS:
+        raise ModelError(f"{what} is not an encoded array with keys {sorted(_BLOB_KEYS)}")
+    if value["dtype"] != dtype:
+        raise ModelError(f"{what} has dtype {value['dtype']!r}, expected {dtype!r}")
+    shape = value["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ModelError(f"{what} has shape {shape!r}, not a list of non-negative integers")
+    try:
+        raw = base64.b64decode(value["data"], validate=True)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} data is not base64") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ModelError(f"{what} has {len(raw)} bytes of data, shape {shape} needs "
+                         f"{8 * math.prod(shape)}")
+    try:
+        return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+    except ValueError as exc:  # more axes than numpy allows
+        raise ModelError(f"{what}: {exc}") from None
+
+
 def _factor_payload(f: Optional[DirichletFactor]):
-    return None if f is None else {"support": f.support, "table": f.table}
+    if f is None:
+        return None
+    return {"support": _blob(f.support, _INDEX), "table": _blob(f.table, _FLOAT)}
 
 
 def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
@@ -778,16 +825,18 @@ def row_views(packed: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
 
 
 def save_state(state: VariationalState, path: str) -> None:
-    """Serialize a state to versioned JSON (version 2), atomically.
+    """Serialize a state to versioned JSON (version 3), atomically.
 
     Every factor is written as it is held, {"support": flat (bank row,
     element) indices, "table": concentration of each support cell}, and
     each posterior as one packed array over the corpus, qa (S, K), qv
     (S, N) and qw (T, n), whose per-entity bounds token_counts gives.
-    Floats are written with Python's shortest round-trip repr, so a load
-    followed by a save reproduces the file byte for byte. The arrays go
-    to the streaming writer as they are, so the payload is never held as
-    nested Python lists.
+    Each of these arrays is an object {"dtype", "shape", "data"}: "<i8"
+    for a support, "<f8" for the rest, and the base64 of its
+    little-endian C-order bytes. The IEEE-754 bytes are the values
+    exactly, so a load is exact and a load followed by a save reproduces
+    the file byte for byte. The counts, seed sets and hyperparameters
+    stay plain JSON.
     """
     payload = {
         "format": STATE_FORMAT,
@@ -801,9 +850,9 @@ def save_state(state: VariationalState, path: str) -> None:
         "seed_sets": [list(s) for s in state.seed_sets],
         "factors": {name: _factor_payload(getattr(state, name)) for name in _FACTOR_KEYS},
         "q": {
-            "qa": stack_rows(state.qa, state.hp.K),
-            "qv": None if state.qv is None else stack_rows(state.qv, state.hp.N),
-            "qw": stack_rows(state.qw, state.layout.n_topics),
+            "qa": _blob(stack_rows(state.qa, state.hp.K), _FLOAT),
+            "qv": None if state.qv is None else _blob(stack_rows(state.qv, state.hp.N), _FLOAT),
+            "qw": _blob(stack_rows(state.qw, state.layout.n_topics), _FLOAT),
         },
     }
     write_json(payload, path)
@@ -843,7 +892,8 @@ def _support(value, n_cells: int, what: str) -> np.ndarray:
 def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: int) -> None:
     """Set a prior factor to the file's posterior, growing its support by
     the file's pairs: in version 1 those a dense concentration has off the
-    prior, in version 2 its support, whose cells then take its table."""
+    prior, in versions 2 and 3 its support, whose cells then take its
+    table."""
     if f is None:
         if payload not in (None, []):
             raise ModelError(f"factor {name} is present but the configuration disables it")
@@ -856,10 +906,14 @@ def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: i
         return
     if not isinstance(payload, dict):
         raise ModelError(f"factor {name} needs a support and a table")
-    support = _support(payload["support"], f._n_rows * f._base.shape[-1], f"factor {name} support")
+    what = f"factor {name} support"
+    support = _support(
+        _decoded(payload["support"], _INDEX, what, version), f._n_rows * f._base.shape[-1], what
+    )
     shape = f._base.shape[:-1] + support.shape
     cols = f.grow(support)
-    f.table[..., cols] = _array(payload["table"], shape, f"factor {name} table")
+    what = f"factor {name} table"
+    f.table[..., cols] = _array(_decoded(payload["table"], _FLOAT, what, version), shape, what)
     f._changed()
     if not (f.table >= f._prior_table).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
@@ -884,8 +938,8 @@ def _restore_posteriors(
     payload, name: str, rows: list[int], width: int, version: int
 ) -> list[np.ndarray]:
     """The file's posteriors of each entity, views of one packed array:
-    version 1 has one array per entity, version 2 the packed array with
-    rows[i] rows of entity i. A fault names the entity, as name[i]."""
+    version 1 has one array per entity, versions 2 and 3 the packed array
+    with rows[i] rows of entity i. A fault names the entity, as name[i]."""
     bounds = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
 
     def entity(row) -> int:
@@ -900,14 +954,16 @@ def _restore_posteriors(
         )
     else:
         n = int(bounds[-1])
-        if not isinstance(payload, list) or len(payload) != n:
+        packed = _decoded(payload, _FLOAT, name, version)
+        # A JSON list or a decoded array with a first axis has rows.
+        if not (isinstance(packed, list) or getattr(packed, "ndim", 0)) or len(packed) != n:
             raise ModelError(f"{name} needs {n} rows")
         try:
-            q = np.asarray(payload, dtype=float) if n else np.empty((0, width))
+            q = np.asarray(packed, dtype=float) if n else np.empty((0, width))
         except (TypeError, ValueError):
             q = None
         if q is None or q.shape != (n, width):
-            bad = next((r for r, v in enumerate(payload) if not _is_row(v, width)), 0)
+            bad = next((r for r, v in enumerate(packed) if not _is_row(v, width)), 0)
             raise ModelError(f"{name}[{entity(bad)}] has a row that is not {width} numbers")
         finite = np.isfinite(q).all(axis=1)
         if not finite.all():
@@ -922,7 +978,7 @@ def _state_from_payload(payload: dict) -> VariationalState:
     if payload.get("format") != STATE_FORMAT:
         raise ModelError("not a state file")
     version = payload.get("version")
-    if type(version) is not int or version not in (1, STATE_VERSION):
+    if type(version) is not int or version not in (1, 2, STATE_VERSION):
         raise ModelError(f"unsupported state version {version}")
     hp = _hp_from_json(dict(payload["hyperparameters"]))
     layout = hp.layout()
@@ -957,21 +1013,25 @@ def _state_from_payload(payload: dict) -> VariationalState:
 
 
 def load_state(path: str) -> VariationalState:
-    """Rebuild a VariationalState from its JSON serialization, version 2
-    or 1.
+    """Rebuild a VariationalState from its JSON serialization, version 3,
+    2 or 1.
 
     Checks the keys, every shape, that all numbers are finite, that the
     posterior rows are distributions, that each factor's support is
     strictly ascending and in range and that no concentration is below
-    its prior; any fault raises ModelError naming the file. Each factor
-    grows its prior support (every pair, none for theta_A) by the file's
-    support in version 2, by the pairs the file has off the prior in 1.
+    its prior; any fault raises ModelError naming the file. Versions 2 and
+    3 share every check and differ only in how an array is held, a JSON
+    list in 2 and an encoded blob in 3 (see _decoded). Each factor grows
+    its prior support (every pair, none for theta_A) by the file's support
+    in versions 2 and 3, by the pairs the file has off the prior in 1.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError(f"{path}: not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:  # one decode of the whole file: a file offset
+            raise ModelError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
         return _state_from_payload(payload)
     except ModelError as exc:

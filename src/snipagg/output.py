@@ -8,14 +8,18 @@ behind.
 
 write_json emits exactly json.dumps(obj, sort_keys=True,
 separators=(",", ":")) plus a newline, with numpy arrays standing for
-their .tolist(), but builds the text piece by piece: each piece comes
-from the C encoder, an array is converted at most CHUNK elements at a
-time, and the pieces go straight to the file. The nested Python lists
-of a large state never exist all at once.
+their .tolist() and a memoryview of bytes for the JSON string of their
+base64, but builds the text piece by piece: each piece comes from the C
+encoder or the base64 encoder, an array is converted at most CHUNK
+elements and a memoryview B64_CHUNK bytes at a time, and the pieces go
+straight to the file. Neither the nested Python lists of a large array
+(true_params.json) nor the whole base64 text of a large state's arrays
+(state.json) exists at once.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from contextlib import contextmanager
@@ -26,6 +30,9 @@ import numpy as np
 
 # Elements per json.dumps call when an array is written in pieces.
 CHUNK = 1 << 14
+# Bytes per base64 piece of a memoryview: a multiple of 3, so no piece
+# but the last is padded and the pieces join to the whole one's base64.
+B64_CHUNK = 3 << 16
 
 _dumps = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
@@ -66,12 +73,17 @@ def _streamed(obj) -> bool:
         if not all(isinstance(k, str) for k in obj):
             return False
         obj = obj.values()
-    return any(isinstance(v, (np.ndarray, dict, list, tuple)) for v in obj)
+    return any(isinstance(v, (np.ndarray, memoryview, dict, list, tuple)) for v in obj)
 
 
 def _emit(obj, write: Callable[[str], object]) -> None:
     if isinstance(obj, np.ndarray):
         _emit_array(obj, write)
+    elif isinstance(obj, memoryview):
+        write('"')
+        for start in range(0, obj.nbytes, B64_CHUNK):
+            write(base64.b64encode(obj[start:start + B64_CHUNK]).decode("ascii"))
+        write('"')
     elif isinstance(obj, dict) and _streamed(obj):
         write("{")
         for n, key in enumerate(sorted(obj)):

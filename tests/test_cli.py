@@ -13,6 +13,7 @@ import pytest
 
 from snipagg import cli, inference
 from snipagg.cli import RunManifest, main
+from statefile import as_version_2
 
 
 def run(capsys, *argv):
@@ -389,7 +390,7 @@ def test_report_rejects_truncated_posterior_row(workspace, tmp_path, capsys):
     data, fit = workspace
     # qa is packed: the third snippet of entity 1 follows entity 0's snippets.
     path = _edited_state(
-        fit, tmp_path, lambda p: p["q"]["qa"][p["snippet_counts"][0] + 2].pop()
+        fit, tmp_path, lambda p: as_version_2(p)["q"]["qa"][p["snippet_counts"][0] + 2].pop()
     )
     code, err = _report(capsys, data, path)
     assert code == 3
@@ -408,12 +409,72 @@ def test_report_rejects_non_finite_posterior(workspace, tmp_path, capsys):
     data, fit = workspace
 
     def poison(payload):
-        payload["q"]["qa"][0][0] = float("nan")
+        as_version_2(payload)["q"]["qa"][0][0] = float("nan")
 
     path = _edited_state(fit, tmp_path, poison)
     code, err = _report(capsys, data, path)
     assert code == 3
     assert path in err and "not finite" in err
+
+
+def test_state_with_a_corrupted_blob_exits_3(workspace, tmp_path, capsys):
+    data, fit = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+
+    def corrupt(payload):  # a character outside the base64 alphabet
+        payload["q"]["qa"]["data"] = "*" + payload["q"]["qa"]["data"][1:]
+
+    path = _edited_state(fit, tmp_path, corrupt)
+    for argv in (
+        ["eval", "--metric", "muc", "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
+        ["eval", "--metric", "sentiment",
+         "--gold-polarity", os.path.join(data, "gold_polarity.tsv")],
+        ["report"],
+    ):
+        code = main(["-q", *argv, "--corpus", corpus, "--state", path])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert f"error: {path}: qa data is not base64" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, source, line", [
+    (["report", "--corpus", "CORPUS", "--state", "BAD"], "fit/state.json", None),
+    (["baseline", "--corpus", "BAD", "--variant", "cluster-all", "--clusters", "2",
+      "--out", "OUT"], "data/corpus.jsonl", 3),
+    (["fit", "--corpus", "CORPUS", "--config", "BAD", "--out", "OUT"], None, 2),
+    (["fit", "--corpus", "CORPUS", "--seeds", "BAD", "--out", "OUT", "--set", "N=2"],
+     "data/seeds.txt", 2),
+    (["eval", "--corpus", "CORPUS", "--metric", "muc", "--state", "STATE",
+      "--gold-clusters", "BAD"], "data/gold_clusters.tsv", 3),
+    (["eval", "--corpus", "CORPUS", "--metric", "sentiment", "--pred-polarity", "BAD",
+      "--gold-polarity", "data/gold_polarity.tsv"], "data/gold_polarity.tsv", 3),
+    (["eval", "--corpus", "CORPUS", "--metric", "word-prf", "--state", "STATE",
+      "--gold-word-labels", "BAD"], "data/gold_word_labels.jsonl", 3),
+], ids=["state", "corpus", "config", "seeds", "gold-tsv", "prediction-tsv", "word-labels"])
+def test_non_utf8_input_exits_3_naming_the_file(workspace, tmp_path, capsys, argv, source, line):
+    data, fit = workspace
+    root = os.path.dirname(data)
+    if source is None:  # a configuration file
+        lines = [b"K = 2\n", b"N = 2\n"]
+    else:
+        with open(os.path.join(root, source), "rb") as fh:
+            lines = fh.readlines()
+    lines[(line or 1) - 1] = b"\xff" + lines[(line or 1) - 1]  # never valid in UTF-8
+    bad = tmp_path / ("bad" + os.path.splitext(source or "x.cfg")[1])
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    names = {"BAD": str(bad), "OUT": str(out), "CORPUS": os.path.join(data, "corpus.jsonl"),
+             "STATE": os.path.join(fit, "state.json")}
+    argv = [names.get(a) or (os.path.join(root, a) if a.startswith("data/") else a)
+            for a in argv]
+    code = main(["-q", *argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    where = f"{bad}: not valid UTF-8 at byte 0" if line is None else f"{bad}:{line}: not valid"
+    assert f"error: {where}" in captured.err
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_fit_manifest_counts_free_energy_rises(workspace):

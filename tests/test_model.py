@@ -1,5 +1,6 @@
 """Dirichlet factors, priors, configuration, and state serialization."""
 
+import base64
 import json
 import math
 import os
@@ -7,8 +8,9 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
 from snipagg.inference import (
@@ -35,6 +37,9 @@ from snipagg.model import (
     transition_priors,
     value_prior,
 )
+from snipagg.model import _blob, _decoded
+from snipagg.output import write_json
+from statefile import as_version_2, decode, encode
 
 
 def toy_corpus(n_entities=2, words=("a", "b", "c", "d"), tags=("NN", "JJ"), first=Token(0, 0)):
@@ -408,7 +413,7 @@ def test_state_file_is_versioned(tmp_path):
     save_state(state, str(path))
     payload = json.loads(path.read_text())
     assert payload["format"] == "snipagg-state"
-    assert payload["version"] == 2
+    assert payload["version"] == 3
 
 
 def test_load_state_rejects_other_format(tmp_path):
@@ -422,7 +427,7 @@ def test_load_state_rejects_concentration_below_prior(tmp_path):
     _, state = fit_like_state()
     path = tmp_path / "s.json"
     save_state(state, str(path))
-    payload = json.loads(path.read_text())
+    payload = as_version_2(json.loads(path.read_text()))
     payload["factors"]["theta_A"]["table"][0][6] = 0.5 * state.hp.lambda_A
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match="theta_A has a concentration below its prior"):
@@ -430,13 +435,17 @@ def test_load_state_rejects_concentration_below_prior(tmp_path):
 
 
 # fit_like_state() as the version 1 writer saved it (dense factors,
-# posteriors per entity); version 1 is still read, never written.
+# posteriors per entity) and as the version 2 writer saved it (supports
+# and packed posteriors as JSON lists); both are still read, never written.
 V1_STATE = os.path.join(os.path.dirname(__file__), "data", "state_v1.json")
+V2_STATE = os.path.join(os.path.dirname(__file__), "data", "state_v2.json")
 
 
-def test_version_1_state_loads_as_the_state_it_was_saved_from(tmp_path):
+def _check_fixture_loads(fixture, tmp_path):
+    """The fixture loads as fit_like_state(), and saved again it is the
+    version 3 file of that state, which round-trips byte for byte."""
     _, state = fit_like_state()
-    loaded = load_state(V1_STATE)
+    loaded = load_state(fixture)
     assert loaded.hp == state.hp
     for fa, fb in zip(state.parameter_factors(), loaded.parameter_factors(), strict=True):
         assert np.array_equal(fa.concentration, fb.concentration)
@@ -444,25 +453,43 @@ def test_version_1_state_loads_as_the_state_it_was_saved_from(tmp_path):
     for name in ("qa", "qv", "qw"):
         for a, b in zip(getattr(state, name), getattr(loaded, name), strict=True):
             assert np.array_equal(a, b)
-    # Saved again it becomes a version 2 file that round-trips byte for byte.
-    p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    p0, p1, p2 = tmp_path / "s0.json", tmp_path / "s1.json", tmp_path / "s2.json"
+    save_state(state, str(p0))
     save_state(loaded, str(p1))
-    assert json.loads(p1.read_text())["version"] == 2
+    assert json.loads(p1.read_text())["version"] == 3
+    assert p1.read_bytes() == p0.read_bytes()
     save_state(load_state(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_version_2_state_holds_supports_and_packed_posteriors(tmp_path):
+def test_version_1_state_loads_as_the_state_it_was_saved_from(tmp_path):
+    _check_fixture_loads(V1_STATE, tmp_path)
+
+
+def test_version_2_state_loads_as_the_state_it_was_saved_from(tmp_path):
+    _check_fixture_loads(V2_STATE, tmp_path)
+    # The fixture is what as_version_2 makes of the version 3 file, so the
+    # tests that edit a payload through it edit a real version 2 file.
+    path = tmp_path / "s.json"
+    save_state(fit_like_state()[1], str(path))
+    v2 = as_version_2(json.loads(path.read_text()))
+    with open(V2_STATE, encoding="utf-8") as fh:
+        assert json.dumps(v2, sort_keys=True, separators=(",", ":")) + "\n" == fh.read()
+
+
+def test_state_file_holds_supports_and_packed_posteriors(tmp_path):
     _, state = fit_like_state()
     path = tmp_path / "s.json"
     save_state(state, str(path))
     payload = json.loads(path.read_text())
     theta_a = payload["factors"]["theta_A"]
-    assert theta_a["support"] == list(range(2 * 4))  # both entities, every word
-    assert np.shape(theta_a["table"]) == (3, 8)
-    assert payload["factors"]["theta_B"]["support"] == [0, 1, 2, 3]
-    assert np.shape(payload["q"]["qa"]) == (4, 3)  # four snippets, K = 3
-    assert np.shape(payload["q"]["qw"]) == (10, 4)  # ten tokens, roles A V B I
+    assert theta_a["support"]["dtype"] == "<i8" and theta_a["table"]["dtype"] == "<f8"
+    assert decode(theta_a["support"]).tolist() == list(range(2 * 4))  # both entities, every word
+    assert theta_a["table"]["shape"] == [3, 8]
+    assert decode(payload["factors"]["theta_B"]["support"]).tolist() == [0, 1, 2, 3]
+    assert payload["q"]["qa"]["shape"] == [4, 3]  # four snippets, K = 3
+    assert payload["q"]["qw"]["shape"] == [10, 4]  # ten tokens, roles A V B I
+    assert np.array_equal(decode(payload["q"]["qa"]), np.concatenate(state.qa))
 
 
 def _theta_a_support(payload, edit):
@@ -491,12 +518,126 @@ def test_load_state_rejects_malformed_version_2(tmp_path, edit, message):
     _, state = fit_like_state()
     path = tmp_path / "s.json"
     save_state(state, str(path))
+    payload = as_version_2(json.loads(path.read_text()))
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=message) as exc:
+        load_state(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def _node(payload, keys):
+    for key in keys:
+        payload = payload[key]
+    return payload
+
+
+def _set(keys, field, value):
+    """An edit that sets one field of the blob at keys."""
+    return lambda p: _node(p, keys).__setitem__(field, value)
+
+
+def _recode(keys, fn, dtype=None):
+    """An edit that decodes the blob at keys, applies fn to the array and
+    encodes the result as dtype (the blob's own by default)."""
+    def edit(p):
+        parent = _node(p, keys[:-1])
+        blob = parent[keys[-1]]
+        parent[keys[-1]] = encode(fn(decode(blob)), dtype or blob["dtype"])
+    return edit
+
+
+def _with(a, index, value):
+    a[index] = value
+    return a
+
+
+TA = ("factors", "theta_A", "table")
+PS, PT = ("factors", "psi", "support"), ("factors", "psi", "table")
+QA, QV, QW = ("q", "qa"), ("q", "qv"), ("q", "qw")
+BLOB = re.escape("is not an encoded array with keys ['data', 'dtype', 'shape']")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set(QW, "data", "!" + "A" * 427), "qw data is not base64"),
+    (lambda p: _node(p, QW).update(data=_node(p, QW)["data"][:-1]), "qw data is not base64"),
+    (lambda p: _node(p, QW).update(data=_node(p, QW)["data"][:-4]),
+     r"qw has 318 bytes of data, shape \[10, 4\] needs 320"),
+    (_set(QW, "data", 3), "qw data is not base64"),
+    (_set(TA, "dtype", "|O"), r"factor theta_A table has dtype '\|O', expected '<f8'"),
+    (_recode(TA, lambda a: a, ">f8"), "factor theta_A table has dtype '>f8', expected '<f8'"),
+    (_recode(QA, lambda a: a, "<f4"), "qa has dtype '<f4', expected '<f8'"),
+    (_recode(PS, lambda a: a, "<f8"), "factor psi support has dtype '<f8', expected '<i8'"),
+    (_recode(PT, np.rint, "<i8"), "factor psi table has dtype '<i8', expected '<f8'"),
+    (_set(QW, "shape", [-10, -4]), r"qw has shape \[-10, -4\], not a list of non-negative"),
+    (_set(QW, "shape", [10, True]), r"qw has shape \[10, True\], not a list of non-negative"),
+    (_set(QW, "shape", [10.0, 4]), r"qw has shape \[10.0, 4\], not a list of non-negative"),
+    (_set(QW, "shape", "10x4"), "qw has shape '10x4', not a list of non-negative"),
+    (_set(QW, "shape", [11, 4]), r"qw has 320 bytes of data, shape \[11, 4\] needs 352"),
+    (lambda p: _node(p, TA).update(shape=[10**15], data=base64.b64encode(bytes(8)).decode()),
+     r"theta_A table has 8 bytes of data, shape \[1000000000000000\] needs 8000000000000000"),
+    (lambda p: _node(p, QA).update(shape=[1] * 65, data=base64.b64encode(bytes(8)).decode()),
+     "qa: maximum supported dimension"),
+    (lambda p: _node(p, QW).pop("dtype"), "qw " + BLOB),
+    (_set(QW, "order", "C"), "qw " + BLOB),
+    (lambda p: _node(p, ("factors", "psi")).update(support=list(range(12))),
+     "factor psi support " + BLOB),
+    # The checks version 2 shares, on encoded arrays.
+    (_recode(("factors", "theta_A", "support"), lambda a: a[[1, 0, *range(2, len(a))]]),
+     "factor theta_A support is not strictly ascending"),
+    (_recode(PT, lambda a: _with(a, 4, 0.5)), "psi has a concentration below"),
+    (_recode(TA, lambda a: a[:, :-1]), r"theta_A table has shape \(3, 7\), expected \(3, 8\)"),
+    (_recode(QW, lambda a: a[:-1]), "qw needs 10 rows"),
+    (_recode(QA, lambda a: a[0, 0]), "qa needs 4 rows"),
+    (_recode(QV, lambda a: np.hstack([a, np.zeros((4, 1))])), r"qv\[0\] has a row that is not 2"),
+    (_recode(QA, lambda a: _with(a, (2, 0), math.inf)), r"qa\[1\] is not finite"),
+    (_recode(QW, lambda a: _with(a, (4, 0), 2.0)), r"qw\[0\] rows are not probability"),
+], ids=[
+    "non-base64", "bad-padding", "truncated", "data-not-a-string", "object-dtype",
+    "big-endian", "float32", "float-support", "int-table", "negative-shape", "bool-shape",
+    "float-shape", "string-shape", "shape-length-mismatch", "huge-shape", "too-many-axes",
+    "missing-key", "extra-key", "list-in-version-3", "unsorted-support", "table-below-prior",
+    "table-narrower-than-support", "q-row-count", "q-scalar", "q-row-width", "non-finite-q",
+    "q-row-not-distribution",
+])
+def test_load_state_rejects_malformed_version_3(tmp_path, edit, message):
+    path = tmp_path / "s.json"
+    save_state(fit_like_state()[1], str(path))
     payload = json.loads(path.read_text())
     edit(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match=message) as exc:
         load_state(str(path))
     assert str(exc.value).startswith(f"{path}: ")
+
+
+FLOAT_EXTREMES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308,
+]
+INT_EXTREMES = [-2**63, -2**63 + 1, -1, 0, 1, 2**63 - 1]
+_SHAPES = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(
+    hnp.arrays(np.float64, _SHAPES, elements=st.floats() | st.sampled_from(FLOAT_EXTREMES)),
+    hnp.arrays(np.int64, _SHAPES,
+               elements=st.integers(-2**63, 2**63 - 1) | st.sampled_from(INT_EXTREMES)),
+))
+def test_encoded_array_round_trip_is_exact(tmp_path_factory, a):
+    # Zero-size axes, -0.0, subnormals, the largest finite floats, the
+    # int64 extremes and any NaN payload come back with the same bits,
+    # and the decoded array encodes to the same bytes.
+    dtype = "<f8" if a.dtype.kind == "f" else "<i8"
+    path = tmp_path_factory.mktemp("blob") / "a.json"
+    write_json({"a": _blob(a, dtype)}, str(path))
+    text = path.read_bytes()
+    got = _decoded(json.loads(text)["a"], dtype, "a", 3)
+    assert got.shape == a.shape and got.dtype == np.dtype(dtype) and got.flags.writeable
+    assert got.tobytes() == a.tobytes()
+    write_json({"a": _blob(got, dtype)}, str(path))
+    assert path.read_bytes() == text
 
 
 @pytest.mark.parametrize("key, value", [
@@ -515,14 +656,15 @@ def test_load_state_rejects_wrong_hyperparameter_type(tmp_path, key, value):
 
 
 def _state_payload(tmp_path, version):
-    """The payload of the v1 fixture, or of a saved v2 state, and a path
-    to write an edit of it to."""
+    """The payload of the v1 fixture, or of a saved state as version 2 or
+    3, and a path to write an edit of it to."""
     path = tmp_path / "s.json"
     if version == 1:
         with open(V1_STATE, encoding="utf-8") as fh:
             return json.load(fh), path
     save_state(fit_like_state()[1], str(path))
-    return json.loads(path.read_text()), path
+    payload = json.loads(path.read_text())
+    return (as_version_2(payload) if version == 2 else payload), path
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -532,7 +674,7 @@ def _state_payload(tmp_path, version):
     (lambda hp: hp.update(lambda_Q=hp.pop("lambda_M")),
      r"missing \['lambda_M'\], unknown \['lambda_Q'\]"),
 ], ids=["missing", "unknown", "renamed"])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_state_needs_exactly_the_hyperparameter_keys(tmp_path, version, edit, message):
     payload, path = _state_payload(tmp_path, version)
     edit(payload["hyperparameters"])
@@ -544,7 +686,7 @@ def test_load_state_needs_exactly_the_hyperparameter_keys(tmp_path, version, edi
 @pytest.mark.parametrize("key, value", [
     ("lambda_B", math.nan), ("lambda_AV", math.inf), ("topic_prior", [math.nan, 0, 0, 0]),
 ])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_state_rejects_non_finite_hyperparameters(tmp_path, version, key, value):
     payload, path = _state_payload(tmp_path, version)
     payload["hyperparameters"][key] = value
@@ -559,17 +701,11 @@ def test_load_state_rejects_non_finite_hyperparameters(tmp_path, version, key, v
     ("token_counts", [["3", 2], [3.7, 2]]), ("token_counts", [[3, 2], [3, 0]]),
     ("seed_sets", [[0.2], ["3"]]), ("seed_sets", [[False], [3]]), ("seed_sets", [[0], [-1]]),
 ])
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_state_rejects_integer_fields_that_are_not_json_integers(
     tmp_path, version, key, value
 ):
-    path = tmp_path / "s.json"
-    if version == 1:
-        with open(V1_STATE, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        save_state(fit_like_state()[1], str(path))
-        payload = json.loads(path.read_text())
+    payload, path = _state_payload(tmp_path, version)
     payload[key] = value
     path.write_text(json.dumps(payload))
     message = f"^{re.escape(str(path))}: {key}: .* is not an integer of at least"
@@ -598,7 +734,7 @@ def test_partial_support_in_a_state_file_loads_and_refits(tmp_path, name):
     seeds = SeedLexicon(["positive", "negative"], [{0}, {3}])
     full = tmp_path / "full.json"
     save_state(run_inference(hp, corpus, seeds)[0], str(full))
-    payload = json.loads(full.read_text())
+    payload = as_version_2(json.loads(full.read_text()))
     want = dict(payload["factors"][name])
     partial = payload["factors"][name]
     assert len(partial["support"]) >= 2
@@ -609,7 +745,7 @@ def test_partial_support_in_a_state_file_loads_and_refits(tmp_path, name):
 
     resaved = tmp_path / "resaved.json"
     save_state(load_state(str(partial_path)), str(resaved))
-    got = json.loads(resaved.read_text())["factors"][name]
+    got = as_version_2(json.loads(resaved.read_text()))["factors"][name]
     if name == "theta_A":
         # Its prior support is empty: it holds the file's pairs until a fit.
         assert got == partial
@@ -718,12 +854,17 @@ def _paths(node, prefix=()):
 @settings(max_examples=150, deadline=None)
 @given(
     pick=st.integers(0, 10**9),
-    action=st.sampled_from(["delete", "null", "string", "negative", "nan", "empty", "dict"]),
-    version=st.sampled_from([1, 2]),
+    action=st.sampled_from([
+        "delete", "null", "string", "negative", "nan", "empty", "dict", "huge", "true", "chop",
+        "flip",
+    ]),
+    version=st.sampled_from([1, 2, 3]),
 )
 def test_load_state_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, action, version):
-    """One value of a version 1 file (the fixture) or of a version 2 file
-    replaced or deleted: loading it succeeds or raises ModelError."""
+    """One value of a version 1 file (the fixture) or of a version 2 or 3
+    file replaced or deleted: loading it succeeds or raises ModelError. In
+    version 3 the value may be a blob field: its data, dtype, shape or a
+    shape entry."""
     tmp = tmp_path_factory.mktemp("fuzz")
     if version == 1:
         with open(V1_STATE, encoding="utf-8") as fh:
@@ -732,16 +873,27 @@ def test_load_state_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, 
         _, state = random_corpus_and_state(pick % 97, 2, 2, True, True, 0)
         save_state(state, str(tmp / "s.json"))
         payload = json.loads((tmp / "s.json").read_text())
+        if version == 2:
+            as_version_2(payload)
     paths = list(_paths(payload))
+    if action == "huge":  # a declared shape entry far beyond the data it describes
+        assume(version == 3)
+        paths = [(prefix, key) for prefix, key in paths if prefix[-1:] == ("shape",)]
     prefix, key = paths[pick % len(paths)]
     parent = payload
     for step in prefix:
         parent = parent[step]
+    value = parent[key]
     if action == "delete":
         del parent[key]
+    elif action == "chop":  # a string or list cut in half
+        parent[key] = value[:len(value) // 2] if isinstance(value, (str, list)) else None
+    elif action == "flip" and isinstance(value, str) and value:  # a bit flip in a blob's data
+        i = pick % len(value)
+        parent[key] = value[:i] + ("B" if value[i] == "A" else "A") + value[i + 1:]
     else:
         parent[key] = {"null": None, "string": "x", "negative": -1.0, "nan": math.nan,
-                       "empty": [], "dict": {}}[action]
+                       "empty": [], "dict": {}, "huge": 10**15, "true": True, "flip": "x"}[action]
     (tmp / "s.json").write_text(json.dumps(payload))
     try:
         load_state(str(tmp / "s.json"))

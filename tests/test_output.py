@@ -1,5 +1,6 @@
 """The streaming JSON writer and atomic file output."""
 
+import base64
 import json
 import os
 
@@ -14,9 +15,12 @@ from snipagg.output import atomic_open, write_json
 
 
 def plain(obj):
-    """obj with every array replaced by its nested lists."""
+    """obj with every array replaced by its nested lists and every
+    memoryview by the base64 of its bytes."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, memoryview):
+        return base64.b64encode(obj).decode("ascii")
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -33,7 +37,8 @@ def written(obj, path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+           | st.binary(max_size=20).map(memoryview))
 arrays = hnp.arrays(
     dtype=st.sampled_from([np.float64, np.float32, np.int64]),
     shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
@@ -49,17 +54,21 @@ values = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(obj=values, chunk=st.sampled_from([1, 2, 3, 7, output.CHUNK]))
-def test_writer_matches_one_shot_dumps(tmp_path_factory, obj, chunk):
-    # Small chunk sizes put the generated arrays both above and below the
-    # chunk, so every way of splitting an array is exercised.
+@given(
+    obj=values,
+    chunk=st.sampled_from([1, 2, 3, 7, output.CHUNK]),
+    b64_chunk=st.sampled_from([3, 6, output.B64_CHUNK]),
+)
+def test_writer_matches_one_shot_dumps(tmp_path_factory, obj, chunk, b64_chunk):
+    # Small chunk sizes put the generated arrays and byte strings both
+    # above and below the chunk, so every way of splitting one is exercised.
     path = tmp_path_factory.mktemp("w") / "out.json"
-    saved = output.CHUNK
-    output.CHUNK = chunk
+    saved = output.CHUNK, output.B64_CHUNK
+    output.CHUNK, output.B64_CHUNK = chunk, b64_chunk
     try:
         assert written(obj, path) == reference(obj)
     finally:
-        output.CHUNK = saved
+        output.CHUNK, output.B64_CHUNK = saved
 
 
 def test_writer_matches_one_shot_dumps_on_large_arrays(tmp_path):
@@ -73,6 +82,8 @@ def test_writer_matches_one_shot_dumps_on_large_arrays(tmp_path):
         "wide": np.zeros((1, output.CHUNK * 2, 1)),
         "at_chunk": rng.random(output.CHUNK),
         "empty_rows": np.empty((output.CHUNK + 3, 0)),
+        "bytes": memoryview(rng.bytes(2 * output.B64_CHUNK + 1)),
+        "no_bytes": memoryview(b""),
         "meta": {"n": 3, "none": None, "names": ["a", "ü"]},
     }
     assert written(obj, tmp_path / "big.json") == reference(obj)
