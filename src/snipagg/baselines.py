@@ -17,6 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from snipagg.corpus import Corpus, SeedLexicon, Snippet
+from snipagg.generator import MAX_CELLS
 
 NOUN_TAG_PREFIX = "NN"
 
@@ -99,17 +100,28 @@ def agglomerative_cluster(
     Cluster similarity is the average pairwise cosine (or the max for
     single linkage, the min for complete). Exact similarity ties are
     broken toward the pair whose canonical keys (sorted member id
-    tuples) compare lowest, so the result is invariant to input order
-    up to relabeling. Final cluster indices are dense, assigned in
-    canonical key order.
+    tuples) compare lowest, and final cluster indices are dense, in
+    canonical key order. Disjoint clusters' keys order as their smallest
+    ids, so with the ids sorted once and each pair merged into its
+    earlier slot, the slots stay in key order. The lowest tied pair is
+    then the first maximum, in row-major order, over the strict upper
+    triangle, and the result does not depend on the input order.
+
+    A scope whose n x n similarity matrix would exceed MAX_CELLS cells
+    is refused before it is built; below that, time grows as n cubed.
     """
     if linkage not in ("average", "single", "complete"):
         raise BaselineError(f"unknown linkage {linkage!r}")
-    ids = list(vectors.keys())
+    ids = sorted(vectors)
     n = len(ids)
     if not (1 <= target_clusters <= n):
         raise BaselineError(
             f"target cluster count {target_clusters} out of range for {n} snippets"
+        )
+    if n * n > MAX_CELLS:
+        raise BaselineError(
+            f"scope {scope!r} has {n} snippets: its similarity matrix of {n * n} cells "
+            f"exceeds the size ceiling ({MAX_CELLS})"
         )
 
     terms = sorted({w for vec in vectors.values() for w in vec})
@@ -124,54 +136,26 @@ def agglomerative_cluster(
     unit[nonzero] = dense[nonzero] / norms[nonzero, None]
     sim = unit @ unit.T
 
-    active = np.ones(n, dtype=bool)
-    sizes = np.ones(n)
-    keys: list[tuple[str, ...]] = [(sid,) for sid in ids]
-    members: list[list[int]] = [[r] for r in range(n)]
     # sim doubles as the linkage statistic between cluster slots: the
     # pairwise cosine sum for average linkage, max for single, min for
-    # complete.
-    remaining = n
-    while remaining > target_clusters:
-        if linkage == "average":
-            scores = sim / np.outer(sizes, sizes)
-        else:
-            scores = sim
-        mask = np.outer(active, active)
-        np.fill_diagonal(mask, False)
-        best = scores[mask].max()
-        cand = np.argwhere((scores == best) & mask)
-        pick = None
-        pick_key = None
-        for a, b in cand:
-            if a >= b:
-                continue
-            ka, kb = sorted((keys[a], keys[b]))
-            if pick_key is None or (ka, kb) < pick_key:
-                pick_key = (ka, kb)
-                pick = (int(a), int(b))
-        a, b = pick
-        if linkage == "average":
-            sim[a, :] += sim[b, :]
-            sim[:, a] += sim[:, b]
-        elif linkage == "single":
-            sim[a, :] = np.maximum(sim[a, :], sim[b, :])
-            sim[:, a] = np.maximum(sim[:, a], sim[:, b])
-        else:
-            sim[a, :] = np.minimum(sim[a, :], sim[b, :])
-            sim[:, a] = np.minimum(sim[:, a], sim[:, b])
+    # complete. A merged-away slot's row and column hold -inf, which
+    # every combine and the average's division keep.
+    combine = {"average": np.add, "single": np.maximum, "complete": np.minimum}[linkage]
+    lower = np.tri(n, dtype=bool)
+    sizes = np.ones(n)
+    members = {r: [r] for r in range(n)}
+    while len(members) > target_clusters:
+        scores = sim / np.multiply.outer(sizes, sizes) if linkage == "average" else sim.copy()
+        scores[lower] = -np.inf
+        a, b = divmod(int(scores.argmax()), n)
+        combine(sim[a, :], sim[b, :], out=sim[a, :])
+        combine(sim[:, a], sim[:, b], out=sim[:, a])
+        sim[b, :] = sim[:, b] = -np.inf
         sizes[a] += sizes[b]
-        members[a].extend(members[b])
-        keys[a] = tuple(sorted(keys[a] + keys[b]))
-        active[b] = False
-        remaining -= 1
+        members[a].extend(members.pop(b))
 
-    final = sorted((keys[c], c) for c in range(n) if active[c])
-    assignment: dict[str, int] = {}
-    for idx, (_, c) in enumerate(final):
-        for r in members[c]:
-            assignment[ids[r]] = idx
-    return Clustering(scope, assignment, len(final))
+    assignment = {ids[r]: idx for idx, rows in enumerate(members.values()) for r in rows}
+    return Clustering(scope, assignment, len(members))
 
 
 def cluster_snippets(
@@ -188,23 +172,17 @@ def cluster_snippets(
     snippets than the target get singletons). Otherwise all snippets
     share one corpus-wide scope.
     """
-    out = []
     if per_entity:
-        for i, group in enumerate(corpus.snippets):
-            vecs = tfidf_vectors(group, corpus, noun_only)
-            c = min(target_clusters, len(group))
-            out.append(
-                agglomerative_cluster(vecs, c, linkage, scope=corpus.entities[i])
-            )
+        scopes = zip(corpus.entities, corpus.snippets)
     else:
-        snippets = list(corpus.iter_snippets())
-        vecs = tfidf_vectors(snippets, corpus, noun_only)
-        out.append(
-            agglomerative_cluster(
-                vecs, min(target_clusters, len(snippets)), linkage, scope="corpus"
-            )
+        scopes = [("corpus", list(corpus.iter_snippets()))]
+    return [
+        agglomerative_cluster(
+            tfidf_vectors(group, corpus, noun_only), min(target_clusters, len(group)), linkage,
+            scope=name,
         )
-    return out
+        for name, group in scopes
+    ]
 
 
 def seed_sentiment(snippet: Snippet, seeds: SeedLexicon) -> Optional[int]:

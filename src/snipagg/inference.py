@@ -553,9 +553,7 @@ def _free_energy(ctx: UpdateContext, factor_terms: float) -> float:
     return factor_terms + float(per_entity.sum())
 
 
-def compute_free_energy(
-    state: VariationalState, corpus: Corpus, hp: Optional[Hyperparameters] = None
-) -> float:
+def compute_free_energy(state: VariationalState, corpus: Corpus) -> float:
     """Mean-field free energy of a state on its corpus.
 
     This is the sum over factors of KL(posterior || prior) minus the
@@ -565,8 +563,6 @@ def compute_free_energy(
     An empty corpus at the prior state scores exactly 0, and the value
     is additive over entities that share no factors.
     """
-    if hp is not None and hp != state.hp:
-        raise ModelError("hyperparameters do not match the state")
     ctx = UpdateContext(state, corpus)
     return _free_energy(ctx, sum(f._kl(counts) for f, counts in _expected_counts(ctx)))
 

@@ -32,6 +32,7 @@ import base64
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -935,11 +936,19 @@ def _is_row(value, width: int) -> bool:
 
 
 def _restore_posteriors(
-    payload, name: str, rows: list[int], width: int, version: int
+    payload, name: str, rows: list[int], width: int, version: int, sizes: tuple[str, str]
 ) -> list[np.ndarray]:
     """The file's posteriors of each entity, views of one packed array:
     version 1 has one array per entity, versions 2 and 3 the packed array
-    with rows[i] rows of entity i. A fault names the entity, as name[i]."""
+    with rows[i] rows of entity i. A fault names the entity, as name[i];
+    a wrong row count or row width also names the field that set it
+    (sizes: the rows' and the width's)."""
+    if version > 1:
+        n = sum(rows)  # exact, where an int64 sum of huge declared counts would wrap
+        packed = _decoded(payload, _FLOAT, name, version)
+        # A JSON list or a decoded array with a first axis has rows.
+        if not (isinstance(packed, list) or getattr(packed, "ndim", 0)) or len(packed) != n:
+            raise ModelError(f"{name} needs {n} rows ({sizes[0]})")
     bounds = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
 
     def entity(row) -> int:
@@ -953,18 +962,15 @@ def _restore_posteriors(
             width,
         )
     else:
-        n = int(bounds[-1])
-        packed = _decoded(payload, _FLOAT, name, version)
-        # A JSON list or a decoded array with a first axis has rows.
-        if not (isinstance(packed, list) or getattr(packed, "ndim", 0)) or len(packed) != n:
-            raise ModelError(f"{name} needs {n} rows")
         try:
             q = np.asarray(packed, dtype=float) if n else np.empty((0, width))
         except (TypeError, ValueError):
             q = None
         if q is None or q.shape != (n, width):
             bad = next((r for r, v in enumerate(packed) if not _is_row(v, width)), 0)
-            raise ModelError(f"{name}[{entity(bad)}] has a row that is not {width} numbers")
+            raise ModelError(
+                f"{name}[{entity(bad)}] has a row that is not {width} numbers ({sizes[1]})"
+            )
         finite = np.isfinite(q).all(axis=1)
         if not finite.all():
             raise ModelError(f"{name}[{entity(finite.argmin())}] is not finite")
@@ -974,7 +980,7 @@ def _restore_posteriors(
     return row_views(q, bounds)
 
 
-def _state_from_payload(payload: dict) -> VariationalState:
+def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     if payload.get("format") != STATE_FORMAT:
         raise ModelError("not a state file")
     version = payload.get("version")
@@ -994,21 +1000,36 @@ def _state_from_payload(payload: dict) -> VariationalState:
     seed_sets = [[_count(w, "seed_sets") for w in s] for s in payload["seed_sets"]]
     if len(seed_sets) != hp.N or any(not 0 <= w < V for s in seed_sets for w in s):
         raise ModelError(f"seed_sets need {hp.N} lists of word indices below {V}")
+
+    # Every size the prior state allocates is checked before it is built.
+    # The posteriors' rows and widths fix the snippet and token counts, K
+    # and N. The vocabulary and tag counts may exceed theta_B's and eta's
+    # tables (a support may leave cells at their prior), but not the
+    # file's length, as a saved state holds theta_B over every word.
+    qpay = payload["q"]
+    qa = _restore_posteriors(
+        qpay["qa"], "qa", snippet_counts, hp.K, version, ("snippet_counts", "K")
+    )
+    qv = None
+    if hp.N >= 1:
+        qv = _restore_posteriors(
+            qpay["qv"], "qv", snippet_counts, hp.N, version, ("snippet_counts", "N")
+        )
+    elif qpay["qv"] is not None:
+        raise ModelError("qv is present but N = 0")
+    tokens = [sum(row) for row in token_counts]
+    qw = _restore_posteriors(
+        qpay["qw"], "qw", tokens, layout.n_topics, version, ("token_counts", "topics")
+    )
+    for key, size in (("vocab_size", V), ("tag_count", T), ("K", hp.K), ("N", hp.N)):
+        if size > n_bytes:
+            raise ModelError(f"{key}: {size} is larger than the file ({n_bytes} bytes)")
     state = _prior_state(hp, V, T, token_counts, seed_sets)
 
     fpay = payload["factors"]
     for name in _FACTOR_KEYS:
         _restore_factor(getattr(state, name), fpay[name], name, version)
-
-    qpay = payload["q"]
-    snippets = state.snippet_counts
-    state.qa = _restore_posteriors(qpay["qa"], "qa", snippets, hp.K, version)
-    if hp.N >= 1:
-        state.qv = _restore_posteriors(qpay["qv"], "qv", snippets, hp.N, version)
-    elif qpay["qv"] is not None:
-        raise ModelError("qv is present but N = 0")
-    tokens = [sum(row) for row in token_counts]
-    state.qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics, version)
+    state.qa, state.qv, state.qw = qa, qv, qw
     return state
 
 
@@ -1019,13 +1040,17 @@ def load_state(path: str) -> VariationalState:
     Checks the keys, every shape, that all numbers are finite, that the
     posterior rows are distributions, that each factor's support is
     strictly ascending and in range and that no concentration is below
-    its prior; any fault raises ModelError naming the file. Versions 2 and
-    3 share every check and differ only in how an array is held, a JSON
-    list in 2 and an encoded blob in 3 (see _decoded). Each factor grows
+    its prior; any fault raises ModelError naming the file. Every size the
+    prior state allocates is checked first, against the posteriors' rows
+    and widths and the file's length, so a huge declared count fails
+    before anything is allocated. Versions 2 and 3 share every check and
+    differ only in how an array is held, a JSON list in 2 and an encoded
+    blob in 3 (see _decoded). Each factor grows
     its prior support (every pair, none for theta_A) by the file's support
     in versions 2 and 3, by the pairs the file has off the prior in 1.
     """
     with open(path, encoding="utf-8") as fh:
+        n_bytes = os.fstat(fh.fileno()).st_size
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -1033,7 +1058,7 @@ def load_state(path: str) -> VariationalState:
         except UnicodeDecodeError as exc:  # one decode of the whole file: a file offset
             raise ModelError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
-        return _state_from_payload(payload)
+        return _state_from_payload(payload, n_bytes)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:

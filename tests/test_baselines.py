@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snipagg.baselines import (
     BaselineError,
@@ -14,6 +16,7 @@ from snipagg.baselines import (
     tfidf_vectors,
 )
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
+from snipagg.generator import MAX_CELLS
 
 THE, PIZZA, CRUST, BEER, WINE = range(5)
 DT, NN, NNS, JJ = range(4)
@@ -187,3 +190,67 @@ def test_majority_sentiment():
     assert majority_sentiment([1]) == 1
     with pytest.raises(BaselineError, match="no training labels"):
         majority_sentiment([])
+
+
+def naive_agglomerative(vectors, target, linkage):
+    """Textbook agglomeration over vectors that are empty or one term:
+    every pair's linkage recomputed from the pairwise cosines at every
+    merge, ties broken by sorted member-id tuples, clusters labelled in
+    canonical order."""
+    def cos(a, b):
+        u, v = vectors[a], vectors[b]
+        return 1.0 if u and v and u.keys() == v.keys() else 0.0
+
+    link = {"average": lambda xs: sum(xs) / len(xs), "single": max, "complete": min}[linkage]
+    clusters = [(sid,) for sid in vectors]
+    while len(clusters) > target:
+        best = None
+        for i, x in enumerate(clusters):
+            for y in clusters[i + 1:]:
+                score = link([cos(a, b) for a in x for b in y])
+                key = tuple(sorted((x, y)))
+                if best is None or score > best[0] or (score == best[0] and key < best[1]):
+                    best = (score, key)
+        x, y = best[1]
+        clusters.remove(x)
+        clusters.remove(y)
+        clusters.append(tuple(sorted(x + y)))
+    return {sid: idx for idx, c in enumerate(sorted(clusters)) for sid in c}
+
+
+@st.composite
+def tied_scopes(draw):
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=9, unique=True))
+    weight = st.floats(0.01, 100.0)
+    # Empty or one term of three: every cosine is exactly 0 or 1, every
+    # linkage an exact ratio of integers, and ties are everywhere.
+    term = st.one_of(st.none(), st.integers(0, 2))
+    vectors = {}
+    for sid in draw(st.permutations(ids)):
+        t = draw(term)
+        vectors[sid] = {} if t is None else {t: draw(weight)}
+    target = draw(st.integers(1, len(ids)))
+    linkage = draw(st.sampled_from(["average", "single", "complete"]))
+    order = draw(st.permutations(list(vectors)))
+    return vectors, target, linkage, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_scopes())
+def test_agglomerative_matches_naive_reference_on_ties(scope):
+    vectors, target, linkage, order = scope
+    result = agglomerative_cluster(vectors, target, linkage)
+    assert result.assignment == naive_agglomerative(vectors, target, linkage)
+    assert result.n_clusters == target
+    shuffled = agglomerative_cluster({sid: vectors[sid] for sid in order}, target, linkage)
+    assert shuffled.assignment == result.assignment
+
+
+def test_agglomerative_refuses_a_scope_above_the_cell_ceiling():
+    n = math.isqrt(MAX_CELLS) + 1
+    vocab, tags = Indexer(["x"]), Indexer(["NN"])
+    group = [Snippet(0, f"s{i}", [Token(0, 0)]) for i in range(n)]
+    corpus = Corpus(["e0"], [group], vocab, tags)
+    message = f"scope 'corpus' has {n} snippets: its similarity matrix of {n * n} cells"
+    with pytest.raises(BaselineError, match=message):
+        cluster_snippets(corpus, 2, per_entity=False)

@@ -145,6 +145,22 @@ def test_baseline_cluster_all_feeds_eval(workspace, tmp_path, capsys):
     assert 0.0 <= json.loads(out)["f1"] <= 1.0
 
 
+def test_baseline_scope_above_the_cell_ceiling_exits_3(tmp_path, capsys):
+    n = math.isqrt(cli.MAX_CELLS) + 1
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"s{i}", "entity": "e0", "tokens": [["x", "NN"]]}) + "\n"
+        for i in range(n)
+    ))
+    code = main(["-q", "baseline", "--corpus", str(corpus), "--variant", "cluster-all",
+                 "--clusters", "2", "--scope", "corpus", "--out", str(tmp_path / "base")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"scope 'corpus' has {n} snippets" in err and "Traceback" not in err
+    assert f"exceeds the size ceiling ({cli.MAX_CELLS})" in err
+    assert not os.path.exists(tmp_path / "base" / "clusters.tsv")
+
+
 def test_baseline_seed_variant(workspace, tmp_path, capsys):
     data, _ = workspace
     base = str(tmp_path / "seedbase")

@@ -409,8 +409,6 @@ def test_free_energy_validates_inputs():
     state = build_priors(hp, corpus, None)
     with pytest.raises(ModelError):
         compute_free_energy(state, tiny_corpus(n_entities=2))
-    with pytest.raises(ModelError):
-        compute_free_energy(state, corpus, hp=Hyperparameters(K=5, N=2))
 
 
 # --- fit loop behavior ------------------------------------------------------

@@ -713,6 +713,24 @@ def test_load_state_rejects_integer_fields_that_are_not_json_integers(
         load_state(str(path))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["token_counts"][0].__setitem__(0, 10**15), r"qw needs \d+ rows \(token_counts\)"),
+    (lambda p: p.update(vocab_size=10**15),
+     r"vocab_size: 1000000000000000 is larger than the file \(\d+ bytes\)"),
+    (lambda p: p["hyperparameters"].update(K=10**12),
+     r"qa\[0\] has a row that is not 1000000000000 numbers \(K\)"),
+], ids=["token-count", "vocab-size", "K"])
+@pytest.mark.parametrize("version", [2, 3])
+def test_load_state_checks_sizes_before_it_allocates(tmp_path, version, edit, message):
+    # Each edit declares a size whose prior state would take terabytes or
+    # more; the file's own arrays refuse it before anything is allocated.
+    payload, path = _state_payload(tmp_path, version)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_state(str(path))
+
+
 FACTOR_NAMES = (
     "theta_B", "trans_start", "trans_main", "theta_V", "theta_I", "eta", "psi", "theta_A", "phi"
 )
