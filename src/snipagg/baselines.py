@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from snipagg.corpus import Corpus, SeedLexicon, Snippet
-from snipagg.generator import MAX_CELLS
+from snipagg.model import MAX_CELLS
 
 NOUN_TAG_PREFIX = "NN"
 

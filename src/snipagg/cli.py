@@ -55,7 +55,6 @@ from snipagg.evaluation import (
     word_label_prf,
 )
 from snipagg.generator import (
-    MAX_CELLS,
     CorpusShape,
     GeneratorError,
     aspect_vocabularies_disjoint,
@@ -71,6 +70,7 @@ from snipagg.inference import (
     word_label_predictions,
 )
 from snipagg.model import (
+    MAX_CELLS,
     Hyperparameters,
     ModelError,
     hp_to_json,

@@ -41,7 +41,7 @@ from snipagg.corpus import (
     SeedLexicon,
     default_value_names,
 )
-from snipagg.model import Hyperparameters, transition_priors, value_prior
+from snipagg.model import MAX_CELLS, Hyperparameters, transition_priors, value_prior
 
 log = logging.getLogger(__name__)
 
@@ -54,13 +54,6 @@ MAX_CHAIN_LENGTH = 200
 # range of means a draw lands there with probability above 9% (9.5% at
 # 0.1, 10.9% at 38), so a snippet takes about 11 draws at worst.
 POISSON_MEAN_RANGE = (0.1, 38.0)
-# Ceiling on every size `snipagg generate` builds: the vocabulary, the
-# entity list, the snippet count and the cells of the aspect, value and
-# aspect-value tables (entities x K x vocab_size, N x vocab_size and
-# entities x K x N). The reference corpus (300 x 42 snippets,
-# vocab_size 1200, K = 10) has a 3.6M-cell aspect table.
-MAX_CELLS = 10**8
-
 
 class GeneratorError(ValueError):
     """Invalid sampling request."""

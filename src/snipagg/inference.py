@@ -49,6 +49,12 @@ of any other snippet, and position p of every snippet is updated in one
 vector step that reads the new posterior of position p-1 and the old
 one of p+1, what the one-token-at-a-time sweep reads.
 
+The public per-op updates (update_snippet_aspect, update_snippet_value,
+update_word_topic) run the same steps on one snippet's gather, the word
+step on one token as one wavefront row. No fit calls them: they are
+for tests and inspection, and a call costs more than a whole pass
+spends on one snippet.
+
 The digamma refresh and the KL to the prior run only on each factor's
 support (see DirichletFactor). A cell off it sits at its prior, has
 expected log digamma(prior) - digamma(row total) and adds exactly 0 to
@@ -189,11 +195,13 @@ class _Gathered:
     main: np.ndarray
 
 
-def _gather(ctx: UpdateContext) -> _Gathered:
-    """The factors' expected logs gathered at the context's corpus."""
+def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathered:
+    """The factors' expected logs gathered at snippets s0:s1 of the
+    context's corpus (every snippet by default) and at their tokens."""
     state, pack = ctx.state, ctx.pack
-    cols = pack.aspect_columns(state)[0]
-    words, ents = pack.words, pack.ent_of_snip
+    tok = slice(pack.offsets[s0], pack.offsets[pack.n_snippets if s1 is None else s1])
+    cols = pack.aspect_columns(state)[0][tok]
+    words, ents = pack.words[tok], pack.ent_of_snip[s0:s1]
     return _Gathered(
         phi=None if state.phi is None else state.phi.expected_log()[state.phi.entity_rows(ents)],
         psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
@@ -201,7 +209,7 @@ def _gather(ctx: UpdateContext) -> _Gathered:
         ev=None if state.theta_V is None else state.theta_V.expected_log()[:, words],
         eb=state.theta_B.expected_log()[words],
         ei=None if state.theta_I is None else state.theta_I.expected_log()[words],
-        eta=None if state.eta is None else state.eta.expected_log()[:, pack.tags].T,
+        eta=None if state.eta is None else state.eta.expected_log()[:, pack.tags[tok]].T,
         start=state.trans_start.expected_log(),
         main=state.trans_main.expected_log(),
     )
@@ -261,101 +269,6 @@ class UpdateContext:
     def commit(self) -> None:
         """Make the per-entity views the state's posteriors."""
         self.state.qa, self.state.qv, self.state.qw = self.new_qa, self.new_qv, self.new_qw
-
-    def _snippet_tokens(self, entity: int, snippet: int):
-        """(lo, hi, words, tags): the snippet owns tokens lo:hi of the
-        entity's arrays, with these words and tags."""
-        pack = self.pack
-        s0, s1 = pack.snippet_bounds[entity], pack.snippet_bounds[entity + 1]
-        if not 0 <= snippet < s1 - s0:
-            raise InferenceError(f"snippet index {snippet} out of range for entity {entity}")
-        first, end = pack.offsets[s0 + snippet], pack.offsets[s0 + snippet + 1]
-        t0 = pack.token_bounds[entity]
-        return first - t0, end - t0, pack.words[first:end], pack.tags[first:end]
-
-
-def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_A) for one snippet and store it in the write buffer.
-
-    score(a) = E[log psi(a)] + sum_w q(Z_W(w) = A) E[log theta_A(a, word_w)]
-             + sum_v q(Z_V = v) E[log phi(a, v)]
-    """
-    state = ctx.state
-    lo, hi, words, _ = ctx._snippet_tokens(entity, snippet)
-    q_word_a = state.qw[entity][lo:hi, state.layout.col("A")]
-    elog_a = state.theta_A_factor(entity).expected_log()
-    score = state.psi_factor(entity).expected_log().copy()
-    score += q_word_a @ elog_a[:, words].T
-    if state.qv is not None:
-        score += state.phi_factor(entity).expected_log() @ state.qv[entity][snippet]
-    q = _softmax_rows(score)
-    ctx.new_qa[entity][snippet] = q
-    return q
-
-
-def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_V) for one snippet and store it in the write buffer.
-
-    score(v) = sum_a q(Z_A = a) E[log phi(a, v)]
-             + sum_w q(Z_W(w) = V) E[log theta_V(v, word_w)]
-    """
-    state = ctx.state
-    if state.qv is None:
-        raise InferenceError("value update requested but N = 0")
-    lo, hi, words, _ = ctx._snippet_tokens(entity, snippet)
-    qa = state.qa[entity][snippet]
-    q_word_v = state.qw[entity][lo:hi, state.layout.col("V")]
-    score = qa @ state.phi_factor(entity).expected_log()
-    score += q_word_v @ state.theta_V.expected_log()[:, words].T
-    q = _softmax_rows(score)
-    ctx.new_qv[entity][snippet] = q
-    return q
-
-
-def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) -> np.ndarray:
-    """Recompute q(Z_W) for one token and store it in the write buffer.
-
-    The score of role T combines the fixed topic prior, expected log
-    transitions from the previous token's posterior (or the start row)
-    and into the next token's posterior (or the end column), the
-    emission term marginalized under the snippet's aspect or value
-    posterior, and the tag emission when tags are modeled. A single-word
-    snippet uses only start-to-T and T-to-end transitions.
-    """
-    state = ctx.state
-    layout = state.layout
-    n = layout.n_topics
-    lo, hi, words, tags = ctx._snippet_tokens(entity, snippet)
-    t = lo + word
-    if not (lo <= t < hi):
-        raise InferenceError(f"word index {word} out of range for snippet {snippet}")
-    w = words[word]
-    qw_read = state.qw[entity]
-    qa = state.qa[entity][snippet]
-    elog_main = state.trans_main.expected_log()
-
-    score = state.hp.topic_prior_vector(layout).copy()
-    if t == lo:
-        score += state.trans_start.expected_log()
-    else:
-        score += qw_read[t - 1] @ elog_main[:, :n]
-    if t == hi - 1:
-        score += elog_main[:, layout.end_col]
-    else:
-        score += elog_main[:, :n] @ qw_read[t + 1]
-
-    score[layout.col("A")] += qa @ state.theta_A_factor(entity).expected_log()[:, w]
-    if state.qv is not None:
-        qv = state.qv[entity][snippet]
-        score[layout.col("V")] += qv @ state.theta_V.expected_log()[:, w]
-    score[layout.col("B")] += state.theta_B.expected_log()[w]
-    if layout.has_ignore:
-        score[layout.col("I")] += state.theta_I.expected_log()[w]
-    if state.eta is not None:
-        score += state.eta.expected_log()[:, tags[word]]
-    q = _softmax_rows(score)
-    ctx.new_qw[entity][t] = q
-    return q
 
 
 def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.ndarray:
@@ -422,42 +335,42 @@ def _refit(ctx: UpdateContext) -> float:
 
 
 def _aspect_step(
-    pack: _PackedCorpus, g: _Gathered, qv: Optional[np.ndarray], qw: np.ndarray, col_a: int
+    first: np.ndarray | list, g: _Gathered, qv: Optional[np.ndarray], qw: np.ndarray, col_a: int
 ) -> np.ndarray:
-    """update_snippet_aspect for every snippet at once (col_a is the A
-    column of qw)."""
-    score = g.psi + np.add.reduceat(g.ea * qw[:, col_a], pack.first, axis=1).T
+    """The new q(Z_A) of every gathered snippet, (S, K), given each
+    snippet's first token (first) and the A column of qw (col_a)."""
+    score = g.psi + np.add.reduceat(g.ea * qw[:, col_a], first, axis=1).T
     if qv is not None:
         score += np.einsum("skn,sn->sk", g.phi, qv)
     return _softmax_rows(score)
 
 
 def _value_step(
-    pack: _PackedCorpus, g: _Gathered, qa: np.ndarray, qw: np.ndarray, col_v: int
+    first: np.ndarray | list, g: _Gathered, qa: np.ndarray, qw: np.ndarray, col_v: int
 ) -> np.ndarray:
-    """update_snippet_value for every snippet at once (col_v is the V
-    column of qw)."""
+    """The new q(Z_V) of every gathered snippet, (S, N), given each
+    snippet's first token (first) and the V column of qw (col_v)."""
     score = np.einsum("sk,skn->sn", qa, g.phi)
-    score += np.add.reduceat(g.ev * qw[:, col_v], pack.first, axis=1).T
+    score += np.add.reduceat(g.ev * qw[:, col_v], first, axis=1).T
     return _softmax_rows(score)
 
 
 def _emissions(
-    ctx: UpdateContext, g: _Gathered, qa: np.ndarray, qv: Optional[np.ndarray]
+    state: VariationalState, g: _Gathered, qa: np.ndarray, qv: Optional[np.ndarray], rows
 ) -> np.ndarray:
-    """The score of each role at each token that does not depend on its
-    neighbours, (T, n): the topic prior, the tag emission and the word
-    emission, whose A and V columns marginalize over the snippet's
-    aspect and value."""
-    layout, pack = ctx.state.layout, ctx.pack
-    emis = np.empty((pack.n_tokens, layout.n_topics))
-    emis[:, layout.col("A")] = np.einsum("tk,kt->t", qa[pack.snip_of_token], g.ea)
+    """The score of each role at each gathered token that does not
+    depend on its neighbours, (T, n): the topic prior, the tag emission
+    and the word emission, whose A and V columns marginalize over the
+    snippet's aspect and value (the token's row, rows[t], of qa and qv)."""
+    layout = state.layout
+    emis = np.empty((len(rows), layout.n_topics))
+    emis[:, layout.col("A")] = np.einsum("tk,kt->t", qa[rows], g.ea)
     if qv is not None:
-        emis[:, layout.col("V")] = np.einsum("tn,nt->t", qv[pack.snip_of_token], g.ev)
+        emis[:, layout.col("V")] = np.einsum("tn,nt->t", qv[rows], g.ev)
     emis[:, layout.col("B")] = g.eb
     if g.ei is not None:
         emis[:, layout.col("I")] = g.ei
-    emis += ctx.state.hp.topic_prior_vector(layout)
+    emis += state.hp.topic_prior_vector(layout)
     if g.eta is not None:
         emis += g.eta
     return emis
@@ -491,6 +404,75 @@ def _word_step(
     return _softmax_rows(score)
 
 
+def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gathered, int, int]:
+    """The gather at one snippet of an entity, and lo, hi: the snippet
+    owns tokens lo:hi of the entity's arrays."""
+    pack = ctx.pack
+    n_entities = len(pack.snippet_bounds) - 1
+    if not 0 <= entity < n_entities:
+        raise InferenceError(f"entity index {entity} out of range for {n_entities} entities")
+    s0, s1 = pack.snippet_bounds[entity], pack.snippet_bounds[entity + 1]
+    if not 0 <= snippet < s1 - s0:
+        raise InferenceError(f"snippet index {snippet} out of range for entity {entity}")
+    s, t0 = s0 + snippet, pack.token_bounds[entity]
+    return _gather(ctx, s, s + 1), pack.offsets[s] - t0, pack.offsets[s + 1] - t0
+
+
+def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
+    """Recompute q(Z_A) for one snippet and store it in the write buffer.
+
+    score(a) = E[log psi(a)] + sum_w q(Z_W(w) = A) E[log theta_A(a, word_w)]
+             + sum_v q(Z_V = v) E[log phi(a, v)]
+    """
+    state = ctx.state
+    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
+    q = _aspect_step([0], g, qv, state.qw[entity][lo:hi], state.layout.col("A"))[0]
+    ctx.new_qa[entity][snippet] = q
+    return q
+
+
+def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
+    """Recompute q(Z_V) for one snippet and store it in the write buffer.
+
+    score(v) = sum_a q(Z_A = a) E[log phi(a, v)]
+             + sum_w q(Z_W(w) = V) E[log theta_V(v, word_w)]
+    """
+    state = ctx.state
+    if state.qv is None:
+        raise InferenceError("value update requested but N = 0")
+    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    qa = state.qa[entity][snippet : snippet + 1]
+    q = _value_step([0], g, qa, state.qw[entity][lo:hi], state.layout.col("V"))[0]
+    ctx.new_qv[entity][snippet] = q
+    return q
+
+
+def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) -> np.ndarray:
+    """Recompute q(Z_W) for one token and store it in the write buffer.
+
+    The score of role T combines the fixed topic prior, expected log
+    transitions from the previous token's posterior (or the start row)
+    and into the next token's posterior (or the end column), the
+    emission term marginalized under the snippet's aspect or value
+    posterior, and the tag emission when tags are modeled. A single-word
+    snippet uses only start-to-T and T-to-end transitions.
+    """
+    state = ctx.state
+    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    if not 0 <= word < hi - lo:
+        raise InferenceError(f"word index {word} out of range for snippet {snippet}")
+    qa = state.qa[entity][snippet : snippet + 1]
+    qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
+    emis = _emissions(state, g, qa, qv, np.zeros(hi - lo, dtype=np.intp))[word : word + 1]
+    # One wavefront row: no prev (nxt) token means the start row (end column).
+    qw = state.qw[entity][lo:hi]
+    prev, nxt = qw[max(word - 1, 0) : word], qw[word + 1 : word + 2]
+    q = _word_step(g, emis, prev, slice(len(prev), 1), nxt, slice(len(nxt), None))[0]
+    ctx.new_qw[entity][lo + word] = q
+    return q
+
+
 def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max()) if new.size else 0.0
 
@@ -513,10 +495,10 @@ def _pass(ctx: UpdateContext, g: _Gathered) -> float:
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     sequential = state.hp.schedule == "sequential"
     layout = state.layout
-    new_qa = _aspect_step(pack, g, qv, qw, layout.col("A"))
+    new_qa = _aspect_step(pack.first, g, qv, qw, layout.col("A"))
     seen_qa = new_qa if sequential else qa
-    new_qv = None if qv is None else _value_step(pack, g, seen_qa, qw, layout.col("V"))
-    emis = _emissions(ctx, g, seen_qa, new_qv if sequential else qv)
+    new_qv = None if qv is None else _value_step(pack.first, g, seen_qa, qw, layout.col("V"))
+    emis = _emissions(state, g, seen_qa, new_qv if sequential else qv, pack.snip_of_token)
     if sequential:
         new_qw = qw.copy()
         for p, (tok, n_lead) in enumerate(pack.positions):
@@ -635,7 +617,9 @@ def _prime(ctx: UpdateContext) -> None:
     noise, which picks the wrong orientation about half the time.
     """
     if ctx.qv is not None and any(ctx.state.seed_sets):
-        ctx.qv[:] = _value_step(ctx.pack, _gather(ctx), ctx.qa, ctx.qw, ctx.state.layout.col("V"))
+        ctx.qv[:] = _value_step(
+            ctx.pack.first, _gather(ctx), ctx.qa, ctx.qw, ctx.state.layout.col("V")
+        )
     update_parameters(ctx)
 
 

@@ -48,6 +48,15 @@ STATE_VERSION = 3
 
 CANONICAL_TOPICS = ("A", "V", "B", "I")
 
+# Ceiling on every size built from declared counts: what `snipagg
+# generate` samples (the vocabulary, the entity list, the snippet count
+# and the cells of the aspect, value and aspect-value tables: entities x
+# K x vocab_size, N x vocab_size and entities x K x N), a clustering
+# scope's similarity matrix, and the prior tables of a state file. The
+# reference corpus (300 x 42 snippets, vocab_size 1200, K = 10) has a
+# 3.6M-cell aspect table.
+MAX_CELLS = 10**8
+
 
 class ModelError(ValueError):
     """Invalid configuration or state."""
@@ -335,7 +344,7 @@ class DirichletFactor:
     __slots__ = (
         "prior", "support", "table", "_base", "_n_rows", "_base_special", "_base_total",
         "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals", "_elog",
-        "_dense_elog", "_last_row", "_row_views",
+        "_dense_elog", "_row_views",
     )
 
     def __init__(
@@ -380,7 +389,7 @@ class DirichletFactor:
             self.table - self._prior_table, self._starts, axis=-1
         )
         self._totals = self._base_total[..., None] + counts
-        self._elog = self._dense_elog = self._last_row = None
+        self._elog = self._dense_elog = None
 
     def grow(self, pairs: np.ndarray) -> np.ndarray:
         """Add distinct (bank row, element) pairs, as flat indices, to the
@@ -451,13 +460,6 @@ class DirichletFactor:
         digamma_total = np.moveaxis(self._elog[0], -1, 0)[rows, ..., None]
         return self._dense(self._base_log()[0] - digamma_total, elog, rows)
 
-    def _row_elog(self, row: int) -> np.ndarray:
-        """The dense expected log of bank row `row`. The last row built is
-        kept: the per-op updates read one entity's row many times."""
-        if self._last_row is None or self._last_row[0] != row:
-            self._last_row = (row, self._elog_of(slice(row, row + 1))[0])
-        return self._last_row[1]
-
     @property
     def concentration(self) -> np.ndarray:
         """The dense concentration, built from the support."""
@@ -527,7 +529,7 @@ class FactorRow:
         self.bank._write(self.index, (self.bank._base + counts)[None])
 
     def expected_log(self) -> np.ndarray:
-        return self.bank._row_elog(self.index)
+        return self.bank._elog_of(slice(self.index, self.index + 1))[0]
 
     def mean(self) -> np.ndarray:
         alpha = self.concentration
@@ -1024,6 +1026,16 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     for key, size in (("vocab_size", V), ("tag_count", T), ("K", hp.K), ("N", hp.N)):
         if size > n_bytes:
             raise ModelError(f"{key}: {size} is larger than the file ({n_bytes} bytes)")
+    # So are the dense prior tables, products of those sizes.
+    for what, sizes in (
+        ("K x vocab_size", (hp.K, V)),
+        ("N x vocab_size", (hp.N, V)),
+        ("topics x tag_count", (layout.n_topics if hp.use_pos else 0, T)),
+        ("aspect rows x K x N", (hp.bank_rows(len(token_counts))[1], hp.K, hp.N)),
+    ):
+        if math.prod(sizes) > MAX_CELLS:
+            product = " x ".join(map(str, sizes)) + f" = {math.prod(sizes)}"
+            raise ModelError(f"{what} = {product} exceeds the size ceiling ({MAX_CELLS})")
     state = _prior_state(hp, V, T, token_counts, seed_sets)
 
     fpay = payload["factors"]
@@ -1042,8 +1054,9 @@ def load_state(path: str) -> VariationalState:
     strictly ascending and in range and that no concentration is below
     its prior; any fault raises ModelError naming the file. Every size the
     prior state allocates is checked first, against the posteriors' rows
-    and widths and the file's length, so a huge declared count fails
-    before anything is allocated. Versions 2 and 3 share every check and
+    and widths and the file's length, and each dense prior table's cells
+    against MAX_CELLS, so a huge declared count fails before anything is
+    allocated. Versions 2 and 3 share every check and
     differ only in how an array is held, a JSON list in 2 and an encoded
     blob in 3 (see _decoded). Each factor grows
     its prior support (every pair, none for theta_A) by the file's support

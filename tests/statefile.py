@@ -7,6 +7,7 @@ reads through the same checks.
 """
 
 import base64
+import json
 
 import numpy as np
 
@@ -40,3 +41,25 @@ def as_version_2(payload: dict) -> dict:
     payload["factors"] = _lists(payload["factors"])
     payload["q"] = _lists(payload["q"])
     return payload
+
+
+def write_one_snippet_state(payload: dict, path, **sizes) -> None:
+    """Write a version 3 payload to path cut to its first snippet, with
+    sizes setting K, N, vocab_size or tag_count: qa and qv become
+    uniform rows of the new widths and seed_sets holds N lists. Trailing
+    spaces pad the file to vocab_size and tag_count bytes, so each
+    declared size fits the file on its own and only their products can
+    be refused."""
+    hp = payload["hyperparameters"]
+    hp.update({key: sizes[key] for key in ("K", "N") if key in sizes})
+    K, N = hp["K"], hp["N"]
+    n_tokens = payload["token_counts"][0][0]
+    payload.update(snippet_counts=[1], token_counts=[[n_tokens]])
+    payload["seed_sets"] = (payload["seed_sets"] + [[]] * N)[:N]
+    q = payload["q"]
+    q["qa"] = encode(np.full((1, K), 1.0 / K), "<f8")
+    q["qv"] = encode(np.full((1, N), 1.0 / N), "<f8") if N else None
+    q["qw"] = encode(decode(q["qw"])[:n_tokens], "<f8")
+    payload.update({key: sizes[key] for key in ("vocab_size", "tag_count") if key in sizes})
+    text = json.dumps(payload)
+    path.write_text(text + " " * (max(payload["vocab_size"], payload["tag_count"]) - len(text)))

@@ -1,6 +1,7 @@
 """End-to-end command line workflows against temporary directories."""
 
 import functools
+import hashlib
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import pytest
 
 from snipagg import cli, inference
 from snipagg.cli import RunManifest, main
-from statefile import as_version_2
+from snipagg.model import load_state
+from statefile import as_version_2, write_one_snippet_state
 
 
 def run(capsys, *argv):
@@ -67,6 +69,60 @@ def test_generate_writes_expected_files(tmp_path, capsys):
     for entry in manifest["outputs"].values():
         assert len(entry["sha256"]) == 64
         assert os.path.basename(entry["path"]) in names
+
+
+# The README Quick start corpus fit at its fixed seed: each pass's free
+# energy and the sha256 of the little-endian int64 argmax aspect, value
+# and role arrays, concatenated over entities.
+PINNED_FITS = {
+    "batch": (20, [
+        111710.85312530771, 107782.74509594848, 106459.14111020585, 104617.54819208782,
+        102917.75788376047, 101670.57384249274, 100840.47336208355, 100339.03607074471,
+        100016.52595514996, 99803.15003035397, 99655.84153750661, 99546.03274694302,
+        99464.15321755462, 99403.35113140955, 99360.32886590647, 99326.35598406462,
+        99295.2339166821, 99266.29058057626, 99241.48885824066, 99221.08210634504,
+    ], (
+        "1d95fc935046022de22edea813fc9c216b41d3a0cd8ca2493a6dbd34be522b43",
+        "a52ced11f0f18c245a52fd44ce7fe1eba374486662038480db359c6b09007f88",
+        "37364b92ba6102b98b3765f3e1b4ff6fce55ade2def0c2933a332e8d02426e71",
+    )),
+    "sequential": (8, [
+        111740.69660526502, 107763.13675620651, 106346.1519818942, 104263.1328517227,
+        102373.80983063887, 101134.66765832086, 100406.09919963342, 100011.84917328073,
+    ], (
+        "97b2d7fe22a4d7cce0ce513069cc9a7c33c334df39d738e2cf9479a7cf578a35",
+        "f6d570475409b0b895421576ec9b33b1aee93989b56e4b5629803274db263c85",
+        "030e984deaa0f64c1ab4543672ee63cc4665d4933d33bc7548ad4fb61dade971",
+    )),
+}
+
+
+def test_quick_start_fits_are_pinned(tmp_path, capsys):
+    # Pins the fit's output through refactors. Free energies allow last-bit
+    # noise from BLAS; the hard assignments must not move at all.
+    data = str(tmp_path / "data")
+    code, _ = run(
+        capsys, "generate", "--out", data, "--entities", "50", "--snippets", "40",
+        "--vocab-size", "600", "--seed-words-per-value", "10", "--separation", "1.0",
+        "--seed", "1", "--set", "K=5", "--set", "N=2",
+    )
+    assert code == 0
+    for schedule, (iters, free_energy, digests) in PINNED_FITS.items():
+        out = str(tmp_path / schedule)
+        code, _ = run(
+            capsys, "fit", "--corpus", os.path.join(data, "corpus.jsonl"),
+            "--seeds", os.path.join(data, "seeds.txt"), "--out", out, "--set", "K=5",
+            "--set", "N=2", "--set", f"max_iters={iters}", "--set", f"schedule={schedule}",
+        )
+        assert code == 0
+        with open(os.path.join(out, "free_energy.tsv")) as fh:
+            got = [float(line.split()[1]) for line in fh]
+        assert got == pytest.approx(free_energy, rel=1e-10, abs=0)
+        post = inference.extract_posteriors(load_state(os.path.join(out, "state.json")))
+        assert tuple(
+            hashlib.sha256(np.concatenate(arrays).astype("<i8").tobytes()).hexdigest()
+            for arrays in (post.aspect, post.value, post.word_role)
+        ) == digests, schedule
 
 
 def test_generate_is_reproducible(tmp_path, capsys):
@@ -451,6 +507,24 @@ def test_state_with_a_corrupted_blob_exits_3(workspace, tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 3, argv
         assert f"error: {path}: qa data is not base64" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_state_with_prior_tables_above_the_ceiling_exits_3(workspace, tmp_path, capsys):
+    data, fit = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+    with open(os.path.join(fit, "state.json")) as fh:
+        payload = json.load(fh)
+    path = tmp_path / "huge_priors.json"
+    write_one_snippet_state(payload, path, K=10**5, vocab_size=5_334_210)
+    for argv in (
+        ["eval", "--metric", "muc", "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
+        ["report"],
+    ):
+        code = main(["-q", *argv, "--corpus", corpus, "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert f"error: {path}: K x vocab_size = 100000 x 5334210 = 533421000000" in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
 
 

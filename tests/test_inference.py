@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_op_reference as reference
 from snipagg import inference
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
 from snipagg.inference import (
@@ -124,6 +125,19 @@ def test_update_ops_write_buffers_only_in_batch_mode():
     assert np.array_equal(state.qa[1][1], q)
     assert np.array_equal(state.qa[0], old[0])
     assert all(np.shares_memory(a, ctx.qa) for a in state.qa)
+    # An index outside the corpus names itself and writes nothing.
+    packed = [ctx.qa.copy(), ctx.qv.copy(), ctx.qw.copy()]
+    for op, args, message in [
+        (update_snippet_aspect, (2, 0), "entity index 2 out of range for 2 entities"),
+        (update_snippet_value, (-3, 0), "entity index -3 out of range for 2 entities"),
+        (update_word_topic, (2, 0, 0), "entity index 2 out of range for 2 entities"),
+        (update_snippet_aspect, (1, 2), "snippet index 2 out of range for entity 1"),
+        (update_word_topic, (0, 1, 2), "word index 2 out of range for snippet 1"),
+    ]:
+        with pytest.raises(InferenceError, match=f"^{message}$"):
+            op(ctx, *args)
+    for got, want in zip([ctx.qa, ctx.qv, ctx.qw], packed):
+        assert np.array_equal(got, want)
 
 
 def test_update_ops_apply_immediately_in_sequential_mode():
@@ -497,18 +511,20 @@ STATE_FLAGS = dict(
 )
 
 
-def per_op_pass(state, corpus, sequential):
-    """A copy of state after one pass of the per-op updates over every
-    snippet (aspect, value, then each word), committed in batch mode."""
+def per_op_pass(state, corpus, sequential, ops=reference):
+    """A copy of state after one pass of the per-op updates of ops (by
+    default the reference in tests/per_op_reference.py, which shares no
+    code with the packed kernels) over every snippet (aspect, value,
+    then each word), committed in batch mode."""
     state = copy.deepcopy(state)
     ctx = UpdateContext(state, corpus, sequential=sequential)
     for i, group in enumerate(corpus.snippets):
         for j, sn in enumerate(group):
-            update_snippet_aspect(ctx, i, j)
+            ops.update_snippet_aspect(ctx, i, j)
             if state.qv is not None:
-                update_snippet_value(ctx, i, j)
+                ops.update_snippet_value(ctx, i, j)
             for w in range(len(sn)):
-                update_word_topic(ctx, i, j, w)
+                ops.update_word_topic(ctx, i, j, w)
     ctx.commit()
     return state, ctx
 
@@ -547,6 +563,20 @@ def test_pass_and_refit_match_per_op_updates(
     assert_same_posteriors(state, oracle, before, delta)
     for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):
         assert np.abs(got.concentration - want.concentration).max() <= 1e-12
+
+
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+@settings(max_examples=30, deadline=None)
+@given(**STATE_FLAGS)
+def test_public_per_op_updates_match_the_reference(
+    schedule, seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    # The public updates run the packed kernels on one snippet or token.
+    corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
+    sequential = schedule == "sequential"
+    want, _ = per_op_pass(state, corpus, sequential)
+    got, _ = per_op_pass(state, corpus, sequential, ops=inference)
+    assert_same_posteriors(got, want, want, 0.0)  # no pass delta to compare
 
 
 def dense_elog(conc):

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from snipagg import model
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
 from snipagg.inference import (
     UpdateContext,
@@ -39,7 +40,7 @@ from snipagg.model import (
 )
 from snipagg.model import _blob, _decoded
 from snipagg.output import write_json
-from statefile import as_version_2, decode, encode
+from statefile import as_version_2, decode, encode, write_one_snippet_state
 
 
 def toy_corpus(n_entities=2, words=("a", "b", "c", "d"), tags=("NN", "JJ"), first=Token(0, 0)):
@@ -729,6 +730,36 @@ def test_load_state_checks_sizes_before_it_allocates(tmp_path, version, edit, me
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {message}$"):
         load_state(str(path))
+
+
+@pytest.mark.parametrize("sizes, product", [
+    (dict(K=10**5, vocab_size=5_334_210), "K x vocab_size = 100000 x 5334210 = 533421000000"),
+    (dict(N=10**5, vocab_size=5_334_210), "N x vocab_size = 100000 x 5334210 = 533421000000"),
+    (dict(K=10**5, N=10**5), "aspect rows x K x N = 1 x 100000 x 100000 = 10000000000"),
+], ids=["K-vocab", "N-vocab", "phi"])
+def test_load_state_refuses_prior_tables_above_the_cell_ceiling(tmp_path, sizes, product):
+    # A one-snippet file of a few MB whose sizes each fit it, but whose
+    # dense priors would take terabytes: refused before they are built.
+    payload, path = _state_payload(tmp_path, 3)
+    write_one_snippet_state(payload, path, **sizes)
+    message = f"{product} exceeds the size ceiling (100000000)"
+    with pytest.raises(ModelError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_state(str(path))
+
+
+def test_load_state_bounds_the_tag_table(tmp_path, monkeypatch):
+    # A tag table above the real ceiling needs a file of tens of MB, so a
+    # lower ceiling stands in: K x V = 12, N x V = 8 and 2 x K x N = 12 fit.
+    monkeypatch.setattr(model, "MAX_CELLS", 20)
+    payload, path = _state_payload(tmp_path, 3)
+    path.write_text(json.dumps(dict(payload, tag_count=10)))
+    message = "topics x tag_count = 4 x 10 = 40 exceeds the size ceiling (20)"
+    with pytest.raises(ModelError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_state(str(path))
+    payload["hyperparameters"]["use_pos"] = False  # no tag table is built
+    payload["factors"]["eta"] = None
+    path.write_text(json.dumps(dict(payload, tag_count=10)))
+    assert load_state(str(path)).eta is None
 
 
 FACTOR_NAMES = (
