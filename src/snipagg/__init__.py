@@ -57,8 +57,10 @@ from snipagg.inference import (
 from snipagg.generator import (
     CorpusShape,
     SyntheticCorpus,
+    load_true_params,
     make_separable,
     sample_corpus,
+    save_true_params,
 )
 from snipagg.baselines import (
     Clustering,

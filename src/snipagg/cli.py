@@ -59,6 +59,7 @@ from snipagg.generator import (
     GeneratorError,
     aspect_vocabularies_disjoint,
     make_separable,
+    save_true_params,
 )
 from snipagg.inference import (
     InferenceError,
@@ -80,7 +81,7 @@ from snipagg.model import (
     save_state,
     transition_means,
 )
-from snipagg.output import atomic_open, write_json
+from snipagg.output import atomic_open
 
 log = logging.getLogger(__name__)
 
@@ -242,7 +243,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             manifest.add_output("seeds", seeds_path)
 
     params_path = os.path.join(out, "true_params.json")
-    write_json(syn.true_parameters, params_path)
+    save_true_params(syn.true_parameters, params_path)
     manifest.add_output("true_params", params_path)
 
     manifest.payload["timings"]["total"] = round(time.perf_counter() - t0, 3)

@@ -23,11 +23,16 @@ disjoint vocabulary blocks: at separation 1 the blocks are fully
 disjoint (a word generated under aspect a never appears under another
 aspect), and at separation 0 the draw stream is identical to
 sample_corpus.
+
+save_true_params writes the true parameters as true_params.json,
+version 2: every array exactly, through the state file's codec, and
+theta_A on its non-zero cells. load_true_params reads it back, checked.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,7 +46,23 @@ from snipagg.corpus import (
     SeedLexicon,
     default_value_names,
 )
-from snipagg.model import MAX_CELLS, Hyperparameters, transition_priors, value_prior
+from snipagg.model import (
+    _FLOAT,
+    _INDEX,
+    MAX_CELLS,
+    STATE_VERSION,
+    Hyperparameters,
+    ModelError,
+    TopicLayout,
+    _blob,
+    _decoded,
+    _is_number,
+    _read_checked,
+    _support,
+    transition_priors,
+    value_prior,
+)
+from snipagg.output import write_json
 
 log = logging.getLogger(__name__)
 
@@ -54,6 +75,10 @@ MAX_CHAIN_LENGTH = 200
 # range of means a draw lands there with probability above 9% (9.5% at
 # 0.1, 10.9% at 38), so a snippet takes about 11 draws at worst.
 POISSON_MEAN_RANGE = (0.1, 38.0)
+# Dirichlet draws whose gamma variates all underflow to 0 before the
+# prior counts as too small to sample.
+MAX_REDRAWS = 100
+
 
 class GeneratorError(ValueError):
     """Invalid sampling request."""
@@ -107,15 +132,21 @@ class SyntheticCorpus:
     seeds: SeedLexicon
 
 
-def _draw_multinomial(rng: np.random.Generator, alpha: np.ndarray) -> np.ndarray:
+def _draw_multinomial(rng: np.random.Generator, alpha: np.ndarray, what: str) -> np.ndarray:
     """Dirichlet draw by gamma normalization; zero concentrations give
-    exact zero mass, which rng.dirichlet would reject."""
-    draw = rng.gamma(alpha)
-    total = draw.sum()
-    while total <= 0.0:
+    exact zero mass, which rng.dirichlet would reject. A draw whose
+    variates all underflow to 0 is redrawn, at most MAX_REDRAWS times;
+    then the prior is too small to sample and the GeneratorError names
+    the distribution (what) and its largest concentration."""
+    for _ in range(MAX_REDRAWS):
         draw = rng.gamma(alpha)
         total = draw.sum()
-    return draw / total
+        if total > 0.0:
+            return draw / total
+    raise GeneratorError(
+        f"cannot draw {what}: every gamma variate underflowed to 0 in {MAX_REDRAWS} "
+        f"draws at concentration {alpha.max():g}"
+    )
 
 
 def _edges(probs: np.ndarray) -> list[float]:
@@ -213,18 +244,22 @@ def _sample(
             )
         blocks = list(np.array_split(region, hp.K))
 
-    theta_b = _draw_multinomial(rng, np.full(V, hp.lambda_B))
-    theta_i = _draw_multinomial(rng, np.full(V, hp.lambda_I)) if hp.use_ignore else None
+    theta_b = _draw_multinomial(rng, np.full(V, hp.lambda_B), "theta_B (lambda_B)")
+    theta_i = None
+    if hp.use_ignore:
+        theta_i = _draw_multinomial(rng, np.full(V, hp.lambda_I), "theta_I (lambda_I)")
     theta_v = None
     if hp.N >= 1:
         vp = value_prior(hp, V, [sorted(s) for s in seed_sets])
-        theta_v = np.stack([_draw_multinomial(rng, vp[v]) for v in range(hp.N)])
+        theta_v = np.stack(
+            [_draw_multinomial(rng, vp[v], "theta_V (epsilon_V, lambda_V)") for v in range(hp.N)]
+        )
 
     tag_alpha = np.full((n, len(SYNTHETIC_TAGS)), hp.lambda_tag)
     tag_alpha[layout.col("A"), SYNTHETIC_TAGS.index("NN")] += TAG_BIAS
     if layout.has_value:
         tag_alpha[layout.col("V"), SYNTHETIC_TAGS.index("JJ")] += TAG_BIAS
-    eta = np.stack([_draw_multinomial(rng, tag_alpha[t]) for t in range(n)])
+    eta = np.stack([_draw_multinomial(rng, tag_alpha[t], "eta (lambda_tag)") for t in range(n)])
 
     if topic_mix is not None:
         mix = np.asarray(topic_mix, dtype=float)
@@ -240,9 +275,9 @@ def _sample(
         )
     else:
         start_prior, main_prior = transition_priors(hp, layout)
-        trans_start = _draw_multinomial(rng, start_prior)
+        trans_start = _draw_multinomial(rng, start_prior, "transition_start (lambda_T)")
         trans_main = np.stack(
-            [_draw_multinomial(rng, main_prior[t]) for t in range(n)]
+            [_draw_multinomial(rng, main_prior[t], "transition_main (lambda_T)") for t in range(n)]
         )
 
     def draw_aspect_rows() -> np.ndarray:
@@ -251,7 +286,7 @@ def _sample(
             alpha = np.full(V, hp.lambda_A * (1.0 - separation))
             if blocks:
                 alpha[blocks[a]] = hp.lambda_A
-            rows.append(_draw_multinomial(rng, alpha))
+            rows.append(_draw_multinomial(rng, alpha, "theta_A (lambda_A)"))
         return np.stack(rows)
 
     n_psi, n_scopes = hp.bank_rows(shape.n_entities)
@@ -260,11 +295,14 @@ def _sample(
     if hp.N >= 1:
         phi = [
             np.stack(
-                [_draw_multinomial(rng, np.full(hp.N, hp.lambda_AV)) for _ in range(hp.K)]
+                [_draw_multinomial(rng, np.full(hp.N, hp.lambda_AV), "phi (lambda_AV)")
+                 for _ in range(hp.K)]
             )
             for _ in range(n_scopes)
         ]
-    psi = [_draw_multinomial(rng, np.full(hp.K, hp.lambda_M)) for _ in range(n_psi)]
+    psi = [
+        _draw_multinomial(rng, np.full(hp.K, hp.lambda_M), "psi (lambda_M)") for _ in range(n_psi)
+    ]
 
     # Every word distribution by row: aspect rows scope-major, then value
     # rows, then background and ignore.
@@ -382,3 +420,180 @@ def aspect_vocabularies_disjoint(syn: SyntheticCorpus) -> bool:
         words.update(w for w, letter in zip(sn.words.tolist(), labels) if letter == "A")
     sets = list(seen.values())
     return not any(a & b for x, a in enumerate(sets) for b in sets[x + 1:])
+
+
+TRUE_PARAMS_FORMAT = "snipagg-true-params"
+TRUE_PARAMS_VERSION = 2
+# The dense arrays of the true parameters, each one "<f8" blob; psi and
+# phi are per-scope lists, stacked over scopes.
+_DENSE = ("theta_B", "theta_I", "theta_V", "eta", "transition_start", "transition_main")
+_STACKED = ("psi", "phi")
+_NAMES = ("topic_letters", "value_names", "vocab", "tags")
+_TRUE_KEYS = {
+    "format", "version", "separation", "topic_mix", "aspect_blocks", "theta_A",
+    *_DENSE, *_STACKED, *_NAMES,
+}
+_THETA_A_KEYS = {"shape", "support", "table"}
+
+
+def save_true_params(true_parameters: dict, path: str) -> None:
+    """Write SyntheticCorpus.true_parameters as true_params.json, version 2.
+
+    Every array goes through the state file's codec (model._blob): its
+    dtype, shape and the base64 of its little-endian bytes, so the file
+    holds the values exactly. theta_B, theta_I, theta_V, eta and both
+    transition tables are one "<f8" blob each, psi and phi one blob
+    stacked over scopes, and a disabled part is null. theta_A is kept on
+    its non-zero cells, as the model's factors keep theirs:
+    {"shape": [scopes, K, V], "support": "<i8" flat indices into that
+    shape, strictly ascending, "table": "<f8" value of each}, built scope
+    by scope, so no dense copy of the whole bank is made. At separation 1
+    about 90% of theta_A's cells are zero; at separation 0 none is, and
+    the support doubles the binary bytes, still no more than the decimal
+    text of version 1. Names, separation, topic_mix and aspect_blocks
+    stay plain JSON. load_true_params reads the file back.
+    """
+    payload = dict(true_parameters, format=TRUE_PARAMS_FORMAT, version=TRUE_PARAMS_VERSION)
+    for key in _DENSE + _STACKED:
+        value = true_parameters[key]
+        if value is not None:
+            payload[key] = _blob(np.stack(value) if key in _STACKED else value, _FLOAT)
+    theta_a = true_parameters["theta_A"]
+    cells = theta_a[0].size
+    # Filled in place, so the support and table exist once, not also as
+    # per-scope pieces.
+    ends = np.cumsum([0] + [np.count_nonzero(t) for t in theta_a])
+    support, table = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1])
+    for s, t in enumerate(theta_a):
+        idx = np.flatnonzero(t)
+        support[ends[s]:ends[s + 1]] = s * cells + idx
+        table[ends[s]:ends[s + 1]] = t.ravel()[idx]
+    payload["theta_A"] = {
+        "shape": [len(theta_a), *theta_a[0].shape],
+        "support": _blob(support, _INDEX),
+        "table": _blob(table, _FLOAT),
+    }
+    write_json(payload, path)
+
+
+def load_true_params(path: str) -> dict:
+    """Read a true_params.json that save_true_params wrote, as
+    SyntheticCorpus.true_parameters holds it: the same keys, theta_A,
+    phi and psi as per-scope lists of arrays, None for a disabled part.
+
+    Checks the keys exactly, the format and version, each blob's dtype,
+    shape and byte length (model._decoded, before anything is made),
+    that every shape fits the letters, the vocab, the tags, K and N, that
+    theta_A's declared cells are at most MAX_CELLS (before it is made
+    dense) and its support strictly ascending and in range, and that
+    every value is finite and non-negative and every distribution sums
+    to 1 within 1e-9. Any fault raises ModelError naming the file. The
+    unversioned decimal layout (version 1) is refused: re-run generate.
+    """
+    return _read_checked(path, _true_params_from_payload, "true parameters")
+
+
+def _dist(value, shape: Optional[tuple], what: str) -> Optional[np.ndarray]:
+    """The "<f8" blob value as an array of the given shape (None on an
+    axis: at least one row) whose last axis holds distributions; None
+    where the shape is None, as a disabled part is."""
+    if shape is None:
+        if value is not None:
+            raise ModelError(f"{what} is present but the letters or value names disable it")
+        return None
+    arr = _decoded(value, _FLOAT, what, STATE_VERSION)
+    if arr.ndim != len(shape) or any(
+        n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)
+    ):
+        raise ModelError(f"{what} has shape {list(arr.shape)}, expected {list(shape)}")
+    return _distributions(arr, what)
+
+
+def _distributions(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr, once every value is finite and non-negative and every row of
+    its last axis sums to 1 within 1e-9."""
+    if not (np.isfinite(arr) & (arr >= 0.0)).all():
+        raise ModelError(f"{what} has a value that is not finite and non-negative")
+    if (np.abs(arr.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ModelError(f"{what} has a row that does not sum to 1")
+    return arr
+
+
+def _true_params_from_payload(payload, n_bytes: int) -> dict:
+    if isinstance(payload, dict) and "version" not in payload:
+        raise ModelError("unversioned (decimal) true parameters are not read; re-run generate")
+    if payload["format"] != TRUE_PARAMS_FORMAT:
+        raise ModelError("not a true parameters file")
+    if type(payload["version"]) is not int or payload["version"] != TRUE_PARAMS_VERSION:
+        raise ModelError(f"unsupported true parameters version {payload['version']!r}")
+    if payload.keys() != _TRUE_KEYS:
+        missing, unknown = sorted(_TRUE_KEYS - payload.keys()), sorted(payload.keys() - _TRUE_KEYS)
+        raise ModelError(f"missing keys {missing}, unknown keys {unknown}")
+    for key in _NAMES:
+        if not isinstance(payload[key], list) or not all(isinstance(x, str) for x in payload[key]):
+            raise ModelError(f"{key} is not a list of strings")
+    letters, vocab = payload["topic_letters"], payload["vocab"]
+    N, V, n = len(payload["value_names"]), len(vocab), len(letters)
+    if tuple(letters) != TopicLayout.for_config(N, "I" in letters).letters:
+        raise ModelError(f"topic_letters {letters} do not fit {N} value names")
+    separation, mix = payload["separation"], payload["topic_mix"]
+    if not (_is_number(separation) and 0.0 <= separation <= 1.0):
+        raise ModelError(f"separation {separation!r} is not a number in [0, 1]")
+    if mix is not None and not (
+        isinstance(mix, list) and len(mix) == n
+        and all(_is_number(x) and 0.0 <= x < math.inf for x in mix)
+    ):
+        raise ModelError(f"topic_mix is neither null nor {n} finite non-negative numbers")
+    blocks = payload["aspect_blocks"]
+    if not isinstance(blocks, list) or not all(
+        isinstance(b, list) and all(type(w) is int and 0 <= w < V for w in b) for b in blocks
+    ):
+        raise ModelError(f"aspect_blocks is not a list of lists of word indices below {V}")
+
+    spec = payload["theta_A"]
+    if not isinstance(spec, dict) or spec.keys() != _THETA_A_KEYS:
+        raise ModelError(f"theta_A needs exactly the keys {sorted(_THETA_A_KEYS)}")
+    shape = spec["shape"]
+    if not (isinstance(shape, list) and len(shape) == 3
+            and all(type(x) is int and x >= 1 for x in shape)):
+        raise ModelError(f"theta_A shape {shape!r} is not three positive integers")
+    cells = math.prod(shape)
+    if cells > MAX_CELLS:
+        raise ModelError(f"theta_A shape {shape} has {cells} cells, above the size "
+                         f"ceiling ({MAX_CELLS})")
+    scopes, K = shape[0], shape[1]
+    if shape[2] != V:
+        raise ModelError(f"theta_A shape {shape} does not fit {V} vocab words")
+    what = "theta_A support"
+    support = _support(_decoded(spec["support"], _INDEX, what, STATE_VERSION), cells, what)
+    table = _decoded(spec["table"], _FLOAT, "theta_A table", STATE_VERSION)
+    if table.shape != support.shape:
+        raise ModelError(f"theta_A table has shape {list(table.shape)}, its support "
+                         f"{list(support.shape)}")
+    dense = np.zeros(cells)
+    dense[support] = table
+    theta_a = _distributions(dense.reshape(shape), "theta_A")
+
+    psi = _dist(payload["psi"], (None, K), "psi")
+    if scopes not in (1, len(psi)):
+        raise ModelError(f"psi has {len(psi)} rows for {scopes} theta_A scopes")
+    phi = _dist(payload["phi"], (scopes, K, N) if N else None, "phi")
+    out = {key: payload[key] for key in _NAMES}
+    out.update(
+        separation=separation,
+        topic_mix=mix,
+        aspect_blocks=blocks,
+        theta_A=list(theta_a),
+        psi=list(psi),
+        phi=None if phi is None else list(phi),
+    )
+    for key, want in (
+        ("theta_B", (V,)),
+        ("theta_I", (V,) if "I" in letters else None),
+        ("theta_V", (N, V) if N else None),
+        ("eta", (n, len(payload["tags"]))),
+        ("transition_start", (n,)),
+        ("transition_main", (n, n + 1)),
+    ):
+        out[key] = _dist(payload[key], want, key)
+    return out

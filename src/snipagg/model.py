@@ -1062,6 +1062,13 @@ def load_state(path: str) -> VariationalState:
     its prior support (every pair, none for theta_A) by the file's support
     in versions 2 and 3, by the pairs the file has off the prior in 1.
     """
+    return _read_checked(path, _state_from_payload, "state")
+
+
+def _read_checked(path: str, build, what: str):
+    """build(payload, n_bytes) of the JSON file at path, where every
+    fault, of the file's text or of build's checks, is a ModelError
+    naming the file."""
     with open(path, encoding="utf-8") as fh:
         n_bytes = os.fstat(fh.fileno()).st_size
         try:
@@ -1071,10 +1078,10 @@ def load_state(path: str) -> VariationalState:
         except UnicodeDecodeError as exc:  # one decode of the whole file: a file offset
             raise ModelError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
-        return _state_from_payload(payload, n_bytes)
+        return build(payload, n_bytes)
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
     except KeyError as exc:
         raise ModelError(f"{path}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
-        raise ModelError(f"{path}: malformed state: {exc}") from None
+        raise ModelError(f"{path}: malformed {what}: {exc}") from None

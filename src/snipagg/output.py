@@ -7,14 +7,13 @@ interrupted write leaves any earlier file intact and no partial file
 behind.
 
 write_json emits exactly json.dumps(obj, sort_keys=True,
-separators=(",", ":")) plus a newline, with numpy arrays standing for
-their .tolist() and a memoryview of bytes for the JSON string of their
-base64, but builds the text piece by piece: each piece comes from the C
-encoder or the base64 encoder, an array is converted at most CHUNK
-elements and a memoryview B64_CHUNK bytes at a time, and the pieces go
-straight to the file. Neither the nested Python lists of a large array
-(true_params.json) nor the whole base64 text of a large state's arrays
-(state.json) exists at once.
+separators=(",", ":")) plus a newline, with a memoryview of bytes
+standing for the JSON string of their base64, but builds the text piece
+by piece: each piece comes from the C encoder or the base64 encoder, a
+memoryview is encoded B64_CHUNK bytes at a time, and the pieces go
+straight to the file, so the whole base64 text of a large array
+(state.json, true_params.json) never exists at once. Any other value
+the encoder cannot write, a numpy array among them, raises TypeError.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Iterator, TextIO
 
-import numpy as np
-
-# Elements per json.dumps call when an array is written in pieces.
-CHUNK = 1 << 14
 # Bytes per base64 piece of a memoryview: a multiple of 3, so no piece
 # but the last is padded and the pieces join to the whole one's base64.
 B64_CHUNK = 3 << 16
@@ -67,19 +62,17 @@ def write_json(obj, path: str) -> None:
 
 def _streamed(obj) -> bool:
     """Whether a dict or list is written member by member: only when a
-    member is itself an array or a container, so flat lists of scalars
-    go to the encoder in one call."""
+    member is itself a memoryview or a container, so flat lists of
+    scalars go to the encoder in one call."""
     if isinstance(obj, dict):
         if not all(isinstance(k, str) for k in obj):
             return False
         obj = obj.values()
-    return any(isinstance(v, (np.ndarray, memoryview, dict, list, tuple)) for v in obj)
+    return any(isinstance(v, (memoryview, dict, list, tuple)) for v in obj)
 
 
 def _emit(obj, write: Callable[[str], object]) -> None:
-    if isinstance(obj, np.ndarray):
-        _emit_array(obj, write)
-    elif isinstance(obj, memoryview):
+    if isinstance(obj, memoryview):
         write('"')
         for start in range(0, obj.nbytes, B64_CHUNK):
             write(base64.b64encode(obj[start:start + B64_CHUNK]).decode("ascii"))
@@ -100,24 +93,3 @@ def _emit(obj, write: Callable[[str], object]) -> None:
     else:
         write(_dumps(obj))
 
-
-def _emit_array(a: np.ndarray, write: Callable[[str], object]) -> None:
-    """An array as its nested lists, CHUNK elements per encoder call:
-    whole rows grouped while they fit a chunk, larger rows recursively."""
-    if a.size <= CHUNK:
-        write(_dumps(a.tolist()))
-        return
-    row = a.size // len(a)
-    write("[")
-    if row > CHUNK:
-        for n, sub in enumerate(a):
-            if n:
-                write(",")
-            _emit_array(sub, write)
-    else:
-        step = CHUNK // row
-        for start in range(0, len(a), step):
-            if start:
-                write(",")
-            write(_dumps(a[start:start + step].tolist())[1:-1])
-    write("]")

@@ -838,6 +838,25 @@ def test_generate_rejects_poisson_mean_words_out_of_range(tmp_path, capsys, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prior, what", [
+    ("lambda_B", "theta_B (lambda_B)"), ("lambda_M", "psi (lambda_M)"),
+])
+def test_generate_rejects_an_unsampleable_prior(tmp_path, capsys, prior, what):
+    # Every gamma variate of a 1e-300 concentration underflows to 0, so no
+    # redraw can give the Dirichlet draw positive mass.
+    out = tmp_path / "gen"
+    t0 = time.perf_counter()
+    code = main(["-q", "generate", "--out", str(out), "--entities", "2", "--snippets", "3",
+                 "--vocab-size", "40", "--seed", "1", "--set", "K=2", "--set", "N=2",
+                 "--set", f"{prior}=1e-300"])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"cannot draw {what}" in captured.err
+    assert "concentration 1e-300" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, what", [
     ("--vocab-size", "--vocab-size"),
     ("--entities", "--entities"),

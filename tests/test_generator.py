@@ -1,10 +1,16 @@
 """Synthetic corpus sampling and the separable benchmark variant."""
 
+import base64
 import hashlib
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from snipagg.cli import main
@@ -15,10 +21,12 @@ from snipagg.generator import (
     _pick,
     _pick_grouped,
     aspect_vocabularies_disjoint,
+    load_true_params,
     make_separable,
     sample_corpus,
+    save_true_params,
 )
-from snipagg.model import Hyperparameters
+from snipagg.model import Hyperparameters, ModelError
 
 
 def small_shape(**kw):
@@ -313,7 +321,7 @@ def test_topic_mix_validation():
 # for fixed seeds, recorded with the scalar one-draw-per-choice sampler
 # that preceded the block-drawn one. Any change to the order or number of
 # draws from the PCG64 stream, or to how a uniform selects a category,
-# changes these files.
+# changes these files. true_params.json is pinned as version 2 writes it.
 PINNED_OUTPUTS = {
     "poisson-N2-sep0": (
         ["--entities", "3", "--snippets", "5", "--vocab-size", "60",
@@ -322,7 +330,7 @@ PINNED_OUTPUTS = {
         {"corpus.jsonl": "434815c7cd5befca", "gold_clusters.tsv": "d77e540ea6eac742",
          "gold_polarity.tsv": "769171260ebc2052",
          "gold_word_labels.jsonl": "133f36a4e1f236c6", "seeds.txt": "46f186cdd7c41da4",
-         "true_params.json": "119c284d4d900033"},
+         "true_params.json": "dce879cb669d72ca"},
     ),
     "chain-N0-ignore-sep0.5": (
         ["--entities", "4", "--snippets", "6", "--vocab-size", "90",
@@ -330,7 +338,7 @@ PINNED_OUTPUTS = {
          "--seed", "3", "--set", "K=3", "--set", "N=0", "--set", "use_ignore=true"],
         {"corpus.jsonl": "563c44d88faf081c", "gold_clusters.tsv": "2602179b5b7a76f5",
          "gold_word_labels.jsonl": "ec20396f21b43c62",
-         "true_params.json": "ab466b9d0a47d4f3"},
+         "true_params.json": "a0e3346c7ceede46"},
     ),
     "poisson-N3-shared-sep1": (
         ["--entities", "5", "--snippets", "4", "--vocab-size", "70",
@@ -340,7 +348,7 @@ PINNED_OUTPUTS = {
         {"corpus.jsonl": "cd05f66db427f161", "gold_clusters.tsv": "cc94a35b8c734f60",
          "gold_polarity.tsv": "8a49a3731ad8b589",
          "gold_word_labels.jsonl": "100d8b404d480e09", "seeds.txt": "3a1a41806208174f",
-         "true_params.json": "d8b3bff7e01d66dc"},
+         "true_params.json": "f30319c9bcdc95cd"},
     ),
     "chain-N1-mix-sep1": (
         ["--entities", "3", "--snippets", "7", "--vocab-size", "50",
@@ -349,7 +357,7 @@ PINNED_OUTPUTS = {
         {"corpus.jsonl": "626291ae993326cb", "gold_clusters.tsv": "e40943e9d48fd792",
          "gold_polarity.tsv": "455afdc8e2a96f86",
          "gold_word_labels.jsonl": "ec3e28ea9eadb27e",
-         "true_params.json": "bfd52654e133e8b8"},
+         "true_params.json": "52873aafe9eec7d1"},
     ),
     "poisson-N2-ignore-mix-sep0.5": (
         ["--entities", "4", "--snippets", "5", "--vocab-size", "80",
@@ -359,9 +367,34 @@ PINNED_OUTPUTS = {
         {"corpus.jsonl": "e2a1c1a4a46cd819", "gold_clusters.tsv": "6175ee9bcf272024",
          "gold_polarity.tsv": "9339b78cd1b003b1",
          "gold_word_labels.jsonl": "92fd2537eeb286ce", "seeds.txt": "3f18efbd93481448",
-         "true_params.json": "53a6ab35cd7d3c17"},
+         "true_params.json": "4bfa85ccd0ed261f"},
     ),
 }
+
+
+# sha256 prefixes of the same true_params.json as the unversioned decimal
+# text (version 1) wrote it: json.dumps of every array's .tolist(), sorted
+# keys, compact separators, a newline. The decoded version-2 values must
+# re-emit to these bytes, so they are pinned bit for bit across the change.
+DECIMAL_TRUE_PARAMS = {
+    "poisson-N2-sep0": "119c284d4d900033",
+    "chain-N0-ignore-sep0.5": "ab466b9d0a47d4f3",
+    "poisson-N3-shared-sep1": "d8b3bff7e01d66dc",
+    "chain-N1-mix-sep1": "bfd52654e133e8b8",
+    "poisson-N2-ignore-mix-sep0.5": "53a6ab35cd7d3c17",
+}
+
+
+def decimal_json(obj) -> str:
+    """The version-1 text of true parameters: arrays as nested lists."""
+    def plain(o):
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        if isinstance(o, dict):
+            return {k: plain(v) for k, v in o.items()}
+        return [plain(v) for v in o] if isinstance(o, list) else o
+
+    return json.dumps(plain(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
@@ -374,6 +407,8 @@ def test_generate_outputs_match_pinned_draw_stream(tmp_path, name):
     for fname, prefix in pinned.items():
         digest = hashlib.sha256((out / fname).read_bytes()).hexdigest()
         assert digest[:16] == prefix, fname
+    decimal = decimal_json(load_true_params(str(out / "true_params.json")))
+    assert hashlib.sha256(decimal.encode()).hexdigest()[:16] == DECIMAL_TRUE_PARAMS[name]
 
 
 def test_block_draws_equal_scalar_draws():
@@ -395,3 +430,201 @@ def test_block_draws_equal_scalar_draws():
         _pick(_edges(dists[k]), x) for k, x in zip(keys.tolist(), u.tolist())
     ]
     assert all(dists[k][c] > 0 for k, c in zip(keys.tolist(), picked.tolist()))
+
+
+def assert_identical(got, want, where="true_parameters"):
+    """got equals want exactly: the same keys, types, dtypes, shapes and
+    bits (so -0.0 and 0.0 differ)."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            assert_identical(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for n, (a, b) in enumerate(zip(got, want)):
+            assert_identical(a, b, f"{where}[{n}]")
+    else:
+        assert got == want, where
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    length_mode=st.sampled_from(["poisson", "chain"]),
+    with_mix=st.booleans(),
+    n_values=st.sampled_from([0, 1, 3]),
+    use_ignore=st.booleans(),
+    sharing=st.sampled_from([(False, False), (True, False), (True, True)]),
+    separation=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_true_params_round_trip_exactly(
+    tmp_path_factory, length_mode, with_mix, n_values, use_ignore, sharing, separation, seed
+):
+    hp = Hyperparameters(K=3, N=n_values, use_ignore=use_ignore, shared_aspects=sharing[0],
+                         shared_aspect_multinomial=sharing[1])
+    shape = small_shape(vocab_size=30, mean_words=4.0, length_mode=length_mode,
+                        seed_words_per_value=1 if n_values else 0)
+    mix = [1.0 + k for k in range(hp.layout().n_topics)] if with_mix else None
+    syn = make_separable(hp, shape, separation, seed, mix)
+    path = str(tmp_path_factory.mktemp("p") / "true_params.json")
+    save_true_params(syn.true_parameters, path)
+    assert_identical(load_true_params(path), syn.true_parameters)
+
+
+def _decode(blob):
+    raw = base64.b64decode(blob["data"])
+    return np.frombuffer(raw, dtype=blob["dtype"]).reshape(blob["shape"]).copy()
+
+
+def _encode(a):
+    return {"dtype": a.dtype.str, "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _edit_blob(key, edit, sub=None):
+    """A payload edit that decodes payload[key] (or payload[key][sub]),
+    applies edit to the array and encodes it again."""
+    def apply(p):
+        holder, name = (p, key) if sub is None else (p[key], sub)
+        a = _decode(holder[name])
+        edit(a)
+        holder[name] = _encode(a)
+    return apply
+
+
+def _swap_support(a):
+    a[[0, 1]] = a[[1, 0]]
+
+
+def _nan_cell(a):
+    a.flat[0] = np.nan
+
+
+MALFORMED_TRUE_PARAMS = {
+    "missing key": (lambda p: p.pop("tags"), r"missing keys \['tags'\], unknown keys \[\]"),
+    "extra key": (lambda p: p.update(extra=1), r"missing keys \[\], unknown keys \['extra'\]"),
+    "bad version": (lambda p: p.update(version=3), "unsupported true parameters version 3"),
+    "bool version": (lambda p: p.update(version=True), "unsupported true parameters version"),
+    "wrong dtype": (lambda p: p["theta_B"].update(dtype="<i8"), "theta_B has dtype '<i8'"),
+    "shape and bytes differ": (lambda p: p["eta"]["shape"].__setitem__(1, 6),
+                               r"eta has 160 bytes of data, shape \[4, 6\] needs 192"),
+    "bad base64": (lambda p: p["psi"].update(data="!!!!"), "psi data is not base64"),
+    "unsorted support": (_edit_blob("theta_A", _swap_support, "support"),
+                         "theta_A support is not strictly ascending"),
+    "duplicate support": (_edit_blob("theta_A", lambda a: a.__setitem__(1, a[0]), "support"),
+                          "theta_A support is not strictly ascending"),
+    "support out of range": (_edit_blob("theta_A", lambda a: a.__setitem__(-1, 2 * 2 * 20),
+                                        "support"),
+                             r"theta_A support is not strictly ascending in \[0, 80\)"),
+    "table and support differ": (
+        lambda p: p["theta_A"].update(table=_encode(_decode(p["theta_A"]["table"])[:-1])),
+        "theta_A table has shape",
+    ),
+    "row off 1": (_edit_blob("theta_B", lambda a: a.__imul__(1.5)),
+                  "theta_B has a row that does not sum to 1"),
+    "NaN": (_edit_blob("theta_V", _nan_cell), "theta_V has a value that is not finite"),
+    "negative": (_edit_blob("transition_main", lambda a: a.__setitem__((0, 0), -0.5)),
+                 "transition_main has a value that is not finite and non-negative"),
+    "wrong shape": (lambda p: p.update(transition_start=_encode(np.ones(1))),
+                    r"transition_start has shape \[1\], expected \[4\]"),
+    "disabled part present": (lambda p: p.update(topic_letters=["A", "V", "B"]),
+                              "theta_I is present but"),
+    "letters and value names": (lambda p: p.update(value_names=[]),
+                                r"topic_letters \['A', 'V', 'B', 'I'\] do not fit 0"),
+    "theta_A shape off the vocab": (lambda p: p["theta_A"].update(shape=[2, 2, 21]),
+                                    "does not fit 20 vocab words"),
+}
+
+
+@pytest.fixture
+def true_params_file(tmp_path):
+    hp = Hyperparameters(K=2, N=2, use_ignore=True)
+    syn = make_separable(hp, small_shape(n_entities=2, vocab_size=20), 1.0, 3)
+    path = tmp_path / "true_params.json"
+    save_true_params(syn.true_parameters, str(path))
+    return path, syn
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRUE_PARAMS))
+def test_load_true_params_refuses_malformed_files(true_params_file, case):
+    path, _ = true_params_file
+    edit, message = MALFORMED_TRUE_PARAMS[case]
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: .*{message}"):
+        load_true_params(str(path))
+
+
+def test_load_true_params_refuses_the_unversioned_decimal_layout(true_params_file):
+    path, syn = true_params_file
+    path.write_text(decimal_json(syn.true_parameters))
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: unversioned .*re-run generate"):
+        load_true_params(str(path))
+
+
+def test_load_true_params_refuses_a_huge_theta_a_before_allocating(true_params_file):
+    path, _ = true_params_file
+    payload = json.loads(path.read_text())
+    payload["theta_A"]["shape"] = [1, 10**5, 10**4]  # 8 GB if made dense
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError, match="1000000000 cells, above the size ceiling"):
+            load_true_params(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
+def _json_paths(node, prefix=()):
+    """Every (container path, key) in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix, key
+        if isinstance(value, (dict, list)):
+            yield from _json_paths(value, prefix + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pick=st.integers(0, 10**9),
+    action=st.sampled_from(
+        ["delete", "null", "string", "negative", "nan", "empty", "dict", "huge", "true", "chop",
+         "flip"]
+    ),
+)
+def test_load_true_params_fuzzed_files_raise_only_model_error(tmp_path_factory, pick, action):
+    """One value of a true_params.json replaced or deleted: loading it
+    succeeds or raises ModelError naming the file."""
+    hp = Hyperparameters(K=2, N=1, use_ignore=True, shared_aspects=True)
+    syn = make_separable(hp, small_shape(vocab_size=12), 0.5, pick % 5, [1.0, 2.0, 3.0, 4.0])
+    path = tmp_path_factory.mktemp("fuzz") / "true_params.json"
+    save_true_params(syn.true_parameters, str(path))
+    payload = json.loads(path.read_text())
+    paths = list(_json_paths(payload))
+    prefix, key = paths[pick % len(paths)]
+    parent = payload
+    for step in prefix:
+        parent = parent[step]
+    value = parent[key]
+    if action == "delete":
+        del parent[key]
+    elif action == "chop":
+        parent[key] = value[:len(value) // 2] if isinstance(value, (str, list)) else None
+    elif action == "flip" and isinstance(value, str) and value:
+        i = pick % len(value)
+        parent[key] = value[:i] + ("B" if value[i] == "A" else "A") + value[i + 1:]
+    else:
+        parent[key] = {"null": None, "string": "x", "negative": -1.0, "nan": math.nan,
+                       "empty": [], "dict": {}, "huge": 10**15, "true": True, "flip": "x"}[action]
+    path.write_text(json.dumps(payload))
+    try:
+        load_true_params(str(path))
+    except ModelError as exc:
+        assert str(exc).startswith(f"{path}: ")
