@@ -8,10 +8,11 @@ under its current posterior (a snippet with q(Z_A = a) = 0.35 adds 0.35
 to aspect a's mixture count, and so on for emissions and transitions).
 
 Both schedules run one kernel over the corpus packed into one token
-stream. Each pass gathers the expected logs once: E[log theta_A] at
-the (entity, word) of every token, E[log psi] and E[log phi] at every
-snippet's entity, and the shared tables at every word and tag. The
-M-step counts all tokens into each factor bank with one bincount.
+stream. Each pass gathers the expected logs once, at every token's
+(entity, word) and tag and at every snippet's entity. Each E-step
+snippet sum is op @ E and each M-step count op.T @ q for a fixed
+token-incidence matrix op per bank (_incidence): a row per snippet, a
+column per cell and an entry per token, with the weights of the call.
 
 Every factor is a Dirichlet conjugate to the draws it governs, so the
 expected complete log likelihood is linear in the M-step's expected
@@ -60,8 +61,8 @@ support (see DirichletFactor). A cell off it sits at its prior, has
 expected log digamma(prior) - digamma(row total) and adds exactly 0 to
 the KL, so the restriction is exact for any state. theta_A's support
 is the (entity, word) pairs of the corpus, 15% of a dense bank on the
-reference corpus: the M-step counts into its (K, P) table, and the
-gather takes each token's column from it.
+reference corpus, and the columns of its incidence matrix: the M-step
+counts into its (K, P) table, whose cells the E-step sums per snippet.
 """
 
 from __future__ import annotations
@@ -118,22 +119,25 @@ class _PackedCorpus:
     position p of every snippet longer than p, longest snippets first,
     and how many of them (the leading ones) have a next token.
 
-    A snippet without tokens is rejected: the model gives every snippet
-    a first and a last word, and the per-snippet sums (np.add.reduceat
-    at first) would give an empty snippet its successor's first token.
-    So is a word or tag index outside the vocabulary or tag set, which a
-    Corpus built in code can hold and no factor has a cell for.
+    The arrays are int32, which a sparse matrix takes as they are:
+    offsets is the indptr of every token-incidence matrix (_incidence),
+    and one_per_row (0..T) that of a matrix with one entry per snippet
+    or token. A snippet without tokens is rejected: the model gives
+    every snippet a first and a last word. So is a word or tag index
+    outside the vocabulary or tag set, which a Corpus built in code can
+    hold and no factor has a cell for.
     """
 
     def __init__(self, corpus: Corpus):
         self.words, self.tags = corpus.words, corpus.tags
-        self.offsets, self.snippet_bounds = corpus.offsets, corpus.snippet_bounds
+        self.offsets, self.snippet_bounds = corpus.offsets.astype(np.int32), corpus.snippet_bounds
         lengths, group_sizes = np.diff(self.offsets), np.diff(self.snippet_bounds)
         self.n_snippets, self.n_tokens = len(lengths), len(self.words)
         self.token_bounds = self.offsets[self.snippet_bounds]
-        self.ent_of_snip = np.repeat(np.arange(len(group_sizes)), group_sizes)
-        self.snip_of_token = np.repeat(np.arange(self.n_snippets), lengths)
+        self.ent_of_snip = np.repeat(np.arange(len(group_sizes), dtype=np.int32), group_sizes)
+        self.snip_of_token = np.repeat(np.arange(self.n_snippets, dtype=np.int32), lengths)
         self.ent_of_token = self.ent_of_snip[self.snip_of_token]
+        self.one_per_row = np.arange(self.n_tokens + 1, dtype=np.int32)
 
         def reject(s, what):
             i = self.ent_of_snip[s]
@@ -148,6 +152,7 @@ class _PackedCorpus:
             if index.size and not 0 <= index.min() <= index.max() < size:
                 t = np.flatnonzero((index < 0) | (index >= size))[0]
                 reject(self.snip_of_token[t], f"has {what} index {index[t]} outside [0, {size})")
+        self.words, self.tags = self.words.astype(np.int32), self.tags.astype(np.int32)
         first = self.offsets[:-1]
         self.first, self.last = first, self.offsets[1:] - 1
         is_first = np.zeros(self.n_tokens, dtype=bool)
@@ -161,32 +166,45 @@ class _PackedCorpus:
         ]
         self._aspect: Optional[tuple] = None
 
-    def aspect_columns(self, state: VariationalState) -> tuple[np.ndarray, np.ndarray]:
-        """Each token's column in the theta_A table, (T,), and the flat
-        index of (aspect, token) into that table, (K, T). theta_A's support
+    def aspect_columns(self, state: VariationalState) -> np.ndarray:
+        """Each token's column in the theta_A table, (T,). theta_A's support
         first grows to every (bank row, word) pair of the corpus; the
         result is kept until the support changes."""
         bank = state.theta_A
         if self._aspect is None or self._aspect[0] is not bank.support:
-            flat_pairs = bank.entity_rows(self.ent_of_token) * state.vocab_size + self.words
-            pairs, pair_of_token = np.unique(flat_pairs, return_inverse=True)
-            cols = bank.grow(pairs)[pair_of_token]
-            flat = np.arange(state.hp.K)[:, None] * len(bank.support) + cols
-            self._aspect = (bank.support, cols, flat)
-        return self._aspect[1:]
+            flat_pairs = bank.entity_rows(self.ent_of_token) * np.int64(state.vocab_size)
+            pairs, pair_of_token = np.unique(flat_pairs + self.words, return_inverse=True)
+            self._aspect = (bank.support, bank.grow(pairs)[pair_of_token].astype(np.int32))
+        return self._aspect[1]
+
+
+def _incidence(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_cols: int):
+    """The sparse matrix op whose row r holds entries indptr[r]:indptr[r+1],
+    entry i at column cols[i] with value weights[i]. For a token-incidence
+    matrix (a row per snippet, an entry per token, a column per cell),
+    op @ E sums weights[t] E[cols[t]] over each snippet's tokens, E one
+    row per cell, and op.T @ q sums weights[t] q[s(t)] over each cell's."""
+    from scipy.sparse import csr_array  # on first use, as scipy.special in snipagg.model
+
+    return csr_array((weights, cols, indptr), shape=(len(indptr) - 1, n_cols))
 
 
 @dataclass
 class _Gathered:
-    """The expected logs of one parameter state, read where the corpus
-    uses them: psi (S, K) and phi (S, K, N) at each snippet's entity, ea
-    (K, T) at each token's entity and word (a take from the theta_A
-    support table), ev (N, T), eb (T,) and ei (T,) at each word, eta
-    (T, n) at each tag, and the transition rows."""
+    """The expected logs of one parameter state where a run of snippets
+    reads them: theta_A's and theta_V's one row per cell, ta (P, K) and
+    tv (V, N), which the token-incidence matrices of indptr, cols and
+    words sum, and ea (T, K), ev (T, N) their rows at each token; psi (S, K),
+    phi (S, K, N) per snippet, eb, ei (T,) per word, eta (T, n) per tag."""
 
+    indptr: np.ndarray
+    cols: np.ndarray
+    words: np.ndarray
     psi: np.ndarray
     phi: Optional[np.ndarray]
+    ta: np.ndarray
     ea: np.ndarray
+    tv: Optional[np.ndarray]
     ev: Optional[np.ndarray]
     eb: np.ndarray
     ei: Optional[np.ndarray]
@@ -199,33 +217,37 @@ def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathe
     """The factors' expected logs gathered at snippets s0:s1 of the
     context's corpus (every snippet by default) and at their tokens."""
     state, pack = ctx.state, ctx.pack
-    tok = slice(pack.offsets[s0], pack.offsets[pack.n_snippets if s1 is None else s1])
-    cols = pack.aspect_columns(state)[0][tok]
-    words, ents = pack.words[tok], pack.ent_of_snip[s0:s1]
+    s1 = pack.n_snippets if s1 is None else s1
+    tok = slice(pack.offsets[s0], pack.offsets[s1])
+    cols, words, ents = pack.aspect_columns(state)[tok], pack.words[tok], pack.ent_of_snip[s0:s1]
+
+    def rows(f, index):  # f's expected log at each bank row of index
+        return None if f is None else np.take(f.expected_log(), f.entity_rows(index), axis=0)
+
+    def cells(f, index):  # f's expected log at index along its last axis, one row each
+        return None if f is None else np.take(f.expected_log().T, index, axis=0)
+
+    ta = state.theta_A.table_elog().T
+    tv = None if state.theta_V is None else np.ascontiguousarray(state.theta_V.expected_log().T)
     return _Gathered(
-        phi=None if state.phi is None else state.phi.expected_log()[state.phi.entity_rows(ents)],
-        psi=state.psi.expected_log()[state.psi.entity_rows(ents)],
-        ea=np.take(state.theta_A.table_elog(), cols, axis=1),
-        ev=None if state.theta_V is None else state.theta_V.expected_log()[:, words],
-        eb=state.theta_B.expected_log()[words],
-        ei=None if state.theta_I is None else state.theta_I.expected_log()[words],
-        eta=None if state.eta is None else state.eta.expected_log()[:, pack.tags[tok]].T,
-        start=state.trans_start.expected_log(),
-        main=state.trans_main.expected_log(),
+        indptr=pack.offsets[s0 : s1 + 1] - tok.start, cols=cols, words=words,
+        psi=rows(state.psi, ents), phi=rows(state.phi, ents),
+        ta=ta, ea=np.take(ta, cols, axis=0), tv=tv, ev=cells(state.theta_V, words),
+        eb=cells(state.theta_B, words), ei=cells(state.theta_I, words),
+        eta=cells(state.eta, pack.tags[tok]),
+        start=state.trans_start.expected_log(), main=state.trans_main.expected_log(),
     )
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     """Normalize log scores, one row (n,) or a stack of rows (m, n),
-    along the last axis, guarding overflow.
-
-    The row maximum is taken one column at a time: exact, and on many
-    short rows much faster than a reduction along the last axis.
-    """
+    along the last axis, guarding overflow. The row maximum and sum are
+    taken one column at a time: on many short rows much faster than
+    along the last axis, and the sum has the same bits below 8 columns."""
     top = functools.reduce(np.maximum, scores.T)
     scores = scores - top[..., None]
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= functools.reduce(np.add, scores.T)[..., None]
     return scores
 
 
@@ -271,49 +293,38 @@ class UpdateContext:
         self.state.qa, self.state.qv, self.state.qw = self.new_qa, self.new_qv, self.new_qw
 
 
-def _weights(q: np.ndarray, rows: np.ndarray, qw: np.ndarray, col: int) -> np.ndarray:
-    """q[rows[t], c] * qw[t, col] for every token t, laid out as (C, T)."""
-    weights = np.take(q.T, rows, axis=1)
-    weights *= qw[:, col]
-    return weights
-
-
 def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.ndarray]]:
     """Yield every parameter bank with the expected counts of the
     context's packed posteriors, in the shape of its table, one bank at
-    a time and each with one bincount."""
+    a time. A bank the latents write is counted as (op.T @ q).T, op the
+    incidence matrix of the writes (_incidence): the E-step's for theta_A
+    and theta_V; each snippet's N cells by q(Z_V) for phi; each snippet
+    at its bank row for psi, and each token at its tag for eta, by 1.
+    Every cell adds its terms in corpus order, as a bincount would."""
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
-    hp, layout = state.hp, state.layout
-    K, N, V, n = hp.K, hp.N, state.vocab_size, layout.n_topics
-    words, snip = pack.words, pack.snip_of_token
+    layout, S, N, V = state.layout, pack.n_snippets, state.hp.N, state.vocab_size
+    cols, snippets, role = pack.aspect_columns(state), pack.one_per_row[: S + 1], layout.col
 
-    def counts(f, index, weights):
-        size = f.table.size
-        return f, np.bincount(index.ravel(), weights.ravel(), minlength=size).reshape(f.table.shape)
+    def count(indptr, at, weights, n_cols, q):
+        return (_incidence(indptr, at, weights, n_cols).T @ q).T
 
-    # Bank tables are laid out (..., bank row * V + element) over their
-    # support: every pair for psi and phi, the corpus pairs for theta_A.
-    ent_rows = state.psi.entity_rows(pack.ent_of_snip)
-    yield counts(state.psi, ent_rows[:, None] * K + np.arange(K), qa)
-    aspect_cells = pack.aspect_columns(state)[1]
-    yield counts(state.theta_A, aspect_cells, _weights(qa, snip, qw, layout.col("A")))
+    psi_rows = state.psi.entity_rows(pack.ent_of_snip)
+    yield state.psi, count(snippets, psi_rows, np.ones(S), len(state.psi.prior), qa).T.ravel()
+    yield state.theta_A, count(pack.offsets, cols, qw[:, role("A")], len(state.theta_A.support), qa)
     if qv is not None:
-        ent_rows = state.phi.entity_rows(pack.ent_of_snip)
-        row_cells = ent_rows[:, None, None] * N + np.arange(N)
-        phi_cells = np.arange(K)[:, None] * state.phi.table.shape[-1] + row_cells
-        yield counts(state.phi, phi_cells, qa[:, :, None] * qv[:, None, :])
-        value_cells = np.arange(N)[:, None] * V + words
-        yield counts(state.theta_V, value_cells, _weights(qv, snip, qw, layout.col("V")))
-    yield state.theta_B, np.bincount(words, qw[:, layout.col("B")], minlength=V)
+        cells = (N * state.phi.entity_rows(pack.ent_of_snip)[:, None] + np.arange(N)).ravel()
+        yield state.phi, count(N * snippets, cells, qv.ravel(), len(state.phi.support), qa)
+        yield state.theta_V, count(pack.offsets, pack.words, qw[:, role("V")], V, qv)
+    yield state.theta_B, np.bincount(pack.words, qw[:, role("B")], minlength=V)
     if state.theta_I is not None:
-        yield state.theta_I, np.bincount(words, qw[:, layout.col("I")], minlength=V)
+        yield state.theta_I, np.bincount(pack.words, qw[:, role("I")], minlength=V)
     if state.eta is not None:
-        tag_cells = np.arange(n)[:, None] * state.tag_count + pack.tags
-        yield counts(state.eta, tag_cells, qw.T)
-    yield state.trans_start, qw[pack.first].sum(axis=0)
+        yield state.eta, count(pack.one_per_row, pack.tags, np.ones(len(qw)), state.tag_count, qw)
+    n = layout.n_topics
+    yield state.trans_start, np.take(qw, pack.first, axis=0).sum(axis=0)
     main = np.empty((n, n + 1))
-    main[:, :n] = qw[pack.inner - 1].T @ qw[pack.inner]
-    main[:, layout.end_col] = qw[pack.last].sum(axis=0)
+    main[:, :n] = np.take(qw, pack.inner - 1, axis=0).T @ np.take(qw, pack.inner, axis=0)
+    main[:, layout.end_col] = np.take(qw, pack.last, axis=0).sum(axis=0)
     yield state.trans_main, main
 
 
@@ -334,24 +345,20 @@ def _refit(ctx: UpdateContext) -> float:
     return terms
 
 
-def _aspect_step(
-    first: np.ndarray | list, g: _Gathered, qv: Optional[np.ndarray], qw: np.ndarray, col_a: int
-) -> np.ndarray:
-    """The new q(Z_A) of every gathered snippet, (S, K), given each
-    snippet's first token (first) and the A column of qw (col_a)."""
-    score = g.psi + np.add.reduceat(g.ea * qw[:, col_a], first, axis=1).T
+def _aspect_step(g: _Gathered, qv: Optional[np.ndarray], qw_a: np.ndarray) -> np.ndarray:
+    """The new q(Z_A) of every gathered snippet, (S, K), given q(Z_W = A)
+    at their tokens (qw_a)."""
+    score = g.psi + _incidence(g.indptr, g.cols, qw_a, len(g.ta)) @ g.ta
     if qv is not None:
         score += np.einsum("skn,sn->sk", g.phi, qv)
     return _softmax_rows(score)
 
 
-def _value_step(
-    first: np.ndarray | list, g: _Gathered, qa: np.ndarray, qw: np.ndarray, col_v: int
-) -> np.ndarray:
-    """The new q(Z_V) of every gathered snippet, (S, N), given each
-    snippet's first token (first) and the V column of qw (col_v)."""
+def _value_step(g: _Gathered, qa: np.ndarray, qw_v: np.ndarray) -> np.ndarray:
+    """The new q(Z_V) of every gathered snippet, (S, N), given q(Z_W = V)
+    at their tokens (qw_v)."""
     score = np.einsum("sk,skn->sn", qa, g.phi)
-    score += np.add.reduceat(g.ev * qw[:, col_v], first, axis=1).T
+    score += _incidence(g.indptr, g.words, qw_v, len(g.tv)) @ g.tv
     return _softmax_rows(score)
 
 
@@ -364,9 +371,9 @@ def _emissions(
     snippet's aspect and value (the token's row, rows[t], of qa and qv)."""
     layout = state.layout
     emis = np.empty((len(rows), layout.n_topics))
-    emis[:, layout.col("A")] = np.einsum("tk,kt->t", qa[rows], g.ea)
+    emis[:, layout.col("A")] = np.einsum("tk,tk->t", np.take(qa, rows, axis=0), g.ea)
     if qv is not None:
-        emis[:, layout.col("V")] = np.einsum("tn,nt->t", qv[rows], g.ev)
+        emis[:, layout.col("V")] = np.einsum("tn,tn->t", np.take(qv, rows, axis=0), g.ev)
     emis[:, layout.col("B")] = g.eb
     if g.ei is not None:
         emis[:, layout.col("I")] = g.ei
@@ -427,7 +434,7 @@ def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.n
     state = ctx.state
     g, lo, hi = _one_snippet(ctx, entity, snippet)
     qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
-    q = _aspect_step([0], g, qv, state.qw[entity][lo:hi], state.layout.col("A"))[0]
+    q = _aspect_step(g, qv, state.qw[entity][lo:hi, state.layout.col("A")])[0]
     ctx.new_qa[entity][snippet] = q
     return q
 
@@ -443,7 +450,7 @@ def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.nd
         raise InferenceError("value update requested but N = 0")
     g, lo, hi = _one_snippet(ctx, entity, snippet)
     qa = state.qa[entity][snippet : snippet + 1]
-    q = _value_step([0], g, qa, state.qw[entity][lo:hi], state.layout.col("V"))[0]
+    q = _value_step(g, qa, state.qw[entity][lo:hi, state.layout.col("V")])[0]
     ctx.new_qv[entity][snippet] = q
     return q
 
@@ -495,9 +502,9 @@ def _pass(ctx: UpdateContext, g: _Gathered) -> float:
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     sequential = state.hp.schedule == "sequential"
     layout = state.layout
-    new_qa = _aspect_step(pack.first, g, qv, qw, layout.col("A"))
+    new_qa = _aspect_step(g, qv, qw[:, layout.col("A")])
     seen_qa = new_qa if sequential else qa
-    new_qv = None if qv is None else _value_step(pack.first, g, seen_qa, qw, layout.col("V"))
+    new_qv = None if qv is None else _value_step(g, seen_qa, qw[:, layout.col("V")])
     emis = _emissions(state, g, seen_qa, new_qv if sequential else qv, pack.snip_of_token)
     if sequential:
         new_qw = qw.copy()
@@ -518,17 +525,20 @@ def _pass(ctx: UpdateContext, g: _Gathered) -> float:
 
 def _free_energy(ctx: UpdateContext, factor_terms: float) -> float:
     """factor_terms (every factor's DirichletFactor._kl of the expected
-    counts) plus sum q log q over the context's packed posteriors, minus
+    counts) plus sum q log q over the context's packed posteriors (numpy's
+    log at the positive cells, 0 elsewhere, so a NaN stays NaN), minus
     each token's topic_prior weight under q(Z_W). The snippet and token
     terms are summed per entity first, in corpus order, so entities with
     the same posteriors contribute the same value."""
-    from scipy.special import xlogy  # on first use, as in snipagg.model
-
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
-    snip = xlogy(qa, qa).sum(axis=1)
+
+    def neg_entropy(q):  # sum q log q of each row, one column at a time
+        return functools.reduce(np.add, (q * np.log(q, out=np.zeros_like(q), where=q > 0)).T)
+
+    snip = neg_entropy(qa)
     if qv is not None:
-        snip += xlogy(qv, qv).sum(axis=1)
-    tok = xlogy(qw, qw).sum(axis=1) - qw @ state.hp.topic_prior_vector(state.layout)
+        snip += neg_entropy(qv)
+    tok = neg_entropy(qw) - qw @ state.hp.topic_prior_vector(state.layout)
     n_entities = len(pack.snippet_bounds) - 1
     per_entity = np.bincount(pack.ent_of_snip, snip, minlength=n_entities)
     per_entity += np.bincount(pack.ent_of_token, tok, minlength=n_entities)
@@ -617,9 +627,7 @@ def _prime(ctx: UpdateContext) -> None:
     noise, which picks the wrong orientation about half the time.
     """
     if ctx.qv is not None and any(ctx.state.seed_sets):
-        ctx.qv[:] = _value_step(
-            ctx.pack.first, _gather(ctx), ctx.qa, ctx.qw, ctx.state.layout.col("V")
-        )
+        ctx.qv[:] = _value_step(_gather(ctx), ctx.qa, ctx.qw[:, ctx.state.layout.col("V")])
     update_parameters(ctx)
 
 

@@ -338,11 +338,12 @@ class DirichletFactor:
     total plus its counts. The support only grows, through grow: a
     dense write or a restored file adds its pairs off the prior. The
     dense concentration and expected log are built on demand, and so
-    are the digamma and gammaln of the prior.
+    are the digamma and gammaln of the prior (scalars if it is constant).
+    table and its expected log are cell-major: .T is one row per cell.
     """
 
     __slots__ = (
-        "prior", "support", "table", "_base", "_n_rows", "_base_special", "_base_total",
+        "prior", "support", "table", "_base", "_compact", "_n_rows", "_base_special", "_base_total",
         "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals", "_elog",
         "_dense_elog", "_row_views",
     )
@@ -354,6 +355,7 @@ class DirichletFactor:
         if base.size and base.min() <= 0.0:
             raise ModelError("Dirichlet prior concentrations must be positive")
         self._base = base
+        self._compact = base.max() if base.size and base.min() == base.max() else base
         self._n_rows = 1 if rows is None else rows
         self._base_special: Optional[tuple[np.ndarray, np.ndarray]] = None
         self._base_total = base.sum(axis=-1)
@@ -361,23 +363,28 @@ class DirichletFactor:
         self._row_views: Optional[list[FactorRow]] = None
         if support is None:
             support = np.arange(self._n_rows * base.shape[-1])
-        self._set_support(np.asarray(support, dtype=np.int64), None)
+        self._set_support(np.asarray(support, dtype=np.int64))
 
-    def _set_support(self, support: np.ndarray, table: Optional[np.ndarray]) -> None:
-        """Adopt a support and its cells' concentration (the prior if None):
-        the bank row, element and prior of every support cell, and the bank
-        rows that have support cells with the first cell of each."""
+    def _set_support(self, support: np.ndarray) -> None:
+        """Adopt a support with every cell at its prior: the bank row,
+        element and prior of every support cell, and the bank rows that
+        have support cells with the first cell of each."""
         self.support = support
         self._row_of, self._col_of = np.divmod(support, max(self._base.shape[-1], 1))
-        self._prior_table = np.take(self._base, self._col_of, axis=-1)
+        self._prior_table = self._at_support(self._compact)
         self._rows, self._starts = np.unique(self._row_of, return_index=True)
-        self.table = self._prior_table.copy() if table is None else table
+        self.table = np.empty(self._base.shape[:-1] + support.shape, order="F")
+        self.table[...] = self._prior_table
         self._changed()
 
+    def _at_support(self, a):
+        """a (per prior cell, or one scalar that stays one) at every support cell."""
+        return a if np.ndim(a) == 0 else np.take(a, self._col_of, axis=-1)
+
     def _base_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """digamma and gammaln of the prior table, computed on first use."""
+        """digamma and gammaln of the (compact) prior, computed on first use."""
         if self._base_special is None:
-            self._base_special = (digamma(self._base), gammaln(self._base))
+            self._base_special = (digamma(self._compact), gammaln(self._compact))
         return self._base_special
 
     def _changed(self) -> None:
@@ -396,10 +403,10 @@ class DirichletFactor:
         support; returns their columns in table."""
         new = pairs[~np.isin(pairs, self.support)]
         if new.size:
-            support = np.sort(np.concatenate((self.support, new)))
-            table = np.take(self._base, support % max(self._base.shape[-1], 1), axis=-1)
-            table[..., np.searchsorted(support, self.support)] = self.table
-            self._set_support(support, table)
+            old, table = self.support, self.table
+            self._set_support(np.sort(np.concatenate((old, new))))
+            self.table[..., np.searchsorted(self.support, old)] = table
+            self._changed()
         return np.searchsorted(self.support, pairs)
 
     def entity_rows(self, entities):
@@ -419,7 +426,7 @@ class DirichletFactor:
         every pair of one table, the prior's shape."""
         if np.shape(counts) != self.table.shape:
             raise ModelError(f"counts have shape {np.shape(counts)}, expected {self.table.shape}")
-        self.table = self._prior_table + counts
+        self.table = np.add(self._prior_table, counts, out=np.empty_like(self.table))
         self._changed()
 
     def _write(self, start: int, dense: np.ndarray) -> None:
@@ -437,8 +444,8 @@ class DirichletFactor:
         with the digamma of the row totals."""
         if self._elog is None:
             digamma_total = digamma(self._totals)
-            elog = digamma(self.table) - np.take(digamma_total, self._row_of, axis=-1)
-            self._elog = (digamma_total, elog)
+            elog = digamma(self.table.T) - np.take(digamma_total.T, self._row_of, axis=0)
+            self._elog = (digamma_total, elog.T)
         return self._elog[1]
 
     def _dense(
@@ -494,8 +501,8 @@ class DirichletFactor:
         # after set_counts(counts), a = b + counts: the term is ln B(b) - ln B(a).
         a = self.table
         row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
-        cell_part = gammaln(a) - np.take(self._base_log()[1], self._col_of, axis=-1)
-        cross = np.vdot(a - self._prior_table - counts, self.table_elog())
+        cell_part = gammaln(a) - self._at_support(self._base_log()[1])
+        cross = np.vdot((a - self._prior_table - counts).T, self.table_elog().T)
         return float(row_part.sum() - cell_part.sum() + cross)
 
 
@@ -695,7 +702,7 @@ def _prior_state(
         trans_start=DirichletFactor(start),
         trans_main=DirichletFactor(main),
         psi=DirichletFactor(np.full(hp.K, hp.lambda_M), rows=n_psi),
-        theta_A=DirichletFactor(np.full((hp.K, V), hp.lambda_A), rows=n_asp, support=[]),
+        theta_A=DirichletFactor(np.broadcast_to(hp.lambda_A, (hp.K, V)), n_asp, support=[]),
         phi=DirichletFactor(np.full((hp.K, hp.N), hp.lambda_AV), rows=n_asp) if hp.N else None,
         theta_V=DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N else None,
         theta_I=DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None,

@@ -410,14 +410,16 @@ def test_fit_manifest_records_inputs(workspace):
 
 
 # Runs each argv through the CLI in one fresh interpreter and exits 1 if
-# scipy.special was imported at start-up or by any of them.
+# scipy.special or scipy.sparse was imported at start-up or by any of them.
 _SCIPY_FREE = """
 import json, sys
 from snipagg.cli import main
 assert "scipy.special" not in sys.modules, "imported by snipagg.cli"
+assert "scipy.sparse" not in sys.modules, "imported by snipagg.cli"
 for argv in json.loads(sys.argv[1]):
     assert main(["-q", *argv]) == 0, argv
     assert "scipy.special" not in sys.modules, argv
+    assert "scipy.sparse" not in sys.modules, argv
 """
 
 

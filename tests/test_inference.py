@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import count_reference
 import per_op_reference as reference
 from snipagg import inference
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
@@ -16,7 +17,9 @@ from snipagg.inference import (
     UpdateContext,
     FreeEnergyReport,
     _end_iteration,
+    _expected_counts,
     _gather,
+    _incidence,
     _pass,
     _refit,
     _softmax_rows,
@@ -577,6 +580,92 @@ def test_public_per_op_updates_match_the_reference(
     want, _ = per_op_pass(state, corpus, sequential)
     got, _ = per_op_pass(state, corpus, sequential, ops=inference)
     assert_same_posteriors(got, want, want, 0.0)  # no pass delta to compare
+
+
+def bank_counts(ctx):
+    """_expected_counts as a dict keyed by the state attribute of each bank."""
+    name = {id(v): k for k, v in vars(ctx.state).items() if isinstance(v, DirichletFactor)}
+    return {name[id(f)]: counts for f, counts in _expected_counts(ctx)}
+
+
+def incidence_sums(ctx):
+    """The aspect and value steps' snippet sums, as the pass takes them."""
+    g, layout = _gather(ctx), ctx.state.layout
+    aspect = _incidence(g.indptr, g.cols, ctx.qw[:, layout.col("A")], len(g.ta)) @ g.ta
+    if g.tv is None:
+        return aspect, None
+    return aspect, _incidence(g.indptr, g.words, ctx.qw[:, layout.col("V")], len(g.tv)) @ g.tv
+
+
+def assert_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_values=st.sampled_from([0, 1, 3]),
+    use_ignore=st.booleans(),
+    use_pos=st.booleans(),
+    shared=st.sampled_from([0, 1, 2]),
+    max_len=st.sampled_from([1, 2, 7]),
+)
+def test_incidence_products_match_a_loop_over_tokens(
+    seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    # Entity 0 has one single-token snippet; the others 1 to 4 snippets of
+    # 1 to max_len tokens. shared 1 and 2 make one-row aspect banks.
+    rng = np.random.default_rng(seed)
+    n_entities, vocab = int(rng.integers(1, 4)), Indexer([f"w{k}" for k in range(9)])
+    groups = [[Snippet(0, "e0-s0", [Token(int(rng.integers(9)), 0)])]]
+    for i in range(1, n_entities):
+        groups.append([
+            Snippet(i, f"e{i}-s{j}", [Token(int(rng.integers(9)), int(rng.integers(2)))
+                                      for _ in range(int(rng.integers(1, max_len + 1)))])
+            for j in range(int(rng.integers(1, 5)))
+        ])
+    corpus = Corpus([f"e{i}" for i in range(n_entities)], groups, vocab, Indexer(["NN", "JJ"]))
+    hp = Hyperparameters(
+        K=3, N=n_values, use_ignore=use_ignore, use_pos=use_pos,
+        shared_aspects=shared >= 1, shared_aspect_multinomial=shared == 2,
+    )
+    state = init_state(hp, corpus)
+    ctx = UpdateContext(state, corpus)
+    update_parameters(ctx)  # theta_A's support grows to the corpus's pairs
+    for f in state.parameter_factors():
+        f.set_counts(rng.gamma(1.0, 2.0, size=f.prior.shape))
+    for q in (ctx.qa, ctx.qv, ctx.qw):
+        if q is not None:
+            q[:] = rng.dirichlet(np.ones(q.shape[1]), size=len(q))
+    got, want = bank_counts(ctx), count_reference.loop_counts(ctx)
+    assert got.keys() == want.keys()
+    for name in got:
+        assert_close(got[name], want[name], 1e-12)
+    for got, want in zip(incidence_sums(ctx), count_reference.loop_sums(ctx), strict=True):
+        if want is None:
+            assert got is None
+        else:
+            assert_close(got, want, 1e-12)
+
+
+def test_incidence_products_match_the_replaced_formulas_on_the_criterion_01_corpus():
+    from snipagg.generator import CorpusShape, make_separable
+
+    syn = make_separable(
+        Hyperparameters(K=5, N=2, lambda_V=4.0, epsilon_V=0.05, rng_seed=0),
+        CorpusShape(n_entities=50, snippets_per_entity=40, vocab_size=600,
+                    seed_words_per_value=10),
+        separation=1.0, rng_seed=1, topic_mix=[0.52, 0.35, 0.13],
+    )
+    state, _ = run_inference(Hyperparameters(K=5, N=2, max_iters=3), syn.corpus, syn.seeds)
+    ctx = UpdateContext(state, syn.corpus)
+    got, want = bank_counts(ctx), count_reference.bincount_counts(ctx)
+    assert {"psi", "theta_A", "phi", "theta_V"} <= want.keys()
+    for name in want:
+        assert_close(got[name], want[name], 1e-15)
+    for got, want in zip(incidence_sums(ctx), count_reference.reduceat_sums(ctx), strict=True):
+        assert_close(got, want, 1e-12)
 
 
 def dense_elog(conc):
