@@ -50,7 +50,6 @@ from snipagg.model import (
     _FLOAT,
     _INDEX,
     MAX_CELLS,
-    STATE_VERSION,
     Hyperparameters,
     ModelError,
     TopicLayout,
@@ -501,7 +500,7 @@ def _dist(value, shape: Optional[tuple], what: str) -> Optional[np.ndarray]:
         if value is not None:
             raise ModelError(f"{what} is present but the letters or value names disable it")
         return None
-    arr = _decoded(value, _FLOAT, what, STATE_VERSION)
+    arr = _decoded(value, _FLOAT, what)
     if arr.ndim != len(shape) or any(
         n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)
     ):
@@ -565,8 +564,8 @@ def _true_params_from_payload(payload, n_bytes: int) -> dict:
     if shape[2] != V:
         raise ModelError(f"theta_A shape {shape} does not fit {V} vocab words")
     what = "theta_A support"
-    support = _support(_decoded(spec["support"], _INDEX, what, STATE_VERSION), cells, what)
-    table = _decoded(spec["table"], _FLOAT, "theta_A table", STATE_VERSION)
+    support = _support(_decoded(spec["support"], _INDEX, what), cells, what)
+    table = _decoded(spec["table"], _FLOAT, "theta_A table")
     if table.shape != support.shape:
         raise ModelError(f"theta_A table has shape {list(table.shape)}, its support "
                          f"{list(support.shape)}")

@@ -787,15 +787,12 @@ def _blob(a: np.ndarray, dtype: str) -> dict:
     return {"dtype": dtype, "shape": list(a.shape), "data": data}
 
 
-def _decoded(value, dtype: str, what: str, version: int):
-    """An array field of a state file as the shared checks read it: a
-    version 3 blob as a writable array of dtype, an earlier version's JSON
-    list as it is. A blob must have exactly the keys data, dtype and
-    shape, the given dtype, a shape of non-negative JSON integers and
-    base64 data of exactly the bytes that shape needs, checked before any
-    array is made, so a large declared shape allocates nothing."""
-    if version < 3:
-        return value
+def _decoded(value, dtype: str, what: str) -> np.ndarray:
+    """An encoded array field of a state file as a writable array of
+    dtype. The blob must have exactly the keys data, dtype and shape, the
+    given dtype, a shape of non-negative JSON integers and base64 data of
+    exactly the bytes that shape needs, checked before any array is made,
+    so a large declared shape allocates nothing."""
     if not isinstance(value, dict) or value.keys() != _BLOB_KEYS:
         raise ModelError(f"{what} is not an encoded array with keys {sorted(_BLOB_KEYS)}")
     if value["dtype"] != dtype:
@@ -868,14 +865,8 @@ def save_state(state: VariationalState, path: str) -> None:
     write_json(payload, path)
 
 
-def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A finite float array of the given shape read from a state file."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelError(f"{what} is not a numeric array") from None
-    if arr.size == 0 and np.prod(shape) == 0:
-        arr = arr.reshape(shape)  # JSON writes any empty array as []
+def _array(arr: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """arr, a decoded float array, once it has the given shape and is finite."""
     if arr.shape != shape:
         raise ModelError(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.isfinite(arr).all():
@@ -883,47 +874,33 @@ def _array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
     return arr
 
 
-def _support(value, n_cells: int, what: str) -> np.ndarray:
-    """A strictly ascending array of integer indices below n_cells read
-    from a state file."""
-    try:
-        arr = np.asarray(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{what} is not an array of indices") from None
-    if arr.shape == (0,):
-        arr = arr.astype(np.int64)  # JSON writes any empty array as []
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+def _support(arr: np.ndarray, n_cells: int, what: str) -> np.ndarray:
+    """arr, a decoded index array, once it is flat and strictly ascending
+    in [0, n_cells)."""
+    if arr.ndim != 1:
         raise ModelError(f"{what} is not an array of indices")
     if arr.size and (arr[0] < 0 or arr[-1] >= n_cells or (np.diff(arr) <= 0).any()):
         raise ModelError(f"{what} is not strictly ascending in [0, {n_cells})")
-    return arr.astype(np.int64)
+    return arr
 
 
-def _restore_factor(f: Optional[DirichletFactor], payload, name: str, version: int) -> None:
-    """Set a prior factor to the file's posterior, growing its support by
-    the file's pairs: in version 1 those a dense concentration has off the
-    prior, in versions 2 and 3 its support, whose cells then take its
-    table."""
+def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
+    """Set a prior factor to the file's posterior: its support grows by
+    the file's support, whose cells then take the file's table. A factor
+    the configuration disables must be null."""
     if f is None:
-        if payload not in (None, []):
+        if payload is not None:
             raise ModelError(f"factor {name} is present but the configuration disables it")
-        return
-    if version == 1:
-        conc = _array(payload, f.prior.shape, f"factor {name}")
-        if not (conc >= f.prior).all():
-            raise ModelError(f"factor {name} has a concentration below its prior")
-        f.concentration = conc
         return
     if not isinstance(payload, dict):
         raise ModelError(f"factor {name} needs a support and a table")
     what = f"factor {name} support"
-    support = _support(
-        _decoded(payload["support"], _INDEX, what, version), f._n_rows * f._base.shape[-1], what
-    )
+    n_cells = f._n_rows * f._base.shape[-1]
+    support = _support(_decoded(payload["support"], _INDEX, what), n_cells, what)
     shape = f._base.shape[:-1] + support.shape
     cols = f.grow(support)
     what = f"factor {name} table"
-    f.table[..., cols] = _array(_decoded(payload["table"], _FLOAT, what, version), shape, what)
+    f.table[..., cols] = _array(_decoded(payload["table"], _FLOAT, what), shape, what)
     f._changed()
     if not (f.table >= f._prior_table).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
@@ -937,52 +914,27 @@ def _count(value, key: str, least: int = 0) -> int:
     return value
 
 
-def _is_row(value, width: int) -> bool:
-    try:
-        return np.asarray(value, dtype=float).shape == (width,)
-    except (TypeError, ValueError):
-        return False
-
-
 def _restore_posteriors(
-    payload, name: str, rows: list[int], width: int, version: int, sizes: tuple[str, str]
+    payload, name: str, rows: list[int], width: int, sizes: tuple[str, str]
 ) -> list[np.ndarray]:
-    """The file's posteriors of each entity, views of one packed array:
-    version 1 has one array per entity, versions 2 and 3 the packed array
-    with rows[i] rows of entity i. A fault names the entity, as name[i];
-    a wrong row count or row width also names the field that set it
-    (sizes: the rows' and the width's)."""
-    if version > 1:
-        n = sum(rows)  # exact, where an int64 sum of huge declared counts would wrap
-        packed = _decoded(payload, _FLOAT, name, version)
-        # A JSON list or a decoded array with a first axis has rows.
-        if not (isinstance(packed, list) or getattr(packed, "ndim", 0)) or len(packed) != n:
-            raise ModelError(f"{name} needs {n} rows ({sizes[0]})")
+    """The file's posteriors of each entity, views of one packed (sum of
+    rows, width) array with rows[i] rows of entity i. A fault names the
+    entity, as name[i]; a wrong row count or row width also names the
+    field that set it (sizes: the rows' and the width's)."""
+    n = sum(rows)  # exact, where an int64 sum of huge declared counts would wrap
+    q = _decoded(payload, _FLOAT, name)
+    if q.ndim == 0 or len(q) != n:
+        raise ModelError(f"{name} needs {n} rows ({sizes[0]})")
     bounds = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
 
     def entity(row) -> int:
         return int(np.searchsorted(bounds, row, side="right")) - 1
 
-    if version == 1:
-        if not isinstance(payload, list) or len(payload) != len(rows):
-            raise ModelError(f"{name} needs one array per entity ({len(rows)})")
-        q = stack_rows(
-            [_array(v, (n, width), f"{name}[{i}]") for i, (v, n) in enumerate(zip(payload, rows))],
-            width,
-        )
-    else:
-        try:
-            q = np.asarray(packed, dtype=float) if n else np.empty((0, width))
-        except (TypeError, ValueError):
-            q = None
-        if q is None or q.shape != (n, width):
-            bad = next((r for r, v in enumerate(packed) if not _is_row(v, width)), 0)
-            raise ModelError(
-                f"{name}[{entity(bad)}] has a row that is not {width} numbers ({sizes[1]})"
-            )
-        finite = np.isfinite(q).all(axis=1)
-        if not finite.all():
-            raise ModelError(f"{name}[{entity(finite.argmin())}] is not finite")
+    if q.shape != (n, width):  # every row is the wrong width, the first included
+        raise ModelError(f"{name}[{entity(0)}] has a row that is not {width} numbers ({sizes[1]})")
+    finite = np.isfinite(q).all(axis=1)
+    if not finite.all():
+        raise ModelError(f"{name}[{entity(finite.argmin())}] is not finite")
     bad = (q < 0.0).any(axis=1) | (np.abs(q.sum(axis=1) - 1.0) > 1e-6)
     if bad.any():
         raise ModelError(f"{name}[{entity(bad.argmax())}] rows are not probability distributions")
@@ -993,7 +945,9 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     if payload.get("format") != STATE_FORMAT:
         raise ModelError("not a state file")
     version = payload.get("version")
-    if type(version) is not int or version not in (1, 2, STATE_VERSION):
+    if type(version) is int and version in (1, 2):
+        raise ModelError(f"state version {version} is no longer read; re-run fit")
+    if type(version) is not int or version != STATE_VERSION:
         raise ModelError(f"unsupported state version {version}")
     hp = _hp_from_json(dict(payload["hyperparameters"]))
     layout = hp.layout()
@@ -1016,20 +970,14 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     # tables (a support may leave cells at their prior), but not the
     # file's length, as a saved state holds theta_B over every word.
     qpay = payload["q"]
-    qa = _restore_posteriors(
-        qpay["qa"], "qa", snippet_counts, hp.K, version, ("snippet_counts", "K")
-    )
+    qa = _restore_posteriors(qpay["qa"], "qa", snippet_counts, hp.K, ("snippet_counts", "K"))
     qv = None
     if hp.N >= 1:
-        qv = _restore_posteriors(
-            qpay["qv"], "qv", snippet_counts, hp.N, version, ("snippet_counts", "N")
-        )
+        qv = _restore_posteriors(qpay["qv"], "qv", snippet_counts, hp.N, ("snippet_counts", "N"))
     elif qpay["qv"] is not None:
         raise ModelError("qv is present but N = 0")
     tokens = [sum(row) for row in token_counts]
-    qw = _restore_posteriors(
-        qpay["qw"], "qw", tokens, layout.n_topics, version, ("token_counts", "topics")
-    )
+    qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics, ("token_counts", "topics"))
     for key, size in (("vocab_size", V), ("tag_count", T), ("K", hp.K), ("N", hp.N)):
         if size > n_bytes:
             raise ModelError(f"{key}: {size} is larger than the file ({n_bytes} bytes)")
@@ -1047,27 +995,25 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
 
     fpay = payload["factors"]
     for name in _FACTOR_KEYS:
-        _restore_factor(getattr(state, name), fpay[name], name, version)
+        _restore_factor(getattr(state, name), fpay[name], name)
     state.qa, state.qv, state.qw = qa, qv, qw
     return state
 
 
 def load_state(path: str) -> VariationalState:
-    """Rebuild a VariationalState from its JSON serialization, version 3,
-    2 or 1.
+    """Rebuild a VariationalState from the version 3 JSON that save_state
+    writes. Versions 1 and 2 are refused: re-run fit.
 
-    Checks the keys, every shape, that all numbers are finite, that the
-    posterior rows are distributions, that each factor's support is
-    strictly ascending and in range and that no concentration is below
-    its prior; any fault raises ModelError naming the file. Every size the
-    prior state allocates is checked first, against the posteriors' rows
-    and widths and the file's length, and each dense prior table's cells
-    against MAX_CELLS, so a huge declared count fails before anything is
-    allocated. Versions 2 and 3 share every check and
-    differ only in how an array is held, a JSON list in 2 and an encoded
-    blob in 3 (see _decoded). Each factor grows
-    its prior support (every pair, none for theta_A) by the file's support
-    in versions 2 and 3, by the pairs the file has off the prior in 1.
+    Checks the keys, every encoded array (see _decoded) and its shape,
+    that all numbers are finite, that the posterior rows are
+    distributions, that each factor's support is strictly ascending and
+    in range and that no concentration is below its prior; any fault
+    raises ModelError naming the file. Every size the prior state
+    allocates is checked first, against the posteriors' rows and widths
+    and the file's length, and each dense prior table's cells against
+    MAX_CELLS, so a huge declared count fails before anything is
+    allocated. Each factor grows its prior support (every pair, none for
+    theta_A) by the file's support.
     """
     return _read_checked(path, _state_from_payload, "state")
 

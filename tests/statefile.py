@@ -1,17 +1,15 @@
 """State file payloads for tests that edit them.
 
 save_state writes version 3, where every numeric array is an encoded
-blob. Tests that edit single numbers rewrite the payload as version 2,
-which holds the same arrays as JSON lists and which load_state still
-reads through the same checks.
+blob, and load_state reads no other version. Tests edit a payload in
+place: _set changes one field of a blob, and _recode decodes a blob,
+changes the array and encodes it again.
 """
 
 import base64
 import json
 
 import numpy as np
-
-BLOB_KEYS = {"data", "dtype", "shape"}
 
 
 def decode(blob: dict) -> np.ndarray:
@@ -26,21 +24,25 @@ def encode(a, dtype: str) -> dict:
     return {"dtype": dtype, "shape": list(a.shape), "data": base64.b64encode(a).decode("ascii")}
 
 
-def _lists(node):
-    if isinstance(node, dict) and node.keys() == BLOB_KEYS:
-        return decode(node).tolist()
-    if isinstance(node, dict):
-        return {k: _lists(v) for k, v in node.items()}
-    return node
-
-
-def as_version_2(payload: dict) -> dict:
-    """A version 3 payload as version 2: every blob under factors and q
-    replaced by its nested JSON lists."""
-    payload["version"] = 2
-    payload["factors"] = _lists(payload["factors"])
-    payload["q"] = _lists(payload["q"])
+def _node(payload, keys):
+    for key in keys:
+        payload = payload[key]
     return payload
+
+
+def _set(keys, field, value):
+    """An edit that sets one field of the blob at keys."""
+    return lambda p: _node(p, keys).__setitem__(field, value)
+
+
+def _recode(keys, fn, dtype=None):
+    """An edit that decodes the blob at keys, applies fn to the array and
+    encodes the result as dtype (the blob's own by default)."""
+    def edit(p):
+        parent = _node(p, keys[:-1])
+        blob = parent[keys[-1]]
+        parent[keys[-1]] = encode(fn(decode(blob)), dtype or blob["dtype"])
+    return edit
 
 
 def write_one_snippet_state(payload: dict, path, **sizes) -> None:

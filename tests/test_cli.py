@@ -15,7 +15,7 @@ import pytest
 from snipagg import cli, inference
 from snipagg.cli import RunManifest, main
 from snipagg.model import load_state
-from statefile import as_version_2, write_one_snippet_state
+from statefile import _recode, write_one_snippet_state
 
 
 def run(capsys, *argv):
@@ -462,13 +462,11 @@ def _edited_state(fit, tmp_path, edit):
 
 def test_report_rejects_truncated_posterior_row(workspace, tmp_path, capsys):
     data, fit = workspace
-    # qa is packed: the third snippet of entity 1 follows entity 0's snippets.
-    path = _edited_state(
-        fit, tmp_path, lambda p: as_version_2(p)["q"]["qa"][p["snippet_counts"][0] + 2].pop()
-    )
+    # qa is one packed (S, K) blob, so a row can only be cut with all the others.
+    path = _edited_state(fit, tmp_path, _recode(("q", "qa"), lambda a: a[:, :-1]))
     code, err = _report(capsys, data, path)
     assert code == 3
-    assert path in err and "qa[1]" in err
+    assert f"{path}: qa[0] has a row that is not 2 numbers (K)" in err
 
 
 def test_report_rejects_missing_factor(workspace, tmp_path, capsys):
@@ -482,10 +480,11 @@ def test_report_rejects_missing_factor(workspace, tmp_path, capsys):
 def test_report_rejects_non_finite_posterior(workspace, tmp_path, capsys):
     data, fit = workspace
 
-    def poison(payload):
-        as_version_2(payload)["q"]["qa"][0][0] = float("nan")
+    def poison(qa):
+        qa[0, 0] = float("nan")
+        return qa
 
-    path = _edited_state(fit, tmp_path, poison)
+    path = _edited_state(fit, tmp_path, _recode(("q", "qa"), poison))
     code, err = _report(capsys, data, path)
     assert code == 3
     assert path in err and "not finite" in err
@@ -510,6 +509,24 @@ def test_state_with_a_corrupted_blob_exits_3(workspace, tmp_path, capsys):
         assert code == 3, argv
         assert f"error: {path}: qa data is not base64" in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_state_of_an_old_version_exits_3_and_writes_nothing(workspace, tmp_path, capsys, version):
+    data, _ = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+    path = os.path.join(os.path.dirname(__file__), "data", f"state_v{version}.json")
+    out = tmp_path / "out.txt"
+    message = f"error: {path}: state version {version} is no longer read; re-run fit"
+    for argv in (
+        ["report"],
+        ["eval", "--metric", "muc", "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
+    ):
+        code = main(["-q", *argv, "--corpus", corpus, "--state", path, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 def test_state_with_prior_tables_above_the_ceiling_exits_3(workspace, tmp_path, capsys):
