@@ -597,11 +597,24 @@ def test_load_state_rejects_wrong_hyperparameter_type(tmp_path, key, value):
         load_state(str(path))
 
 
-def _state_payload(tmp_path):
-    """The payload of a saved state and a path to write an edit of it to."""
+def _state_payload(tmp_path, version=3):
+    """The payload of a saved state, or of the version 1 or 2 fixture, and
+    a path to write an edit of it to."""
     path = tmp_path / "s.json"
+    if version in OLD_STATES:
+        with open(OLD_STATES[version], encoding="utf-8") as fh:
+            return json.load(fh), path
     save_state(fit_like_state()[1], str(path))
     return json.loads(path.read_text()), path
+
+
+def _refusal(path, version, message):
+    """The error load_state must raise for an edited file of this version:
+    message for version 3; for versions 1 and 2 the version refusal, which
+    comes before any field is checked or any array is built."""
+    if version in OLD_STATES:
+        return f"^{re.escape(f'{path}: state version {version} is no longer read; re-run fit')}$"
+    return f"^{re.escape(str(path))}: {message}"
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -611,22 +624,24 @@ def _state_payload(tmp_path):
     (lambda hp: hp.update(lambda_Q=hp.pop("lambda_M")),
      r"missing \['lambda_M'\], unknown \['lambda_Q'\]"),
 ], ids=["missing", "unknown", "renamed"])
-def test_load_state_needs_exactly_the_hyperparameter_keys(tmp_path, edit, message):
-    payload, path = _state_payload(tmp_path)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_load_state_needs_exactly_the_hyperparameter_keys(tmp_path, version, edit, message):
+    payload, path = _state_payload(tmp_path, version)
     edit(payload["hyperparameters"])
     path.write_text(json.dumps(payload))
-    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: hyperparameters: {message}$"):
+    with pytest.raises(ModelError, match=_refusal(path, version, f"hyperparameters: {message}$")):
         load_state(str(path))
 
 
 @pytest.mark.parametrize("key, value", [
     ("lambda_B", math.nan), ("lambda_AV", math.inf), ("topic_prior", [math.nan, 0, 0, 0]),
 ])
-def test_load_state_rejects_non_finite_hyperparameters(tmp_path, key, value):
-    payload, path = _state_payload(tmp_path)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_load_state_rejects_non_finite_hyperparameters(tmp_path, version, key, value):
+    payload, path = _state_payload(tmp_path, version)
     payload["hyperparameters"][key] = value
     path.write_text(json.dumps(payload))  # writes NaN and Infinity, which json.load reads
-    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {key} must be finite$"):
+    with pytest.raises(ModelError, match=_refusal(path, version, f"{key} must be finite$")):
         load_state(str(path))
 
 
@@ -636,11 +651,14 @@ def test_load_state_rejects_non_finite_hyperparameters(tmp_path, key, value):
     ("token_counts", [["3", 2], [3.7, 2]]), ("token_counts", [[3, 2], [3, 0]]),
     ("seed_sets", [[0.2], ["3"]]), ("seed_sets", [[False], [3]]), ("seed_sets", [[0], [-1]]),
 ])
-def test_load_state_rejects_integer_fields_that_are_not_json_integers(tmp_path, key, value):
-    payload, path = _state_payload(tmp_path)
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_load_state_rejects_integer_fields_that_are_not_json_integers(
+    tmp_path, version, key, value
+):
+    payload, path = _state_payload(tmp_path, version)
     payload[key] = value
     path.write_text(json.dumps(payload))
-    message = f"^{re.escape(str(path))}: {key}: .* is not an integer of at least"
+    message = _refusal(path, version, f"{key}: .* is not an integer of at least")
     with pytest.raises(ModelError, match=message):
         load_state(str(path))
 
@@ -652,13 +670,15 @@ def test_load_state_rejects_integer_fields_that_are_not_json_integers(tmp_path, 
     (lambda p: p["hyperparameters"].update(K=10**12),
      r"qa\[0\] has a row that is not 1000000000000 numbers \(K\)"),
 ], ids=["token-count", "vocab-size", "K"])
-def test_load_state_checks_sizes_before_it_allocates(tmp_path, edit, message):
+@pytest.mark.parametrize("version", [2, 3])
+def test_load_state_checks_sizes_before_it_allocates(tmp_path, version, edit, message):
     # Each edit declares a size whose prior state would take terabytes or
-    # more; the file's own arrays refuse it before anything is allocated.
-    payload, path = _state_payload(tmp_path)
+    # more; the file's own arrays refuse it before anything is allocated,
+    # and a version 2 file is refused for its version before either.
+    payload, path = _state_payload(tmp_path, version)
     edit(payload)
     path.write_text(json.dumps(payload))
-    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}: {message}$"):
+    with pytest.raises(ModelError, match=_refusal(path, version, f"{message}$")):
         load_state(str(path))
 
 
