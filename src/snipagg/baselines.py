@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from snipagg.corpus import Corpus, SeedLexicon, Snippet
-from snipagg.model import MAX_CELLS
+from snipagg.model import ModelError, check_cells
 
 NOUN_TAG_PREFIX = "NN"
 
@@ -108,7 +108,7 @@ def agglomerative_cluster(
     triangle, and the result does not depend on the input order.
 
     A scope whose n x n similarity matrix would exceed MAX_CELLS cells
-    is refused before it is built; below that, time grows as n cubed.
+    is refused before it is built (check_cells); below that, time grows as n cubed.
     """
     if linkage not in ("average", "single", "complete"):
         raise BaselineError(f"unknown linkage {linkage!r}")
@@ -118,11 +118,10 @@ def agglomerative_cluster(
         raise BaselineError(
             f"target cluster count {target_clusters} out of range for {n} snippets"
         )
-    if n * n > MAX_CELLS:
-        raise BaselineError(
-            f"scope {scope!r} has {n} snippets: its similarity matrix of {n * n} cells "
-            f"exceeds the size ceiling ({MAX_CELLS})"
-        )
+    try:
+        check_cells(f"scope {scope!r} has {n} snippets: its similarity matrix", n, n)
+    except ModelError as exc:
+        raise BaselineError(str(exc)) from None
 
     terms = sorted({w for vec in vectors.values() for w in vec})
     term_col = {w: k for k, w in enumerate(terms)}

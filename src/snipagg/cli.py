@@ -71,9 +71,11 @@ from snipagg.inference import (
     word_label_predictions,
 )
 from snipagg.model import (
-    MAX_CELLS,
+    MAX_CELLS,  # re-exported: the ceiling check_cells enforces
     Hyperparameters,
     ModelError,
+    check_cells,
+    check_state_sizes,
     hp_to_json,
     load_config,
     load_state,
@@ -154,17 +156,21 @@ def _load_hp(args: argparse.Namespace) -> Hyperparameters:
     return hp
 
 
+def _size_error(args: argparse.Namespace, keys, message: str, fallback=None) -> Exception:
+    """message blamed on where keys came from: --set (UsageError, exit 2) if one
+    was set there, else --config or else fallback (ModelError, exit 3) if given."""
+    set_keys = {pair.partition("=")[0].strip() for pair in args.set or []}
+    source = None if set_keys & set(keys) else args.config or fallback
+    return ModelError(f"{source}: {message}") if source else UsageError(f"--set: {message}")
+
+
 def _bound_sizes(args: argparse.Namespace, hp: Hyperparameters, limit: int, what: str) -> None:
     """Reject a K or N above limit, the inputs' snippet count, before any
     table is built: each aspect and value type in use needs a snippet.
     A value from --config names the file, any other names --set."""
-    set_keys = {pair.partition("=")[0].strip() for pair in args.set or []}
     for key in ("K", "N"):
         if getattr(hp, key) > limit:
-            message = f"{key} = {getattr(hp, key)} exceeds {what} ({limit})"
-            if args.config and key not in set_keys:
-                raise ModelError(f"{args.config}: {message}")
-            raise UsageError(f"--set: {message}")
+            raise _size_error(args, [key], f"{key} = {getattr(hp, key)} exceeds {what} ({limit})")
 
 
 def _value_names(args: argparse.Namespace) -> list[str]:
@@ -199,17 +205,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
             ) from None
     if args.entities >= 1 and args.snippets >= 1:  # make_separable rejects other shapes
         _bound_sizes(args, hp, args.entities * args.snippets, "entities x snippets")
-        sizes = {
-            "--vocab-size": args.vocab_size,
-            "--entities": args.entities,
-            "--entities x --snippets": args.entities * args.snippets,
-            "--entities x K x --vocab-size": args.entities * hp.K * args.vocab_size,
-            "N x --vocab-size": hp.N * args.vocab_size,
-            "--entities x K x N": args.entities * hp.K * hp.N,
-        }
-        for what, size in sizes.items():
-            if size > MAX_CELLS:
-                raise UsageError(f"{what} = {size} exceeds the size ceiling ({MAX_CELLS})")
+        try:
+            check_cells("--vocab-size", args.vocab_size)
+            check_cells("--entities", args.entities)
+            check_cells("--entities x --snippets", args.entities, args.snippets)
+            check_cells("--entities x K x --vocab-size", args.entities, hp.K, args.vocab_size)
+            check_cells("N x --vocab-size", hp.N, args.vocab_size)
+            check_cells("--entities x K x N", args.entities, hp.K, hp.N)
+        except ModelError as exc:
+            raise UsageError(str(exc)) from None
     t0 = time.perf_counter()
     syn = make_separable(hp, shape, args.separation, args.seed, topic_mix)
     if args.separation >= 1.0 and not aspect_vocabularies_disjoint(syn):
@@ -261,6 +265,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     hp = _load_hp(args)
     corpus = load_corpus(args.corpus)
     _bound_sizes(args, hp, corpus.n_snippets, "the corpus's snippets")
+    V, T = len(corpus.vocabulary), len(corpus.tag_set)
+    try:
+        check_state_sizes(hp, V, T, corpus.n_entities, corpus.n_snippets)
+    except ModelError as exc:
+        raise _size_error(args, ["K", "N"], str(exc), args.corpus) from None
     seeds = None
     if args.seeds:
         seeds = load_seed_lexicon(args.seeds, corpus, default_value_names(hp.N))

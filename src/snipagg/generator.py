@@ -49,15 +49,15 @@ from snipagg.corpus import (
 from snipagg.model import (
     _FLOAT,
     _INDEX,
-    MAX_CELLS,
     Hyperparameters,
     ModelError,
     TopicLayout,
     _blob,
-    _decoded,
+    _field,
     _is_number,
     _read_checked,
     _support,
+    check_cells,
     transition_priors,
     value_prior,
 )
@@ -480,42 +480,15 @@ def load_true_params(path: str) -> dict:
     SyntheticCorpus.true_parameters holds it: the same keys, theta_A,
     phi and psi as per-scope lists of arrays, None for a disabled part.
 
-    Checks the keys exactly, the format and version, each blob's dtype,
-    shape and byte length (model._decoded, before anything is made),
-    that every shape fits the letters, the vocab, the tags, K and N, that
-    theta_A's declared cells are at most MAX_CELLS (before it is made
-    dense) and its support strictly ascending and in range, and that
-    every value is finite and non-negative and every distribution sums
-    to 1 within 1e-9. Any fault raises ModelError naming the file. The
-    unversioned decimal layout (version 1) is refused: re-run generate.
+    Checks the keys exactly, the format and version, and every array
+    through the checker load_state shares (model._field): a shape that
+    fits the letters, the vocab, the tags, K and N, and distributions
+    within 1e-9. theta_A's declared shape goes through check_cells before
+    it is made dense, and its support through model._support. Any fault
+    raises ModelError naming the file. The unversioned decimal layout
+    (version 1) is refused: re-run generate.
     """
     return _read_checked(path, _true_params_from_payload, "true parameters")
-
-
-def _dist(value, shape: Optional[tuple], what: str) -> Optional[np.ndarray]:
-    """The "<f8" blob value as an array of the given shape (None on an
-    axis: at least one row) whose last axis holds distributions; None
-    where the shape is None, as a disabled part is."""
-    if shape is None:
-        if value is not None:
-            raise ModelError(f"{what} is present but the letters or value names disable it")
-        return None
-    arr = _decoded(value, _FLOAT, what)
-    if arr.ndim != len(shape) or any(
-        n < 1 if want is None else n != want for n, want in zip(arr.shape, shape)
-    ):
-        raise ModelError(f"{what} has shape {list(arr.shape)}, expected {list(shape)}")
-    return _distributions(arr, what)
-
-
-def _distributions(arr: np.ndarray, what: str) -> np.ndarray:
-    """arr, once every value is finite and non-negative and every row of
-    its last axis sums to 1 within 1e-9."""
-    if not (np.isfinite(arr) & (arr >= 0.0)).all():
-        raise ModelError(f"{what} has a value that is not finite and non-negative")
-    if (np.abs(arr.sum(axis=-1) - 1.0) > 1e-9).any():
-        raise ModelError(f"{what} has a row that does not sum to 1")
-    return arr
 
 
 def _true_params_from_payload(payload, n_bytes: int) -> dict:
@@ -556,36 +529,22 @@ def _true_params_from_payload(payload, n_bytes: int) -> dict:
     if not (isinstance(shape, list) and len(shape) == 3
             and all(type(x) is int and x >= 1 for x in shape)):
         raise ModelError(f"theta_A shape {shape!r} is not three positive integers")
-    cells = math.prod(shape)
-    if cells > MAX_CELLS:
-        raise ModelError(f"theta_A shape {shape} has {cells} cells, above the size "
-                         f"ceiling ({MAX_CELLS})")
+    check_cells("theta_A shape", *shape)
     scopes, K = shape[0], shape[1]
     if shape[2] != V:
         raise ModelError(f"theta_A shape {shape} does not fit {V} vocab words")
-    what = "theta_A support"
-    support = _support(_decoded(spec["support"], _INDEX, what), cells, what)
-    table = _decoded(spec["table"], _FLOAT, "theta_A table")
-    if table.shape != support.shape:
-        raise ModelError(f"theta_A table has shape {list(table.shape)}, its support "
-                         f"{list(support.shape)}")
-    dense = np.zeros(cells)
-    dense[support] = table
-    theta_a = _distributions(dense.reshape(shape), "theta_A")
+    support = _support(spec["support"], math.prod(shape), "theta_A support")
+    dense = np.zeros(shape)
+    dense.flat[support] = _field(spec["table"], support.shape, "theta_A table")
+    theta_a = _field(dense, tuple(shape), "theta_A", 1e-9)
 
-    psi = _dist(payload["psi"], (None, K), "psi")
+    psi = _field(payload["psi"], (None, K), "psi", 1e-9)
     if scopes not in (1, len(psi)):
         raise ModelError(f"psi has {len(psi)} rows for {scopes} theta_A scopes")
-    phi = _dist(payload["phi"], (scopes, K, N) if N else None, "phi")
+    phi = _field(payload["phi"], (scopes, K, N) if N else None, "phi", 1e-9)
     out = {key: payload[key] for key in _NAMES}
-    out.update(
-        separation=separation,
-        topic_mix=mix,
-        aspect_blocks=blocks,
-        theta_A=list(theta_a),
-        psi=list(psi),
-        phi=None if phi is None else list(phi),
-    )
+    out.update(separation=separation, topic_mix=mix, aspect_blocks=blocks, theta_A=list(theta_a),
+               psi=list(psi), phi=None if phi is None else list(phi))
     for key, want in (
         ("theta_B", (V,)),
         ("theta_I", (V,) if "I" in letters else None),
@@ -594,5 +553,5 @@ def _true_params_from_payload(payload, n_bytes: int) -> dict:
         ("transition_start", (n,)),
         ("transition_main", (n, n + 1)),
     ):
-        out[key] = _dist(payload[key], want, key)
+        out[key] = _field(payload[key], want, key, 1e-9)
     return out

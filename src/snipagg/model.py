@@ -48,11 +48,11 @@ STATE_VERSION = 3
 
 CANONICAL_TOPICS = ("A", "V", "B", "I")
 
-# Ceiling on every size built from declared counts: what `snipagg
-# generate` samples (the vocabulary, the entity list, the snippet count
-# and the cells of the aspect, value and aspect-value tables: entities x
-# K x vocab_size, N x vocab_size and entities x K x N), a clustering
-# scope's similarity matrix, and the prior tables of a state file. The
+# Ceiling on every size built from declared counts, enforced by
+# check_cells before anything is built. Its callers: `snipagg generate`,
+# agglomerative_cluster (a scope's similarity matrix), load_true_params
+# (the dense theta_A) and check_state_sizes (every table of a state, run
+# by `snipagg fit`, build_priors, run_inference and load_state). The
 # reference corpus (300 x 42 snippets, vocab_size 1200, K = 10) has a
 # 3.6M-cell aspect table.
 MAX_CELLS = 10**8
@@ -60,6 +60,15 @@ MAX_CELLS = 10**8
 
 class ModelError(ValueError):
     """Invalid configuration or state."""
+
+
+def check_cells(what: str, *sizes: int) -> None:
+    """Raise ModelError if what, a table of the product of sizes cells,
+    would exceed MAX_CELLS; call it before the table is built."""
+    cells = math.prod(sizes)
+    if cells > MAX_CELLS:
+        product = " x ".join(map(str, sizes)) + f" = {cells}" if len(sizes) > 1 else cells
+        raise ModelError(f"{what} = {product} exceeds the size ceiling ({MAX_CELLS})")
 
 
 def digamma(x):
@@ -673,6 +682,19 @@ def tag_prior(hp: Hyperparameters, layout: TopicLayout, tag_count: int) -> np.nd
     return np.full((layout.n_topics, tag_count), hp.lambda_tag)
 
 
+def check_state_sizes(
+    hp: Hyperparameters, vocab_size: int, tag_count: int, n_entities: int, n_snippets: int
+) -> None:
+    """check_cells on every table of a state of these sizes: qa, qv, the
+    dense priors of a theta_A row, theta_V and eta, and phi's bank."""
+    check_cells("snippets x K", n_snippets, hp.K)
+    check_cells("snippets x N", n_snippets, hp.N)
+    check_cells("K x vocab_size", hp.K, vocab_size)
+    check_cells("N x vocab_size", hp.N, vocab_size)
+    check_cells("topics x tag_count", hp.layout().n_topics if hp.use_pos else 0, tag_count)
+    check_cells("aspect rows x K x N", hp.bank_rows(n_entities)[1], hp.K, hp.N)
+
+
 def _prior_state(
     hp: Hyperparameters,
     vocab_size: int,
@@ -682,7 +704,9 @@ def _prior_state(
 ) -> VariationalState:
     """Every factor at its prior, stacked banks with the row counts of
     hp.bank_rows (one row per entity, one when shared) and theta_A on an
-    empty support, and uniform posteriors."""
+    empty support, and uniform posteriors; sizes above MAX_CELLS are
+    refused first (check_state_sizes)."""
+    check_state_sizes(hp, vocab_size, tag_count, len(token_counts), sum(map(len, token_counts)))
     layout = hp.layout()
     V = vocab_size
     n_psi, n_asp = hp.bank_rows(len(token_counts))
@@ -865,18 +889,34 @@ def save_state(state: VariationalState, path: str) -> None:
     write_json(payload, path)
 
 
-def _array(arr: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """arr, a decoded float array, once it has the given shape and is finite."""
-    if arr.shape != shape:
+def _field(value, shape: Optional[tuple], what: str, tol: Optional[float] = None):
+    """An "<f8" array field of a state or true parameters file: None where
+    shape is None (a part the configuration disables must be null), else
+    decoded (see _decoded; an array built from checked fields is taken as
+    it is) once it has that shape, an axis given as None any length of at
+    least 1, and only finite values; with tol, also only non-negative
+    values and rows (along the last axis) that sum to 1 within tol."""
+    if shape is None:
+        if value is not None:
+            raise ModelError(f"{what} is present but the configuration disables it")
+        return None
+    arr = value if isinstance(value, np.ndarray) else _decoded(value, _FLOAT, what)
+    axes = zip(arr.shape, shape)
+    if arr.ndim != len(shape) or any(n < 1 if w is None else n != w for n, w in axes):
         raise ModelError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ModelError(f"{what} is not finite")
+    if tol is None and not np.isfinite(arr).all():
+        raise ModelError(f"{what} has a value that is not finite")
+    if tol is not None and not (np.isfinite(arr) & (arr >= 0.0)).all():
+        raise ModelError(f"{what} has a value that is not finite and non-negative")
+    if tol is not None and (np.abs(arr.sum(axis=-1) - 1.0) > tol).any():
+        raise ModelError(f"{what} has a row that does not sum to 1")
     return arr
 
 
-def _support(arr: np.ndarray, n_cells: int, what: str) -> np.ndarray:
-    """arr, a decoded index array, once it is flat and strictly ascending
-    in [0, n_cells)."""
+def _support(value, n_cells: int, what: str) -> np.ndarray:
+    """The encoded index array value, decoded (see _decoded), once it is
+    flat and strictly ascending in [0, n_cells)."""
+    arr = _decoded(value, _INDEX, what)
     if arr.ndim != 1:
         raise ModelError(f"{what} is not an array of indices")
     if arr.size and (arr[0] < 0 or arr[-1] >= n_cells or (np.diff(arr) <= 0).any()):
@@ -889,18 +929,13 @@ def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
     the file's support, whose cells then take the file's table. A factor
     the configuration disables must be null."""
     if f is None:
-        if payload is not None:
-            raise ModelError(f"factor {name} is present but the configuration disables it")
-        return
+        return _field(payload, None, f"factor {name}")  # None, or refused
     if not isinstance(payload, dict):
         raise ModelError(f"factor {name} needs a support and a table")
-    what = f"factor {name} support"
-    n_cells = f._n_rows * f._base.shape[-1]
-    support = _support(_decoded(payload["support"], _INDEX, what), n_cells, what)
-    shape = f._base.shape[:-1] + support.shape
+    support = _support(payload["support"], f._n_rows * f._base.shape[-1], f"factor {name} support")
+    table = _field(payload["table"], f._base.shape[:-1] + support.shape, f"factor {name} table")
     cols = f.grow(support)
-    what = f"factor {name} table"
-    f.table[..., cols] = _array(_decoded(payload["table"], _FLOAT, what), shape, what)
+    f.table[..., cols] = table
     f._changed()
     if not (f.table >= f._prior_table).all():
         raise ModelError(f"factor {name} has a concentration below its prior")
@@ -968,29 +1003,19 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     # The posteriors' rows and widths fix the snippet and token counts, K
     # and N. The vocabulary and tag counts may exceed theta_B's and eta's
     # tables (a support may leave cells at their prior), but not the
-    # file's length, as a saved state holds theta_B over every word.
+    # file's length, as a saved state holds theta_B over every word. Then
+    # _prior_state checks the tables, products of those sizes.
     qpay = payload["q"]
     qa = _restore_posteriors(qpay["qa"], "qa", snippet_counts, hp.K, ("snippet_counts", "K"))
-    qv = None
     if hp.N >= 1:
         qv = _restore_posteriors(qpay["qv"], "qv", snippet_counts, hp.N, ("snippet_counts", "N"))
-    elif qpay["qv"] is not None:
-        raise ModelError("qv is present but N = 0")
+    else:
+        qv = _field(qpay["qv"], None, "qv")
     tokens = [sum(row) for row in token_counts]
     qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics, ("token_counts", "topics"))
     for key, size in (("vocab_size", V), ("tag_count", T), ("K", hp.K), ("N", hp.N)):
         if size > n_bytes:
             raise ModelError(f"{key}: {size} is larger than the file ({n_bytes} bytes)")
-    # So are the dense prior tables, products of those sizes.
-    for what, sizes in (
-        ("K x vocab_size", (hp.K, V)),
-        ("N x vocab_size", (hp.N, V)),
-        ("topics x tag_count", (layout.n_topics if hp.use_pos else 0, T)),
-        ("aspect rows x K x N", (hp.bank_rows(len(token_counts))[1], hp.K, hp.N)),
-    ):
-        if math.prod(sizes) > MAX_CELLS:
-            product = " x ".join(map(str, sizes)) + f" = {math.prod(sizes)}"
-            raise ModelError(f"{what} = {product} exceeds the size ceiling ({MAX_CELLS})")
     state = _prior_state(hp, V, T, token_counts, seed_sets)
 
     fpay = payload["factors"]
@@ -1004,16 +1029,14 @@ def load_state(path: str) -> VariationalState:
     """Rebuild a VariationalState from the version 3 JSON that save_state
     writes. Versions 1 and 2 are refused: re-run fit.
 
-    Checks the keys, every encoded array (see _decoded) and its shape,
-    that all numbers are finite, that the posterior rows are
-    distributions, that each factor's support is strictly ascending and
-    in range and that no concentration is below its prior; any fault
-    raises ModelError naming the file. Every size the prior state
-    allocates is checked first, against the posteriors' rows and widths
-    and the file's length, and each dense prior table's cells against
-    MAX_CELLS, so a huge declared count fails before anything is
-    allocated. Each factor grows its prior support (every pair, none for
-    theta_A) by the file's support.
+    Checks the keys, each factor's support (_support) and table (_field,
+    shared with load_true_params), that no concentration is below its
+    prior and that the posterior rows are finite distributions. Every
+    size is checked before anything is allocated: against the posteriors'
+    rows and widths, the file's length and MAX_CELLS (check_state_sizes).
+    Any fault raises ModelError naming the file (and, for a posterior,
+    the entity). Each factor grows its prior support (every pair, none
+    for theta_A) by the file's support.
     """
     return _read_checked(path, _state_from_payload, "state")
 

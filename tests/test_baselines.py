@@ -16,7 +16,7 @@ from snipagg.baselines import (
     tfidf_vectors,
 )
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
-from snipagg.generator import MAX_CELLS
+from snipagg.model import MAX_CELLS
 
 THE, PIZZA, CRUST, BEER, WINE = range(5)
 DT, NN, NNS, JJ = range(4)
@@ -251,6 +251,7 @@ def test_agglomerative_refuses_a_scope_above_the_cell_ceiling():
     vocab, tags = Indexer(["x"]), Indexer(["NN"])
     group = [Snippet(0, f"s{i}", [Token(0, 0)]) for i in range(n)]
     corpus = Corpus(["e0"], [group], vocab, tags)
-    message = f"scope 'corpus' has {n} snippets: its similarity matrix of {n * n} cells"
+    message = (f"scope 'corpus' has {n} snippets: its similarity matrix = {n} x {n} = {n * n} "
+               "exceeds")
     with pytest.raises(BaselineError, match=message):
         cluster_snippets(corpus, 2, per_entity=False)

@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from snipagg import cli, inference
+from snipagg import cli, inference, model
 from snipagg.cli import RunManifest, main
+from snipagg.corpus import load_corpus
 from snipagg.model import load_state
 from statefile import _recode, write_one_snippet_state
 
@@ -794,6 +795,51 @@ def test_fit_takes_as_many_aspects_as_the_corpus_has_snippets(workspace, tmp_pat
         captured = capsys.readouterr()
         assert code == want, captured.err
     assert "K = 25 exceeds the corpus's snippets (24)" in captured.err
+
+
+def test_fit_refuses_a_posterior_above_the_cell_ceiling_at_once(tmp_path, capsys):
+    # K = 10,001 on 10,001 one-token snippets: q(Z_A) alone would be
+    # 10,001 x 10,001 cells. The check runs right after the corpus is read.
+    n = 10_001
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"s{i}", "entity": "e0", "tokens": [["x", "NN"]]}) + "\n"
+        for i in range(n)
+    ))
+    out = tmp_path / "fit"
+    t0 = time.perf_counter()
+    code = main(["-q", "fit", "--corpus", str(corpus), "--out", str(out),
+                 "--set", f"K={n}", "--set", "max_iters=1"])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: --set: snippets x K = {n} x {n} = {n * n} exceeds the size "
+                   f"ceiling ({cli.MAX_CELLS})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["--set", "--config", "corpus"])
+def test_fit_refuses_a_state_that_load_state_would_refuse(
+    workspace, tmp_path, capsys, monkeypatch, source
+):
+    # A lower ceiling stands in for a vocabulary of millions of words: with
+    # K = 10 on 24 snippets, K x vocab_size is the one table above it. The
+    # error names where K came from: --set exits 2, a file exits 3.
+    data, _ = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+    V = len(load_corpus(corpus).vocabulary)
+    monkeypatch.setattr(model, "MAX_CELLS", 10 * V - 1)
+    config = tmp_path / "model.cfg"
+    config.write_text("K = 10\n")
+    args = {"--set": ["--set", "K=10"], "--config": ["--config", str(config)], "corpus": []}
+    out = tmp_path / "refit"
+    code = main(["-q", "fit", "--corpus", corpus, "--out", str(out), *args[source]])
+    err = capsys.readouterr().err
+    blamed = {"--set": "--set", "--config": str(config), "corpus": corpus}[source]
+    assert code == (2 if source == "--set" else 3)
+    assert err == (f"error: {blamed}: K x vocab_size = 10 x {V} = {10 * V} exceeds the size "
+                   f"ceiling ({10 * V - 1})\n")
+    assert not out.exists()
 
 
 def test_generate_rejects_negative_seed(tmp_path, capsys):

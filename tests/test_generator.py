@@ -470,9 +470,13 @@ def test_true_params_round_trip_exactly(
                         seed_words_per_value=1 if n_values else 0)
     mix = [1.0 + k for k in range(hp.layout().n_topics)] if with_mix else None
     syn = make_separable(hp, shape, separation, seed, mix)
-    path = str(tmp_path_factory.mktemp("p") / "true_params.json")
-    save_true_params(syn.true_parameters, path)
-    assert_identical(load_true_params(path), syn.true_parameters)
+    path = tmp_path_factory.mktemp("p") / "true_params.json"
+    save_true_params(syn.true_parameters, str(path))
+    loaded = load_true_params(str(path))
+    assert_identical(loaded, syn.true_parameters)
+    again = path.with_name("again.json")
+    save_true_params(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _decode(blob):
@@ -530,7 +534,7 @@ MALFORMED_TRUE_PARAMS = {
     "negative": (_edit_blob("transition_main", lambda a: a.__setitem__((0, 0), -0.5)),
                  "transition_main has a value that is not finite and non-negative"),
     "wrong shape": (lambda p: p.update(transition_start=_encode(np.ones(1))),
-                    r"transition_start has shape \[1\], expected \[4\]"),
+                    r"transition_start has shape \(1,\), expected \(4,\)"),
     "disabled part present": (lambda p: p.update(topic_letters=["A", "V", "B"]),
                               "theta_I is present but"),
     "letters and value names": (lambda p: p.update(value_names=[]),
@@ -574,7 +578,8 @@ def test_load_true_params_refuses_a_huge_theta_a_before_allocating(true_params_f
     path.write_text(json.dumps(payload))
     tracemalloc.start()
     try:
-        with pytest.raises(ModelError, match="1000000000 cells, above the size ceiling"):
+        message = "theta_A shape = 1 x 100000 x 10000 = 1000000000 exceeds the size ceiling"
+        with pytest.raises(ModelError, match=message):
             load_true_params(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

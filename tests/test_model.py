@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from snipagg import model
 from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
+from snipagg.generator import CorpusShape, load_true_params, make_separable, save_true_params
 from snipagg.inference import (
     UpdateContext,
     compute_free_energy,
@@ -693,8 +695,20 @@ def test_load_state_refuses_prior_tables_above_the_cell_ceiling(tmp_path, sizes,
     payload, path = _state_payload(tmp_path)
     write_one_snippet_state(payload, path, **sizes)
     message = f"{product} exceeds the size ceiling (100000000)"
-    with pytest.raises(ModelError, match=f"^{re.escape(f'{path}: {message}')}$"):
-        load_state(str(path))
+    # The refusal allocates under 10 MB beyond what parsing the file's JSON
+    # takes: the padded text alone peaks near 10 MB, and the 10^5 seed
+    # lists of an N = 10^5 file take a few MB more.
+    tracemalloc.start()
+    try:
+        json.loads(path.read_text())
+        parse_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ModelError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_state(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < parse_peak + 10 * 2**20
 
 
 def test_load_state_bounds_the_tag_table(tmp_path, monkeypatch):
@@ -710,6 +724,79 @@ def test_load_state_bounds_the_tag_table(tmp_path, monkeypatch):
     payload["factors"]["eta"] = None
     path.write_text(json.dumps(dict(payload, tag_count=10)))
     assert load_state(str(path)).eta is None
+
+
+@pytest.mark.parametrize("build", [build_priors, init_state, run_inference])
+def test_a_state_above_the_ceiling_is_refused_before_it_is_built(monkeypatch, build):
+    # toy_corpus has 4 snippets: q(Z_A) with K = 3 is 12 cells.
+    monkeypatch.setattr(model, "MAX_CELLS", 11)
+    message = r"^snippets x K = 4 x 3 = 12 exceeds the size ceiling \(11\)$"
+    with pytest.raises(ModelError, match=message):
+        build(Hyperparameters(K=3, N=2), toy_corpus())
+
+
+def _nan_at(index):
+    return lambda a: _with(a, index, math.nan)
+
+
+ETA, TA_TABLE = ("factors", "eta", "table"), ("theta_A", "table")
+# One fault of each kind in a field of each file: a wrong shape, a NaN, a
+# part the configuration disables that is present, and a declared size
+# above a lowered ceiling, with the message each reader gives after
+# "<path>: ". The factor tables and the true parameters go through one
+# checker (model._field) and every ceiling through check_cells, so both
+# files word a fault alike; the posterior qa keeps its per-entity wording.
+# qa and theta_A are never disabled, and a dense true parameter declares
+# no size of its own (its bytes bound it).
+FIELD_FAULTS = {
+    "state-eta-shape": ("state", _recode(ETA, lambda a: a[:, :-1]), None,
+                        "factor eta table has shape (4, 1), expected (4, 2)"),
+    "state-eta-nan": ("state", _recode(ETA, _nan_at((0, 0))), None,
+                      "factor eta table has a value that is not finite"),
+    "state-eta-disabled": ("state", lambda p: p["hyperparameters"].update(use_pos=False), None,
+                           "factor eta is present but the configuration disables it"),
+    "state-eta-ceiling": ("state", lambda p: p.update(tag_count=10), 20,
+                          "topics x tag_count = 4 x 10 = 40 exceeds the size ceiling (20)"),
+    "state-qa-shape": ("state", _recode(QA, lambda a: a[:-1]), None,
+                       "qa needs 4 rows (snippet_counts)"),
+    "state-qa-nan": ("state", _recode(QA, _nan_at((2, 0))), None, "qa[1] is not finite"),
+    "state-qa-ceiling": ("state", lambda p: None, 11,
+                         "snippets x K = 4 x 3 = 12 exceeds the size ceiling (11)"),
+    "true-theta_I-shape": ("true", _recode(("theta_I",), lambda a: a[:-1]), None,
+                           "theta_I has shape (19,), expected (20,)"),
+    "true-theta_I-nan": ("true", _recode(("theta_I",), _nan_at(0)), None,
+                         "theta_I has a value that is not finite and non-negative"),
+    "true-theta_I-disabled": ("true", lambda p: p.update(topic_letters=["A", "V", "B"]), None,
+                              "theta_I is present but the configuration disables it"),
+    "true-theta_A-shape": ("true", _recode(TA_TABLE, lambda a: a[:-1]), None,
+                           "theta_A table has shape (39,), expected (40,)"),
+    "true-theta_A-nan": ("true", _recode(TA_TABLE, _nan_at(0)), None,
+                         "theta_A table has a value that is not finite"),
+    "true-theta_A-ceiling": ("true", lambda p: None, 79,
+                             "theta_A shape = 2 x 2 x 20 = 80 exceeds the size ceiling (79)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_FAULTS))
+def test_both_files_word_a_field_fault_alike(tmp_path, monkeypatch, case):
+    kind, edit, ceiling, message = FIELD_FAULTS[case]
+    path = tmp_path / "f.json"
+    if kind == "state":
+        save_state(fit_like_state()[1], str(path))
+        load = load_state
+    else:
+        hp = Hyperparameters(K=2, N=2, use_ignore=True)
+        syn = make_separable(hp, CorpusShape(2, 4, mean_words=5.0, vocab_size=20), 1.0, 3)
+        save_true_params(syn.true_parameters, str(path))
+        load = load_true_params
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    if ceiling is not None:
+        monkeypatch.setattr(model, "MAX_CELLS", ceiling)
+    with pytest.raises(ModelError) as exc:
+        load(str(path))
+    assert str(exc.value) == f"{path}: {message}"
 
 
 FACTOR_NAMES = (
