@@ -32,7 +32,6 @@ theta_A on its non-zero cells. load_true_params reads it back, checked.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -47,17 +46,14 @@ from snipagg.corpus import (
     default_value_names,
 )
 from snipagg.model import (
-    _FLOAT,
-    _INDEX,
+    _TRUE_FIELDS,
     Hyperparameters,
     ModelError,
-    TopicLayout,
-    _blob,
+    _encoded,
     _field,
-    _is_number,
+    _read_arrays,
     _read_checked,
-    _support,
-    check_cells,
+    _read_json,
     transition_priors,
     value_prior,
 )
@@ -423,41 +419,23 @@ def aspect_vocabularies_disjoint(syn: SyntheticCorpus) -> bool:
 
 TRUE_PARAMS_FORMAT = "snipagg-true-params"
 TRUE_PARAMS_VERSION = 2
-# The dense arrays of the true parameters, each one "<f8" blob; psi and
-# phi are per-scope lists, stacked over scopes.
-_DENSE = ("theta_B", "theta_I", "theta_V", "eta", "transition_start", "transition_main")
-_STACKED = ("psi", "phi")
-_NAMES = ("topic_letters", "value_names", "vocab", "tags")
-_TRUE_KEYS = {
-    "format", "version", "separation", "topic_mix", "aspect_blocks", "theta_A",
-    *_DENSE, *_STACKED, *_NAMES,
-}
-_THETA_A_KEYS = {"shape", "support", "table"}
 
 
 def save_true_params(true_parameters: dict, path: str) -> None:
-    """Write SyntheticCorpus.true_parameters as true_params.json, version 2.
+    """Write SyntheticCorpus.true_parameters as true_params.json, version 2:
+    the fields of model._TRUE_FIELDS, written by model._encoded, plus
+    format and version.
 
-    Every array goes through the state file's codec (model._blob): its
-    dtype, shape and the base64 of its little-endian bytes, so the file
-    holds the values exactly. theta_B, theta_I, theta_V, eta and both
-    transition tables are one "<f8" blob each, psi and phi one blob
-    stacked over scopes, and a disabled part is null. theta_A is kept on
-    its non-zero cells, as the model's factors keep theirs:
-    {"shape": [scopes, K, V], "support": "<i8" flat indices into that
-    shape, strictly ascending, "table": "<f8" value of each}, built scope
-    by scope, so no dense copy of the whole bank is made. At separation 1
-    about 90% of theta_A's cells are zero; at separation 0 none is, and
-    the support doubles the binary bytes, still no more than the decimal
-    text of version 1. Names, separation, topic_mix and aspect_blocks
-    stay plain JSON. load_true_params reads the file back.
+    Every array goes through the state file's codec (model._blob), so the
+    file holds the values exactly; psi and phi are stacked over scopes.
+    theta_A is kept on its non-zero cells, as the model's factors keep
+    theirs, built scope by scope, so no dense copy of the whole bank is
+    made. At separation 1 about 90% of theta_A's cells are zero; at
+    separation 0 none is, and the support doubles the binary bytes, still
+    no more than the decimal text of version 1. load_true_params reads the
+    file back.
     """
-    payload = dict(true_parameters, format=TRUE_PARAMS_FORMAT, version=TRUE_PARAMS_VERSION)
-    for key in _DENSE + _STACKED:
-        value = true_parameters[key]
-        if value is not None:
-            payload[key] = _blob(np.stack(value) if key in _STACKED else value, _FLOAT)
-    theta_a = true_parameters["theta_A"]
+    theta_a, phi = true_parameters["theta_A"], true_parameters["phi"]
     cells = theta_a[0].size
     # Filled in place, so the support and table exist once, not also as
     # per-scope pieces.
@@ -467,12 +445,12 @@ def save_true_params(true_parameters: dict, path: str) -> None:
         idx = np.flatnonzero(t)
         support[ends[s]:ends[s + 1]] = s * cells + idx
         table[ends[s]:ends[s + 1]] = t.ravel()[idx]
-    payload["theta_A"] = {
-        "shape": [len(theta_a), *theta_a[0].shape],
-        "support": _blob(support, _INDEX),
-        "table": _blob(table, _FLOAT),
-    }
-    write_json(payload, path)
+    shape = [len(theta_a), *theta_a[0].shape]
+    values = dict(true_parameters, psi=np.stack(true_parameters["psi"]),
+                  phi=None if phi is None else np.stack(phi),
+                  theta_A={"shape": shape, "support": support, "table": table})
+    payload = _encoded(_TRUE_FIELDS, values)
+    write_json(dict(payload, format=TRUE_PARAMS_FORMAT, version=TRUE_PARAMS_VERSION), path)
 
 
 def load_true_params(path: str) -> dict:
@@ -480,13 +458,13 @@ def load_true_params(path: str) -> dict:
     SyntheticCorpus.true_parameters holds it: the same keys, theta_A,
     phi and psi as per-scope lists of arrays, None for a disabled part.
 
-    Checks the keys exactly, the format and version, and every array
-    through the checker load_state shares (model._field): a shape that
-    fits the letters, the vocab, the tags, K and N, and distributions
-    within 1e-9. theta_A's declared shape goes through check_cells before
-    it is made dense, and its support through model._support. Any fault
-    raises ModelError naming the file. The unversioned decimal layout
-    (version 1) is refused: re-run generate.
+    Reads the fields of model._TRUE_FIELDS as load_state reads its own:
+    the key sets exactly, each plain-JSON field through its checker (the
+    letters must fit the value names, theta_A's shape the vocab and
+    MAX_CELLS before it is made dense), then every array through
+    model._field, distributions within 1e-9. Any fault raises ModelError
+    naming the file. The unversioned decimal layout (version 1) is
+    refused: re-run generate.
     """
     return _read_checked(path, _true_params_from_payload, "true parameters")
 
@@ -498,60 +476,19 @@ def _true_params_from_payload(payload, n_bytes: int) -> dict:
         raise ModelError("not a true parameters file")
     if type(payload["version"]) is not int or payload["version"] != TRUE_PARAMS_VERSION:
         raise ModelError(f"unsupported true parameters version {payload['version']!r}")
-    if payload.keys() != _TRUE_KEYS:
-        missing, unknown = sorted(_TRUE_KEYS - payload.keys()), sorted(payload.keys() - _TRUE_KEYS)
-        raise ModelError(f"missing keys {missing}, unknown keys {unknown}")
-    for key in _NAMES:
-        if not isinstance(payload[key], list) or not all(isinstance(x, str) for x in payload[key]):
-            raise ModelError(f"{key} is not a list of strings")
-    letters, vocab = payload["topic_letters"], payload["vocab"]
-    N, V, n = len(payload["value_names"]), len(vocab), len(letters)
-    if tuple(letters) != TopicLayout.for_config(N, "I" in letters).letters:
-        raise ModelError(f"topic_letters {letters} do not fit {N} value names")
-    separation, mix = payload["separation"], payload["topic_mix"]
-    if not (_is_number(separation) and 0.0 <= separation <= 1.0):
-        raise ModelError(f"separation {separation!r} is not a number in [0, 1]")
-    if mix is not None and not (
-        isinstance(mix, list) and len(mix) == n
-        and all(_is_number(x) and 0.0 <= x < math.inf for x in mix)
-    ):
-        raise ModelError(f"topic_mix is neither null nor {n} finite non-negative numbers")
-    blocks = payload["aspect_blocks"]
-    if not isinstance(blocks, list) or not all(
-        isinstance(b, list) and all(type(w) is int and 0 <= w < V for w in b) for b in blocks
-    ):
-        raise ModelError(f"aspect_blocks is not a list of lists of word indices below {V}")
-
-    spec = payload["theta_A"]
-    if not isinstance(spec, dict) or spec.keys() != _THETA_A_KEYS:
-        raise ModelError(f"theta_A needs exactly the keys {sorted(_THETA_A_KEYS)}")
-    shape = spec["shape"]
-    if not (isinstance(shape, list) and len(shape) == 3
-            and all(type(x) is int and x >= 1 for x in shape)):
-        raise ModelError(f"theta_A shape {shape!r} is not three positive integers")
-    check_cells("theta_A shape", *shape)
-    scopes, K = shape[0], shape[1]
-    if shape[2] != V:
-        raise ModelError(f"theta_A shape {shape} does not fit {V} vocab words")
-    support = _support(spec["support"], math.prod(shape), "theta_A support")
+    got = _read_json(_TRUE_FIELDS, payload)
+    letters, shape = got["topic_letters"], got["theta_A"]
+    n = len(letters)
+    sizes = {
+        "vocab": len(got["vocab"]), "tags": len(got["tags"]), "roles": n, "ends": n + 1,
+        "N": len(got["value_names"]), "scopes": shape[0], "K": shape[1], "ignore": "I" in letters,
+    }
+    out = dict(got, **_read_arrays(_TRUE_FIELDS, payload, sizes))
     dense = np.zeros(shape)
-    dense.flat[support] = _field(spec["table"], support.shape, "theta_A table")
-    theta_a = _field(dense, tuple(shape), "theta_A", 1e-9)
-
-    psi = _field(payload["psi"], (None, K), "psi", 1e-9)
-    if scopes not in (1, len(psi)):
-        raise ModelError(f"psi has {len(psi)} rows for {scopes} theta_A scopes")
-    phi = _field(payload["phi"], (scopes, K, N) if N else None, "phi", 1e-9)
-    out = {key: payload[key] for key in _NAMES}
-    out.update(separation=separation, topic_mix=mix, aspect_blocks=blocks, theta_A=list(theta_a),
-               psi=list(psi), phi=None if phi is None else list(phi))
-    for key, want in (
-        ("theta_B", (V,)),
-        ("theta_I", (V,) if "I" in letters else None),
-        ("theta_V", (N, V) if N else None),
-        ("eta", (n, len(payload["tags"]))),
-        ("transition_start", (n,)),
-        ("transition_main", (n, n + 1)),
-    ):
-        out[key] = _field(payload[key], want, key, 1e-9)
+    dense.flat[out["theta_A"]["support"]] = out["theta_A"]["table"]
+    psi, phi = out["psi"], out["phi"]
+    if shape[0] not in (1, len(psi)):
+        raise ModelError(f"psi has {len(psi)} rows for {shape[0]} theta_A scopes")
+    out.update(theta_A=list(_field(dense, tuple(shape), "theta_A", 1e-9)), psi=list(psi),
+               phi=None if phi is None else list(phi))
     return out

@@ -34,7 +34,7 @@ import logging
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -701,20 +701,16 @@ def _prior_state(
     tag_count: int,
     token_counts: list[list[int]],
     seed_sets: list[list[int]],
+    q: dict,
 ) -> VariationalState:
     """Every factor at its prior, stacked banks with the row counts of
     hp.bank_rows (one row per entity, one when shared) and theta_A on an
-    empty support, and uniform posteriors; sizes above MAX_CELLS are
-    refused first (check_state_sizes)."""
-    check_state_sizes(hp, vocab_size, tag_count, len(token_counts), sum(map(len, token_counts)))
+    empty support, holding the posteriors q ({"qa", "qv", "qw"}). The
+    caller has refused sizes above MAX_CELLS (check_state_sizes)."""
     layout = hp.layout()
     V = vocab_size
     n_psi, n_asp = hp.bank_rows(len(token_counts))
     start, main = transition_priors(hp, layout)
-
-    def uniform(rows, width):
-        return np.full((rows, width), 1.0 / width)
-
     return VariationalState(
         hp=hp,
         layout=layout,
@@ -731,10 +727,8 @@ def _prior_state(
         theta_V=DirichletFactor(value_prior(hp, V, seed_sets)) if hp.N else None,
         theta_I=DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None,
         eta=DirichletFactor(tag_prior(hp, layout, tag_count)) if hp.use_pos else None,
-        qa=[uniform(len(row), hp.K) for row in token_counts],
-        qv=[uniform(len(row), hp.N) for row in token_counts] if hp.N else None,
-        qw=[uniform(sum(row), layout.n_topics) for row in token_counts],
         seed_sets=seed_sets,
+        **q,
     )
 
 
@@ -747,7 +741,8 @@ def build_priors(
 
     Extracting parameter means from the result reproduces the prior
     means exactly. Raises ModelError when seeds are supplied with N = 0
-    or name more value types than N.
+    or name more value types than N, and for sizes above MAX_CELLS
+    (check_state_sizes) before anything is built.
     """
     hp.validate()
     seed_sets: list[list[int]] = [[] for _ in range(hp.N)]
@@ -760,9 +755,15 @@ def build_priors(
             )
         for v, s in enumerate(seeds.seed_words):
             seed_sets[v] = sorted(s)
-    return _prior_state(
-        hp, len(corpus.vocabulary), len(corpus.tag_set), corpus.token_counts(), seed_sets
-    )
+    V, T, counts = len(corpus.vocabulary), len(corpus.tag_set), corpus.token_counts()
+    check_state_sizes(hp, V, T, len(counts), corpus.n_snippets)
+    n = hp.layout().n_topics
+    q = {
+        "qa": [np.full((len(row), hp.K), 1.0 / hp.K) for row in counts],
+        "qv": [np.full((len(row), hp.N), 1.0 / hp.N) for row in counts] if hp.N else None,
+        "qw": [np.full((sum(row), n), 1.0 / n) for row in counts],
+    }
+    return _prior_state(hp, V, T, counts, seed_sets, q)
 
 
 def init_state(
@@ -790,22 +791,16 @@ def init_state(
     return state
 
 
-# The state attributes of the factors, which name them in the state file.
-_FACTOR_KEYS = (
-    "theta_B", "trans_start", "trans_main", "theta_V", "theta_I", "eta", "psi", "theta_A", "phi"
-)
-
-
-# The dtype of each kind of array in a version 3 state file: supports
-# hold indices, tables and posteriors concentrations and probabilities.
+# The dtype of each kind of encoded array: supports hold indices, tables
+# and posteriors concentrations and probabilities.
 _INDEX, _FLOAT = "<i8", "<f8"
 _BLOB_KEYS = {"data", "dtype", "shape"}
 
 
 def _blob(a: np.ndarray, dtype: str) -> dict:
-    """An array as a version 3 state file holds it: its dtype, its shape
-    and its little-endian C-order bytes, which write_json writes as their
-    base64 in bounded pieces."""
+    """An array as a state or true parameters file holds it: its dtype,
+    its shape and its little-endian C-order bytes, which write_json writes
+    as their base64 in bounded pieces."""
     a = np.ascontiguousarray(a, dtype=dtype)
     data = memoryview(a.reshape(-1).view(np.uint8))
     return {"dtype": dtype, "shape": list(a.shape), "data": data}
@@ -837,12 +832,6 @@ def _decoded(value, dtype: str, what: str) -> np.ndarray:
         raise ModelError(f"{what}: {exc}") from None
 
 
-def _factor_payload(f: Optional[DirichletFactor]):
-    if f is None:
-        return None
-    return {"support": _blob(f.support, _INDEX), "table": _blob(f.table, _FLOAT)}
-
-
 def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
     """Per-entity (rows_i, width) arrays as one packed (sum of rows_i,
     width) array, entities in order."""
@@ -853,40 +842,6 @@ def row_views(packed: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
     """The per-entity views of a packed array: entity i owns rows
     bounds[i]:bounds[i+1]."""
     return [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def save_state(state: VariationalState, path: str) -> None:
-    """Serialize a state to versioned JSON (version 3), atomically.
-
-    Every factor is written as it is held, {"support": flat (bank row,
-    element) indices, "table": concentration of each support cell}, and
-    each posterior as one packed array over the corpus, qa (S, K), qv
-    (S, N) and qw (T, n), whose per-entity bounds token_counts gives.
-    Each of these arrays is an object {"dtype", "shape", "data"}: "<i8"
-    for a support, "<f8" for the rest, and the base64 of its
-    little-endian C-order bytes. The IEEE-754 bytes are the values
-    exactly, so a load is exact and a load followed by a save reproduces
-    the file byte for byte. The counts, seed sets and hyperparameters
-    stay plain JSON.
-    """
-    payload = {
-        "format": STATE_FORMAT,
-        "version": STATE_VERSION,
-        "hyperparameters": hp_to_json(state.hp),
-        "topics": list(state.layout.letters),
-        "vocab_size": state.vocab_size,
-        "tag_count": state.tag_count,
-        "snippet_counts": state.snippet_counts,
-        "token_counts": state.token_counts,
-        "seed_sets": [list(s) for s in state.seed_sets],
-        "factors": {name: _factor_payload(getattr(state, name)) for name in _FACTOR_KEYS},
-        "q": {
-            "qa": _blob(stack_rows(state.qa, state.hp.K), _FLOAT),
-            "qv": None if state.qv is None else _blob(stack_rows(state.qv, state.hp.N), _FLOAT),
-            "qw": _blob(stack_rows(state.qw, state.layout.n_topics), _FLOAT),
-        },
-    }
-    write_json(payload, path)
 
 
 def _field(value, shape: Optional[tuple], what: str, tol: Optional[float] = None):
@@ -924,56 +879,302 @@ def _support(value, n_cells: int, what: str) -> np.ndarray:
     return arr
 
 
-def _restore_factor(f: Optional[DirichletFactor], payload, name: str) -> None:
-    """Set a prior factor to the file's posterior: its support grows by
-    the file's support, whose cells then take the file's table. A factor
-    the configuration disables must be null."""
-    if f is None:
-        return _field(payload, None, f"factor {name}")  # None, or refused
-    if not isinstance(payload, dict):
-        raise ModelError(f"factor {name} needs a support and a table")
-    support = _support(payload["support"], f._n_rows * f._base.shape[-1], f"factor {name} support")
-    table = _field(payload["table"], f._base.shape[:-1] + support.shape, f"factor {name} table")
-    cols = f.grow(support)
-    f.table[..., cols] = table
-    f._changed()
-    if not (f.table >= f._prior_table).all():
-        raise ModelError(f"factor {name} has a concentration below its prior")
-
-
-def _count(value, key: str, least: int = 0) -> int:
-    """A JSON integer of at least `least` (a bool is not one) read from
-    the state file's `key`."""
-    if type(value) is not int or value < least:
-        raise ModelError(f"{key}: {value!r} is not an integer of at least {least}")
-    return value
-
-
-def _restore_posteriors(
-    payload, name: str, rows: list[int], width: int, sizes: tuple[str, str]
-) -> list[np.ndarray]:
-    """The file's posteriors of each entity, views of one packed (sum of
-    rows, width) array with rows[i] rows of entity i. A fault names the
-    entity, as name[i]; a wrong row count or row width also names the
-    field that set it (sizes: the rows' and the width's)."""
+def _posteriors(value, what: str, entry, sizes: dict) -> list[np.ndarray]:
+    """The posteriors of each entity, views of one packed (sum of rows,
+    width) array with rows[i] rows of entity i, each row a distribution
+    within entry.tol, for the sizes rows and width that entry.shape names.
+    A fault names the entity, as what[i]; a wrong row count or row width
+    also names the size that set it."""
+    names = entry.shape
+    rows, width = (sizes[n] for n in names)
     n = sum(rows)  # exact, where an int64 sum of huge declared counts would wrap
-    q = _decoded(payload, _FLOAT, name)
+    q = _decoded(value, _FLOAT, what)
     if q.ndim == 0 or len(q) != n:
-        raise ModelError(f"{name} needs {n} rows ({sizes[0]})")
+        raise ModelError(f"{what} needs {n} rows ({names[0]})")
     bounds = np.concatenate(([0], np.cumsum(rows, dtype=np.int64)))
 
     def entity(row) -> int:
         return int(np.searchsorted(bounds, row, side="right")) - 1
 
     if q.shape != (n, width):  # every row is the wrong width, the first included
-        raise ModelError(f"{name}[{entity(0)}] has a row that is not {width} numbers ({sizes[1]})")
+        raise ModelError(f"{what}[{entity(0)}] has a row that is not {width} numbers ({names[1]})")
     finite = np.isfinite(q).all(axis=1)
     if not finite.all():
-        raise ModelError(f"{name}[{entity(finite.argmin())}] is not finite")
-    bad = (q < 0.0).any(axis=1) | (np.abs(q.sum(axis=1) - 1.0) > 1e-6)
+        raise ModelError(f"{what}[{entity(finite.argmin())}] is not finite")
+    bad = (q < 0.0).any(axis=1) | (np.abs(q.sum(axis=1) - 1.0) > entry.tol)
     if bad.any():
-        raise ModelError(f"{name}[{entity(bad.argmax())}] rows are not probability distributions")
+        raise ModelError(f"{what}[{entity(bad.argmax())}] rows are not probability distributions")
     return row_views(q, bounds)
+
+
+# A file format is one table: each key maps to an _Array, a _Pair, a
+# plain-JSON value's checker, check(value, key, got) -> value with got
+# the values checked before it, or a dict, a nested object. Shapes are in
+# named sizes, which the format's reader works out from its plain-JSON
+# fields; None is an axis of any length of at least 1. _encoded writes a
+# file from its table, _read_json and _read_arrays read it back.
+
+
+class _Array(NamedTuple):
+    """An encoded "<f8" array (_field), null where the size or flag `when`
+    is 0 or false, with tol rows that are distributions. With a list of
+    rows per entity as its first size it holds every entity's posteriors
+    (_posteriors)."""
+
+    shape: tuple
+    when: Optional[str] = None
+    tol: Optional[float] = None
+
+
+class _Pair(NamedTuple):
+    """{"support": "<i8" flat indices into the product of the sizes cells,
+    strictly ascending, "table": "<f8" of shape lead + (P,) for P support
+    cells}, null where `when` is 0 or false. With shape, the object also
+    holds "shape", plain JSON that shape checks."""
+
+    cells: tuple
+    lead: tuple = ()
+    when: Optional[str] = None
+    shape: Optional[Callable] = None
+
+    @property
+    def keys(self) -> set:
+        return {"support", "table"} | ({"shape"} if self.shape else set())
+
+
+def _check_keys(table: dict, payload: dict, where: str = "") -> None:
+    """Refuse payload, or an object or pair in it, whose keys are not
+    exactly its table's; a nested one's fault names it."""
+    missing, unknown = sorted(table.keys() - payload.keys()), sorted(payload.keys() - table.keys())
+    if missing or unknown:
+        raise ModelError(f"{where}missing keys {missing}, unknown keys {unknown}")
+    for key, entry in table.items():
+        if isinstance(entry, dict):
+            _check_keys(entry, payload[key], f"{where}{key}: ")
+        elif isinstance(entry, _Pair) and isinstance(payload[key], dict):
+            _check_keys(dict.fromkeys(entry.keys), payload[key], f"{where}{key}: ")
+
+
+def _read_json(table: dict, payload: dict) -> dict:
+    """The plain-JSON fields of table, and a pair's shape, checked in
+    table order once every key set of payload is (format and version
+    besides the table's keys at the top)."""
+    _check_keys(dict(table, format=None, version=None), payload)
+    got: dict = {}
+    for key, entry in table.items():
+        if callable(entry):
+            got[key] = entry(payload[key], key, got)
+        elif isinstance(entry, _Pair) and entry.shape:
+            shape = payload[key]["shape"] if isinstance(payload[key], dict) else None
+            got[key] = entry.shape(shape, f"{key} shape", got)
+    return got
+
+
+def _read_arrays(table: dict, payload: dict, sizes: dict, names: str = "") -> dict:
+    """Each array and pair of table (not of a nested object) decoded from
+    payload and checked against the named sizes, by key, a fault naming
+    it as names + key: None for a part the configuration disables, a pair
+    as {"support", "table"}."""
+    out = {}
+    for key, entry in table.items():
+        what, value = names + key, payload[key]
+        if not isinstance(entry, (_Array, _Pair)):
+            continue
+        if entry.when is not None and not sizes[entry.when]:
+            out[key] = _field(value, None, what)  # None, or refused
+        elif isinstance(entry, _Pair):
+            if not isinstance(value, dict):
+                raise ModelError(f"{what} needs a support and a table")
+            n_cells = math.prod(sizes[n] for n in entry.cells)
+            support = _support(value["support"], n_cells, f"{what} support")
+            shape = tuple(sizes[n] for n in entry.lead) + support.shape
+            out[key] = {"support": support, "table": _field(value["table"], shape, f"{what} table")}
+        elif isinstance(sizes.get(entry.shape[0]), list):
+            out[key] = _posteriors(value, what, entry, sizes)
+        else:
+            shape = tuple(None if n is None else sizes[n] for n in entry.shape)
+            out[key] = _field(value, shape, what, entry.tol)
+    return out
+
+
+def _encoded(table: dict, values: dict) -> dict:
+    """values, table's fields by key as held in memory, as the file holds
+    them: an array, and a pair's support and table, encoded (_blob); null
+    and plain JSON as they are."""
+    out = {}
+    for key, entry in table.items():
+        value = values[key]
+        if isinstance(entry, dict):
+            value = _encoded(entry, value)
+        elif isinstance(entry, _Pair) and value is not None:
+            value = {k: value[k] for k in entry.keys}
+            value.update(support=_blob(value["support"], _INDEX), table=_blob(value["table"], _FLOAT))
+        elif isinstance(entry, _Array) and value is not None:
+            value = _blob(value, _FLOAT)
+        out[key] = value
+    return out
+
+
+def _count(value, key: str, least: int = 0) -> int:
+    """A JSON integer of at least `least` (a bool is not one) read from
+    the file's `key`."""
+    if type(value) is not int or value < least:
+        raise ModelError(f"{key}: {value!r} is not an integer of at least {least}")
+    return value
+
+
+def _topics(value, key, got):
+    if value != list(got["hyperparameters"].layout().letters):
+        raise ModelError("topic layout does not match configuration")
+    return value
+
+
+def _snippet_counts(value, key, got):
+    counts = [_count(x, key) for x in value]
+    if counts != [len(row) for row in got["token_counts"]]:
+        raise ModelError("snippet_counts do not match token_counts")
+    return counts
+
+
+def _seed_sets(value, key, got):
+    """The file's lists, checked and not copied: a file that declares a
+    huge N is refused holding one copy of its seed lists."""
+    N, V = got["hyperparameters"].N, got["vocab_size"]
+    if len(value) != N or any(_count(w, key) >= V for s in value for w in s):
+        raise ModelError(f"seed_sets need {N} lists of word indices below {V}")
+    return value
+
+
+def _size(value, key, got):
+    return _count(value, key)
+
+
+_STATE_FIELDS = {
+    "hyperparameters": lambda value, key, got: _hp_from_json(dict(value)),
+    "topics": _topics,
+    "vocab_size": _size,
+    "tag_count": _size,
+    "token_counts": lambda value, key, got: [[_count(x, key, 1) for x in r] for r in value],
+    "snippet_counts": _snippet_counts,
+    "seed_sets": _seed_sets,
+    "q": {
+        "qa": _Array(("snippet_counts", "K"), tol=1e-6),
+        "qv": _Array(("snippet_counts", "N"), "N", 1e-6),
+        "qw": _Array(("token_counts", "topics"), tol=1e-6),
+    },
+    "factors": {
+        "theta_B": _Pair(("vocab_size",)),
+        "trans_start": _Pair(("topics",)),
+        "trans_main": _Pair(("ends",), ("topics",)),
+        "theta_V": _Pair(("vocab_size",), ("N",), "N"),
+        "theta_I": _Pair(("vocab_size",), when="use_ignore"),
+        "eta": _Pair(("tag_count",), ("topics",), "use_pos"),
+        "psi": _Pair(("psi rows", "K")),
+        "theta_A": _Pair(("aspect rows", "vocab_size"), ("K",)),
+        "phi": _Pair(("aspect rows", "N"), ("K",), "N"),
+    },
+}
+
+
+def _names(value, key, got):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelError(f"{key} is not a list of strings")
+    return value
+
+
+def _topic_letters(value, key, got):
+    N = len(got["value_names"])
+    if tuple(_names(value, key, got)) != TopicLayout.for_config(N, "I" in value).letters:
+        raise ModelError(f"topic_letters {value} do not fit {N} value names")
+    return value
+
+
+def _separation(value, key, got):
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise ModelError(f"separation {value!r} is not a number in [0, 1]")
+    return value
+
+
+def _topic_mix(value, key, got):
+    n = len(got["topic_letters"])
+    if value is not None and not (
+        isinstance(value, list) and len(value) == n
+        and all(_is_number(x) and 0.0 <= x < math.inf for x in value)
+    ):
+        raise ModelError(f"topic_mix is neither null nor {n} finite non-negative numbers")
+    return value
+
+
+def _aspect_blocks(value, key, got):
+    V = len(got["vocab"])
+    if not isinstance(value, list) or not all(
+        isinstance(b, list) and all(type(w) is int and 0 <= w < V for w in b) for b in value
+    ):
+        raise ModelError(f"aspect_blocks is not a list of lists of word indices below {V}")
+    return value
+
+
+def _aspect_shape(value, key, got):
+    """theta_A's dense shape, refused above MAX_CELLS before it is made."""
+    if not (isinstance(value, list) and len(value) == 3
+            and all(type(x) is int and x >= 1 for x in value)):
+        raise ModelError(f"{key} {value!r} is not three positive integers")
+    check_cells(key, *value)
+    if value[2] != len(got["vocab"]):
+        raise ModelError(f"{key} {value} does not fit {len(got['vocab'])} vocab words")
+    return value
+
+
+_TRUE_FIELDS = {
+    "value_names": _names,
+    "topic_letters": _topic_letters,
+    "vocab": _names,
+    "tags": _names,
+    "separation": _separation,
+    "topic_mix": _topic_mix,
+    "aspect_blocks": _aspect_blocks,
+    "theta_A": _Pair(("scopes", "K", "vocab"), shape=_aspect_shape),
+    "psi": _Array((None, "K"), tol=1e-9),
+    "phi": _Array(("scopes", "K", "N"), "N", 1e-9),
+    "theta_B": _Array(("vocab",), tol=1e-9),
+    "theta_I": _Array(("vocab",), "ignore", 1e-9),
+    "theta_V": _Array(("N", "vocab"), "N", 1e-9),
+    "eta": _Array(("roles", "tags"), tol=1e-9),
+    "transition_start": _Array(("roles",), tol=1e-9),
+    "transition_main": _Array(("roles", "ends"), tol=1e-9),
+}
+
+
+def save_state(state: VariationalState, path: str) -> None:
+    """Serialize a state to versioned JSON (version 3), atomically: format,
+    version and the fields of _STATE_FIELDS, written by _encoded (README
+    "State file"). Every factor is written as it is held, its support
+    and table, and each posterior as one packed array over the corpus.
+    The arrays hold the values' IEEE-754 bytes, so a load is exact and a
+    load followed by a save reproduces the file byte for byte.
+    """
+    K, N, n = state.hp.K, state.hp.N, state.layout.n_topics
+    factors = {key: getattr(state, key) for key in _STATE_FIELDS["factors"]}
+    values = {
+        "hyperparameters": hp_to_json(state.hp),
+        "topics": list(state.layout.letters),
+        "vocab_size": state.vocab_size,
+        "tag_count": state.tag_count,
+        "snippet_counts": state.snippet_counts,
+        "token_counts": state.token_counts,
+        "seed_sets": [list(s) for s in state.seed_sets],
+        "factors": {
+            key: None if f is None else {"support": f.support, "table": f.table}
+            for key, f in factors.items()
+        },
+        "q": {
+            "qa": stack_rows(state.qa, K),
+            "qv": None if state.qv is None else stack_rows(state.qv, N),
+            "qw": stack_rows(state.qw, n),
+        },
+    }
+    encoded = _encoded(_STATE_FIELDS, values)
+    write_json(dict(encoded, format=STATE_FORMAT, version=STATE_VERSION), path)
 
 
 def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
@@ -984,44 +1185,40 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
         raise ModelError(f"state version {version} is no longer read; re-run fit")
     if type(version) is not int or version != STATE_VERSION:
         raise ModelError(f"unsupported state version {version}")
-    hp = _hp_from_json(dict(payload["hyperparameters"]))
-    layout = hp.layout()
-    if list(layout.letters) != payload["topics"]:
-        raise ModelError("topic layout does not match configuration")
-
-    V = _count(payload["vocab_size"], "vocab_size")
-    T = _count(payload["tag_count"], "tag_count")
-    token_counts = [[_count(x, "token_counts", 1) for x in row] for row in payload["token_counts"]]
-    snippet_counts = [_count(x, "snippet_counts") for x in payload["snippet_counts"]]
-    if [len(row) for row in token_counts] != snippet_counts:
-        raise ModelError("snippet_counts do not match token_counts")
-    seed_sets = [[_count(w, "seed_sets") for w in s] for s in payload["seed_sets"]]
-    if len(seed_sets) != hp.N or any(not 0 <= w < V for s in seed_sets for w in s):
-        raise ModelError(f"seed_sets need {hp.N} lists of word indices below {V}")
-
+    got = _read_json(_STATE_FIELDS, payload)
+    hp, V, T = got["hyperparameters"], got["vocab_size"], got["tag_count"]
+    counts, n = got["snippet_counts"], hp.layout().n_topics
+    n_psi, n_asp = hp.bank_rows(len(counts))
+    sizes = {
+        "vocab_size": V, "tag_count": T, "K": hp.K, "N": hp.N, "topics": n, "ends": n + 1,
+        "snippet_counts": counts, "token_counts": [sum(row) for row in got["token_counts"]],
+        "psi rows": n_psi, "aspect rows": n_asp, "use_ignore": hp.use_ignore,
+        "use_pos": hp.use_pos,
+    }
     # Every size the prior state allocates is checked before it is built.
     # The posteriors' rows and widths fix the snippet and token counts, K
     # and N. The vocabulary and tag counts may exceed theta_B's and eta's
     # tables (a support may leave cells at their prior), but not the
     # file's length, as a saved state holds theta_B over every word. Then
-    # _prior_state checks the tables, products of those sizes.
-    qpay = payload["q"]
-    qa = _restore_posteriors(qpay["qa"], "qa", snippet_counts, hp.K, ("snippet_counts", "K"))
-    if hp.N >= 1:
-        qv = _restore_posteriors(qpay["qv"], "qv", snippet_counts, hp.N, ("snippet_counts", "N"))
-    else:
-        qv = _field(qpay["qv"], None, "qv")
-    tokens = [sum(row) for row in token_counts]
-    qw = _restore_posteriors(qpay["qw"], "qw", tokens, layout.n_topics, ("token_counts", "topics"))
-    for key, size in (("vocab_size", V), ("tag_count", T), ("K", hp.K), ("N", hp.N)):
-        if size > n_bytes:
-            raise ModelError(f"{key}: {size} is larger than the file ({n_bytes} bytes)")
-    state = _prior_state(hp, V, T, token_counts, seed_sets)
-
-    fpay = payload["factors"]
-    for name in _FACTOR_KEYS:
-        _restore_factor(getattr(state, name), fpay[name], name)
-    state.qa, state.qv, state.qw = qa, qv, qw
+    # check_state_sizes checks the tables, products of those sizes.
+    q = _read_arrays(_STATE_FIELDS["q"], payload["q"], sizes)
+    for key in ("vocab_size", "tag_count", "K", "N"):
+        if sizes[key] > n_bytes:
+            raise ModelError(f"{key}: {sizes[key]} is larger than the file ({n_bytes} bytes)")
+    check_state_sizes(hp, V, T, len(counts), sum(counts))
+    factors = _read_arrays(_STATE_FIELDS["factors"], payload["factors"], sizes, "factor ")
+    seed_sets = [list(s) for s in got["seed_sets"]]
+    state = _prior_state(hp, V, T, got["token_counts"], seed_sets, q)
+    # Each factor's prior support grows by the file's, whose cells then
+    # take the file's table.
+    for key, pair in factors.items():
+        f = getattr(state, key)
+        if pair is not None:
+            cols = f.grow(pair["support"])
+            f.table[..., cols] = pair["table"]
+            f._changed()
+            if not (f.table >= f._prior_table).all():
+                raise ModelError(f"factor {key} has a concentration below its prior")
     return state
 
 
@@ -1029,14 +1226,16 @@ def load_state(path: str) -> VariationalState:
     """Rebuild a VariationalState from the version 3 JSON that save_state
     writes. Versions 1 and 2 are refused: re-run fit.
 
-    Checks the keys, each factor's support (_support) and table (_field,
-    shared with load_true_params), that no concentration is below its
-    prior and that the posterior rows are finite distributions. Every
-    size is checked before anything is allocated: against the posteriors'
-    rows and widths, the file's length and MAX_CELLS (check_state_sizes).
-    Any fault raises ModelError naming the file (and, for a posterior,
-    the entity). Each factor grows its prior support (every pair, none
-    for theta_A) by the file's support.
+    Reads the fields of _STATE_FIELDS: the key set of every object
+    exactly, each plain-JSON field through its checker, then each encoded
+    field against the sizes they declare, named after the field (_field,
+    shared with load_true_params; _support for a factor's support;
+    _posteriors, which names the entity, for qa, qv and qw), and that no
+    concentration is below its prior. Every size is checked before
+    anything is allocated: against the posteriors' rows and widths, the
+    file's length and MAX_CELLS (check_state_sizes). Any fault raises
+    ModelError naming the file. Each factor grows its prior support
+    (every pair, none for theta_A) by the file's support.
     """
     return _read_checked(path, _state_from_payload, "state")
 

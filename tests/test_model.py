@@ -535,6 +535,13 @@ BLOB = re.escape("is not an encoded array with keys ['data', 'dtype', 'shape']")
      "factor theta_B needs a support and a table"),
     (lambda p: [p["hyperparameters"].update(use_pos=False), p["factors"].update(eta=[])],
      "factor eta is present but the configuration disables it"),
+    # Every object holds exactly its table's keys.
+    (lambda p: p.update(extra=1), r"s\.json: missing keys \[\], unknown keys \['extra'\]$"),
+    (lambda p: p["factors"].update(extra=None),
+     r"s\.json: factors: missing keys \[\], unknown keys \['extra'\]$"),
+    (lambda p: p["q"].update(extra=None), r"s\.json: q: missing keys \[\], unknown keys \['extra'\]$"),
+    (lambda p: p["factors"]["theta_B"].update(extra=1),
+     r"s\.json: factors: theta_B: missing keys \[\], unknown keys \['extra'\]$"),
 ], ids=[
     "non-base64", "bad-padding", "truncated", "data-not-a-string", "object-dtype",
     "big-endian", "float32", "float-support", "int-table", "negative-shape", "bool-shape",
@@ -542,7 +549,8 @@ BLOB = re.escape("is not an encoded array with keys ['data', 'dtype', 'shape']")
     "missing-key", "extra-key", "list-in-version-3", "unsorted-support", "table-below-prior",
     "table-narrower-than-support", "q-row-count", "q-scalar", "q-row-width", "non-finite-q",
     "q-row-not-distribution", "duplicate-support", "negative-support", "support-out-of-range",
-    "support-not-flat", "dense-factor", "disabled-factor-not-null",
+    "support-not-flat", "dense-factor", "disabled-factor-not-null", "unknown-top-level-key",
+    "unknown-factors-key", "unknown-q-key", "unknown-factor-key",
 ])
 def test_load_state_rejects_malformed_version_3(tmp_path, edit, message):
     path = tmp_path / "s.json"
@@ -797,6 +805,54 @@ def test_both_files_word_a_field_fault_alike(tmp_path, monkeypatch, case):
     with pytest.raises(ModelError) as exc:
         load(str(path))
     assert str(exc.value) == f"{path}: {message}"
+
+
+def _table_keys(table, prefix=()):
+    """The key path of every field of a file format's table, the keys of
+    its nested objects and of each pair's object included."""
+    for key, entry in table.items():
+        yield prefix + (key,)
+        if isinstance(entry, dict):
+            yield from _table_keys(entry, prefix + (key,))
+        elif isinstance(entry, model._Pair):
+            yield from (prefix + (key, k) for k in sorted(entry.keys))
+
+
+TABLE_KEYS = [("state", keys) for keys in _table_keys(model._STATE_FIELDS)] + [
+    ("true", keys) for keys in _table_keys(model._TRUE_FIELDS)
+]
+
+
+@pytest.mark.parametrize("change", ["missing", "unknown"])
+@pytest.mark.parametrize(
+    "kind, keys", TABLE_KEYS, ids=[f"{kind}-{'.'.join(keys)}" for kind, keys in TABLE_KEYS]
+)
+def test_every_table_key_is_required_and_no_other(tmp_path, kind, keys, change):
+    # Driven by the tables themselves, so a field added to one is covered
+    # here: without its key, or with one more key beside it, the object
+    # holding it is refused, named by the path of objects that enclose it.
+    path = tmp_path / "f.json"
+    if kind == "state":
+        save_state(fit_like_state()[1], str(path))
+        load = load_state
+    else:
+        hp = Hyperparameters(K=2, N=2, use_ignore=True)
+        syn = make_separable(hp, CorpusShape(2, 4, mean_words=5.0, vocab_size=20), 1.0, 3)
+        save_true_params(syn.true_parameters, str(path))
+        load = load_true_params
+    payload = json.loads(path.read_text())
+    holder, key = _node(payload, keys[:-1]), keys[-1]
+    if change == "missing":
+        del holder[key]
+        fault = f"missing keys ['{key}'], unknown keys []"
+    else:
+        holder[key + "_extra"] = holder[key]
+        fault = f"missing keys [], unknown keys ['{key}_extra']"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelError) as exc:
+        load(str(path))
+    where = "".join(f"{k}: " for k in keys[:-1])
+    assert str(exc.value) == f"{path}: {where}{fault}"
 
 
 FACTOR_NAMES = (
