@@ -294,15 +294,27 @@ def load_corpus(path: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:
-    """Write a corpus back out in the JSON-lines format."""
-    words = [corpus.vocabulary[w] for w in corpus.words.tolist()]
-    tags = [corpus.tag_set[t] for t in corpus.tags.tolist()]
+    """Write a corpus back out in the JSON-lines format.
+
+    Each line is the bytes of json.dumps(record, ensure_ascii=False) for
+    the snippet's {"entity", "id", "tokens"} record, made by one format
+    call from strings encoded once: each vocabulary word, tag and entity
+    by the same encoder, and each token as its [word, tag] pair.
+    """
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    words = [encode(w) for w in corpus.vocabulary.items]
+    tags = [encode(t) for t in corpus.tag_set.items]
+    entities = [encode(e) for e in corpus.entities]
+    tokens = [
+        f"[{words[w]}, {tags[t]}]" for w, t in zip(corpus.words.tolist(), corpus.tags.tolist())
+    ]
     bounds = corpus.offsets.tolist()
     with atomic_open(path) as fh:
-        for sn, a, b in zip(corpus.iter_snippets(), bounds, bounds[1:]):
-            tokens = list(zip(words[a:b], tags[a:b]))  # written as [word, tag] arrays
-            rec = {"entity": corpus.entities[sn.entity], "id": sn.snippet_id, "tokens": tokens}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        fh.writelines(
+            f'{{"entity": {entities[sn.entity]}, "id": {encode(sn.snippet_id)}, '
+            f'"tokens": [{", ".join(tokens[a:b])}]}}\n'
+            for sn, a, b in zip(corpus.iter_snippets(), bounds, bounds[1:])
+        )
 
 
 @dataclass

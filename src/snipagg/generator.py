@@ -10,13 +10,22 @@ annotations, and every sampled distribution is returned (as an array)
 for parameter recovery checks.
 
 The draws come from one PCG64 stream, one uniform per categorical
-choice, in a fixed order: per snippet the aspect, the value type and
-the length, then the role chain, then two uniforms per token (word,
-tag). The role chain of a Poisson-length snippet and all of its word
-and tag uniforms are drawn as blocks, which consume the stream exactly
-as the same number of scalar draws, and the words and tags are picked
-after the loop with one searchsorted per distribution. A fixed seed
-therefore gives the same corpus as a one-draw-per-choice sampler.
+choice, in a fixed order. First the distributions: theta_B, theta_I,
+theta_V, eta, the transition table, then theta_A, phi and psi, every
+stack of rows drawn in chunks by one gamma call each (_draw_rows).
+Then per snippet: one block rng.random(2) for the aspect and the value
+type (rng.random(1) when N = 0), the Poisson length, and one block
+rng.random(3 * length) that holds the role uniform of each token, then
+a word and a tag uniform per token. A chain-length snippet instead
+walks its roles one draw per step, so it never draws past the end
+marker, and then draws rng.random(2 * length). A block consumes the
+stream exactly as the same number of scalar draws, so the snippet loop
+makes only these calls. Every choice is picked after the loop from the
+uniforms it drew: the aspects over psi, the value types over phi, the
+Poisson role chains one position at a time over all snippets, and the
+words and tags, each with one searchsorted per distribution in use
+(_pick_grouped). A fixed seed therefore gives the same corpus as a
+one-draw-per-choice sampler.
 
 make_separable additionally interpolates the aspect word priors toward
 disjoint vocabulary blocks: at separation 1 the blocks are fully
@@ -73,6 +82,10 @@ POISSON_MEAN_RANGE = (0.1, 38.0)
 # Dirichlet draws whose gamma variates all underflow to 0 before the
 # prior counts as too small to sample.
 MAX_REDRAWS = 100
+# Block draws and picks work on at most this many cells at a time (4 MB
+# of float64), so no temporary grows with the corpus: theta_A's rows are
+# 28.8 MB at the criterion-11 reference shape.
+CHUNK_CELLS = 2**19
 
 
 class GeneratorError(ValueError):
@@ -144,6 +157,41 @@ def _draw_multinomial(rng: np.random.Generator, alpha: np.ndarray, what: str) ->
     )
 
 
+def _draw_rows(
+    rng: np.random.Generator, alpha: np.ndarray, what: str, n_rows: Optional[int] = None
+) -> np.ndarray:
+    """n_rows Dirichlet draws (default len(alpha)), row r at concentration
+    alpha[r % len(alpha)], as one (n_rows, width) array that is bit for
+    bit what n_rows _draw_multinomial calls return, leaving rng in the
+    same state.
+
+    Rows are drawn in chunks of at most CHUNK_CELLS cells, each by one
+    rng.gamma call over the chunk's cells with a positive concentration
+    in C order: gamma draws element by element and a zero concentration
+    draws nothing. Each row is then divided by its sum over the full row,
+    as _draw_multinomial divides. _draw_multinomial redraws a row whose
+    variates all underflow before it draws the next row, so a chunk with
+    such a row is rewound to its start and drawn again row by row.
+    """
+    n_rows = len(alpha) if n_rows is None else n_rows
+    out = np.zeros((n_rows, alpha.shape[1]))
+    step = max(1, CHUNK_CELLS // alpha.shape[1])
+    for r0 in range(0, n_rows, step):
+        rows = np.arange(r0, min(r0 + step, n_rows)) % len(alpha)
+        conc, block = alpha[rows], out[r0:r0 + len(rows)]
+        live = conc > 0
+        saved = rng.bit_generator.state
+        block[live] = rng.gamma(conc[live])
+        totals = block.sum(axis=1)
+        if (totals > 0.0).all():
+            block /= totals[:, None]
+            continue
+        rng.bit_generator.state = saved
+        for r, row in enumerate(rows.tolist()):
+            block[r] = _draw_multinomial(rng, alpha[row], what)
+    return out
+
+
 def _edges(probs: np.ndarray) -> list[float]:
     """Cumulative edges of a distribution, as _pick reads them."""
     return np.cumsum(probs).tolist()
@@ -157,21 +205,55 @@ def _pick(edges: list[float], u: float) -> int:
 
 
 def _pick_grouped(
-    dists: Sequence[np.ndarray], keys: np.ndarray, u: np.ndarray
+    tables: Sequence[np.ndarray], keys: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """For every draw k, the category dists[keys[k]] selects with u[k].
+    """For every draw k, the category that distribution keys[k] selects
+    with u[k], the distributions being the rows of the 2-D tables (all of
+    one width) numbered in order across them.
 
-    One searchsorted per distribution in use over all of its draws;
+    The cumulative edges come from one cumsum(axis=-1) per chunk of at
+    most CHUNK_CELLS cells, the same bits as a 1-D cumsum of each row,
+    and each row in use takes one searchsorted over all of its draws;
     element by element this is _pick on the same edges and uniforms.
     """
-    out = np.empty(len(keys), dtype=np.int64)
     order = np.argsort(keys, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        if len(idx):
-            edges = np.cumsum(dists[keys[idx[0]]])
-            hit = np.searchsorted(edges, u[idx] * edges[-1], side="right")
-            out[idx] = np.minimum(hit, len(edges) - 1)
+    rows, firsts = np.unique(keys[order], return_index=True)
+    lasts = np.append(firsts[1:], len(order)).tolist()
+    targets, hits = u[order], np.empty(len(order), dtype=np.int64)
+    base, g = 0, 0
+    for table in tables:
+        step = max(1, CHUNK_CELLS // table.shape[1])
+        for r0 in range(base, base + len(table), step):
+            g1 = int(np.searchsorted(rows, min(r0 + step, base + len(table))))
+            if g1 > g:
+                edges = np.cumsum(table[r0 - base:r0 - base + step], axis=-1)
+                for row, a, b in zip(rows[g:g1].tolist(), firsts[g:g1].tolist(), lasts[g:g1]):
+                    e = edges[row - r0]
+                    hits[a:b] = e.searchsorted(targets[a:b] * e[-1], side="right")
+                g = g1
+        base += len(table)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.minimum(hits, tables[0].shape[1] - 1)
     return out
+
+
+def _pick_chains(
+    start: np.ndarray, main: np.ndarray, lengths: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The role chains of snippets of the given lengths, flat in token
+    order: token t at position p of its snippet picks from main[role of
+    token t - 1] (from start when p = 0) with u[t]. One grouped pick per
+    position over every snippet that long, as the fit's wavefront runs
+    over positions; element by element this is the scalar _pick walk.
+    """
+    starts = np.cumsum(lengths) - lengths
+    roles = np.empty(len(u), dtype=np.int64)
+    tables = [main, start[None]]
+    for p in range(int(lengths.max(initial=0))):
+        at = starts[lengths > p] + p
+        keys = np.full(len(at), len(main)) if p == 0 else roles[at - 1]
+        roles[at] = _pick_grouped(tables, keys, u[at])
+    return roles
 
 
 def sample_corpus(
@@ -246,15 +328,13 @@ def _sample(
     theta_v = None
     if hp.N >= 1:
         vp = value_prior(hp, V, [sorted(s) for s in seed_sets])
-        theta_v = np.stack(
-            [_draw_multinomial(rng, vp[v], "theta_V (epsilon_V, lambda_V)") for v in range(hp.N)]
-        )
+        theta_v = _draw_rows(rng, vp, "theta_V (epsilon_V, lambda_V)")
 
     tag_alpha = np.full((n, len(SYNTHETIC_TAGS)), hp.lambda_tag)
     tag_alpha[layout.col("A"), SYNTHETIC_TAGS.index("NN")] += TAG_BIAS
     if layout.has_value:
         tag_alpha[layout.col("V"), SYNTHETIC_TAGS.index("JJ")] += TAG_BIAS
-    eta = np.stack([_draw_multinomial(rng, tag_alpha[t], "eta (lambda_tag)") for t in range(n)])
+    eta = _draw_rows(rng, tag_alpha, "eta (lambda_tag)")
 
     if topic_mix is not None:
         mix = np.asarray(topic_mix, dtype=float)
@@ -271,115 +351,102 @@ def _sample(
     else:
         start_prior, main_prior = transition_priors(hp, layout)
         trans_start = _draw_multinomial(rng, start_prior, "transition_start (lambda_T)")
-        trans_main = np.stack(
-            [_draw_multinomial(rng, main_prior[t], "transition_main (lambda_T)") for t in range(n)]
-        )
+        trans_main = _draw_rows(rng, main_prior, "transition_main (lambda_T)")
 
-    def draw_aspect_rows() -> np.ndarray:
-        rows = []
-        for a in range(hp.K):
-            alpha = np.full(V, hp.lambda_A * (1.0 - separation))
-            if blocks:
-                alpha[blocks[a]] = hp.lambda_A
-            rows.append(_draw_multinomial(rng, alpha, "theta_A (lambda_A)"))
-        return np.stack(rows)
-
+    # The aspect banks, one row per (scope, aspect), scope-major.
     n_psi, n_scopes = hp.bank_rows(shape.n_entities)
-    theta_a = [draw_aspect_rows() for _ in range(n_scopes)]
+    aspect_alpha = np.full((hp.K, V), hp.lambda_A * (1.0 - separation))
+    for a, block in enumerate(blocks):
+        aspect_alpha[a, block] = hp.lambda_A
+    theta_a = _draw_rows(rng, aspect_alpha, "theta_A (lambda_A)", n_scopes * hp.K)
     phi = None
     if hp.N >= 1:
-        phi = [
-            np.stack(
-                [_draw_multinomial(rng, np.full(hp.N, hp.lambda_AV), "phi (lambda_AV)")
-                 for _ in range(hp.K)]
-            )
-            for _ in range(n_scopes)
-        ]
-    psi = [
-        _draw_multinomial(rng, np.full(hp.K, hp.lambda_M), "psi (lambda_M)") for _ in range(n_psi)
-    ]
+        phi = _draw_rows(rng, np.full((1, hp.N), hp.lambda_AV), "phi (lambda_AV)",
+                         n_scopes * hp.K)
+    psi = _draw_rows(rng, np.full((1, hp.K), hp.lambda_M), "psi (lambda_M)", n_psi)
 
-    # Every word distribution by row: aspect rows scope-major, then value
-    # rows, then background and ignore.
-    word_dists = [row for t in theta_a for row in t]
-    v_base = len(word_dists)
-    if theta_v is not None:
-        word_dists.extend(theta_v)
-    fixed_rows: dict[str, int] = {}
+    # The snippet loop makes only the stream's calls: the aspect and value
+    # uniforms, the length, then the role, word and tag uniforms. Every
+    # choice is picked from them after the loop.
+    poisson = shape.length_mode == "poisson"
+    n_snippets = shape.n_entities * shape.snippets_per_entity
+    heads, tails, lengths, walked = [], [], [], []
+    n_heads = 2 if hp.N >= 1 else 1
+    random = rng.random
+    if not poisson:
+        start_edges = _edges(trans_start)
+        main_edges = [_edges(row) for row in trans_main]
+    for _ in range(n_snippets):
+        heads.append(random(n_heads))
+        if poisson:
+            length = int(rng.poisson(shape.mean_words))
+            while not (1 <= length <= 30):
+                length = int(rng.poisson(shape.mean_words))
+            # Per token one role uniform, then per token one word and one
+            # tag uniform.
+            tails.append(random(3 * length))
+        else:
+            # One draw per step: the walk must not draw past the end.
+            edges, length = start_edges, 0
+            for _ in range(MAX_CHAIN_LENGTH):
+                role = _pick(edges, random())
+                if role == layout.end_col:
+                    break
+                walked.append(role)
+                edges, length = main_edges[role], length + 1
+            tails.append(random(2 * length))
+        lengths.append(length)
+
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    token_snippets = np.repeat(np.arange(n_snippets), lengths)
+    draws = np.concatenate(tails)
+    if poisson:
+        # Snippet s's block starts at 3 * starts[s]: the role uniform of its
+        # token t sits at 2 * starts[s] + t, the word uniform at
+        # starts[s] + lengths[s] + 2t and the tag uniform next to it. A
+        # Poisson-length walk never ends early, so it picks over the role
+        # columns only.
+        t, first = np.arange(len(token_snippets)), starts[token_snippets]
+        roles = _pick_chains(trans_start, trans_main[:, :n], lengths, draws[2 * first + t])
+        word_at = first + lengths[token_snippets] + 2 * t
+        word_u, tag_u = draws[word_at], draws[word_at + 1]
+    else:
+        roles = np.asarray(walked, dtype=np.int64)
+        word_u, tag_u = draws[0::2], draws[1::2]
+
+    entity_of = np.repeat(np.arange(shape.n_entities), shape.snippets_per_entity)
+    heads = np.concatenate(heads).reshape(n_snippets, n_heads)
+    z_a = _pick_grouped([psi], np.minimum(entity_of, n_psi - 1), heads[:, 0])
+    aspect_rows = np.minimum(entity_of, n_scopes - 1) * hp.K + z_a
+    z_v = _pick_grouped([phi], aspect_rows, heads[:, 1]) if hp.N >= 1 else None
+
+    # Every word distribution by row: aspect rows, then value rows, then
+    # background and ignore; each snippet's row for each role.
+    word_tables, role_rows = [theta_a], {"A": aspect_rows}
+    if z_v is not None:
+        role_rows["V"] = len(theta_a) + z_v
+        word_tables.append(theta_v)
     for letter, dist in (("B", theta_b), ("I", theta_i)):
         if dist is not None:
-            fixed_rows[letter] = len(word_dists)
-            word_dists.append(dist)
-
-    poisson = shape.length_mode == "poisson"
-    psi_edges = [_edges(p) for p in psi]
-    phi_edges = None if phi is None else [[_edges(row) for row in p] for p in phi]
-    start_edges = _edges(trans_start)
-    # A Poisson-length walk never ends early, so it draws over the role
-    # columns only; a chain walk also draws the end marker.
-    main_edges = [_edges(row[:n] if poisson else row) for row in trans_main]
+            role_rows[letter] = np.full(n_snippets, sum(map(len, word_tables)))
+            word_tables.append(dist[None])
+    snippet_rows = np.stack([role_rows[letter] for letter in layout.letters], axis=1)
 
     entities = [f"e{i:03d}" for i in range(shape.n_entities)]
-    # Per snippet: the row each role's words come from, the length, and
-    # the gold labels.
-    snippet_rows: list[list[int]] = []
-    lengths: list[int] = []
-    labels: list[tuple[str, int, Optional[int]]] = []
-    roles: list[int] = []
-    word_tag_draws: list[np.ndarray] = []
-
-    for i in range(shape.n_entities):
-        scope, pscope = min(i, n_scopes - 1), min(i, n_psi - 1)
-        for j in range(shape.snippets_per_entity):
-            z_a = _pick(psi_edges[pscope], rng.random())
-            z_v = _pick(phi_edges[scope][z_a], rng.random()) if hp.N >= 1 else None
-
-            chain: list[int] = []
-            edges = start_edges
-            if poisson:
-                length = int(rng.poisson(shape.mean_words))
-                while not (1 <= length <= 30):
-                    length = int(rng.poisson(shape.mean_words))
-                for u in rng.random(length).tolist():
-                    chain.append(_pick(edges, u))
-                    edges = main_edges[chain[-1]]
-            else:
-                # One draw per step: the walk must not draw past the end.
-                for _ in range(MAX_CHAIN_LENGTH):
-                    role = _pick(edges, rng.random())
-                    if role == layout.end_col:
-                        break
-                    chain.append(role)
-                    edges = main_edges[role]
-            # One word and one tag per token, drawn in token order.
-            word_tag_draws.append(rng.random(2 * len(chain)))
-
-            rows = dict(fixed_rows, A=scope * hp.K + z_a)
-            if z_v is not None:
-                rows["V"] = v_base + z_v
-            snippet_rows.append([rows[letter] for letter in layout.letters])
-            lengths.append(len(chain))
-            roles.extend(chain)
-            labels.append((f"{entities[i]}-s{j:05d}", z_a, z_v))
-
-    draws = np.concatenate(word_tag_draws)
-    token_roles = np.asarray(roles, dtype=np.int64)
-    token_snippets = np.repeat(np.arange(len(lengths)), lengths)
-    token_rows = np.asarray(snippet_rows, dtype=np.int64)[token_snippets, token_roles]
+    sids = [f"{e}-s{j:05d}" for e in entities for j in range(shape.snippets_per_entity)]
     corpus = Corpus.from_arrays(
-        entities, Indexer(words), Indexer(SYNTHETIC_TAGS),
-        np.repeat(np.arange(shape.n_entities), shape.snippets_per_entity),
-        [sid for sid, _, _ in labels], lengths,
-        _pick_grouped(word_dists, token_rows, draws[0::2]),
-        _pick_grouped(eta, token_roles, draws[1::2]),
+        entities, Indexer(words), Indexer(SYNTHETIC_TAGS), entity_of, sids, lengths,
+        _pick_grouped(word_tables, snippet_rows[token_snippets, roles], word_u),
+        _pick_grouped([eta], roles, tag_u),
     )
-    gold = GoldAnnotations()
+    aspect_names = [f"a{k}" for k in range(hp.K)]
+    gold = GoldAnnotations(clusters=dict(zip(sids, map(aspect_names.__getitem__, z_a.tolist()))))
+    if z_v is not None:
+        gold.polarity = dict(zip(sids, z_v.tolist()))
+    letters = np.array(layout.letters, dtype=object)[roles].tolist()
     bounds = corpus.offsets.tolist()
-    for (sid, z_a, z_v), start, stop in zip(labels, bounds, bounds[1:]):
-        gold.clusters[sid] = f"a{z_a}"
-        if z_v is not None:
-            gold.polarity[sid] = z_v
-        gold.word_labels[sid] = [layout.letters[r] for r in roles[start:stop]]
+    gold.word_labels = {sid: letters[a:b] for sid, a, b in zip(sids, bounds, bounds[1:])}
 
     true_parameters = {
         "topic_letters": list(layout.letters),
@@ -394,9 +461,9 @@ def _sample(
         "tags": list(SYNTHETIC_TAGS),
         "transition_start": trans_start,
         "transition_main": trans_main,
-        "psi": psi,
-        "theta_A": theta_a,
-        "phi": phi,
+        "psi": list(psi),
+        "theta_A": list(theta_a.reshape(n_scopes, hp.K, V)),
+        "phi": None if phi is None else list(phi.reshape(n_scopes, hp.K, hp.N)),
         "aspect_blocks": [b.tolist() for b in blocks],
     }
     log.info(

@@ -411,10 +411,11 @@ def reference_corpus(records):
     return Corpus(list(entities.items), groups, vocabulary, tag_set)
 
 
-WORD = st.text(alphabet="aAbBzZéÉßçÇøØΣσΩω日本", min_size=1, max_size=4)
+# Quotes, backslashes and control characters take JSON escapes on write.
+WORD = st.text(alphabet="aAbBzZéÉßçÇøØΣσΩω日本\"\\\x07\u2028", min_size=1, max_size=4)
 TOKEN = st.tuples(WORD, st.sampled_from(["NN", "JJ", "VB", "DT", "nn", "ÄDJ"]))
 RECORD = st.tuples(
-    st.sampled_from(["e0", "e1", "E1", "ë2"]),
+    st.sampled_from(["e0", "e1", "E1", "ë2", 'e"\\3']),
     st.one_of(st.lists(TOKEN, min_size=1, max_size=3), st.lists(TOKEN, min_size=20, max_size=40)),
     st.sampled_from(["", "\n", "  \n"]),
 )

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,12 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from snipagg import generator
 from snipagg.cli import main
+from snipagg.corpus import save_corpus
 from snipagg.generator import (
+    CHUNK_CELLS,
     CorpusShape,
     GeneratorError,
+    _draw_multinomial,
+    _draw_rows,
     _edges,
     _pick,
+    _pick_chains,
     _pick_grouped,
     aspect_vocabularies_disjoint,
     load_true_params,
@@ -425,11 +432,106 @@ def test_block_draws_equal_scalar_draws():
     u = rng.random(500)
     keys[:4] = [2, 1, 2, 1]
     u[:4] = [0.0, 1.0 - 2 ** -53, 0.5, 0.0]
-    picked = _pick_grouped(dists, keys, u)
-    assert picked.tolist() == [
-        _pick(_edges(dists[k]), x) for k, x in zip(keys.tolist(), u.tolist())
-    ]
-    assert all(dists[k][c] > 0 for k, c in zip(keys.tolist(), picked.tolist()))
+    want = [_pick(_edges(dists[k]), x) for k, x in zip(keys.tolist(), u.tolist())]
+    # Rows are numbered across the tables; a chunk of one row at a time
+    # gives the same picks.
+    tables = [np.stack(dists[:3]), np.stack(dists[3:])]
+    for chunk in (1, 2, CHUNK_CELLS):
+        with patch.object(generator, "CHUNK_CELLS", chunk):
+            assert _pick_grouped(tables, keys, u).tolist() == want
+    assert all(dists[k][c] > 0 for k, c in zip(keys.tolist(), want))
+    # Positional chain picks (one grouped pick per position) equal the
+    # scalar walk, snippet by snippet, zero-length snippets included.
+    start, main_rows = rng.dirichlet(np.full(3, 0.5)), rng.dirichlet(np.full(3, 0.5), size=3)
+    main_rows[1, 2] = 0.0
+    lengths = rng.integers(0, 9, size=60)
+    u = rng.random(int(lengths.sum())).tolist()
+    walk = []
+    for length in lengths.tolist():
+        edges = _edges(start)
+        for _ in range(length):
+            walk.append(_pick(edges, u[len(walk)]))
+            edges = _edges(main_rows[walk[-1]])
+    assert _pick_chains(start, main_rows, lengths, np.asarray(u)).tolist() == walk
+
+
+def _drawn(draw):
+    """draw()'s result, or the message of the GeneratorError it raises."""
+    try:
+        return draw()
+    except GeneratorError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    concs=st.lists(st.sampled_from([0.5, 2.0, 1e-3, 1e-300]), min_size=1, max_size=3),
+    n_rows=st.integers(1, 9),
+    width=st.integers(1, 5),
+    zeros=st.booleans(),
+    chunk=st.sampled_from([1, 4, 16, CHUNK_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+def test_block_dirichlet_draws_equal_row_by_row_draws(concs, n_rows, width, zeros, chunk, seed):
+    # 1e-3 over a few cells underflows a row now and then, so a chunk is
+    # rewound and redrawn row by row; 1e-300 underflows every redraw.
+    alpha = np.repeat(np.asarray(concs)[:, None], width, axis=1)
+    if zeros and width > 1:
+        alpha[:, ::2] = 0.0  # zero-concentration cells, as at separation 1
+    scalar, block = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = _drawn(lambda: np.stack(
+        [_draw_multinomial(scalar, alpha[r % len(alpha)], "x (lambda_x)") for r in range(n_rows)]
+    ))
+    with patch.object(generator, "CHUNK_CELLS", chunk):
+        got = _drawn(lambda: _draw_rows(block, alpha, "x (lambda_x)", n_rows))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    assert block.bit_generator.state == scalar.bit_generator.state
+
+
+def test_block_dirichlet_rewinds_a_chunk_with_an_underflowing_row():
+    alpha = np.array([[0.5, 0.5, 0.5], [1e-3, 1e-3, 0.0]])
+    scalar, block = np.random.default_rng(2), np.random.default_rng(2)
+    want = np.stack([_draw_multinomial(scalar, alpha[r % 2], "x") for r in range(10)])
+    with patch.object(generator, "_draw_multinomial", wraps=_draw_multinomial) as by_row:
+        got = _draw_rows(block, alpha, "x", 10)
+    assert by_row.call_count == 10  # the chunk was drawn again row by row
+    assert got.tobytes() == want.tobytes()
+    assert block.bit_generator.state == scalar.bit_generator.state
+    message = ("cannot draw theta_A (lambda_A): every gamma variate underflowed to 0 in 100 "
+               "draws at concentration 1e-300")
+    with pytest.raises(GeneratorError, match=f"^{re.escape(message)}$"):
+        _draw_rows(block, np.array([[0.5, 0.5], [1e-300, 1e-300]]), "theta_A (lambda_A)", 4)
+
+
+# sha256 prefixes of make_separable at the criterion-11 reference shape,
+# seed 1, recorded with the sampler that made one Python call per choice.
+# The pinned cases above have at most 5 entities, so only this shape
+# spans several CHUNK_CELLS chunks of theta_A (300 scopes x 10 x 1200).
+REFERENCE_SHAPE_DIGESTS = {
+    "words": "0ba1253598d60f32", "tags": "aa81383dff8f8cf7", "offsets": "d262c6cc88aa0e2c",
+    "clusters": "73636ecc6c123d29", "polarity": "95dc896b58dc0172",
+    "word_labels": "558f465fd0bd5e29",
+    "corpus.jsonl": "0ee574d2658f4e71", "true_params.json": "14efedfb8a0bde56",
+}
+
+
+def test_reference_shape_sample_matches_pinned_bytes(tmp_path):
+    hp = Hyperparameters(K=10, N=2, lambda_V=4.0, epsilon_V=0.05, rng_seed=0)
+    shape = CorpusShape(n_entities=300, snippets_per_entity=42, mean_words=8.0,
+                        vocab_size=1200, seed_words_per_value=10)
+    syn = make_separable(hp, shape, 1.0, 1, [0.6, 0.25, 0.15])
+    save_corpus(syn.corpus, str(tmp_path / "corpus.jsonl"))
+    save_true_params(syn.true_parameters, str(tmp_path / "true_params.json"))
+    got = {name: getattr(syn.corpus, name).tobytes() for name in ("words", "tags", "offsets")}
+    for name in ("clusters", "polarity", "word_labels"):
+        got[name] = json.dumps(list(getattr(syn.gold, name).items())).encode()
+    for name in ("corpus.jsonl", "true_params.json"):
+        got[name] = (tmp_path / name).read_bytes()
+    digests = {name: hashlib.sha256(data).hexdigest()[:16] for name, data in got.items()}
+    assert digests == REFERENCE_SHAPE_DIGESTS
 
 
 def assert_identical(got, want, where="true_parameters"):
