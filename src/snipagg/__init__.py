@@ -67,7 +67,7 @@ from snipagg.baselines import (
     cluster_snippets,
     majority_sentiment,
     seed_sentiment,
-    tfidf_vectors,
+    tfidf_matrix,
 )
 from snipagg.evaluation import (
     MucResult,

@@ -12,16 +12,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from snipagg.corpus import Corpus, SeedLexicon, Snippet
-from snipagg.model import ModelError, check_cells
+from snipagg.model import check_cells
 
 NOUN_TAG_PREFIX = "NN"
-
-WeightedVector = dict[int, float]
 
 
 class BaselineError(ValueError):
@@ -47,93 +45,77 @@ class Clustering:
         return out
 
 
-def tfidf_vectors(
-    snippets: Sequence[Snippet], corpus: Corpus, noun_only: bool = False
-) -> dict[str, WeightedVector]:
-    """TF-IDF vectors for the given snippets, scoped to that collection.
+def tfidf_matrix(corpus: Corpus, start: int, stop: int, noun_only: bool = False) -> np.ndarray:
+    """Dense TF-IDF matrix of the corpus's snippets start:stop, from its
+    packed words, tags and offsets: row r is snippet start + r, and the
+    columns are the scope's distinct words in ascending index order.
 
-    tf is the raw within-snippet count and idf is ln(scope size /
-    document frequency), both computed after the optional noun filter
-    (tags starting with NN). A term in every snippet weighs 0, and a
-    snippet whose every token is filtered out gets the empty (zero)
-    vector.
+    A cell is the raw within-snippet count times ln(scope size /
+    document frequency), both after the optional noun filter (tags
+    starting with NN). A term in every snippet weighs 0, and a snippet
+    whose every token is filtered out gets a zero row.
     """
-    if not snippets:
+    n = stop - start
+    if n <= 0:
         raise BaselineError("empty snippet scope")
-    noun = np.array([t.startswith(NOUN_TAG_PREFIX) for t in corpus.tag_set.items], dtype=bool)
-    per_snippet = [
-        Counter((sn.words[noun[sn.tags]] if noun_only else sn.words).tolist()) for sn in snippets
-    ]
-    df = Counter()
-    for counts in per_snippet:
-        df.update(counts.keys())
-    scope_size = len(snippets)
-    out: dict[str, WeightedVector] = {}
-    for sn, counts in zip(snippets, per_snippet):
-        out[sn.snippet_id] = {
-            w: tf * math.log(scope_size / df[w]) for w, tf in counts.items()
-        }
-    return out
-
-
-def cosine(u: WeightedVector, v: WeightedVector) -> float:
-    """Cosine similarity of sparse vectors; any zero vector scores 0."""
-    nu = math.sqrt(sum(x * x for x in u.values()))
-    nv = math.sqrt(sum(x * x for x in v.values()))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    if len(u) > len(v):
-        u, v = v, u
-    dot = sum(x * v[w] for w, x in u.items() if w in v)
-    return dot / (nu * nv)
+    lo, hi = corpus.offsets[start], corpus.offsets[stop]
+    rows = np.repeat(np.arange(n), np.diff(corpus.offsets[start:stop + 1]))
+    words = corpus.words[lo:hi]
+    if noun_only:
+        noun = np.array([t.startswith(NOUN_TAG_PREFIX) for t in corpus.tag_set.items], dtype=bool)
+        keep = noun[corpus.tags[lo:hi]]
+        rows, words = rows[keep], words[keep]
+    terms, cols = np.unique(words, return_inverse=True)
+    check_cells(f"a scope of {n} snippets: its TF-IDF matrix", n, len(terms), error=BaselineError)
+    counts = np.bincount(rows * len(terms) + cols, weights=np.ones(len(cols)),
+                         minlength=n * len(terms)).reshape(n, len(terms)).astype(float, copy=False)
+    # math.log, not np.log, which may differ from libm in the last bit.
+    counts *= [math.log(n / df) for df in np.count_nonzero(counts, axis=0).tolist()]
+    return counts
 
 
 def agglomerative_cluster(
-    vectors: Mapping[str, WeightedVector],
+    ids: Sequence[str],
+    vectors: np.ndarray,
     target_clusters: int,
     linkage: str = "average",
     scope: str = "",
 ) -> Clustering:
     """Merge snippets bottom-up under cosine similarity until
-    target_clusters remain.
+    target_clusters remain; row r of vectors is snippet ids[r].
 
     Cluster similarity is the average pairwise cosine (or the max for
-    single linkage, the min for complete). Exact similarity ties are
-    broken toward the pair whose canonical keys (sorted member id
-    tuples) compare lowest, and final cluster indices are dense, in
-    canonical key order. Disjoint clusters' keys order as their smallest
-    ids, so with the ids sorted once and each pair merged into its
-    earlier slot, the slots stay in key order. The lowest tied pair is
-    then the first maximum, in row-major order, over the strict upper
-    triangle, and the result does not depend on the input order.
+    single linkage, the min for complete); a zero row's cosine with
+    anything is 0. Exact similarity ties are broken toward the pair
+    whose canonical keys (sorted member id tuples) compare lowest, and
+    final cluster indices are dense, in canonical key order. Disjoint
+    clusters' keys order as their smallest ids, so with the rows sorted
+    by id once and each pair merged into its earlier slot, the slots
+    stay in key order. The lowest tied pair is then the first maximum,
+    in row-major order, over the strict upper triangle, and the result
+    does not depend on the input order.
 
     A scope whose n x n similarity matrix would exceed MAX_CELLS cells
     is refused before it is built (check_cells); below that, time grows as n cubed.
     """
     if linkage not in ("average", "single", "complete"):
         raise BaselineError(f"unknown linkage {linkage!r}")
-    ids = sorted(vectors)
     n = len(ids)
+    if len(vectors) != n or len(set(ids)) != n:
+        raise BaselineError(f"{len(vectors)} vectors for {len(set(ids))} distinct ids of {n}")
     if not (1 <= target_clusters <= n):
         raise BaselineError(
             f"target cluster count {target_clusters} out of range for {n} snippets"
         )
-    try:
-        check_cells(f"scope {scope!r} has {n} snippets: its similarity matrix", n, n)
-    except ModelError as exc:
-        raise BaselineError(str(exc)) from None
+    check_cells(f"scope {scope!r} has {n} snippets: its similarity matrix", n, n,
+                error=BaselineError)
 
-    terms = sorted({w for vec in vectors.values() for w in vec})
-    term_col = {w: k for k, w in enumerate(terms)}
-    dense = np.zeros((n, len(terms)))
-    for r, sid in enumerate(ids):
-        for w, x in vectors[sid].items():
-            dense[r, term_col[w]] = x
-    norms = np.linalg.norm(dense, axis=1)
-    nonzero = norms > 0.0
-    unit = np.zeros_like(dense)
-    unit[nonzero] = dense[nonzero] / norms[nonzero, None]
+    order = sorted(range(n), key=ids.__getitem__)
+    unit = vectors[order]
+    norms = np.linalg.norm(unit, axis=1)
+    np.divide(unit, norms[:, None], out=unit, where=norms[:, None] > 0.0)
     sim = unit @ unit.T
+    del unit  # before the loop, which holds several n x n arrays at once
 
     # sim doubles as the linkage statistic between cluster slots: the
     # pairwise cosine sum for average linkage, max for single, min for
@@ -153,7 +135,7 @@ def agglomerative_cluster(
         sizes[a] += sizes[b]
         members[a].extend(members.pop(b))
 
-    assignment = {ids[r]: idx for idx, rows in enumerate(members.values()) for r in rows}
+    assignment = {ids[order[r]]: idx for idx, rows in enumerate(members.values()) for r in rows}
     return Clustering(scope, assignment, len(members))
 
 
@@ -169,19 +151,22 @@ def cluster_snippets(
     With per_entity, each entity's snippets form their own scope and
     their own target_clusters-way partition (entities with fewer
     snippets than the target get singletons). Otherwise all snippets
-    share one corpus-wide scope.
+    share one corpus-wide scope. Each scope is one tfidf_matrix, built
+    only once its similarity matrix is known to fit under MAX_CELLS.
     """
-    if per_entity:
-        scopes = zip(corpus.entities, corpus.snippets)
-    else:
-        scopes = [("corpus", list(corpus.iter_snippets()))]
-    return [
-        agglomerative_cluster(
-            tfidf_vectors(group, corpus, noun_only), min(target_clusters, len(group)), linkage,
-            scope=name,
+    names = corpus.entities if per_entity else ["corpus"]
+    bounds = corpus.snippet_bounds.tolist() if per_entity else [0, corpus.n_snippets]
+    ids = [sn.snippet_id for sn in corpus.iter_snippets()]
+    out = []
+    for name, start, stop in zip(names, bounds, bounds[1:]):
+        n = stop - start
+        check_cells(f"scope {name!r} has {n} snippets: its similarity matrix", n, n,
+                    error=BaselineError)
+        vectors = tfidf_matrix(corpus, start, stop, noun_only)
+        out.append(
+            agglomerative_cluster(ids[start:stop], vectors, min(target_clusters, n), linkage, name)
         )
-        for name, group in scopes
-    ]
+    return out
 
 
 def seed_sentiment(snippet: Snippet, seeds: SeedLexicon) -> Optional[int]:

@@ -393,6 +393,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    clustering = args.variant in ("cluster-all", "cluster-noun")
+    if clustering and args.clusters is None:
+        raise UsageError(f"{args.variant} needs --clusters")
+    if clustering and args.clusters < 1:
+        raise UsageError(f"--clusters must be at least 1, got {args.clusters}")
+    if args.variant == "seed" and not args.seeds:
+        raise UsageError("seed variant needs --seeds")
+    if args.variant == "majority" and not args.gold_polarity:
+        raise UsageError("majority variant needs --gold-polarity")
     corpus = load_corpus(args.corpus)
     out = _outdir(args)
     manifest = RunManifest("baseline", args.argv)
@@ -400,9 +409,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     manifest.add_input("corpus", args.corpus)
     t0 = time.perf_counter()
 
-    if args.variant in ("cluster-all", "cluster-noun"):
-        if args.clusters is None:
-            raise UsageError(f"{args.variant} needs --clusters")
+    if clustering:
         manifest.payload["config"].update(
             clusters=args.clusters, linkage=args.linkage, scope=args.scope
         )
@@ -420,8 +427,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         save_cluster_tsv(corpus, labels, pred_path)
         manifest.add_output("clusters", pred_path)
     elif args.variant == "seed":
-        if not args.seeds:
-            raise UsageError("seed variant needs --seeds")
         lex = load_seed_lexicon(args.seeds, corpus, _value_names(args))
         manifest.add_input("seeds", args.seeds)
         preds = {
@@ -431,8 +436,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         save_polarity_tsv(corpus, preds, lex.value_names, pred_path)
         manifest.add_output("polarity", pred_path)
     else:  # majority
-        if not args.gold_polarity:
-            raise UsageError("majority variant needs --gold-polarity")
         value_names = _value_names(args)
         gold_ann = load_gold(
             corpus, polarity_path=args.gold_polarity, value_names=value_names

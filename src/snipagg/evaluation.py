@@ -11,7 +11,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus
@@ -72,20 +72,24 @@ def muc_score(gold: Clustering, response: Clustering) -> MucResult:
     return MucResult(precision, recall, f1)
 
 
+def _numbered(scope: str, pairs: Iterable[tuple[str, Hashable]]) -> Clustering:
+    """The partition that puts each (snippet id, key) pair's snippet in
+    its key's cluster, keys numbered densely in first appearance order."""
+    assignment: dict[str, int] = {}
+    index: dict[Hashable, int] = {}
+    for sid, key in pairs:
+        if sid in assignment:
+            raise EvalError(f"snippet {sid!r} appears in more than one scope")
+        assignment[sid] = index.setdefault(key, len(index))
+    return Clustering(scope, assignment, len(index))
+
+
 def combine_clusterings(clusterings: Sequence[Clustering]) -> Clustering:
     """Merge per-scope partitions into one, namespacing cluster indices
     by scope so clusters from different scopes never fuse."""
-    assignment: dict[str, int] = {}
-    index: dict[tuple[str, int], int] = {}
-    for c in clusterings:
-        for sid, cl in c.assignment.items():
-            if sid in assignment:
-                raise EvalError(f"snippet {sid!r} appears in more than one scope")
-            key = (c.scope, cl)
-            if key not in index:
-                index[key] = len(index)
-            assignment[sid] = index[key]
-    return Clustering("combined", assignment, len(index))
+    return _numbered("combined", (
+        (sid, (c.scope, cl)) for c in clusterings for sid, cl in c.assignment.items()
+    ))
 
 
 def gold_clustering(
@@ -99,33 +103,21 @@ def gold_clustering(
     """
     if scope not in ("entity", "corpus"):
         raise EvalError(f"unknown scope {scope!r}")
-    assignment: dict[str, int] = {}
-    index: dict[object, int] = {}
-    for sn in corpus.iter_snippets():
-        label = labels.get(sn.snippet_id)
-        if label is None:
-            continue
-        key = (sn.entity, label) if scope == "entity" else label
-        if key not in index:
-            index[key] = len(index)
-        assignment[sn.snippet_id] = index[key]
-    if not assignment:
+    out = _numbered(scope, (
+        (sn.snippet_id, (sn.entity if scope == "entity" else None, labels[sn.snippet_id]))
+        for sn in corpus.iter_snippets() if sn.snippet_id in labels
+    ))
+    if not out.assignment:
         raise EvalError("no gold cluster labels matched the corpus")
-    return Clustering(scope, assignment, len(index))
+    return out
 
 
 def restrict_clustering(clustering: Clustering, ids: Iterable[str]) -> Clustering:
     """The sub-partition over the given snippet ids, densely renumbered."""
     keep = set(ids)
-    assignment: dict[str, int] = {}
-    index: dict[int, int] = {}
-    for sid, cl in clustering.assignment.items():
-        if sid not in keep:
-            continue
-        if cl not in index:
-            index[cl] = len(index)
-        assignment[sid] = index[cl]
-    return Clustering(clustering.scope, assignment, len(index))
+    return _numbered(
+        clustering.scope, ((sid, cl) for sid, cl in clustering.assignment.items() if sid in keep)
+    )
 
 
 def sentiment_accuracy(

@@ -62,13 +62,13 @@ class ModelError(ValueError):
     """Invalid configuration or state."""
 
 
-def check_cells(what: str, *sizes: int) -> None:
-    """Raise ModelError if what, a table of the product of sizes cells,
-    would exceed MAX_CELLS; call it before the table is built."""
+def check_cells(what: str, *sizes: int, error: type[ValueError] = ModelError) -> None:
+    """Raise error if what, a table of the product of sizes cells, would
+    exceed MAX_CELLS; call it before the table is built."""
     cells = math.prod(sizes)
     if cells > MAX_CELLS:
         product = " x ".join(map(str, sizes)) + f" = {cells}" if len(sizes) > 1 else cells
-        raise ModelError(f"{what} = {product} exceeds the size ceiling ({MAX_CELLS})")
+        raise error(f"{what} = {product} exceeds the size ceiling ({MAX_CELLS})")
 
 
 def digamma(x):

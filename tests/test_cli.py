@@ -218,6 +218,24 @@ def test_baseline_scope_above_the_cell_ceiling_exits_3(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "base" / "clusters.tsv")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--variant", "cluster-all", "--clusters", "0"], "--clusters"),
+    (["--variant", "cluster-noun", "--clusters", "-1"], "--clusters"),
+    (["--variant", "cluster-all"], "--clusters"),
+    (["--variant", "seed"], "--seeds"),
+    (["--variant", "majority"], "--gold-polarity"),
+], ids=["clusters-0", "clusters-negative", "no-clusters", "no-seeds", "no-gold-polarity"])
+def test_baseline_usage_errors_exit_2_before_any_output(tmp_path, capsys, argv, flag):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "s0", "entity": "e0", "tokens": [["x", "NN"]]}) + "\n")
+    out = tmp_path / "base"
+    code = main(["-q", "baseline", "--corpus", str(corpus), *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_baseline_seed_variant(workspace, tmp_path, capsys):
     data, _ = workspace
     base = str(tmp_path / "seedbase")
