@@ -3,9 +3,8 @@
 Cluster quality uses the link-based MUC metric: recall is, summed over
 gold clusters, (cluster size minus the number of pieces the response
 partitions it into) over (cluster size minus one); precision swaps the
-roles. Snippets absent from the other side count as their own implicit
-singleton piece. An empty denominator (all singletons) scores 1 by
-convention.
+roles. Both sides must cover the same snippets. An empty denominator
+(all singletons) scores 1 by convention.
 """
 
 from __future__ import annotations
@@ -32,20 +31,13 @@ def _vilain(clusters: Iterable[set[str]], other: Mapping[str, object]) -> tuple[
     """Link counts for one direction of the MUC metric.
 
     For each cluster, count its size minus the number of distinct
-    pieces the other side's assignment splits it into; unassigned
-    members are their own piece.
+    pieces the other side's assignment, which covers every member,
+    splits it into.
     """
     num = 0
     den = 0
     for members in clusters:
-        pieces = set()
-        unassigned = 0
-        for m in members:
-            if m in other:
-                pieces.add(other[m])
-            else:
-                unassigned += 1
-        num += len(members) - len(pieces) - unassigned
+        num += len(members) - len({other[m] for m in members})
         den += len(members) - 1
     return num, den
 

@@ -8,11 +8,16 @@ under its current posterior (a snippet with q(Z_A = a) = 0.35 adds 0.35
 to aspect a's mixture count, and so on for emissions and transitions).
 
 Both schedules run one kernel over the corpus packed into one token
-stream. Each pass gathers the expected logs once, at every token's
-(entity, word) and tag and at every snippet's entity. Each E-step
-snippet sum is op @ E and each M-step count op.T @ q for a fixed
-token-incidence matrix op per bank (_incidence): a row per snippet, a
-column per cell and an entry per token, with the weights of the call.
+stream. A pass runs it one block of whole snippets at a time, each of
+at most BLOCK_TOKENS tokens, and gathers the expected logs once per
+block, at each of its tokens' (entity, word) and tag and at each of its
+snippets' entity. Every array with a row per token and a column per
+aspect is thus one block's, not the corpus's; each row depends on its
+snippet alone, so the blocks change no bit. Each E-step snippet sum is
+op @ E and each M-step count op.T @ q for a token-incidence matrix op
+per bank (_incidence): a row per snippet, a column per cell and an
+entry per token, with the weights of the call. Its index arrays are
+built once per corpus and the matrix is assembled per call.
 
 Every factor is a Dirichlet conjugate to the draws it governs, so the
 expected complete log likelihood is linear in the M-step's expected
@@ -92,6 +97,12 @@ log = logging.getLogger(__name__)
 # Fitting stops early once no posterior component moved by more than this.
 EARLY_STOP_TOL = 1e-5
 
+# A pass builds its per-token arrays one block of snippets at a time, each
+# block at most this many tokens (a longer snippet is a block on its own),
+# so an array of K doubles a token takes at most 128 K KiB on a corpus of
+# any size. Read when a corpus is packed.
+BLOCK_TOKENS = 2**14
+
 
 class InferenceError(RuntimeError):
     """Raised when an update is requested that the configuration disables."""
@@ -117,7 +128,10 @@ class _PackedCorpus:
     and last token, inner every token but a first one (so inner - 1 is
     every token but a last one). positions[p] holds the token at
     position p of every snippet longer than p, longest snippets first,
-    and how many of them (the leading ones) have a next token.
+    and how many of them (the leading ones) have a next token. blocks
+    holds the pass's snippet ranges (s0, s1) in corpus order: each as
+    many whole snippets as fit in BLOCK_TOKENS tokens, or one longer
+    snippet.
 
     The arrays are int32, which a sparse matrix takes as they are:
     offsets is the indptr of every token-incidence matrix (_incidence),
@@ -157,13 +171,19 @@ class _PackedCorpus:
         self.first, self.last = first, self.offsets[1:] - 1
         is_first = np.zeros(self.n_tokens, dtype=bool)
         is_first[first] = True
-        self.inner = np.flatnonzero(~is_first)
+        self.inner = np.flatnonzero(~is_first).astype(np.int32)
         order = np.argsort(-lengths, kind="stable")
         first, lengths = first[order], lengths[order]
         self.positions = [
             (first[lengths > p] + p, int(np.count_nonzero(lengths > p + 1)))
             for p in range(int(lengths.max(initial=0)))
         ]
+        self.blocks, s0 = [], 0
+        while s0 < self.n_snippets:
+            end = int(self.offsets[s0]) + BLOCK_TOKENS
+            s1 = max(int(np.searchsorted(self.offsets, end, side="right")) - 1, s0 + 1)
+            self.blocks.append((s0, s1))
+            s0 = s1
         self._aspect: Optional[tuple] = None
 
     def aspect_columns(self, state: VariationalState) -> np.ndarray:
@@ -191,10 +211,11 @@ def _incidence(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_cols
 
 @dataclass
 class _Gathered:
-    """The expected logs of one parameter state where a run of snippets
-    reads them: theta_A's and theta_V's one row per cell, ta (P, K) and
-    tv (V, N), which the token-incidence matrices of indptr, cols and
-    words sum, and ea (T, K), ev (T, N) their rows at each token; psi (S, K),
+    """The expected logs of one parameter state where a run of S snippets
+    and their T tokens (one block of a pass, or one snippet) reads them:
+    theta_A's and theta_V's one row per cell, ta (P, K) and tv (V, N),
+    which the token-incidence matrices of indptr, cols and words sum,
+    and ea (T, K), ev (T, N) their rows at each token; psi (S, K),
     phi (S, K, N) per snippet, eb, ei (T,) per word, eta (T, n) per tag."""
 
     indptr: np.ndarray
@@ -209,8 +230,6 @@ class _Gathered:
     eb: np.ndarray
     ei: Optional[np.ndarray]
     eta: Optional[np.ndarray]
-    start: np.ndarray
-    main: np.ndarray
 
 
 def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathered:
@@ -235,7 +254,6 @@ def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathe
         ta=ta, ea=np.take(ta, cols, axis=0), tv=tv, ev=cells(state.theta_V, words),
         eb=cells(state.theta_B, words), ei=cells(state.theta_I, words),
         eta=cells(state.eta, pack.tags[tok]),
-        start=state.trans_start.expected_log(), main=state.trans_main.expected_log(),
     )
 
 
@@ -363,14 +381,19 @@ def _value_step(g: _Gathered, qa: np.ndarray, qw_v: np.ndarray) -> np.ndarray:
 
 
 def _emissions(
-    state: VariationalState, g: _Gathered, qa: np.ndarray, qv: Optional[np.ndarray], rows
-) -> np.ndarray:
-    """The score of each role at each gathered token that does not
-    depend on its neighbours, (T, n): the topic prior, the tag emission
-    and the word emission, whose A and V columns marginalize over the
-    snippet's aspect and value (the token's row, rows[t], of qa and qv)."""
+    state: VariationalState,
+    g: _Gathered,
+    qa: np.ndarray,
+    qv: Optional[np.ndarray],
+    rows: np.ndarray,
+    emis: np.ndarray,
+) -> None:
+    """Write into emis (T, n) the score of each role at each gathered
+    token that does not depend on its neighbours: the topic prior, the
+    tag emission and the word emission, whose A and V columns
+    marginalize over the snippet's aspect and value (the token's row,
+    rows[t], of qa and qv)."""
     layout = state.layout
-    emis = np.empty((len(rows), layout.n_topics))
     emis[:, layout.col("A")] = np.einsum("tk,tk->t", np.take(qa, rows, axis=0), g.ea)
     if qv is not None:
         emis[:, layout.col("V")] = np.einsum("tn,tn->t", np.take(qv, rows, axis=0), g.ev)
@@ -380,33 +403,35 @@ def _emissions(
     emis += state.hp.topic_prior_vector(layout)
     if g.eta is not None:
         emis += g.eta
-    return emis
 
 
 def _word_step(
-    g: _Gathered,
+    state: VariationalState,
     emis: np.ndarray,
-    prev: np.ndarray,
+    from_prev: np.ndarray,
     first: np.ndarray | slice,
-    nxt: np.ndarray,
+    into_next: np.ndarray,
     last: np.ndarray | slice,
 ) -> np.ndarray:
     """update_word_topic for a group of m tokens: their new q(Z_W), (m, n).
 
-    emis holds their rows of _emissions. prev holds the current q(Z_W)
-    of the predecessors of the last len(prev) tokens; the rows first
-    (snippet starts) take the start row instead. nxt holds the current
-    q(Z_W) of the successors of the first len(nxt) tokens; the rows last
-    (snippet ends) take the end column instead.
+    emis holds their rows of _emissions. With main the expected log of
+    trans_main, from_prev holds q @ main[:, :n] for q the current q(Z_W)
+    of the predecessors of the last len(from_prev) tokens; the rows
+    first (snippet starts) take the start row instead. into_next holds
+    q @ main[:, :n].T for q that of the successors of the first
+    len(into_next) tokens; the rows last (snippet ends) take the end
+    column instead. The callers multiply: numpy hands a one-row product
+    to BLAS's matrix-vector routine, whose bits differ from those of a
+    row of a many-row product.
     """
-    n = emis.shape[1]
     score = np.empty_like(emis)
-    score[len(emis) - len(prev):] = prev @ g.main[:, :n]
-    score[first] = g.start
+    score[len(emis) - len(from_prev):] = from_prev
+    score[first] = state.trans_start.expected_log()
     score += emis
     out = np.empty_like(emis)
-    out[: len(nxt)] = nxt @ g.main[:, :n].T
-    out[last] = g.main[:, n]
+    out[: len(into_next)] = into_next
+    out[last] = state.trans_main.expected_log()[:, emis.shape[1]]
     score += out
     return _softmax_rows(score)
 
@@ -471,11 +496,15 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
         raise InferenceError(f"word index {word} out of range for snippet {snippet}")
     qa = state.qa[entity][snippet : snippet + 1]
     qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
-    emis = _emissions(state, g, qa, qv, np.zeros(hi - lo, dtype=np.intp))[word : word + 1]
+    n = state.layout.n_topics
+    emis = np.empty((hi - lo, n))
+    _emissions(state, g, qa, qv, np.zeros(hi - lo, dtype=np.intp), emis)
     # One wavefront row: no prev (nxt) token means the start row (end column).
-    qw = state.qw[entity][lo:hi]
+    qw, main = state.qw[entity][lo:hi], state.trans_main.expected_log()[:, :n]
     prev, nxt = qw[max(word - 1, 0) : word], qw[word + 1 : word + 2]
-    q = _word_step(g, emis, prev, slice(len(prev), 1), nxt, slice(len(nxt), None))[0]
+    from_prev, into_next = prev @ main, nxt @ main.T
+    first, last = slice(len(prev), 1), slice(len(nxt), None)
+    q = _word_step(state, emis[word : word + 1], from_prev, first, into_next, last)[0]
     ctx.new_qw[entity][lo + word] = q
     return q
 
@@ -484,36 +513,60 @@ def _max_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max()) if new.size else 0.0
 
 
-def _pass(ctx: UpdateContext, g: _Gathered) -> float:
+def _blocks(ctx: UpdateContext) -> Iterator[tuple[slice, slice, _Gathered]]:
+    """The snippets, the tokens and the gather of each block of the
+    context's corpus, in corpus order."""
+    pack = ctx.pack
+    for s0, s1 in pack.blocks:
+        yield slice(s0, s1), slice(pack.offsets[s0], pack.offsets[s1]), _gather(ctx, s0, s1)
+
+
+def _pass(ctx: UpdateContext) -> float:
     """One pass of hp.schedule over the context's packed posteriors,
     updated in place.
 
     Both schedules make the coordinate moves of the per-op updates: each
     snippet's aspect, then its value, then each of its words. They differ
     only in when a new posterior is read. The batch schedule reads only
-    the old posteriors and runs each step once over the whole corpus,
+    the old posteriors and runs each step once per block of snippets,
     the word step on the old q(Z_W) of both neighbours. The sequential
     schedule is the left-to-right sweep: the value step and the
-    emissions read the new q(Z_A), and the word step runs once per token
-    position p, reading the new q(Z_W) at p-1 and the old one at p+1.
-    Returns the largest absolute posterior change (NaN if any posterior
-    is NaN).
+    emissions read the new q(Z_A), and once every block's emissions are
+    in, the word step runs once per token position p, reading the new
+    q(Z_W) at p-1 and the old one at p+1. Returns the largest absolute
+    posterior change (NaN if any posterior is NaN).
     """
     state, pack, qa, qv, qw = ctx.state, ctx.pack, ctx.qa, ctx.qv, ctx.qw
     sequential = state.hp.schedule == "sequential"
     layout = state.layout
-    new_qa = _aspect_step(g, qv, qw[:, layout.col("A")])
-    seen_qa = new_qa if sequential else qa
-    new_qv = None if qv is None else _value_step(g, seen_qa, qw[:, layout.col("V")])
-    emis = _emissions(state, g, seen_qa, new_qv if sequential else qv, pack.snip_of_token)
+    main = state.trans_main.expected_log()[:, : layout.n_topics]
+    qw_a, qw_v = qw[:, layout.col("A")], None if qv is None else qw[:, layout.col("V")]
+    new_qa, new_qv = np.empty_like(qa), None if qv is None else np.empty_like(qv)
+    new_qw = qw.copy() if sequential else np.empty_like(qw)
+    emis = np.empty_like(qw) if sequential else None
+    seen_qa, seen_qv = (new_qa, new_qv) if sequential else (qa, qv)
+    for snips, toks, g in _blocks(ctx):
+        new_qa[snips] = _aspect_step(g, None if qv is None else qv[snips], qw_a[toks])
+        if qv is not None:
+            new_qv[snips] = _value_step(g, seen_qa[snips], qw_v[toks])
+        # The batch schedule keeps a block's emissions in its rows of new_qw
+        # until its word step overwrites them.
+        block_emis = (emis if sequential else new_qw)[toks]
+        _emissions(state, g, seen_qa, seen_qv, pack.snip_of_token[toks], block_emis)
+        del g  # before the next block's gather
+        if not sequential:
+            # Every row of the block multiplied, so that a 2-token block is
+            # no one-row product; the rows that cross a snippet end are unread.
+            t0, old = toks.start, qw[toks]
+            first, last = pack.first[snips] - t0, pack.last[snips] - t0
+            from_prev, into_next = (old @ main)[:-1], (old @ main.T)[1:]
+            new_qw[toks] = _word_step(state, block_emis, from_prev, first, into_next, last)
     if sequential:
-        new_qw = qw.copy()
         for p, (tok, n_lead) in enumerate(pack.positions):
             prev, first = (new_qw[:0], slice(None)) if p == 0 else (new_qw[tok - 1], slice(0))
-            nxt = new_qw[tok[:n_lead] + 1]
-            new_qw[tok] = _word_step(g, emis[tok], prev, first, nxt, slice(n_lead, None))
-    else:
-        new_qw = _word_step(g, emis, qw[:-1], pack.first, qw[1:], pack.last)
+            from_prev, into_next = prev @ main, new_qw[tok[:n_lead] + 1] @ main.T
+            last = slice(n_lead, None)
+            new_qw[tok] = _word_step(state, emis[tok], from_prev, first, into_next, last)
 
     changes = [_max_change(new_qa, qa), _max_change(new_qw, qw)]
     qa[:], qw[:] = new_qa, new_qw
@@ -606,7 +659,7 @@ def _fit(
     a refit, whose factor terms give the free energy."""
     for it in range(1, ctx.state.hp.max_iters + 1):
         t0 = time.perf_counter()
-        delta = _pass(ctx, _gather(ctx))
+        delta = _pass(ctx)
         fe = _free_energy(ctx, _refit(ctx))
         if _end_iteration(it, fe, delta, t0, reports, progress):
             break
@@ -627,7 +680,10 @@ def _prime(ctx: UpdateContext) -> None:
     noise, which picks the wrong orientation about half the time.
     """
     if ctx.qv is not None and any(ctx.state.seed_sets):
-        ctx.qv[:] = _value_step(_gather(ctx), ctx.qa, ctx.qw[:, ctx.state.layout.col("V")])
+        qw_v = ctx.qw[:, ctx.state.layout.col("V")]
+        for snips, toks, g in _blocks(ctx):
+            ctx.qv[snips] = _value_step(g, ctx.qa[snips], qw_v[toks])
+            del g  # before the next block's gather, and before the refit
     update_parameters(ctx)
 
 

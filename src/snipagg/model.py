@@ -326,6 +326,15 @@ def save_config(hp: Hyperparameters, path: str) -> None:
             fh.write(f"{key} = {v}\n")
 
 
+def _minus(x: np.ndarray, y) -> np.ndarray:
+    """x - y for a fresh array x, written into x when y is a scalar or laid
+    out as x, so the difference keeps the layout x - y would give it. (An
+    F-ordered x less a C-ordered y is laid out otherwise, and a .sum() of
+    it then adds its cells in another order.)"""
+    in_place = np.ndim(y) == 0 or (np.shape(y) == x.shape and y.strides == x.strides)
+    return np.subtract(x, y, out=x if in_place else None)
+
+
 class DirichletFactor:
     """One Dirichlet posterior, or a bank of independent ones over one support.
 
@@ -435,7 +444,11 @@ class DirichletFactor:
         every pair of one table, the prior's shape."""
         if np.shape(counts) != self.table.shape:
             raise ModelError(f"counts have shape {np.shape(counts)}, expected {self.table.shape}")
-        self.table = np.add(self._prior_table, counts, out=np.empty_like(self.table))
+        # A new array in the old one's layout, allocated once the old table
+        # and its expected logs are released: a table is never written in place.
+        order = "F" if self.table.flags.f_contiguous else "C"
+        self.table = self._elog = self._dense_elog = None
+        self.table = np.add(self._prior_table, counts, out=np.empty(np.shape(counts), order=order))
         self._changed()
 
     def _write(self, start: int, dense: np.ndarray) -> None:
@@ -453,7 +466,7 @@ class DirichletFactor:
         with the digamma of the row totals."""
         if self._elog is None:
             digamma_total = digamma(self._totals)
-            elog = digamma(self.table.T) - np.take(digamma_total.T, self._row_of, axis=0)
+            elog = _minus(digamma(self.table.T), np.take(digamma_total.T, self._row_of, axis=0))
             self._elog = (digamma_total, elog.T)
         return self._elog[1]
 
@@ -508,11 +521,11 @@ class DirichletFactor:
         # + sum (a - b - counts) E[log p], for posterior a, prior b and totals A,
         # B; cells off the support and rows without support cells add 0. Right
         # after set_counts(counts), a = b + counts: the term is ln B(b) - ln B(a).
-        a = self.table
+        a, elog = self.table, self.table_elog()
         row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
-        cell_part = gammaln(a) - self._at_support(self._base_log()[1])
-        cross = np.vdot((a - self._prior_table - counts).T, self.table_elog().T)
-        return float(row_part.sum() - cell_part.sum() + cross)
+        cell_part = _minus(gammaln(a), self._at_support(self._base_log()[1])).sum()
+        cross = np.vdot(_minus(a - self._prior_table, counts).T, elog.T)
+        return float(row_part.sum() - cell_part + cross)
 
 
 class FactorRow:

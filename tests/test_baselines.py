@@ -1,6 +1,7 @@
 """TF-IDF clustering and sentiment baselines."""
 
 import hashlib
+import json
 import math
 import os
 
@@ -327,7 +328,10 @@ def test_tfidf_matrix_refuses_a_scope_above_the_cell_ceiling(monkeypatch):
 
 # sha256 of clusters.tsv from `snipagg baseline --clusters 5` on the README
 # Quick start corpus (50 x 40 snippets, seed 1) at entity scope, and on a
-# 5 x 40 corpus of the same settings at corpus scope.
+# 5 x 40 corpus of the same settings at corpus scope and, with its snippet
+# ids renamed to sort in reverse corpus order, at entity scope. generate
+# writes ids in sorted corpus order, so only the renamed corpus shows a
+# clustering that lost its sort by id.
 PINNED_BASELINES = {
     ("quick-start", "cluster-all", "average", "entity"):
         "d71411f7bc7cc8afc90f6c09a1c894b8e07ae75753268b047be242d19d51dc45",
@@ -339,6 +343,8 @@ PINNED_BASELINES = {
         "7e5a564542af69e50c3464014655abd37a184b909bf6e480b40f7724d885a521",
     ("small", "cluster-all", "average", "corpus"):
         "5c875aa1f519e26503cfa1a49c7ea1658a549d2b1014bf2d1916d8a90e33b80e",
+    ("unsorted", "cluster-all", "average", "entity"):
+        "3101cab58c3eb19a48db02d68b2e38fbe3597b1e57d597b6622b8228939704ad",
 }
 
 
@@ -354,6 +360,13 @@ def pinned_corpora(tmp_path_factory):
             "--seed", "1", "--set", "K=5", "--set", "N=2",
         ]) == 0
         paths[name] = os.path.join(out, "corpus.jsonl")
+    paths["unsorted"] = str(root / "unsorted.jsonl")
+    with open(paths["small"], encoding="utf-8") as src, \
+            open(paths["unsorted"], "w", encoding="utf-8") as dst:
+        for j, line in enumerate(src):  # snippet j becomes <entity>-r<99999 - j>
+            record = json.loads(line)
+            record["id"] = f"{record['entity']}-r{99999 - j:05d}"
+            dst.write(json.dumps(record) + "\n")
     return paths
 
 

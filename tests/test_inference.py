@@ -59,19 +59,23 @@ def tiny_corpus(n_entities=1):
     return Corpus(entities, groups, vocab, tags)
 
 
-def random_corpus(rng, n_entities=3, vocab_size=30, snippets=4, max_len=6):
+def random_corpus(rng, n_entities=3, vocab_size=30, snippets=4, max_len=6, long_snippet=0):
+    """Random snippets of 1 to max_len tokens; with long_snippet, entity 0
+    ends with one more snippet of that many tokens, drawn last."""
     vocab = Indexer([f"w{k}" for k in range(vocab_size)])
     tags = Indexer(["NN", "JJ", "VB"])
     entities = [f"e{i}" for i in range(n_entities)]
-    groups = []
-    for i in range(n_entities):
-        group = []
-        for j in range(snippets):
-            length = int(rng.integers(1, max_len + 1))
-            toks = [Token(int(rng.integers(vocab_size)), int(rng.integers(3)))
-                    for _ in range(length)]
-            group.append(Snippet(i, f"e{i}-s{j}", toks))
-        groups.append(group)
+
+    def snippet(i, j, length):
+        toks = [Token(int(rng.integers(vocab_size)), int(rng.integers(3))) for _ in range(length)]
+        return Snippet(i, f"e{i}-s{j}", toks)
+
+    groups = [
+        [snippet(i, j, int(rng.integers(1, max_len + 1))) for j in range(snippets)]
+        for i in range(n_entities)
+    ]
+    if long_snippet:
+        groups[0].append(snippet(0, snippets, long_snippet))
     return Corpus(entities, groups, vocab, tags)
 
 
@@ -482,12 +486,17 @@ def test_run_inference_rejects_bad_threads():
         run_inference(Hyperparameters(), tiny_corpus(), threads=0)
 
 
-def random_state(seed, n_values, use_ignore, use_pos, shared, max_len, sparse=False):
+def random_state(
+    seed, n_values, use_ignore, use_pos, shared, max_len, sparse=False, long_snippet=0
+):
     """A random corpus and a state on it with random counts in its factors
     (in about half the cells when sparse) and random posteriors. shared
-    is how many sharing flags are on: none, shared_aspects, or both."""
+    is how many sharing flags are on: none, shared_aspects, or both.
+    long_snippet is random_corpus's."""
     rng = np.random.default_rng(seed)
-    corpus = random_corpus(rng, n_entities=3, vocab_size=12, snippets=4, max_len=max_len)
+    corpus = random_corpus(
+        rng, n_entities=3, vocab_size=12, snippets=4, max_len=max_len, long_snippet=long_snippet
+    )
     hp = Hyperparameters(
         K=3, N=n_values, use_ignore=use_ignore, use_pos=use_pos,
         shared_aspects=shared >= 1, shared_aspect_multinomial=shared == 2,
@@ -560,12 +569,67 @@ def test_pass_and_refit_match_per_op_updates(
     oracle, ctx = per_op_pass(state, corpus, sequential=schedule == "sequential")
     update_parameters(ctx)
     ctx = UpdateContext(state, corpus)
-    delta = _pass(ctx, _gather(ctx))
+    delta = _pass(ctx)
     _refit(ctx)
     ctx.commit()
     assert_same_posteriors(state, oracle, before, delta)
     for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):
         assert np.abs(got.concentration - want.concentration).max() <= 1e-12
+
+
+@pytest.mark.parametrize("schedule", ["batch", "sequential"])
+@settings(max_examples=40, deadline=None)
+@given(block=st.integers(2, 9), **STATE_FLAGS)
+def test_pass_has_the_same_bits_in_blocks_of_any_size(
+    schedule, block, seed, n_values, use_ignore, use_pos, shared, max_len
+):
+    # Blocks of 1 token, of `block` tokens and of the whole corpus. Entity
+    # 0 ends with a 10-token snippet, a block of its own in the first two.
+    got = []
+    for size in (1, block, None):
+        corpus, state = random_state(
+            seed, n_values, use_ignore, use_pos, shared, max_len, long_snippet=10
+        )
+        state.hp.schedule = schedule
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inference, "BLOCK_TOKENS", size or len(corpus.words))
+            ctx = UpdateContext(state, corpus)  # packs the corpus
+        starts, stops = zip(*ctx.pack.blocks)  # consecutive, covering every snippet
+        assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == ctx.pack.n_snippets
+        if size == 1:
+            assert len(starts) == ctx.pack.n_snippets
+        if size is None:
+            assert len(starts) == 1
+        else:
+            assert (4, 5) in ctx.pack.blocks  # entity 0's fifth snippet, the long one
+        delta = _pass(ctx)
+        got.append([None if q is None else q.tobytes() for q in (ctx.qa, ctx.qv, ctx.qw)])
+        got[-1].append(delta)
+    assert got[0] == got[1] == got[2]
+
+
+def test_fit_gathers_at_most_one_block_at_a_time(monkeypatch):
+    # 4 entities x 12 snippets of 1 to 6 tokens and one of 40, in blocks of
+    # 16 tokens; the seeds make the fit's priming run its value step too.
+    rng = np.random.default_rng(5)
+    corpus = random_corpus(rng, n_entities=4, vocab_size=30, snippets=12, long_snippet=40)
+    seeds = SeedLexicon(["neg", "pos"], [{0, 1}, {2, 3}])
+    monkeypatch.setattr(inference, "BLOCK_TOKENS", 16)
+    spans, gather = [], inference._gather
+
+    def recording_gather(ctx, s0=0, s1=None):
+        s1 = ctx.pack.n_snippets if s1 is None else s1
+        spans.append(int(ctx.pack.offsets[s1] - ctx.pack.offsets[s0]))
+        return gather(ctx, s0, s1)
+
+    monkeypatch.setattr(inference, "_gather", recording_gather)
+    for schedule in ("batch", "sequential"):
+        spans.clear()
+        hp = Hyperparameters(K=3, N=2, schedule=schedule, max_iters=3)
+        _, reports = run_inference(hp, corpus, seeds)
+        n_blocks = len(corpus._pack.blocks)
+        assert n_blocks > 4 and len(spans) == n_blocks * (1 + len(reports))
+        assert max(spans) == max(16, 40)  # no more, and the long snippet alone
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])
