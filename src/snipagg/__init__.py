@@ -57,10 +57,12 @@ from snipagg.inference import (
 from snipagg.generator import (
     CorpusShape,
     SyntheticCorpus,
+    aspect_columns,
     load_true_params,
     make_separable,
     sample_corpus,
     save_true_params,
+    theta_a_rows,
 )
 from snipagg.baselines import (
     Clustering,

@@ -6,13 +6,17 @@ priors, each entity draws its aspect mixture and aspect word
 distributions, and every snippet draws an aspect, a value type, and a
 role chain that starts at the virtual start state and emits one word
 (and one tag) per step. All latent draws are recorded as gold
-annotations, and every sampled distribution is returned (as an array)
-for parameter recovery checks.
+annotations, and every sampled distribution is returned for parameter
+recovery checks: each as an array, except theta_A, which is kept per
+aspect on the words its prior reaches (aspect_columns), one (scopes,
+words) table per aspect; theta_a_rows builds one scope's dense (K, V)
+rows on demand.
 
 The draws come from one PCG64 stream, one uniform per categorical
 choice, in a fixed order. First the distributions: theta_B, theta_I,
 theta_V, eta, the transition table, then theta_A, phi and psi, every
-stack of rows drawn in chunks by one gamma call each (_draw_rows).
+stack of rows drawn in chunks by one gamma call each (_row_chunks);
+theta_A keeps each dense chunk's live columns only.
 Then per snippet: one block rng.random(2) for the aspect and the value
 type (rng.random(1) when N = 0), the Poisson length, and one block
 rng.random(3 * length) that holds the role uniform of each token, then
@@ -24,7 +28,8 @@ makes only these calls. Every choice is picked after the loop from the
 uniforms it drew: the aspects over psi, the value types over phi, the
 Poisson role chains one position at a time over all snippets, and the
 words and tags, each with one searchsorted per distribution in use
-(_pick_grouped). A fixed seed therefore gives the same corpus as a
+(_pick_grouped; A-role words over their aspect's table,
+_pick_aspect_words). A fixed seed therefore gives the same corpus as a
 one-draw-per-choice sampler.
 
 make_separable additionally interpolates the aspect word priors toward
@@ -35,7 +40,9 @@ sample_corpus.
 
 save_true_params writes the true parameters as true_params.json,
 version 2: every array exactly, through the state file's codec, and
-theta_A on its non-zero cells. load_true_params reads it back, checked.
+theta_A on its non-zero cells of the dense bank, without building that
+bank. load_true_params reads it back, checked, into the per-aspect
+tables.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +90,9 @@ POISSON_MEAN_RANGE = (0.1, 38.0)
 # prior counts as too small to sample.
 MAX_REDRAWS = 100
 # Block draws and picks work on at most this many cells at a time (4 MB
-# of float64), so no temporary grows with the corpus: theta_A's rows are
-# 28.8 MB at the criterion-11 reference shape.
+# of float64), so no temporary grows with the corpus: theta_A's dense rows
+# would be 28.8 MB at the criterion-11 reference shape, and its per-aspect
+# tables, a tenth of that at separation 1, are filled chunk by chunk.
 CHUNK_CELLS = 2**19
 
 
@@ -157,39 +165,47 @@ def _draw_multinomial(rng: np.random.Generator, alpha: np.ndarray, what: str) ->
     )
 
 
-def _draw_rows(
-    rng: np.random.Generator, alpha: np.ndarray, what: str, n_rows: Optional[int] = None
-) -> np.ndarray:
-    """n_rows Dirichlet draws (default len(alpha)), row r at concentration
-    alpha[r % len(alpha)], as one (n_rows, width) array that is bit for
-    bit what n_rows _draw_multinomial calls return, leaving rng in the
+def _row_chunks(
+    rng: np.random.Generator, alpha: np.ndarray, what: str, n_rows: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """n_rows Dirichlet draws, row r at concentration alpha[r % len(alpha)],
+    yielded as (r0, block) for chunks of rows r0 onward of at most
+    CHUNK_CELLS cells, each block a new array. Row by row they are bit for
+    bit what n_rows _draw_multinomial calls return, and rng ends in the
     same state.
 
-    Rows are drawn in chunks of at most CHUNK_CELLS cells, each by one
-    rng.gamma call over the chunk's cells with a positive concentration
-    in C order: gamma draws element by element and a zero concentration
-    draws nothing. Each row is then divided by its sum over the full row,
-    as _draw_multinomial divides. _draw_multinomial redraws a row whose
-    variates all underflow before it draws the next row, so a chunk with
-    such a row is rewound to its start and drawn again row by row.
+    Each chunk is drawn by one rng.gamma call over its cells with a
+    positive concentration in C order: gamma draws element by element and
+    a zero concentration draws nothing. Each row is then divided by its
+    sum over the full row, as _draw_multinomial divides. _draw_multinomial
+    redraws a row whose variates all underflow before it draws the next
+    row, so a chunk with such a row is rewound to its start and drawn
+    again row by row.
     """
-    n_rows = len(alpha) if n_rows is None else n_rows
-    out = np.zeros((n_rows, alpha.shape[1]))
     step = max(1, CHUNK_CELLS // alpha.shape[1])
     for r0 in range(0, n_rows, step):
         rows = np.arange(r0, min(r0 + step, n_rows)) % len(alpha)
-        conc, block = alpha[rows], out[r0:r0 + len(rows)]
-        live = conc > 0
+        conc = alpha[rows]
+        block, live = np.zeros(conc.shape), conc > 0
         saved = rng.bit_generator.state
         block[live] = rng.gamma(conc[live])
         totals = block.sum(axis=1)
         if (totals > 0.0).all():
             block /= totals[:, None]
-            continue
-        rng.bit_generator.state = saved
-        for r, row in enumerate(rows.tolist()):
-            block[r] = _draw_multinomial(rng, alpha[row], what)
-    return out
+        else:
+            rng.bit_generator.state = saved
+            for r, row in enumerate(rows.tolist()):
+                block[r] = _draw_multinomial(rng, alpha[row], what)
+        yield r0, block
+
+
+def _draw_rows(
+    rng: np.random.Generator, alpha: np.ndarray, what: str, n_rows: Optional[int] = None
+) -> np.ndarray:
+    """n_rows Dirichlet draws (default len(alpha)) of _row_chunks as one
+    (n_rows, width) array."""
+    n_rows = len(alpha) if n_rows is None else n_rows
+    return np.concatenate([block for _, block in _row_chunks(rng, alpha, what, n_rows)])
 
 
 def _edges(probs: np.ndarray) -> list[float]:
@@ -205,7 +221,10 @@ def _pick(edges: list[float], u: float) -> int:
 
 
 def _pick_grouped(
-    tables: Sequence[np.ndarray], keys: np.ndarray, u: np.ndarray
+    tables: Sequence[np.ndarray],
+    keys: np.ndarray,
+    u: np.ndarray,
+    labels: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """For every draw k, the category that distribution keys[k] selects
     with u[k], the distributions being the rows of the 2-D tables (all of
@@ -214,7 +233,10 @@ def _pick_grouped(
     The cumulative edges come from one cumsum(axis=-1) per chunk of at
     most CHUNK_CELLS cells, the same bits as a 1-D cumsum of each row,
     and each row in use takes one searchsorted over all of its draws;
-    element by element this is _pick on the same edges and uniforms.
+    element by element this is _pick on the same edges and uniforms. With
+    labels, one longer than the tables are wide, category c is labels[c],
+    and a draw past the last edge is labels[-1] rather than the last
+    category.
     """
     order = np.argsort(keys, kind="stable")
     rows, firsts = np.unique(keys[order], return_index=True)
@@ -233,7 +255,27 @@ def _pick_grouped(
                 g = g1
         base += len(table)
     out = np.empty(len(order), dtype=np.int64)
-    out[order] = np.minimum(hits, tables[0].shape[1] - 1)
+    out[order] = np.minimum(hits, tables[0].shape[1] - 1) if labels is None else labels[hits]
+    return out
+
+
+def _pick_aspect_words(
+    tables: Sequence[np.ndarray],
+    columns: Sequence[np.ndarray],
+    scopes: np.ndarray,
+    aspects: np.ndarray,
+    u: np.ndarray,
+    vocab_size: int,
+) -> np.ndarray:
+    """For every draw d, the word that row scopes[d] of aspect aspects[d]
+    selects with u[d], over the aspect's table (see aspect_columns). A
+    draw past the last edge is word vocab_size - 1, where a pick over the
+    dense row clips it; otherwise the hit is a column of positive mass,
+    whose dense edges are the same bits, so this is the dense pick."""
+    out = np.empty(len(u), dtype=np.int64)
+    for k, (table, cols) in enumerate(zip(tables, columns)):
+        at = np.flatnonzero(aspects == k)
+        out[at] = _pick_grouped([table], scopes[at], u[at], np.append(cols, vocab_size - 1))
     return out
 
 
@@ -353,12 +395,20 @@ def _sample(
         trans_start = _draw_multinomial(rng, start_prior, "transition_start (lambda_T)")
         trans_main = _draw_rows(rng, main_prior, "transition_main (lambda_T)")
 
-    # The aspect banks, one row per (scope, aspect), scope-major.
+    # The aspect banks, drawn one row per (scope, aspect), scope-major;
+    # theta_A keeps each aspect's rows on the words its prior reaches.
     n_psi, n_scopes = hp.bank_rows(shape.n_entities)
     aspect_alpha = np.full((hp.K, V), hp.lambda_A * (1.0 - separation))
     for a, block in enumerate(blocks):
         aspect_alpha[a, block] = hp.lambda_A
-    theta_a = _draw_rows(rng, aspect_alpha, "theta_A (lambda_A)", n_scopes * hp.K)
+    columns = aspect_columns(separation, blocks, hp.K, V)
+    theta_a = [np.empty((n_scopes, len(cols))) for cols in columns]
+    for r0, block in _row_chunks(rng, aspect_alpha, "theta_A (lambda_A)", n_scopes * hp.K):
+        for k, (table, cols) in enumerate(zip(theta_a, columns)):
+            first = (k - r0) % hp.K  # the chunk's first row of aspect k
+            rows = block[first::hp.K]
+            s0 = (r0 + first) // hp.K
+            table[s0:s0 + len(rows)] = rows[:, cols]
     phi = None
     if hp.N >= 1:
         phi = _draw_rows(rng, np.full((1, hp.N), hp.lambda_AV), "phi (lambda_AV)",
@@ -400,7 +450,10 @@ def _sample(
     lengths = np.asarray(lengths, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     token_snippets = np.repeat(np.arange(n_snippets), lengths)
+    # The per-token temporaries go once they are read, so that they are not
+    # held through Corpus.from_arrays and the gold, where the sample peaks.
     draws = np.concatenate(tails)
+    del tails
     if poisson:
         # Snippet s's block starts at 3 * starts[s]: the role uniform of its
         # token t sits at 2 * starts[s] + t, the word uniform at
@@ -411,6 +464,7 @@ def _sample(
         roles = _pick_chains(trans_start, trans_main[:, :n], lengths, draws[2 * first + t])
         word_at = first + lengths[token_snippets] + 2 * t
         word_u, tag_u = draws[word_at], draws[word_at + 1]
+        del draws, t, first, word_at
     else:
         roles = np.asarray(walked, dtype=np.int64)
         word_u, tag_u = draws[0::2], draws[1::2]
@@ -418,27 +472,36 @@ def _sample(
     entity_of = np.repeat(np.arange(shape.n_entities), shape.snippets_per_entity)
     heads = np.concatenate(heads).reshape(n_snippets, n_heads)
     z_a = _pick_grouped([psi], np.minimum(entity_of, n_psi - 1), heads[:, 0])
-    aspect_rows = np.minimum(entity_of, n_scopes - 1) * hp.K + z_a
-    z_v = _pick_grouped([phi], aspect_rows, heads[:, 1]) if hp.N >= 1 else None
+    scope_of = np.minimum(entity_of, n_scopes - 1)
+    z_v = _pick_grouped([phi], scope_of * hp.K + z_a, heads[:, 1]) if hp.N >= 1 else None
 
-    # Every word distribution by row: aspect rows, then value rows, then
-    # background and ignore; each snippet's row for each role.
-    word_tables, role_rows = [theta_a], {"A": aspect_rows}
+    # A-role words pick over their snippet's aspect table. Every other
+    # word distribution is a row: value rows, then background and ignore;
+    # each snippet's row for each role (A's is never read).
+    word_tables, role_rows = [], {"A": z_a}
     if z_v is not None:
-        role_rows["V"] = len(theta_a) + z_v
+        role_rows["V"] = z_v
         word_tables.append(theta_v)
     for letter, dist in (("B", theta_b), ("I", theta_i)):
         if dist is not None:
             role_rows[letter] = np.full(n_snippets, sum(map(len, word_tables)))
             word_tables.append(dist[None])
     snippet_rows = np.stack([role_rows[letter] for letter in layout.letters], axis=1)
+    word_ids = np.empty(len(roles), dtype=np.int64)
+    is_a = roles == layout.col("A")
+    a_snippets, other = token_snippets[is_a], ~is_a
+    word_ids[is_a] = _pick_aspect_words(
+        theta_a, columns, scope_of[a_snippets], z_a[a_snippets], word_u[is_a], V
+    )
+    word_ids[other] = _pick_grouped(
+        word_tables, snippet_rows[token_snippets[other], roles[other]], word_u[other]
+    )
 
     entities = [f"e{i:03d}" for i in range(shape.n_entities)]
     sids = [f"{e}-s{j:05d}" for e in entities for j in range(shape.snippets_per_entity)]
     corpus = Corpus.from_arrays(
         entities, Indexer(words), Indexer(SYNTHETIC_TAGS), entity_of, sids, lengths,
-        _pick_grouped(word_tables, snippet_rows[token_snippets, roles], word_u),
-        _pick_grouped([eta], roles, tag_u),
+        word_ids, _pick_grouped([eta], roles, tag_u),
     )
     aspect_names = [f"a{k}" for k in range(hp.K)]
     gold = GoldAnnotations(clusters=dict(zip(sids, map(aspect_names.__getitem__, z_a.tolist()))))
@@ -462,7 +525,7 @@ def _sample(
         "transition_start": trans_start,
         "transition_main": trans_main,
         "psi": list(psi),
-        "theta_A": list(theta_a.reshape(n_scopes, hp.K, V)),
+        "theta_A": theta_a,
         "phi": None if phi is None else list(phi.reshape(n_scopes, hp.K, hp.N)),
         "aspect_blocks": [b.tolist() for b in blocks],
     }
@@ -474,14 +537,50 @@ def _sample(
 
 
 def aspect_vocabularies_disjoint(syn: SyntheticCorpus) -> bool:
-    """Whether words observed under different gold aspects never overlap."""
-    seen: dict[str, set[int]] = {}
-    for sn in syn.corpus.iter_snippets():
-        labels = syn.gold.word_labels[sn.snippet_id]
-        words = seen.setdefault(syn.gold.clusters[sn.snippet_id], set())
-        words.update(w for w, letter in zip(sn.words.tolist(), labels) if letter == "A")
-    sets = list(seen.values())
-    return not any(a & b for x, a in enumerate(sets) for b in sets[x + 1:])
+    """Whether words observed under different gold aspects never overlap.
+
+    Computed on the token arrays, the gold word labels being one role
+    letter per token: every A token marks its word under its snippet's
+    gold aspect, and no word may be marked under two."""
+    corpus, gold = syn.corpus, syn.gold
+    sids = [sn.snippet_id for sn in corpus.iter_snippets()]
+    letters = "".join(map("".join, map(gold.word_labels.__getitem__, sids)))
+    is_a = np.frombuffer(letters.encode(), dtype=np.uint8) == ord("A")
+    names = {name: k for k, name in enumerate(set(gold.clusters.values()))}
+    aspect = np.fromiter(map(names.__getitem__, map(gold.clusters.__getitem__, sids)), np.int64)
+    seen = np.zeros((len(corpus.vocabulary), len(names)), dtype=bool)
+    seen[corpus.words[is_a], np.repeat(aspect, np.diff(corpus.offsets))[is_a]] = True
+    return bool((seen.sum(axis=1) <= 1).all())
+
+
+def aspect_columns(separation: float, aspect_blocks: Sequence, K: int, V: int) -> list[np.ndarray]:
+    """The words, ascending, that each aspect's prior reaches and so its
+    table in true_parameters["theta_A"] covers: at separation 1 aspect k's
+    block, below it every word (the same array for every aspect)."""
+    if separation == 1.0:
+        return [np.asarray(block, dtype=np.int64) for block in aspect_blocks]
+    return [np.arange(V)] * K
+
+
+def _columns_of(true_parameters: dict) -> list[np.ndarray]:
+    tp = true_parameters
+    return aspect_columns(tp["separation"], tp["aspect_blocks"], len(tp["theta_A"]),
+                          len(tp["vocab"]))
+
+
+def _dense_rows(tables, columns, V: int, scope: int) -> np.ndarray:
+    """theta_a_rows from the tables and their columns."""
+    out = np.zeros((len(tables), V))
+    for k, (table, cols) in enumerate(zip(tables, columns)):
+        out[k, cols] = table[scope]
+    return out
+
+
+def theta_a_rows(true_parameters: dict, scope: int) -> np.ndarray:
+    """Scope scope's theta_A as a dense (K, V) array, zero off each
+    aspect's columns."""
+    tp = true_parameters
+    return _dense_rows(tp["theta_A"], _columns_of(tp), len(tp["vocab"]), scope)
 
 
 TRUE_PARAMS_FORMAT = "snipagg-true-params"
@@ -495,43 +594,48 @@ def save_true_params(true_parameters: dict, path: str) -> None:
 
     Every array goes through the state file's codec (model._blob), so the
     file holds the values exactly; psi and phi are stacked over scopes.
-    theta_A is kept on its non-zero cells, as the model's factors keep
-    theirs, built scope by scope, so no dense copy of the whole bank is
-    made. At separation 1 about 90% of theta_A's cells are zero; at
-    separation 0 none is, and the support doubles the binary bytes, still
-    no more than the decimal text of version 1. load_true_params reads the
-    file back.
+    theta_A is written on its non-zero cells as flat indices into its
+    dense (scopes, K, V) shape, as the model's factors keep theirs, filled
+    from the per-aspect tables one scope's dense rows at a time, so the
+    dense bank is never made. At
+    separation 1 about 90% of the dense cells are zero; at separation 0
+    none is, and the support doubles the binary bytes, still no more than
+    the decimal text of version 1. load_true_params reads the file back.
     """
-    theta_a, phi = true_parameters["theta_A"], true_parameters["phi"]
-    cells = theta_a[0].size
-    # Filled in place, so the support and table exist once, not also as
-    # per-scope pieces.
-    ends = np.cumsum([0] + [np.count_nonzero(t) for t in theta_a])
+    tables, phi = true_parameters["theta_A"], true_parameters["phi"]
+    n_scopes, K, V = len(tables[0]), len(tables), len(true_parameters["vocab"])
+    columns = _columns_of(true_parameters)
+    # Filled in place, one scope's dense (K, V) rows at a time.
+    ends = np.cumsum([0] + sum(np.count_nonzero(t, axis=1) for t in tables).tolist())
     support, table = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1])
-    for s, t in enumerate(theta_a):
-        idx = np.flatnonzero(t)
-        support[ends[s]:ends[s + 1]] = s * cells + idx
-        table[ends[s]:ends[s + 1]] = t.ravel()[idx]
-    shape = [len(theta_a), *theta_a[0].shape]
+    for s in range(n_scopes):
+        rows = _dense_rows(tables, columns, V, s).ravel()
+        idx = np.flatnonzero(rows)
+        support[ends[s]:ends[s + 1]] = s * K * V + idx
+        table[ends[s]:ends[s + 1]] = rows[idx]
     values = dict(true_parameters, psi=np.stack(true_parameters["psi"]),
                   phi=None if phi is None else np.stack(phi),
-                  theta_A={"shape": shape, "support": support, "table": table})
+                  theta_A={"shape": [n_scopes, K, V], "support": support, "table": table})
     payload = _encoded(_TRUE_FIELDS, values)
     write_json(dict(payload, format=TRUE_PARAMS_FORMAT, version=TRUE_PARAMS_VERSION), path)
 
 
 def load_true_params(path: str) -> dict:
     """Read a true_params.json that save_true_params wrote, as
-    SyntheticCorpus.true_parameters holds it: the same keys, theta_A,
-    phi and psi as per-scope lists of arrays, None for a disabled part.
+    SyntheticCorpus.true_parameters holds it: the same keys, phi and psi
+    as per-scope lists of arrays, theta_A as one (scopes, len(columns))
+    table per aspect over its aspect_columns, None for a disabled part.
 
     Reads the fields of model._TRUE_FIELDS as load_state reads its own:
     the key sets exactly, each plain-JSON field through its checker (the
-    letters must fit the value names, theta_A's shape the vocab and
-    MAX_CELLS before it is made dense), then every array through
-    model._field, distributions within 1e-9. Any fault raises ModelError
-    naming the file. The unversioned decimal layout (version 1) is
-    refused: re-run generate.
+    letters must fit the value names, theta_A's dense shape the vocab and
+    MAX_CELLS), then every array through model._field, distributions
+    within 1e-9. theta_A's columns come from the file's separation and
+    aspect_blocks (at separation 1, one strictly ascending block per
+    aspect), and each support cell must lie in its aspect's columns; the
+    dense bank is never made. Any fault raises ModelError naming the
+    file. The unversioned decimal layout (version 1) is refused: re-run
+    generate.
     """
     return _read_checked(path, _true_params_from_payload, "true parameters")
 
@@ -551,11 +655,37 @@ def _true_params_from_payload(payload, n_bytes: int) -> dict:
         "N": len(got["value_names"]), "scopes": shape[0], "K": shape[1], "ignore": "I" in letters,
     }
     out = dict(got, **_read_arrays(_TRUE_FIELDS, payload, sizes))
-    dense = np.zeros(shape)
-    dense.flat[out["theta_A"]["support"]] = out["theta_A"]["table"]
     psi, phi = out["psi"], out["phi"]
     if shape[0] not in (1, len(psi)):
         raise ModelError(f"psi has {len(psi)} rows for {shape[0]} theta_A scopes")
-    out.update(theta_A=list(_field(dense, tuple(shape), "theta_A", 1e-9)), psi=list(psi),
+    out.update(theta_A=_aspect_tables(out["theta_A"], shape, out), psi=list(psi),
                phi=None if phi is None else list(phi))
     return out
+
+
+def _aspect_tables(pair: dict, shape: list, got: dict) -> list[np.ndarray]:
+    """theta_A's per-aspect tables from its pair over the dense shape,
+    filled one scope's dense (K, V) rows at a time."""
+    n_scopes, K, V = shape
+    blocks = got["aspect_blocks"]
+    if got["separation"] == 1.0 and (
+        len(blocks) != K or any((np.diff(block) <= 0).any() for block in blocks)
+    ):
+        raise ModelError(f"aspect_blocks needs {K} strictly ascending blocks at separation 1")
+    columns = aspect_columns(got["separation"], blocks, K, V)
+    live = np.zeros((K, V), dtype=bool)
+    for k, cols in enumerate(columns):
+        live[k, cols] = True
+    support, values = pair["support"], pair["table"]
+    ends = np.searchsorted(support, np.arange(n_scopes + 1) * K * V).tolist()
+    tables = [np.empty((n_scopes, len(cols))) for cols in columns]
+    for s in range(n_scopes):
+        idx = support[ends[s]:ends[s + 1]] - s * K * V
+        off = idx[~live.flat[idx]]
+        if off.size:
+            raise ModelError(f"theta_A support has a cell outside aspect {off[0] // V}'s words")
+        rows = np.zeros((K, V))
+        rows.flat[idx] = values[ends[s]:ends[s + 1]]
+        for k, (table, cols) in enumerate(zip(tables, columns)):
+            table[s] = rows[k, cols]
+    return [_field(table, table.shape, "theta_A", 1e-9) for table in tables]

@@ -28,11 +28,12 @@ and an end column.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import logging
 import math
 import os
+import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -51,8 +52,9 @@ CANONICAL_TOPICS = ("A", "V", "B", "I")
 # Ceiling on every size built from declared counts, enforced by
 # check_cells before anything is built. Its callers: `snipagg generate`,
 # agglomerative_cluster (a scope's similarity matrix), load_true_params
-# (the dense theta_A) and check_state_sizes (every table of a state, run
-# by `snipagg fit`, build_priors, run_inference and load_state). The
+# (theta_A's declared dense shape) and check_state_sizes (every table of
+# a state, run by `snipagg fit`, build_priors, run_inference and
+# load_state). The
 # reference corpus (300 x 42 snippets, vocab_size 1200, K = 10) has a
 # 3.6M-cell aspect table.
 MAX_CELLS = 10**8
@@ -808,6 +810,11 @@ def init_state(
 # and posteriors concentrations and probabilities.
 _INDEX, _FLOAT = "<i8", "<f8"
 _BLOB_KEYS = {"data", "dtype", "shape"}
+# Standard base64 text, given a length that is a multiple of 4: the
+# alphabet, then at most two pad characters.
+_BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
+# Characters of base64 text decoded at a time: a multiple of 4, 768 KB.
+_B64_PIECE = 2**20
 
 
 def _blob(a: np.ndarray, dtype: str) -> dict:
@@ -822,9 +829,13 @@ def _blob(a: np.ndarray, dtype: str) -> dict:
 def _decoded(value, dtype: str, what: str) -> np.ndarray:
     """An encoded array field of a state file as a writable array of
     dtype. The blob must have exactly the keys data, dtype and shape, the
-    given dtype, a shape of non-negative JSON integers and base64 data of
-    exactly the bytes that shape needs, checked before any array is made,
-    so a large declared shape allocates nothing."""
+    given dtype, a shape of non-negative JSON integers and standard base64
+    data (a string that base64.b64decode(validate=True) takes, without
+    the padding it also takes after a whole quad) of exactly the bytes
+    that shape needs, checked before any array is made, so a large
+    declared shape allocates nothing: the text's length fixes its bytes.
+    The text is then decoded straight into the array, _B64_PIECE
+    characters at a time, so the bytes are never held whole twice."""
     if not isinstance(value, dict) or value.keys() != _BLOB_KEYS:
         raise ModelError(f"{what} is not an encoded array with keys {sorted(_BLOB_KEYS)}")
     if value["dtype"] != dtype:
@@ -832,17 +843,29 @@ def _decoded(value, dtype: str, what: str) -> np.ndarray:
     shape = value["shape"]
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ModelError(f"{what} has shape {shape!r}, not a list of non-negative integers")
+    data, need = value["data"], 8 * math.prod(shape)
+    n_bytes = len(data) // 4 * 3 - data[-2:].count("=") if isinstance(data, str) else -1
+    if n_bytes != need:
+        # Only a fault gets here, so only a fault pays for the whole check.
+        if n_bytes < 0 or len(data) % 4 or not _BASE64.fullmatch(data):
+            raise ModelError(f"{what} data is not base64")
+        raise ModelError(f"{what} has {n_bytes} bytes of data, shape {shape} needs {need}")
     try:
-        raw = base64.b64decode(value["data"], validate=True)
-    except (TypeError, ValueError):
-        raise ModelError(f"{what} data is not base64") from None
-    if len(raw) != 8 * math.prod(shape):
-        raise ModelError(f"{what} has {len(raw)} bytes of data, shape {shape} needs "
-                         f"{8 * math.prod(shape)}")
-    try:
-        return np.frombuffer(bytearray(raw), dtype=dtype).reshape(shape)
+        out = np.empty(shape, dtype=dtype)
     except ValueError as exc:  # more axes than numpy allows
         raise ModelError(f"{what}: {exc}") from None
+    into, at = out.reshape(-1).view(np.uint8), 0
+    try:
+        for i in range(0, len(data), _B64_PIECE):
+            piece = binascii.a2b_base64(data[i:i + _B64_PIECE], strict_mode=True)
+            into[at:at + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+            at += len(piece)
+    except ValueError:  # binascii.Error, a non-ASCII character, a piece past the end
+        at = -1
+    # A pad inside the text ends its piece short, so the total comes short.
+    if at != need:
+        raise ModelError(f"{what} data is not base64")
+    return out
 
 
 def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
@@ -1128,7 +1151,8 @@ def _aspect_blocks(value, key, got):
 
 
 def _aspect_shape(value, key, got):
-    """theta_A's dense shape, refused above MAX_CELLS before it is made."""
+    """theta_A's dense shape, refused above MAX_CELLS before anything is
+    built from it."""
     if not (isinstance(value, list) and len(value) == 3
             and all(type(x) is int and x >= 1 for x in value)):
         raise ModelError(f"{key} {value!r} is not three positive integers")

@@ -10,7 +10,8 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sampler_reference
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -25,6 +26,7 @@ from snipagg.generator import (
     _draw_rows,
     _edges,
     _pick,
+    _pick_aspect_words,
     _pick_chains,
     _pick_grouped,
     aspect_vocabularies_disjoint,
@@ -32,6 +34,7 @@ from snipagg.generator import (
     make_separable,
     sample_corpus,
     save_true_params,
+    theta_a_rows,
 )
 from snipagg.model import Hyperparameters, ModelError
 
@@ -79,7 +82,8 @@ def test_full_separation_gives_disjoint_aspect_vocabularies():
     flat = [w for b in blocks for w in b]
     assert len(set(flat)) == len(flat)
     # the support of each true aspect distribution stays inside its block
-    for theta in syn.true_parameters["theta_A"]:
+    for scope in range(6):
+        theta = theta_a_rows(syn.true_parameters, scope)
         for a in range(4):
             support = np.nonzero(theta[a])[0]
             assert set(support.tolist()) <= set(blocks[a])
@@ -96,8 +100,8 @@ def test_partial_separation_concentrates_but_leaks():
     blocks = syn.true_parameters["aspect_blocks"]
     shares = []
     leaked = False
-    for theta in syn.true_parameters["theta_A"]:
-        theta = np.asarray(theta)
+    for scope in range(3):
+        theta = theta_a_rows(syn.true_parameters, scope)
         for a in range(3):
             inside = theta[a][list(blocks[a])].sum()
             shares.append(inside)
@@ -393,7 +397,10 @@ DECIMAL_TRUE_PARAMS = {
 
 
 def decimal_json(obj) -> str:
-    """The version-1 text of true parameters: arrays as nested lists."""
+    """The version-1 text of true parameters: arrays as nested lists,
+    theta_A as its dense (K, V) rows per scope."""
+    obj = dict(obj, theta_A=[theta_a_rows(obj, s) for s in range(len(obj["theta_A"][0]))])
+
     def plain(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
@@ -581,6 +588,107 @@ def test_true_params_round_trip_exactly(
     assert again.read_bytes() == path.read_bytes()
 
 
+def assert_same_sample(hp, shape, seed, separation, mix):
+    """make_separable with theta_A in per-aspect tables gives the corpus,
+    gold and true parameters of the dense reference sampler, bit for bit,
+    theta_A compared as its dense rows; returns its true parameters."""
+    want = sampler_reference.sample(hp, shape, seed, separation, mix)
+    got = make_separable(hp, shape, separation, seed, mix)
+    for name in ("words", "tags", "offsets", "snippet_bounds"):
+        assert getattr(got.corpus, name).tobytes() == getattr(want.corpus, name).tobytes(), name
+    assert [sn.snippet_id for sn in got.corpus.iter_snippets()] == \
+        [sn.snippet_id for sn in want.corpus.iter_snippets()]
+    assert got.corpus.entities == want.corpus.entities
+    assert got.corpus.vocabulary.items == want.corpus.vocabulary.items
+    for name in ("clusters", "polarity", "word_labels"):
+        assert getattr(got.gold, name) == getattr(want.gold, name), name
+    tables = got.true_parameters["theta_A"]
+    dense = [theta_a_rows(got.true_parameters, s) for s in range(len(tables[0]))]
+    assert_identical(dict(got.true_parameters, theta_A=dense), want.true_parameters)
+    return got.true_parameters
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    length_mode=st.sampled_from(["poisson", "chain"]),
+    with_mix=st.booleans(),
+    n_values=st.sampled_from([0, 1, 3]),
+    use_ignore=st.booleans(),
+    sharing=st.sampled_from([(False, False), (True, False), (True, True)]),
+    separation=st.sampled_from([0.0, 0.5, 1.0]),
+    # At 1e-3 about half of the live gamma variates underflow to 0, and
+    # now and then a whole block row, which is drawn again.
+    lambda_a=st.sampled_from([0.075, 1e-3]),
+    chunk=st.sampled_from([1, CHUNK_CELLS]),
+    seed=st.integers(0, 2**16),
+)
+@example(length_mode="poisson", with_mix=False, n_values=1, use_ignore=False,
+         sharing=(False, False), separation=1.0, lambda_a=1e-3, chunk=1, seed=0)
+def test_sampler_matches_the_dense_reference_bit_for_bit(
+    length_mode, with_mix, n_values, use_ignore, sharing, separation, lambda_a, chunk, seed
+):
+    hp = Hyperparameters(K=3, N=n_values, lambda_A=lambda_a, use_ignore=use_ignore,
+                         shared_aspects=sharing[0], shared_aspect_multinomial=sharing[1])
+    shape = small_shape(vocab_size=30, mean_words=4.0, length_mode=length_mode,
+                        seed_words_per_value=1 if n_values else 0)
+    mix = [1.0 + k for k in range(hp.layout().n_topics)] if with_mix else None
+    with patch.object(generator, "CHUNK_CELLS", chunk):
+        params = assert_same_sample(hp, shape, seed, separation, mix)
+    # Each aspect's table covers its block at separation 1, else every word.
+    blocks = params["aspect_blocks"] if separation == 1.0 else [range(30)] * 3
+    assert [t.shape[1] for t in params["theta_A"]] == list(map(len, blocks))
+
+
+def test_a_live_cell_whose_gamma_draw_underflowed_samples_as_in_the_dense_bank():
+    hp = Hyperparameters(K=3, N=1, lambda_A=1e-3)
+    shape = small_shape(vocab_size=30, mean_words=4.0, seed_words_per_value=1)
+    tables = assert_same_sample(hp, shape, 0, 1.0, None)["theta_A"]
+    # Every column of a table at separation 1 is a live cell of the prior.
+    assert any((t == 0.0).any() for t in tables)
+
+
+def test_aspect_word_picks_equal_dense_picks():
+    # Three aspect blocks of a 12-word vocabulary; the dense bank is zero
+    # off each aspect's block, as at separation 1.
+    V, K, n_scopes = 12, 3, 2
+    columns = [np.arange(1, 5), np.arange(5, 8), np.arange(8, 12)]
+    rng = np.random.default_rng(6)
+    tables = [rng.dirichlet(np.full(len(c), 0.5), size=n_scopes) for c in columns]
+    tables[0][0] = [5e-324, 0.0, 0.0, 0.0]  # (1 - 2**-53) * total rounds to the total
+    tables[1][1] = [0.0, 0.5, 0.5]  # a live cell of zero mass, where u = 0 lands
+    dense = np.zeros((n_scopes * K, V))
+    for k, (t, cols) in enumerate(zip(tables, columns)):
+        dense[k::K, cols] = t
+    scopes, aspects = rng.integers(0, n_scopes, 400), rng.integers(0, K, 400)
+    u = rng.random(400)
+    scopes[:4], aspects[:4], u[:4] = [0, 0, 1, 1], [0, 0, 1, 1], [1 - 2**-53, 0.0, 0.0, 1 - 2**-53]
+    want = sampler_reference._pick_grouped([dense], scopes * K + aspects, u)
+    assert want[0] == V - 1  # the dense pick clips to the last word, off block 0
+    for chunk in (1, CHUNK_CELLS):
+        with patch.object(generator, "CHUNK_CELLS", chunk):
+            got = _pick_aspect_words(tables, columns, scopes, aspects, u, V)
+        assert got.tolist() == want.tolist()
+    # Below separation 1 every aspect covers every word.
+    full = [np.arange(V)] * K
+    got = _pick_aspect_words([dense[k::K] for k in range(K)], full, scopes, aspects, u, V)
+    assert got.tolist() == want.tolist()
+
+
+def test_make_separable_never_holds_a_dense_theta_a_bank():
+    # At the reference shape the dense bank alone is 300 x 10 x 1200
+    # doubles, 28.8 MB; the per-aspect tables are a tenth of that.
+    hp = Hyperparameters(K=10, N=2, lambda_V=4.0, epsilon_V=0.05, rng_seed=0)
+    shape = CorpusShape(n_entities=300, snippets_per_entity=42, mean_words=8.0,
+                        vocab_size=1200, seed_words_per_value=10)
+    tracemalloc.start()
+    try:
+        make_separable(hp, shape, 1.0, 1, [0.6, 0.25, 0.15])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
+
+
 def _decode(blob):
     raw = base64.b64decode(blob["data"])
     return np.frombuffer(raw, dtype=blob["dtype"]).reshape(blob["shape"]).copy()
@@ -643,6 +751,16 @@ MALFORMED_TRUE_PARAMS = {
                                 r"topic_letters \['A', 'V', 'B', 'I'\] do not fit 0"),
     "theta_A shape off the vocab": (lambda p: p["theta_A"].update(shape=[2, 2, 21]),
                                     "does not fit 20 vocab words"),
+    # Scope 0's aspect 0 row (block 0 = words 0-9) moves its last cell to
+    # word 19, in block 1; the support stays ascending and in range.
+    "support off its aspect's block": (
+        _edit_blob("theta_A", lambda a: a.__setitem__(np.searchsorted(a, 10) - 1, 19), "support"),
+        "theta_A support has a cell outside aspect 0's words",
+    ),
+    "aspect blocks out of order": (lambda p: p["aspect_blocks"][1].reverse(),
+                                   "aspect_blocks needs 2 strictly ascending blocks"),
+    "an aspect block missing": (lambda p: p["aspect_blocks"].pop(),
+                                "aspect_blocks needs 2 strictly ascending blocks"),
 }
 
 

@@ -6,10 +6,11 @@ import math
 import os
 import re
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -590,6 +591,44 @@ def test_encoded_array_round_trip_is_exact(tmp_path_factory, a):
     assert got.tobytes() == a.tobytes()
     write_json({"a": _blob(got, dtype)}, str(path))
     assert path.read_bytes() == text
+
+
+_BASE64_TEXT = st.one_of(
+    st.text(alphabet="AQgw+/=!\u00e9\n", max_size=20),
+    st.builds(lambda raw, cut, tail: base64.b64encode(raw).decode()[cut:] + tail,
+              st.binary(max_size=40), st.sampled_from([0, 0, 0, 1, 4]),
+              st.sampled_from(["", "", "=", "==", "A", "AAAA", "\n"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_BASE64_TEXT, piece=st.sampled_from([4, 8, model._B64_PIECE]))
+# A pad that ends a piece inside the text: each piece decodes, 15 bytes in
+# all, where the text's length claims 16.
+@example(text="AAA=" + "A" * 18 + "==", piece=4)
+def test_decoded_takes_the_base64_that_b64decode_takes(text, piece):
+    # The text is checked whole, then decoded in pieces: the same refusals
+    # and the same bytes as one base64.b64decode(validate=True), except
+    # that padding after a whole quad ("AAAA=") is refused too.
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        raw = None
+    if re.fullmatch("(?:[A-Za-z0-9+/]{4})*=+", text):
+        raw = None
+    # A refused text gets the shape its length claims, so that it is
+    # refused while it is decoded, not by the byte count.
+    size = len(text) // 4 * 3 - text[-2:].count("=") if raw is None else len(raw)
+    blob = {"data": text, "dtype": "<i8", "shape": [max(size, 0) // 8]}
+    with patch.object(model, "_B64_PIECE", piece):
+        if raw is None:
+            with pytest.raises(ModelError, match="^a data is not base64$"):
+                _decoded(blob, "<i8", "a")
+        elif len(raw) % 8:
+            with pytest.raises(ModelError, match=f"^a has {len(raw)} bytes of data, shape"):
+                _decoded(blob, "<i8", "a")
+        else:
+            assert _decoded(blob, "<i8", "a").tobytes() == raw
 
 
 @pytest.mark.parametrize("key, value", [
