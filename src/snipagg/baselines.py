@@ -156,8 +156,7 @@ def cluster_snippets(
     """
     names = corpus.entities if per_entity else ["corpus"]
     bounds = corpus.snippet_bounds.tolist() if per_entity else [0, corpus.n_snippets]
-    ids = [sn.snippet_id for sn in corpus.iter_snippets()]
-    out = []
+    ids, out = corpus.snippet_ids, []
     for name, start, stop in zip(names, bounds, bounds[1:]):
         n = stop - start
         check_cells(f"scope {name!r} has {n} snippets: its similarity matrix", n, n,

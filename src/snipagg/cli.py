@@ -373,13 +373,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.tree_expand:
             if not args.parse_spans:
                 raise UsageError("--tree-expand needs --parse-spans")
-            for sn in corpus.iter_snippets():
-                sid = sn.snippet_id
+            tags, bounds = corpus.tags.tolist(), corpus.offsets.tolist()
+            for sid, a, b in zip(corpus.snippet_ids, bounds, bounds[1:]):
                 if sid not in preds:
                     continue
                 spans = gold_ann.parse_spans.get(sid, [])
-                tags = [corpus.tag_set[t] for t in sn.tags.tolist()]
-                preds[sid] = tree_expand(preds[sid], spans, tags)
+                preds[sid] = tree_expand(preds[sid], spans, [corpus.tag_set[t] for t in tags[a:b]])
         prf = word_label_prf(preds, gold_ann.word_labels)
         results["aspect"] = dataclasses.asdict(prf.aspect)
         results["value"] = dataclasses.asdict(prf.value)
@@ -444,7 +443,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             raise BaselineError("gold polarity file has no labels")
         manifest.add_input("gold_polarity", args.gold_polarity)
         maj = majority_sentiment(list(gold_ann.polarity.values()))
-        preds = {sn.snippet_id: maj for sn in corpus.iter_snippets()}
+        preds = dict.fromkeys(corpus.snippet_ids, maj)
         pred_path = os.path.join(out, "polarity.tsv")
         save_polarity_tsv(corpus, preds, value_names, pred_path)
         manifest.add_output("polarity", pred_path)
@@ -465,10 +464,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     hp = state.hp
     lines: list[str] = []
 
-    for i, group in enumerate(corpus.snippets):
-        lines.append(f"entity {corpus.entities[i]} ({len(group)} snippets)")
+    bounds = corpus.snippet_bounds.tolist()
+    for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        lines.append(f"entity {corpus.entities[i]} ({stop - start} snippets)")
         by_aspect: dict[int, list[int]] = {}
-        for j in range(len(group)):
+        for j in range(stop - start):
             by_aspect.setdefault(int(post.aspect[i][j]), []).append(j)
         theta_mean = state.theta_A_factor(i).mean()
         for a in sorted(by_aspect):

@@ -20,8 +20,10 @@ stemming and no stop-word removal, the background topic is expected to
 absorb function words. Vocabulary and tag indices are dense and follow
 first appearance order, so loading the same file twice gives identical
 indexing. A Corpus holds its tokens packed, as flat word and tag index
-arrays with snippet offsets; load_corpus fills them as it reads and
-makes no Token objects. The writers replace their target file atomically.
+arrays with snippet offsets, and its snippet ids in one list; load_corpus
+fills them as it reads and makes no Token or Snippet objects, and the
+readers and writers here name snippets through the ids. The writers
+replace their target file atomically.
 """
 
 from __future__ import annotations
@@ -93,10 +95,11 @@ def _frozen(values) -> np.ndarray:
 class Snippet:
     """A short opinion phrase owned by one entity.
 
-    words and tags hold its word and tag indices, read-only int64 arrays
-    (views of one flat array when the corpus was loaded or sampled).
+    words and tags hold its word and tag indices, read-only int64 arrays.
     Snippet(entity, snippet_id, tokens) builds one from Token objects,
-    for corpora built in code; tokens gives them back.
+    for corpora built in code; tokens gives them back. A loaded or
+    sampled corpus makes its snippets only when Corpus.snippets is first
+    read, as views of its flat arrays.
     """
 
     __slots__ = ("entity", "snippet_id", "words", "tags")
@@ -127,31 +130,49 @@ class Corpus:
 
     Attributes:
         entities: entity ids in first appearance order.
-        snippets: one list per entity, input order preserved.
         vocabulary: dense word index (lowercased surface forms).
         tag_set: dense tag index (verbatim tag strings).
         words, tags: (T,) word and tag index of every token, snippets in
             corpus order; snippet s (counted over the corpus) owns tokens
             offsets[s]:offsets[s+1], and entity i owns snippets
             snippet_bounds[i]:snippet_bounds[i+1].
+        snippet_ids: the id of every snippet, in corpus order.
+
+    These are all a corpus stores. snippets, one list of Snippet objects
+    per entity in input order, is built from them the first time it (or
+    iter_snippets or snippet_by_id) is read, and kept; a corpus built
+    from Snippet objects keeps those. Loading, sampling, fitting, scoring
+    and the writers read the arrays and ids only.
 
     A corpus is immutable, not invalidated: its arrays and its snippets'
     words and tags are read-only and tokens is a tuple. So nothing that
     is derived from the arrays can go stale; inference builds its pack
-    once per corpus and keeps it in _pack. To change a corpus, build a
-    new one.
+    once per corpus and keeps it in _pack, and snippets is built at most
+    once. To change a corpus, build a new one.
     """
 
     def __init__(self, entities: list[str], snippets: list[list[Snippet]], vocabulary: Indexer,
                  tag_set: Indexer):
         flat = [sn for group in snippets for sn in group]
-        self.entities, self.snippets = entities, snippets
-        self.vocabulary, self.tag_set = vocabulary, tag_set
-        self.words = _frozen(np.concatenate([sn.words for sn in flat] or [[]]))
-        self.tags = _frozen(np.concatenate([sn.tags for sn in flat] or [[]]))
-        self.offsets = _frozen(np.cumsum([0] + [len(sn) for sn in flat]))
-        self.snippet_bounds = _frozen(np.cumsum([0] + [len(g) for g in snippets]))
+        self._set(
+            entities, vocabulary, tag_set,
+            np.concatenate([sn.words for sn in flat] or [[]]),
+            np.concatenate([sn.tags for sn in flat] or [[]]),
+            np.cumsum([0] + [len(sn) for sn in flat]),
+            np.cumsum([0] + [len(g) for g in snippets]),
+            [sn.snippet_id for sn in flat],
+        )
+        self._snippets = snippets
+
+    def _set(self, entities: list[str], vocabulary: Indexer, tag_set: Indexer, words, tags,
+             offsets, snippet_bounds, snippet_ids: list[str]) -> Corpus:
+        self.entities, self.vocabulary, self.tag_set = entities, vocabulary, tag_set
+        self.words, self.tags = _frozen(words), _frozen(tags)
+        self.offsets, self.snippet_bounds = _frozen(offsets), _frozen(snippet_bounds)
+        self.snippet_ids = snippet_ids
+        self._snippets: Optional[list[list[Snippet]]] = None
         self._pack = None
+        return self
 
     @classmethod
     def from_arrays(
@@ -161,19 +182,32 @@ class Corpus:
         """The corpus whose snippet s belongs to entity snippet_entity[s],
         has id snippet_ids[s] and owns the next lengths[s] tokens of
         words and tags. A stable sort groups the snippets by entity, so
-        each entity keeps its snippets in input order."""
+        each entity keeps its snippets in input order. Only the packed
+        arrays and the ids are built: no Snippet."""
         ent = np.asarray(snippet_entity, dtype=np.int64)
         order = np.argsort(ent, kind="stable")
         lengths = np.asarray(lengths, dtype=np.int64)
         starts, lengths = (np.cumsum(lengths) - lengths)[order], lengths[order]
         ends = np.cumsum(lengths)
         take = np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
-        words, tags = (_frozen(np.asarray(x, dtype=np.int64)[take]) for x in (words, tags))
-        rows = zip(ent[order].tolist(), order.tolist(), lengths.tolist(), ends.tolist())
-        views = [Snippet.__new__(Snippet)._set(i, snippet_ids[s], words[b - n:b], tags[b - n:b])
-                 for i, s, n, b in rows]
-        groups = np.cumsum([0] + np.bincount(ent, minlength=len(entities)).tolist()).tolist()
-        return cls(entities, [views[a:b] for a, b in zip(groups, groups[1:])], vocabulary, tag_set)
+        words, tags = (np.asarray(x, dtype=np.int64)[take] for x in (words, tags))
+        bounds = np.cumsum([0] + np.bincount(ent, minlength=len(entities)).tolist())
+        return cls.__new__(cls)._set(
+            entities, vocabulary, tag_set, words, tags, np.concatenate(([0], ends)), bounds,
+            list(map(snippet_ids.__getitem__, order.tolist())),
+        )
+
+    @property
+    def snippets(self) -> list[list[Snippet]]:
+        """One list of snippets per entity, in corpus order. A loaded or
+        sampled corpus builds them here, once, as views of its arrays."""
+        if self._snippets is None:
+            at = self.offsets.tolist()
+            views = [Snippet.__new__(Snippet)._set(i, sid, self.words[a:b], self.tags[a:b])
+                     for i, sid, a, b in zip(self.snippet_entities(), self.snippet_ids, at, at[1:])]
+            bounds = self.snippet_bounds.tolist()
+            self._snippets = [views[a:b] for a, b in zip(bounds, bounds[1:])]
+        return self._snippets
 
     @property
     def n_entities(self) -> int:
@@ -186,6 +220,11 @@ class Corpus:
     @property
     def n_tokens(self) -> int:
         return len(self.words)
+
+    def snippet_entities(self) -> list[int]:
+        """The entity index of every snippet, in corpus order."""
+        groups = np.diff(self.snippet_bounds)
+        return np.repeat(np.arange(len(groups)), groups).tolist()
 
     def token_counts(self) -> list[list[int]]:
         """Each entity's snippet lengths, in corpus order."""
@@ -309,11 +348,12 @@ def save_corpus(corpus: Corpus, path: str) -> None:
         f"[{words[w]}, {tags[t]}]" for w, t in zip(corpus.words.tolist(), corpus.tags.tolist())
     ]
     bounds = corpus.offsets.tolist()
+    rows = zip(corpus.snippet_entities(), corpus.snippet_ids, bounds, bounds[1:])
     with atomic_open(path) as fh:
         fh.writelines(
-            f'{{"entity": {entities[sn.entity]}, "id": {encode(sn.snippet_id)}, '
+            f'{{"entity": {entities[i]}, "id": {encode(sid)}, '
             f'"tokens": [{", ".join(tokens[a:b])}]}}\n'
-            for sn, a, b in zip(corpus.iter_snippets(), bounds, bounds[1:])
+            for i, sid, a, b in rows
         )
 
 
@@ -455,25 +495,33 @@ def _read_tsv(path: str, n_cols: int) -> Iterator[tuple[int, list[str]]]:
         yield lineno, parts
 
 
+def _snippets_by_id(corpus: Corpus) -> dict[str, tuple[int, int]]:
+    """Each snippet id's entity index and token count."""
+    lengths = np.diff(corpus.offsets).tolist()
+    return dict(zip(corpus.snippet_ids, zip(corpus.snippet_entities(), lengths)))
+
+
 def _check_snippet(
     corpus: Corpus,
-    by_id: Mapping[str, Snippet],
+    by_id: Mapping[str, tuple[int, int]],
     path: str,
     lineno: int,
     sid: str,
     entity: Optional[str] = None,
-) -> Snippet:
-    """The snippet a line names. It must exist and, where the format
-    names an entity, belong to the line's entity."""
-    sn = by_id.get(sid)
-    if sn is None:
+) -> int:
+    """The token count of the snippet a line names (by_id from
+    _snippets_by_id). It must exist and, where the format names an
+    entity, belong to the line's entity."""
+    found = by_id.get(sid)
+    if found is None:
         raise CorpusError(f"{path}:{lineno}: unknown snippet id {sid!r}")
-    if entity is not None and corpus.entities[sn.entity] != entity:
+    owner, n_tokens = found
+    if entity is not None and corpus.entities[owner] != entity:
         raise CorpusError(
             f"{path}:{lineno}: snippet {sid!r} belongs to "
-            f"{corpus.entities[sn.entity]!r}, not {entity!r}"
+            f"{corpus.entities[owner]!r}, not {entity!r}"
         )
-    return sn
+    return n_tokens
 
 
 def _add_once(table: dict, path: str, lineno: int, sid: str, value: object) -> None:
@@ -499,7 +547,7 @@ def load_gold(
     against value_names (defaults to positive/negative).
     """
     gold = GoldAnnotations()
-    by_id = corpus.snippet_by_id()
+    by_id = _snippets_by_id(corpus)
     names = list(value_names) if value_names is not None else default_value_names(2)
     lexicon = empty_lexicon(names)
     if clusters_path is not None:
@@ -521,26 +569,26 @@ def load_gold(
                 raise CorpusError(
                     f"{word_labels_path}:{lineno}: need string id and label list"
                 )
-            sn = _check_snippet(corpus, by_id, word_labels_path, lineno, sid)
-            if len(labels) != len(sn):
+            n_tokens = _check_snippet(corpus, by_id, word_labels_path, lineno, sid)
+            if len(labels) != n_tokens:
                 raise CorpusError(
-                    f"{word_labels_path}:{lineno}: {len(labels)} labels for {len(sn)} tokens")
+                    f"{word_labels_path}:{lineno}: {len(labels)} labels for {n_tokens} tokens")
             bad = [l for l in labels if l not in WORD_LABELS]
             if bad:
                 raise CorpusError(f"{word_labels_path}:{lineno}: unknown label(s) {bad}")
             _add_once(gold.word_labels, word_labels_path, lineno, sid, list(labels))
     if parse_spans_path is not None:
         for lineno, (sid, start_s, end_s, kind) in _read_tsv(parse_spans_path, 4):
-            sn = _check_snippet(corpus, by_id, parse_spans_path, lineno, sid)
+            n_tokens = _check_snippet(corpus, by_id, parse_spans_path, lineno, sid)
             try:
                 start, end = int(start_s), int(end_s)
             except ValueError:
                 raise CorpusError(
                     f"{parse_spans_path}:{lineno}: start and end must be integers"
                 ) from None
-            if not (0 <= start < end <= len(sn)):
+            if not (0 <= start < end <= n_tokens):
                 raise CorpusError(f"{parse_spans_path}:{lineno}: span [{start}, {end}) "
-                                  f"out of bounds for {len(sn)} tokens")
+                                  f"out of bounds for {n_tokens} tokens")
             if kind not in SPAN_KINDS:
                 raise CorpusError(
                     f"{parse_spans_path}:{lineno}: unknown span kind {kind!r}"
@@ -555,7 +603,7 @@ def load_polarity_predictions(
     """Read polarity predictions from a TSV in the gold polarity format,
     with the checks of load_gold. A label is an exact value name, or
     'split' for a snippet without a prediction (read as None)."""
-    by_id = corpus.snippet_by_id()
+    by_id = _snippets_by_id(corpus)
     names = list(value_names)
     out: dict[str, Optional[int]] = {}
     for lineno, (entity, sid, label) in _read_tsv(path, 3):
@@ -574,12 +622,9 @@ def save_cluster_tsv(corpus: Corpus, labels: Mapping[str, str], path: str) -> No
     """Write snippet -> label assignments as gold-format TSV, in corpus
     order; the one writer of the entity/id/label format."""
     with atomic_open(path) as fh:
-        for sn in corpus.iter_snippets():
-            if sn.snippet_id in labels:
-                fh.write(
-                    f"{corpus.entities[sn.entity]}\t{sn.snippet_id}"
-                    f"\t{labels[sn.snippet_id]}\n"
-                )
+        for i, sid in zip(corpus.snippet_entities(), corpus.snippet_ids):
+            if sid in labels:
+                fh.write(f"{corpus.entities[i]}\t{sid}\t{labels[sid]}\n")
 
 
 def save_polarity_tsv(
@@ -597,7 +642,7 @@ def save_word_labels_jsonl(
     corpus: Corpus, labels: Mapping[str, Sequence[str]], path: str
 ) -> None:
     with atomic_open(path) as fh:
-        for sn in corpus.iter_snippets():
-            if sn.snippet_id in labels:
-                rec = {"id": sn.snippet_id, "labels": list(labels[sn.snippet_id])}
+        for sid in corpus.snippet_ids:
+            if sid in labels:
+                rec = {"id": sid, "labels": list(labels[sid])}
                 fh.write(json.dumps(rec, ensure_ascii=False) + "\n")

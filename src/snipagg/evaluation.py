@@ -96,8 +96,8 @@ def gold_clustering(
     if scope not in ("entity", "corpus"):
         raise EvalError(f"unknown scope {scope!r}")
     out = _numbered(scope, (
-        (sn.snippet_id, (sn.entity if scope == "entity" else None, labels[sn.snippet_id]))
-        for sn in corpus.iter_snippets() if sn.snippet_id in labels
+        (sid, (i if scope == "entity" else None, labels[sid]))
+        for i, sid in zip(corpus.snippet_entities(), corpus.snippet_ids) if sid in labels
     ))
     if not out.assignment:
         raise EvalError("no gold cluster labels matched the corpus")

@@ -543,7 +543,7 @@ def aspect_vocabularies_disjoint(syn: SyntheticCorpus) -> bool:
     letter per token: every A token marks its word under its snippet's
     gold aspect, and no word may be marked under two."""
     corpus, gold = syn.corpus, syn.gold
-    sids = [sn.snippet_id for sn in corpus.iter_snippets()]
+    sids = corpus.snippet_ids
     letters = "".join(map("".join, map(gold.word_labels.__getitem__, sids)))
     is_a = np.frombuffer(letters.encode(), dtype=np.uint8) == ord("A")
     names = {name: k for k, name in enumerate(set(gold.clusters.values()))}

@@ -154,9 +154,8 @@ class _PackedCorpus:
         self.one_per_row = np.arange(self.n_tokens + 1, dtype=np.int32)
 
         def reject(s, what):
-            i = self.ent_of_snip[s]
-            sn = corpus.snippets[i][s - self.snippet_bounds[i]]
-            raise ModelError(f"entity {corpus.entities[i]!r}: snippet {sn.snippet_id!r} {what}")
+            entity, sid = corpus.entities[self.ent_of_snip[s]], corpus.snippet_ids[s]
+            raise ModelError(f"entity {entity!r}: snippet {sid!r} {what}")
 
         if self.n_snippets and lengths.min() == 0:
             reject(np.flatnonzero(lengths == 0)[0], "has no tokens")
@@ -747,9 +746,9 @@ def extract_posteriors(state: VariationalState) -> Posteriors:
 
 def aspect_clusterings(corpus: Corpus, post: Posteriors) -> list[Clustering]:
     """Per-entity clusterings labeled by hard aspect assignment."""
-    out = []
-    for i, group in enumerate(corpus.snippets):
-        assignment = dict(zip((sn.snippet_id for sn in group), post.aspect[i].tolist()))
+    out, bounds = [], corpus.snippet_bounds.tolist()
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        assignment = dict(zip(corpus.snippet_ids[a:b], post.aspect[i].tolist()))
         n_clusters = max(assignment.values(), default=-1) + 1
         out.append(Clustering(corpus.entities[i], assignment, n_clusters))
     return out
@@ -760,10 +759,10 @@ def polarity_predictions(corpus: Corpus, post: Posteriors) -> dict[str, int]:
     if post.value is None:
         raise InferenceError("no value posteriors: model was fit with N = 0")
     values = (v for row in post.value for v in row.tolist())
-    return {sn.snippet_id: v for sn, v in zip(corpus.iter_snippets(), values)}
+    return dict(zip(corpus.snippet_ids, values))
 
 
 def word_label_predictions(corpus: Corpus, post: Posteriors) -> dict[str, list[str]]:
     """Per-token role letters keyed by snippet id."""
     labels = (row for i in range(corpus.n_entities) for row in post.word_labels(i))
-    return {sn.snippet_id: row for sn, row in zip(corpus.iter_snippets(), labels)}
+    return dict(zip(corpus.snippet_ids, labels))

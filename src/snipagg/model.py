@@ -384,18 +384,19 @@ class DirichletFactor:
         if support is None:
             support = np.arange(self._n_rows * base.shape[-1])
         self._set_support(np.asarray(support, dtype=np.int64))
+        self._changed()
 
     def _set_support(self, support: np.ndarray) -> None:
         """Adopt a support with every cell at its prior: the bank row,
         element and prior of every support cell, and the bank rows that
-        have support cells with the first cell of each."""
+        have support cells with the first cell of each. The caller runs
+        _changed once it has written the table."""
         self.support = support
         self._row_of, self._col_of = np.divmod(support, max(self._base.shape[-1], 1))
         self._prior_table = self._at_support(self._compact)
         self._rows, self._starts = np.unique(self._row_of, return_index=True)
         self.table = np.empty(self._base.shape[:-1] + support.shape, order="F")
         self.table[...] = self._prior_table
-        self._changed()
 
     def _at_support(self, a):
         """a (per prior cell, or one scalar that stays one) at every support cell."""
@@ -418,16 +419,23 @@ class DirichletFactor:
         self._totals = self._base_total[..., None] + counts
         self._elog = self._dense_elog = None
 
-    def grow(self, pairs: np.ndarray) -> np.ndarray:
+    def grow(self, pairs: np.ndarray, table: Optional[np.ndarray] = None) -> np.ndarray:
         """Add distinct (bank row, element) pairs, as flat indices, to the
-        support; returns their columns in table."""
+        support; returns their columns in table. Given table (the
+        concentration of each pair, in the shape of self.table with one
+        cell per pair), those cells take it. Either way the row totals
+        are recomputed once."""
         new = pairs[~np.isin(pairs, self.support)]
         if new.size:
-            old, table = self.support, self.table
+            old, old_table = self.support, self.table
             self._set_support(np.sort(np.concatenate((old, new))))
-            self.table[..., np.searchsorted(self.support, old)] = table
+            self.table[..., np.searchsorted(self.support, old)] = old_table
+        cols = np.searchsorted(self.support, pairs)
+        if table is not None:
+            self.table[..., cols] = table
+        if new.size or table is not None:
             self._changed()
-        return np.searchsorted(self.support, pairs)
+        return cols
 
     def entity_rows(self, entities):
         """The bank row of each entity index, an int or an int array: row
@@ -1237,23 +1245,23 @@ def _state_from_payload(payload: dict, n_bytes: int) -> VariationalState:
     # and N. The vocabulary and tag counts may exceed theta_B's and eta's
     # tables (a support may leave cells at their prior), but not the
     # file's length, as a saved state holds theta_B over every word. Then
-    # check_state_sizes checks the tables, products of those sizes.
-    q = _read_arrays(_STATE_FIELDS["q"], payload["q"], sizes)
+    # check_state_sizes checks the tables, products of those sizes. Each
+    # encoded object leaves the payload as it is decoded, so its text is
+    # freed before the state is built.
+    q = _read_arrays(_STATE_FIELDS["q"], payload.pop("q"), sizes)
     for key in ("vocab_size", "tag_count", "K", "N"):
         if sizes[key] > n_bytes:
             raise ModelError(f"{key}: {sizes[key]} is larger than the file ({n_bytes} bytes)")
     check_state_sizes(hp, V, T, len(counts), sum(counts))
-    factors = _read_arrays(_STATE_FIELDS["factors"], payload["factors"], sizes, "factor ")
+    factors = _read_arrays(_STATE_FIELDS["factors"], payload.pop("factors"), sizes, "factor ")
     seed_sets = [list(s) for s in got["seed_sets"]]
     state = _prior_state(hp, V, T, got["token_counts"], seed_sets, q)
-    # Each factor's prior support grows by the file's, whose cells then
-    # take the file's table.
+    # Each factor's prior support grows by the file's, whose cells take
+    # the file's table.
     for key, pair in factors.items():
         f = getattr(state, key)
         if pair is not None:
-            cols = f.grow(pair["support"])
-            f.table[..., cols] = pair["table"]
-            f._changed()
+            f.grow(pair["support"], pair["table"])
             if not (f.table >= f._prior_table).all():
                 raise ModelError(f"factor {key} has a concentration below its prior")
     return state

@@ -14,7 +14,7 @@ import pytest
 
 from snipagg import cli, inference, model
 from snipagg.cli import RunManifest, main
-from snipagg.corpus import load_corpus
+from snipagg.corpus import Snippet, load_corpus
 from snipagg.model import load_state
 from statefile import _recode, write_one_snippet_state
 
@@ -717,6 +717,32 @@ def test_eval_word_prf_reads_predicted_labels_and_expands_them(workspace, tmp_pa
     )
     assert expanded["aspect"]["recall"] == 1.0
     assert expanded["aspect"]["precision"] < 1.0
+
+
+def test_cli_stages_build_no_snippet(tmp_path, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("a Snippet was built")
+
+    monkeypatch.setattr(Snippet, "_set", built)
+    data, fit = str(tmp_path / "data"), str(tmp_path / "fit")
+    assert run(capsys, *generate_args(data))[0] == 0
+    assert run(capsys, *fit_args(data, fit))[0] == 0
+    corpus, state = os.path.join(data, "corpus.jsonl"), os.path.join(fit, "state.json")
+    gold = os.path.join(data, "gold_word_labels.jsonl")
+    spans = tmp_path / "spans.tsv"
+    with open(gold, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    spans.write_text("".join(f"{r['id']}\t0\t{len(r['labels'])}\tNP\n" for r in records))
+    for argv in (
+        ["--metric", "muc", "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
+        ["--metric", "sentiment", "--gold-polarity", os.path.join(data, "gold_polarity.tsv")],
+        ["--metric", "word-prf", "--gold-word-labels", gold, "--tree-expand",
+         "--parse-spans", str(spans)],
+    ):
+        assert run(capsys, "eval", "--corpus", corpus, "--state", state, *argv)[0] == 0
+    assert run(capsys, "report", "--corpus", corpus, "--state", state)[0] == 0
+    assert run(capsys, "baseline", "--corpus", corpus, "--variant", "cluster-all",
+               "--clusters", "2", "--out", str(tmp_path / "base"))[0] == 0
 
 
 def test_eval_tree_expand_needs_parse_spans(workspace, capsys):

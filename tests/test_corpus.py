@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snipagg import baselines, evaluation, generator, inference
 from snipagg.corpus import (
     Corpus,
     CorpusError,
@@ -25,6 +26,7 @@ from snipagg.corpus import (
     save_seed_lexicon,
     save_word_labels_jsonl,
 )
+from snipagg.model import Hyperparameters
 
 
 def write_jsonl(path, records):
@@ -468,3 +470,76 @@ def test_corpus_is_immutable(corpus):
     with pytest.raises(ValueError):
         built.snippets[0][0].words[0] = 1
     assert built.words.tolist() == [0, 1] and built.offsets.tolist() == [0, 2]
+
+
+@st.composite
+def packed_input(draw):
+    """0-5 entities and snippets of 1-6 tokens in any entity order, with
+    distinct ids: (entity count, [(entity, [(word, tag), ...])], ids)."""
+    n = draw(st.integers(0, 5))
+    token = st.tuples(st.integers(0, 6), st.integers(0, 3))
+    rows = draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.lists(token, min_size=1, max_size=6)),
+                         max_size=20 if n else 0))
+    ids = draw(st.lists(st.text(max_size=3), min_size=len(rows), max_size=len(rows), unique=True))
+    return n, rows, ids
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_input())
+def test_from_arrays_gives_the_corpus_the_constructor_packs(case):
+    n, rows, ids = case
+    entities, vocabulary, tag_set = [f"e{i}" for i in range(n)], Indexer("abcdefg"), Indexer("WXYZ")
+    packed = Corpus.from_arrays(
+        entities, vocabulary, tag_set, [e for e, _ in rows], ids, [len(t) for _, t in rows],
+        [w for _, t in rows for w, _ in t], [g for _, t in rows for _, g in t],
+    )
+    groups = [[] for _ in range(n)]
+    for (e, toks), sid in zip(rows, ids):
+        groups[e].append(Snippet(e, sid, [Token(w, g) for w, g in toks]))
+    built = Corpus(entities, groups, vocabulary, tag_set)
+    for name in ("words", "tags", "offsets", "snippet_bounds"):
+        got, want = getattr(packed, name), getattr(built, name)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+        assert not got.flags.writeable
+    assert packed.snippet_ids == built.snippet_ids
+    assert packed.snippet_entities() == built.snippet_entities()
+    # The packed corpus's snippets are built on first use, once.
+    assert packed.snippets is packed.snippets
+    assert [[(sn.snippet_id, sn.entity, sn.tokens) for sn in g] for g in packed.snippets] == \
+        [[(sn.snippet_id, sn.entity, sn.tokens) for sn in g] for g in built.snippets]
+    for sn in packed.iter_snippets():
+        assert not sn.words.flags.writeable and not sn.tags.flags.writeable
+
+
+def test_loading_sampling_and_scoring_build_no_snippet(tmp_path, monkeypatch):
+    def built(*args):
+        raise AssertionError("a Snippet was built")
+
+    monkeypatch.setattr(Snippet, "_set", built)
+    hp = Hyperparameters(K=3, N=2, rng_seed=0, max_iters=2)
+    shape = generator.CorpusShape(4, 6, vocab_size=60, seed_words_per_value=2)
+    syn = generator.make_separable(hp, shape, 1.0, 0)
+    assert generator.aspect_vocabularies_disjoint(syn)
+    paths = {n: str(tmp_path / n) for n in ("c.jsonl", "g.tsv", "p.tsv", "w.jsonl", "s.tsv")}
+    save_corpus(syn.corpus, paths["c.jsonl"])
+    save_cluster_tsv(syn.corpus, syn.gold.clusters, paths["g.tsv"])
+    save_polarity_tsv(syn.corpus, syn.gold.polarity, ["positive", "negative"], paths["p.tsv"])
+    save_word_labels_jsonl(syn.corpus, syn.gold.word_labels, paths["w.jsonl"])
+    corpus = load_corpus(paths["c.jsonl"])
+    sid = corpus.snippet_ids[-1]
+    (tmp_path / "s.tsv").write_text(f"{sid}\t0\t1\tNP\n")
+    gold = load_gold(corpus, paths["g.tsv"], paths["p.tsv"], paths["w.jsonl"], paths["s.tsv"])
+    assert gold.clusters == syn.gold.clusters and gold.parse_spans == {sid: [(0, 1, "NP")]}
+    assert load_polarity_predictions(corpus, paths["p.tsv"], ["positive", "negative"]) == \
+        syn.gold.polarity
+    state, _ = inference.run_inference(hp, corpus, None, threads=1)
+    post = inference.extract_posteriors(state)
+    clusterings = inference.aspect_clusterings(corpus, post)
+    assert sum(len(c.assignment) for c in clusterings) == corpus.n_snippets
+    assert list(inference.polarity_predictions(corpus, post)) == corpus.snippet_ids
+    assert list(inference.word_label_predictions(corpus, post)) == corpus.snippet_ids
+    gold_clustering = evaluation.gold_clustering(gold.clusters, corpus)
+    evaluation.muc_score(gold_clustering, evaluation.combine_clusterings(clusterings))
+    assert len(baselines.cluster_snippets(corpus, 2)) == corpus.n_entities
+    assert syn.corpus._snippets is None and corpus._snippets is None
