@@ -32,7 +32,6 @@ from snipagg.model import (
     TopicLayout,
     VariationalState,
     build_priors,
-    expected_log,
     init_state,
     load_config,
     load_state,

@@ -36,7 +36,11 @@ class Clustering:
 
     scope: str
     assignment: dict[str, int]
-    n_clusters: int
+
+    @property
+    def n_clusters(self) -> int:
+        """How many clusters the partition has: its distinct indices."""
+        return len(set(self.assignment.values()))
 
     def clusters(self) -> dict[int, set[str]]:
         out: dict[int, set[str]] = {}
@@ -136,7 +140,7 @@ def agglomerative_cluster(
         members[a].extend(members.pop(b))
 
     assignment = {ids[order[r]]: idx for idx, rows in enumerate(members.values()) for r in rows}
-    return Clustering(scope, assignment, len(members))
+    return Clustering(scope, assignment)
 
 
 def cluster_snippets(

@@ -394,10 +394,6 @@ class SeedLexicon:
         raise CorpusError(f"value index {idx} out of range")
 
 
-def empty_lexicon(value_names: Sequence[str]) -> SeedLexicon:
-    return SeedLexicon(list(value_names), [set() for _ in value_names])
-
-
 def default_value_names(n_values: int) -> list[str]:
     if n_values == 2:
         return ["positive", "negative"]
@@ -549,7 +545,7 @@ def load_gold(
     gold = GoldAnnotations()
     by_id = _snippets_by_id(corpus)
     names = list(value_names) if value_names is not None else default_value_names(2)
-    lexicon = empty_lexicon(names)
+    lexicon = SeedLexicon(names, [set() for _ in names])
     if clusters_path is not None:
         for lineno, (entity, sid, label) in _read_tsv(clusters_path, 3):
             _check_snippet(corpus, by_id, clusters_path, lineno, sid, entity)

@@ -73,7 +73,7 @@ def _numbered(scope: str, pairs: Iterable[tuple[str, Hashable]]) -> Clustering:
         if sid in assignment:
             raise EvalError(f"snippet {sid!r} appears in more than one scope")
         assignment[sid] = index.setdefault(key, len(index))
-    return Clustering(scope, assignment, len(index))
+    return Clustering(scope, assignment)
 
 
 def combine_clusterings(clusterings: Sequence[Clustering]) -> Clustering:

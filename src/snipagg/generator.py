@@ -35,8 +35,7 @@ one-draw-per-choice sampler.
 make_separable additionally interpolates the aspect word priors toward
 disjoint vocabulary blocks: at separation 1 the blocks are fully
 disjoint (a word generated under aspect a never appears under another
-aspect), and at separation 0 the draw stream is identical to
-sample_corpus.
+aspect), and sample_corpus is make_separable at separation 0.
 
 save_true_params writes the true parameters as true_params.json,
 version 2: every array exactly, through the state file's codec, and
@@ -302,7 +301,7 @@ def sample_corpus(
     hp: Hyperparameters, shape: CorpusShape, rng_seed: int
 ) -> SyntheticCorpus:
     """Sample a corpus from the generative story under hp's priors."""
-    return _sample(hp, shape, rng_seed, separation=0.0, topic_mix=None)
+    return make_separable(hp, shape, 0.0, rng_seed)
 
 
 def make_separable(
@@ -324,16 +323,6 @@ def make_separable(
     """
     if not (0.0 <= separation <= 1.0):
         raise GeneratorError("separation must lie in [0, 1]")
-    return _sample(hp, shape, rng_seed, separation, topic_mix)
-
-
-def _sample(
-    hp: Hyperparameters,
-    shape: CorpusShape,
-    rng_seed: int,
-    separation: float,
-    topic_mix: Optional[Sequence[float]],
-) -> SyntheticCorpus:
     hp.validate()
     shape.validate(hp.N)
     layout = hp.layout()

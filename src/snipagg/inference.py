@@ -269,45 +269,36 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 class UpdateContext:
-    """A state bound to its packed corpus, with packed write buffers.
+    """A state bound to its packed corpus.
 
     The constructor takes the corpus's pack (built by the corpus's first
-    context and kept in corpus._pack) and stacks the state's per-entity
-    posteriors into qa (S, K), qv (S, N; None when N = 0) and qw (T, n),
-    in corpus order. new_qa, new_qv and new_qw hold one view of them per
-    entity; the updates read the state's lists and write these views.
-
-    In batch mode the packed arrays are copies, so every read sees the
-    state as it was when the context was created; commit() makes the
-    views the state's posteriors. In sequential mode the state's lists
-    are these views from the start, so each update sees the freshest
-    values and commit() changes nothing.
+    context and kept in corpus._pack) and stacks copies of the state's
+    per-entity posteriors into qa (S, K), qv (S, N; None when N = 0) and
+    qw (T, n), in corpus order. The kernels and the per-op updates write
+    these arrays, a snippet or token at its corpus-wide index; the per-op
+    updates read the state's lists. Until commit() the state keeps its
+    own posteriors, so every read sees the state as it was when the
+    context was created. commit() makes one view of the packed arrays per
+    entity the state's posteriors, so from then on each update reads the
+    freshest values.
     """
 
-    def __init__(self, state: VariationalState, corpus: Corpus, sequential: bool = False):
+    def __init__(self, state: VariationalState, corpus: Corpus):
         if not state.matches_corpus(corpus):
             raise ModelError("state shape does not match corpus")
         self.state = state
         if corpus._pack is None:
             corpus._pack = _PackedCorpus(corpus)
-        self.pack = pack = corpus._pack
-
-        def stack(lists, width, bounds):
-            if lists is None:
-                return None, None
-            packed = stack_rows(lists, width)
-            return packed, row_views(packed, bounds)
-
-        hp, sb = state.hp, pack.snippet_bounds
-        self.qa, self.new_qa = stack(state.qa, hp.K, sb)
-        self.qv, self.new_qv = stack(state.qv, hp.N, sb)
-        self.qw, self.new_qw = stack(state.qw, state.layout.n_topics, pack.token_bounds)
-        if sequential:
-            self.commit()
+        self.pack = corpus._pack
+        self.qa = stack_rows(state.qa, state.hp.K)
+        self.qv = None if state.qv is None else stack_rows(state.qv, state.hp.N)
+        self.qw = stack_rows(state.qw, state.layout.n_topics)
 
     def commit(self) -> None:
-        """Make the per-entity views the state's posteriors."""
-        self.state.qa, self.state.qv, self.state.qw = self.new_qa, self.new_qv, self.new_qw
+        """Make the per-entity views of the packed arrays the state's posteriors."""
+        state, sb = self.state, self.pack.snippet_bounds
+        state.qa, state.qw = row_views(self.qa, sb), row_views(self.qw, self.pack.token_bounds)
+        state.qv = None if self.qv is None else row_views(self.qv, sb)
 
 
 def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.ndarray]]:
@@ -348,8 +339,7 @@ def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.n
 def update_parameters(ctx: UpdateContext) -> None:
     """Set every parameter factor to prior plus the expected counts of
     the context's packed posteriors."""
-    for f, counts in _expected_counts(ctx):
-        f.set_counts(counts)
+    _refit(ctx)
 
 
 def _refit(ctx: UpdateContext) -> float:
@@ -435,9 +425,9 @@ def _word_step(
     return _softmax_rows(score)
 
 
-def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gathered, int, int]:
-    """The gather at one snippet of an entity, and lo, hi: the snippet
-    owns tokens lo:hi of the entity's arrays."""
+def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gathered, int, int, int]:
+    """The gather at one snippet of an entity, its corpus-wide index s,
+    and lo, hi: the snippet owns tokens lo:hi of the entity's arrays."""
     pack = ctx.pack
     n_entities = len(pack.snippet_bounds) - 1
     if not 0 <= entity < n_entities:
@@ -446,25 +436,25 @@ def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gather
     if not 0 <= snippet < s1 - s0:
         raise InferenceError(f"snippet index {snippet} out of range for entity {entity}")
     s, t0 = s0 + snippet, pack.token_bounds[entity]
-    return _gather(ctx, s, s + 1), pack.offsets[s] - t0, pack.offsets[s + 1] - t0
+    return _gather(ctx, s, s + 1), s, pack.offsets[s] - t0, pack.offsets[s + 1] - t0
 
 
 def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_A) for one snippet and store it in the write buffer.
+    """Recompute q(Z_A) for one snippet into its row of ctx.qa.
 
     score(a) = E[log psi(a)] + sum_w q(Z_W(w) = A) E[log theta_A(a, word_w)]
              + sum_v q(Z_V = v) E[log phi(a, v)]
     """
     state = ctx.state
-    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
     qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
     q = _aspect_step(g, qv, state.qw[entity][lo:hi, state.layout.col("A")])[0]
-    ctx.new_qa[entity][snippet] = q
+    ctx.qa[s] = q
     return q
 
 
 def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_V) for one snippet and store it in the write buffer.
+    """Recompute q(Z_V) for one snippet into its row of ctx.qv.
 
     score(v) = sum_a q(Z_A = a) E[log phi(a, v)]
              + sum_w q(Z_W(w) = V) E[log theta_V(v, word_w)]
@@ -472,15 +462,15 @@ def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.nd
     state = ctx.state
     if state.qv is None:
         raise InferenceError("value update requested but N = 0")
-    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
     qa = state.qa[entity][snippet : snippet + 1]
     q = _value_step(g, qa, state.qw[entity][lo:hi, state.layout.col("V")])[0]
-    ctx.new_qv[entity][snippet] = q
+    ctx.qv[s] = q
     return q
 
 
 def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) -> np.ndarray:
-    """Recompute q(Z_W) for one token and store it in the write buffer.
+    """Recompute q(Z_W) for one token into its row of ctx.qw.
 
     The score of role T combines the fixed topic prior, expected log
     transitions from the previous token's posterior (or the start row)
@@ -490,7 +480,7 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     snippet uses only start-to-T and T-to-end transitions.
     """
     state = ctx.state
-    g, lo, hi = _one_snippet(ctx, entity, snippet)
+    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
     if not 0 <= word < hi - lo:
         raise InferenceError(f"word index {word} out of range for snippet {snippet}")
     qa = state.qa[entity][snippet : snippet + 1]
@@ -504,7 +494,7 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     from_prev, into_next = prev @ main, nxt @ main.T
     first, last = slice(len(prev), 1), slice(len(nxt), None)
     q = _word_step(state, emis[word : word + 1], from_prev, first, into_next, last)[0]
-    ctx.new_qw[entity][lo + word] = q
+    ctx.qw[ctx.pack.offsets[s] + word] = q
     return q
 
 
@@ -706,7 +696,8 @@ def run_inference(
     hp.validate()
     if threads < 1:
         raise ModelError("threads must be at least 1")
-    ctx = UpdateContext(init_state(hp, corpus, seeds), corpus, sequential=True)
+    ctx = UpdateContext(init_state(hp, corpus, seeds), corpus)
+    ctx.commit()
     _prime(ctx)
     reports: list[FreeEnergyReport] = []
     _fit(ctx, reports, progress)
@@ -749,8 +740,7 @@ def aspect_clusterings(corpus: Corpus, post: Posteriors) -> list[Clustering]:
     out, bounds = [], corpus.snippet_bounds.tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         assignment = dict(zip(corpus.snippet_ids[a:b], post.aspect[i].tolist()))
-        n_clusters = max(assignment.values(), default=-1) + 1
-        out.append(Clustering(corpus.entities[i], assignment, n_clusters))
+        out.append(Clustering(corpus.entities[i], assignment))
     return out
 
 

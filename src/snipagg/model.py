@@ -504,12 +504,6 @@ class DirichletFactor:
         """The dense concentration, built from the support."""
         return self._dense(self._base, self.table).reshape(self.prior.shape)
 
-    @concentration.setter
-    def concentration(self, conc: np.ndarray) -> None:
-        """Set the dense concentration (>= prior); the pairs it takes off
-        the prior join the support."""
-        self._write(0, np.reshape(conc, (self._n_rows,) + self._base.shape))
-
     def expected_log(self) -> np.ndarray:
         """digamma(alpha) - digamma(alpha total), dense, per row, cached."""
         if self._dense_elog is None:
@@ -576,13 +570,8 @@ class FactorRow:
 
     def kl_to_prior(self) -> float:
         row = DirichletFactor(self.prior)
-        row.concentration = self.concentration
+        row.grow(row.support, self.concentration)
         return row.kl_to_prior()
-
-
-def expected_log(factor: DirichletFactor, element) -> float:
-    """Expected log probability of one support element under a factor."""
-    return float(factor.expected_log()[element])
 
 
 def transition_means(start: DirichletFactor, main: DirichletFactor) -> np.ndarray:
@@ -661,12 +650,8 @@ class VariationalState:
         bank gives one factor per row (FactorRow)."""
         return self._shared_factors() + [row for bank in self._banks() for row in bank.rows()]
 
-    def parameter_banks(self) -> list[DirichletFactor]:
-        """The factors of parameter_factors() with each bank whole."""
-        return self._shared_factors() + self._banks()
-
     def refresh_caches(self) -> None:
-        for f in self.parameter_banks():
+        for f in self._shared_factors() + self._banks():
             f.table_elog()
 
     def matches_corpus(self, corpus: Corpus) -> bool:

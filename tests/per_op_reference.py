@@ -3,7 +3,7 @@ at a time, as an independent reference for the packed pass kernels.
 
 Each function reads the state's per-entity posteriors and one entity's
 dense factor rows, scores the update's terms by hand and writes the new
-posterior into the context's write buffer, as the public updates in
+posterior into the context's packed row, as the public updates in
 snipagg.inference do. None of it calls the packed kernels.
 """
 
@@ -25,7 +25,7 @@ def _snippet_tokens(ctx, entity: int, snippet: int):
 
 
 def update_snippet_aspect(ctx, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_A) for one snippet and store it in the write buffer.
+    """Recompute q(Z_A) for one snippet and write it to its packed row.
 
     score(a) = E[log psi(a)] + sum_w q(Z_W(w) = A) E[log theta_A(a, word_w)]
              + sum_v q(Z_V = v) E[log phi(a, v)]
@@ -39,12 +39,12 @@ def update_snippet_aspect(ctx, entity: int, snippet: int) -> np.ndarray:
     if state.qv is not None:
         score += state.phi_factor(entity).expected_log() @ state.qv[entity][snippet]
     q = _softmax_rows(score)
-    ctx.new_qa[entity][snippet] = q
+    ctx.qa[ctx.pack.snippet_bounds[entity] + snippet] = q
     return q
 
 
 def update_snippet_value(ctx, entity: int, snippet: int) -> np.ndarray:
-    """Recompute q(Z_V) for one snippet and store it in the write buffer.
+    """Recompute q(Z_V) for one snippet and write it to its packed row.
 
     score(v) = sum_a q(Z_A = a) E[log phi(a, v)]
              + sum_w q(Z_W(w) = V) E[log theta_V(v, word_w)]
@@ -58,12 +58,12 @@ def update_snippet_value(ctx, entity: int, snippet: int) -> np.ndarray:
     score = qa @ state.phi_factor(entity).expected_log()
     score += q_word_v @ state.theta_V.expected_log()[:, words].T
     q = _softmax_rows(score)
-    ctx.new_qv[entity][snippet] = q
+    ctx.qv[ctx.pack.snippet_bounds[entity] + snippet] = q
     return q
 
 
 def update_word_topic(ctx, entity: int, snippet: int, word: int) -> np.ndarray:
-    """Recompute q(Z_W) for one token and store it in the write buffer.
+    """Recompute q(Z_W) for one token and write it to its packed row.
 
     The score of role T combines the fixed topic prior, expected log
     transitions from the previous token's posterior (or the start row)
@@ -104,5 +104,5 @@ def update_word_topic(ctx, entity: int, snippet: int, word: int) -> np.ndarray:
     if state.eta is not None:
         score += state.eta.expected_log()[:, tags[word]]
     q = _softmax_rows(score)
-    ctx.new_qw[entity][t] = q
+    ctx.qw[ctx.pack.token_bounds[entity] + t] = q
     return q

@@ -210,7 +210,7 @@ def _partition(*groups):
     for c, members in enumerate(groups):
         for m in members:
             assignment[m] = c
-    return Clustering("hand", assignment, len(groups))
+    return Clustering("hand", assignment)
 
 
 def test_criterion_06_muc_hand_partitions():

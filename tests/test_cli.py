@@ -745,6 +745,34 @@ def test_cli_stages_build_no_snippet(tmp_path, capsys, monkeypatch):
                "--clusters", "2", "--out", str(tmp_path / "base"))[0] == 0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--metric", "muc", "--gold-clusters", "gold_clusters.tsv"],
+     "muc needs --state or --pred-clusters"),
+    (["--metric", "sentiment"], "sentiment needs --gold-polarity"),
+    (["--metric", "sentiment", "--gold-polarity", "gold_polarity.tsv"],
+     "sentiment needs --state or --pred-polarity"),
+    (["--metric", "word-prf"], "word-prf needs --gold-word-labels"),
+    (["--metric", "word-prf", "--gold-word-labels", "gold_word_labels.jsonl"],
+     "word-prf needs --state or --pred-word-labels"),
+])
+def test_eval_without_its_inputs_exits_2(workspace, capsys, flags, message):
+    data, _ = workspace
+    flags = [os.path.join(data, f) if f.startswith("gold_") else f for f in flags]
+    code = main(["-q", "eval", "--corpus", os.path.join(data, "corpus.jsonl"), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: {message}\n" == captured.err and captured.out == ""
+
+
+def test_state_that_is_not_json_exits_3(workspace, tmp_path, capsys):
+    data, _ = workspace
+    path = tmp_path / "state.json"
+    path.write_text('{"format": ')
+    code, err = _report(capsys, data, str(path))
+    assert code == 3
+    assert f"error: {path}: not valid JSON: " in err
+
+
 def test_eval_tree_expand_needs_parse_spans(workspace, capsys):
     data, _ = workspace
     gold = os.path.join(data, "gold_word_labels.jsonl")

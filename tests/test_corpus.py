@@ -273,6 +273,7 @@ LABELS = '{"id": "s1", "labels": ["V", "A"]}\n'
     ("parse_spans", "s2\t0\t2\tNP\ns1\t0\tend\tNP\n", 2, "start and end must be integers"),
     ("parse_spans", "s2\t0\t2\tNP\ns1\t0.5\t2\tNP\n", 2, "start and end must be integers"),
     ("polarity", "cafe\ts1\tpositive\nbar\ts3\tneutral\n", 2, "unknown value label 'neutral'"),
+    ("polarity", "cafe\ts1\tpositive\nbar\ts3\t7\n", 2, "value index 7 out of range"),
     ("polarity", "cafe\ts1\tpositive\ncafe\ts1\tnegative\n", 2, "duplicate snippet id 's1'"),
     ("clusters", "cafe\ts1\tfood\ncafe\tnope\tfood\n", 2, "unknown snippet id 'nope'"),
     ("clusters", "cafe\ts1\tfood\nbar\ts2\tfood\n", 2,

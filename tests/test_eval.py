@@ -22,7 +22,7 @@ def partition(*groups):
     for c, members in enumerate(groups):
         for m in members:
             assignment[m] = c
-    return Clustering("test", assignment, len(groups))
+    return Clustering("test", assignment)
 
 
 def test_muc_worked_example():
@@ -75,8 +75,8 @@ def test_muc_universe_mismatch_is_an_error():
 
 
 def test_combine_clusterings_namespaces_scopes():
-    c0 = Clustering("e0", {"e0-s0": 0, "e0-s1": 0, "e0-s2": 1}, 2)
-    c1 = Clustering("e1", {"e1-s0": 0}, 1)
+    c0 = Clustering("e0", {"e0-s0": 0, "e0-s1": 0, "e0-s2": 1})
+    c1 = Clustering("e1", {"e1-s0": 0})
     combined = combine_clusterings([c0, c1])
     assert combined.n_clusters == 3
     # cluster 0 of e0 and cluster 0 of e1 stay distinct
@@ -85,8 +85,8 @@ def test_combine_clusterings_namespaces_scopes():
 
 
 def test_combine_clusterings_rejects_duplicates():
-    c0 = Clustering("e0", {"s0": 0}, 1)
-    c1 = Clustering("e1", {"s0": 0}, 1)
+    c0 = Clustering("e0", {"s0": 0})
+    c1 = Clustering("e1", {"s0": 0})
     with pytest.raises(EvalError, match="more than one scope"):
         combine_clusterings([c0, c1])
 
@@ -122,7 +122,7 @@ def test_gold_clustering_errors():
 
 
 def test_restrict_clustering():
-    c = Clustering("x", {"a": 0, "b": 1, "c": 1, "d": 2}, 3)
+    c = Clustering("x", {"a": 0, "b": 1, "c": 1, "d": 2})
     r = restrict_clustering(c, ["b", "c", "d"])
     assert set(r.assignment) == {"b", "c", "d"}
     assert r.assignment["b"] == r.assignment["c"]

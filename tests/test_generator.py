@@ -273,6 +273,9 @@ def test_shape_validation_errors():
     with pytest.raises(GeneratorError):
         CorpusShape(n_entities=2, snippets_per_entity=2,
                     mean_words=0.0).validate(2)
+    with pytest.raises(GeneratorError, match="^seed_words_per_value must be non-negative$"):
+        CorpusShape(n_entities=2, snippets_per_entity=2,
+                    seed_words_per_value=-1).validate(2)
 
 
 @pytest.mark.parametrize("mean_words", [math.nan, math.inf, -math.inf])
@@ -740,6 +743,14 @@ MALFORMED_TRUE_PARAMS = {
     "missing key": (lambda p: p.pop("tags"), r"missing keys \['tags'\], unknown keys \[\]"),
     "extra key": (lambda p: p.update(extra=1), r"missing keys \[\], unknown keys \['extra'\]"),
     "bad version": (lambda p: p.update(version=3), "unsupported true parameters version 3"),
+    "other format": (lambda p: p.update(format="snipagg-state"), "not a true parameters file$"),
+    "no format": (lambda p: p.pop("format"), "missing key 'format'$"),
+    "separation out of range": (lambda p: p.update(separation=1.5),
+                                r"separation 1\.5 is not a number in \[0, 1\]$"),
+    "psi rows off the theta_A scopes": (
+        lambda p: p.update(psi=_encode(np.vstack([_decode(p["psi"])] * 2))),
+        "psi has 4 rows for 2 theta_A scopes$",
+    ),
     "bool version": (lambda p: p.update(version=True), "unsupported true parameters version"),
     "wrong dtype": (lambda p: p["theta_B"].update(dtype="<i8"), "theta_B has dtype '<i8'"),
     "shape and bytes differ": (lambda p: p["eta"]["shape"].__setitem__(1, 6),

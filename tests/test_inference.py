@@ -125,7 +125,6 @@ def test_update_ops_write_buffers_only_in_batch_mode():
     for got, want in zip(state.qa, old, strict=True):
         assert np.array_equal(got, want)
         assert not np.shares_memory(got, ctx.qa)
-    assert np.array_equal(ctx.new_qa[1][1], q)
     assert np.array_equal(ctx.qa[3], q)            # entity 1, snippet 1
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
     ctx.commit()
@@ -151,7 +150,8 @@ def test_update_ops_apply_immediately_in_sequential_mode():
     corpus = tiny_corpus(n_entities=2)
     hp = Hyperparameters(K=2, N=2, rng_seed=0, schedule="sequential")
     state = init_state(hp, corpus, None)
-    ctx = UpdateContext(state, corpus, sequential=True)
+    ctx = UpdateContext(state, corpus)
+    ctx.commit()
     q = update_snippet_aspect(ctx, 1, 1)
     # One write shows through the state's list and the packed array.
     assert np.array_equal(state.qa[1][1], q)
@@ -527,9 +527,12 @@ def per_op_pass(state, corpus, sequential, ops=reference):
     """A copy of state after one pass of the per-op updates of ops (by
     default the reference in tests/per_op_reference.py, which shares no
     code with the packed kernels) over every snippet (aspect, value,
-    then each word), committed in batch mode."""
+    then each word), committed at the end, and with sequential also
+    before the first update."""
     state = copy.deepcopy(state)
-    ctx = UpdateContext(state, corpus, sequential=sequential)
+    ctx = UpdateContext(state, corpus)
+    if sequential:
+        ctx.commit()
     for i, group in enumerate(corpus.snippets):
         for j, sn in enumerate(group):
             ops.update_snippet_aspect(ctx, i, j)
@@ -830,7 +833,8 @@ def test_free_energy_matches_dense_reference_at_refits(
     corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
     state.hp.schedule, state.hp.max_iters = schedule, 3
     state.hp.topic_prior = tuple(topic_prior)
-    ctx = UpdateContext(state, corpus, sequential=True)
+    ctx = UpdateContext(state, corpus)
+    ctx.commit()
 
     def check(fe):
         want = dense_free_energy(state, corpus)
@@ -868,7 +872,8 @@ def test_aspect_bank_support_matches_dense_reference(seed, shared, ops):
     rng = np.random.default_rng(seed)
     corpus = random_corpus(rng, n_entities=3, vocab_size=10, snippets=3, max_len=4)
     state = init_state(Hyperparameters(K=3, N=1, shared_aspects=shared), corpus)
-    ctx = UpdateContext(state, corpus, sequential=True)
+    ctx = UpdateContext(state, corpus)
+    ctx.commit()
     qa, qw = ctx.qa, ctx.qw
     qa[:] = rng.dirichlet(np.ones(qa.shape[1]), size=len(qa))
     qw[:] = rng.dirichlet(np.ones(qw.shape[1]), size=len(qw))
@@ -1131,3 +1136,15 @@ def test_prediction_helpers_cover_all_snippets():
     assert set(preds) == {"e0-s0", "e0-s1", "e1-s0", "e1-s1"}
     wl = word_label_predictions(corpus, post)
     assert len(wl["e0-s0"]) == 3
+
+
+def test_aspect_clusterings_count_the_aspects_in_use():
+    # Entity 0 uses aspects {0, 2} of K = 3 and entity 1 uses {2} only: the
+    # count is of the partition's clusters, not the largest index + 1.
+    corpus = tiny_corpus(n_entities=2)
+    state = build_priors(Hyperparameters(K=3, N=2), corpus, None)
+    state.qa[0][:] = [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]
+    state.qa[1][:] = [[0.1, 0.1, 0.8], [0.1, 0.1, 0.8]]
+    clusterings = aspect_clusterings(corpus, extract_posteriors(state))
+    assert [c.n_clusters for c in clusterings] == [2, 1]
+    assert clusterings[0].assignment == {"e0-s0": 0, "e0-s1": 2}

@@ -29,7 +29,6 @@ from snipagg.model import (
     ModelError,
     TopicLayout,
     build_priors,
-    expected_log,
     init_state,
     load_config,
     load_state,
@@ -66,21 +65,21 @@ def toy_corpus(n_entities=2, words=("a", "b", "c", "d"), tags=("NN", "JJ"), firs
 def test_expected_log_symmetric_two():
     # Dir(1, 1): E[log x_e] = digamma(1) - digamma(2) = -1 exactly
     f = DirichletFactor(np.array([1.0, 1.0]))
-    assert expected_log(f, 0) == pytest.approx(-1.0, abs=1e-12)
-    assert expected_log(f, 1) == pytest.approx(-1.0, abs=1e-12)
+    assert f.expected_log()[0] == pytest.approx(-1.0, abs=1e-12)
+    assert f.expected_log()[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_expected_log_two_one():
     # Dir(2, 1): digamma(2) - digamma(3) = -1/2; digamma(1) - digamma(3) = -3/2
     f = DirichletFactor(np.array([2.0, 1.0]))
-    assert expected_log(f, 0) == pytest.approx(-0.5, abs=1e-12)
-    assert expected_log(f, 1) == pytest.approx(-1.5, abs=1e-12)
+    assert f.expected_log()[0] == pytest.approx(-0.5, abs=1e-12)
+    assert f.expected_log()[1] == pytest.approx(-1.5, abs=1e-12)
 
 
 def test_expected_log_integer_recurrence():
     # digamma differences of integers reduce to harmonic sums
     f = DirichletFactor(np.array([3.0, 2.0, 1.0]))
-    assert expected_log(f, 0) == pytest.approx(-0.7833333333333333, abs=1e-12)
+    assert f.expected_log()[0] == pytest.approx(-0.7833333333333333, abs=1e-12)
 
 
 @given(st.lists(st.floats(0.05, 50.0), min_size=2, max_size=8))
@@ -99,11 +98,17 @@ def test_expected_log_jensen_gap(alpha):
 def test_expected_log_monotone_in_own_concentration(alpha, idx, bump):
     idx = idx % len(alpha)
     f = DirichletFactor(np.array(alpha))
-    before = expected_log(f, idx)
+    before = f.expected_log()[idx]
     alpha2 = list(alpha)
     alpha2[idx] += bump
     f2 = DirichletFactor(np.array(alpha2))
-    assert expected_log(f2, idx) > before
+    assert f2.expected_log()[idx] > before
+
+
+@pytest.mark.parametrize("prior", [[1.0, 0.0], [[0.5, -1.0]]])
+def test_factor_prior_must_be_positive(prior):
+    with pytest.raises(ModelError, match="^Dirichlet prior concentrations must be positive$"):
+        DirichletFactor(np.array(prior))
 
 
 def test_factor_counts_and_mean():
@@ -219,6 +224,16 @@ def test_hyperparameters_must_be_finite(changes, key):
         Hyperparameters(**changes).validate()
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"gamma_self": -1.0}, "transition boosts must be non-negative"),
+    ({"gamma_ignore": -0.5}, "transition boosts must be non-negative"),
+    ({"max_iters": 0}, "max_iters must be at least 1"),
+])
+def test_hyperparameters_refuse_with_a_message(changes, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        Hyperparameters(**changes).validate()
+
+
 def test_rng_seed_must_be_non_negative():
     Hyperparameters(rng_seed=0).validate()
     with pytest.raises(ModelError, match="^rng_seed must be non-negative$"):
@@ -272,6 +287,9 @@ def test_config_rejects_unknown_and_duplicate(tmp_path):
         load_config(str(path))
     path.write_text("K 5\n")
     with pytest.raises(ModelError, match="expected key"):
+        load_config(str(path))
+    path.write_text("K = 5\nuse_pos = maybe\n")
+    with pytest.raises(ModelError, match=f"^{re.escape(str(path))}:2: bad value for use_pos: "):
         load_config(str(path))
 
 
@@ -534,6 +552,9 @@ BLOB = re.escape("is not an encoded array with keys ['data', 'dtype', 'shape']")
     (_recode(TAS, lambda a: a.reshape(2, -1)), "factor theta_A support is not an array of indices"),
     (lambda p: p["factors"].__setitem__("theta_B", [0.2] * 4),
      "factor theta_B needs a support and a table"),
+    (lambda p: p["snippet_counts"].__setitem__(0, p["snippet_counts"][0] + 1),
+     "snippet_counts do not match token_counts$"),
+    (lambda p: p["seed_sets"].append([0]), "seed_sets need 2 lists of word indices below 4$"),
     (lambda p: [p["hyperparameters"].update(use_pos=False), p["factors"].update(eta=[])],
      "factor eta is present but the configuration disables it"),
     # Every object holds exactly its table's keys.
@@ -550,7 +571,8 @@ BLOB = re.escape("is not an encoded array with keys ['data', 'dtype', 'shape']")
     "missing-key", "extra-key", "list-in-version-3", "unsorted-support", "table-below-prior",
     "table-narrower-than-support", "q-row-count", "q-scalar", "q-row-width", "non-finite-q",
     "q-row-not-distribution", "duplicate-support", "negative-support", "support-out-of-range",
-    "support-not-flat", "dense-factor", "disabled-factor-not-null", "unknown-top-level-key",
+    "support-not-flat", "dense-factor", "snippet-counts-off-token-counts", "seed-sets-off-N",
+    "disabled-factor-not-null", "unknown-top-level-key",
     "unknown-factors-key", "unknown-q-key", "unknown-factor-key",
 ])
 def test_load_state_rejects_malformed_version_3(tmp_path, edit, message):
