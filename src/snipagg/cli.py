@@ -310,7 +310,24 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each eval metric's gold labels flag and the flag of its predictions,
+# which --state stands in for.
+_EVAL_FLAGS = {
+    "muc": ("gold_clusters", "pred_clusters"),
+    "sentiment": ("gold_polarity", "pred_polarity"),
+    "word-prf": ("gold_word_labels", "pred_word_labels"),
+}
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
+    # Usage is checked before the corpus or the state is read.
+    gold_flag, pred_flag = _EVAL_FLAGS[args.metric]
+    if not getattr(args, gold_flag):
+        raise UsageError(f"{args.metric} needs --{gold_flag.replace('_', '-')}")
+    if not (args.state or getattr(args, pred_flag)):
+        raise UsageError(f"{args.metric} needs --state or --{pred_flag.replace('_', '-')}")
+    if args.metric == "word-prf" and args.tree_expand and not args.parse_spans:
+        raise UsageError("--tree-expand needs --parse-spans")
     corpus = load_corpus(args.corpus)
     value_names = _value_names(args)
     results: dict = {"metric": args.metric}
@@ -328,36 +345,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
         post = extract_posteriors(state)
 
     if args.metric == "muc":
-        if not args.gold_clusters:
-            raise UsageError("muc needs --gold-clusters")
         gold_ann = load_gold(corpus, clusters_path=args.gold_clusters)
         gold = gold_clustering(gold_ann.clusters, corpus, scope=args.scope)
         if args.pred_clusters:
             pred_ann = load_gold(corpus, clusters_path=args.pred_clusters)
             response = gold_clustering(pred_ann.clusters, corpus, scope=args.scope)
-        elif post is not None:
-            response = combine_clusterings(aspect_clusterings(corpus, post))
         else:
-            raise UsageError("muc needs --state or --pred-clusters")
+            response = combine_clusterings(aspect_clusterings(corpus, post))
         response = restrict_clustering(response, gold.assignment.keys())
         m = muc_score(gold, response)
         results.update(precision=m.precision, recall=m.recall, f1=m.f1)
     elif args.metric == "sentiment":
-        if not args.gold_polarity:
-            raise UsageError("sentiment needs --gold-polarity")
         gold_ann = load_gold(
             corpus, polarity_path=args.gold_polarity, value_names=value_names
         )
         if args.pred_polarity:
             preds = load_polarity_predictions(corpus, args.pred_polarity, value_names)
-        elif post is not None:
-            preds = dict(polarity_predictions(corpus, post))
         else:
-            raise UsageError("sentiment needs --state or --pred-polarity")
+            preds = dict(polarity_predictions(corpus, post))
         results["accuracy"] = sentiment_accuracy(preds, gold_ann.polarity)
     else:  # word-prf
-        if not args.gold_word_labels:
-            raise UsageError("word-prf needs --gold-word-labels")
         gold_ann = load_gold(
             corpus,
             word_labels_path=args.gold_word_labels,
@@ -366,13 +373,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.pred_word_labels:
             pred_ann = load_gold(corpus, word_labels_path=args.pred_word_labels)
             preds = dict(pred_ann.word_labels)
-        elif post is not None:
-            preds = word_label_predictions(corpus, post)
         else:
-            raise UsageError("word-prf needs --state or --pred-word-labels")
+            preds = word_label_predictions(corpus, post)
         if args.tree_expand:
-            if not args.parse_spans:
-                raise UsageError("--tree-expand needs --parse-spans")
             tags, bounds = corpus.tags.tolist(), corpus.offsets.tolist()
             for sid, a, b in zip(corpus.snippet_ids, bounds, bounds[1:]):
                 if sid not in preds:

@@ -13,7 +13,9 @@ at most BLOCK_TOKENS tokens, and gathers the expected logs once per
 block, at each of its tokens' (entity, word) and tag and at each of its
 snippets' entity. Every array with a row per token and a column per
 aspect is thus one block's, not the corpus's; each row depends on its
-snippet alone, so the blocks change no bit. Each E-step snippet sum is
+snippet alone, so the blocks change no bit. The block's new posteriors
+are written into the packed arrays in place, each once the steps that
+read its old value are done. Each E-step snippet sum is
 op @ E and each M-step count op.T @ q for a token-incidence matrix op
 per bank (_incidence): a row per snippet, a column per cell and an
 entry per token, with the weights of the call. Its index arrays are
@@ -27,9 +29,12 @@ energy of any state is
     F = sum_f [KL(q_f || prior_f) - <c_f, E[log theta_f]>]
         + sum q log q - sum_t sum_r q(Z_W(t) = r) topic_prior_r.
 
-The fit takes each factor's term as it refits it (there the term is ln
-B(prior_f) - ln B(q_f)); compute_free_energy sums the same terms and
-sets no factor. No token or snippet is scored again.
+The fit takes each factor's term as it refits it: the fresh counts
+array becomes the factor's table, the prior added in place, and the
+term is then ln B(prior_f) - ln B(q_f), which reads no expected log
+(DirichletFactor._kl_at_refit). compute_free_energy sums the same terms
+with their cross term <q_f - prior_f - c_f, E[log theta_f]> and sets no
+factor. No token or snippet is scored again.
 
 UpdateContext is where a state meets its corpus: it reads the corpus's
 pack and stacks the state's per-entity posteriors into packed arrays,
@@ -38,8 +43,9 @@ which the kernels read and write in place. The corpus arrives packed
 derived from it are built on first use and kept with the corpus: a fit,
 every later UpdateContext and every compute_free_energy share them. A
 fit binds its state once, so the state's per-entity posteriors are
-views of those arrays; compute_free_energy reads a copy and leaves the
-caller's posteriors as they are.
+views of those arrays. compute_free_energy leaves the caller's
+posteriors as they are: where they are views of one packed array (a
+fitted or loaded state's), it reads that array in place, else a copy.
 
 Both schedules run one pass kernel with the same coordinate moves (per
 snippet: aspect, value, then each word) and differ only in when a new
@@ -61,13 +67,17 @@ step on one token as one wavefront row. No fit calls them: they are
 for tests and inspection, and a call costs more than a whole pass
 spends on one snippet.
 
-The digamma refresh and the KL to the prior run only on each factor's
-support (see DirichletFactor). A cell off it sits at its prior, has
-expected log digamma(prior) - digamma(row total) and adds exactly 0 to
-the KL, so the restriction is exact for any state. theta_A's support
-is the (entity, word) pairs of the corpus, 15% of a dense bank on the
-reference corpus, and the columns of its incidence matrix: the M-step
-counts into its (K, P) table, whose cells the E-step sums per snippet.
+The expected logs and the KL to the prior are computed only on each
+factor's support (see DirichletFactor). A cell off it sits at its
+prior, has expected log digamma(prior) - digamma(row total) and adds
+exactly 0 to the KL, so the restriction is exact for any state.
+theta_A's support is the (entity, word) pairs of the corpus, 15% of a
+dense bank on the reference corpus, and the columns of its incidence
+matrix: the M-step counts into its (K, P) table, whose cells the E-step
+sums per snippet. Its expected log is never held whole: each gather
+computes it from the table at the run of support cells its tokens use,
+and for a per-entity bank a block's run holds its entities' cells only.
+Every other factor keeps its dense expected log between refits.
 """
 
 from __future__ import annotations
@@ -88,6 +98,7 @@ from snipagg.model import (
     ModelError,
     VariationalState,
     init_state,
+    packed_rows,
     row_views,
     stack_rows,
 )
@@ -212,10 +223,12 @@ def _incidence(indptr: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_cols
 class _Gathered:
     """The expected logs of one parameter state where a run of S snippets
     and their T tokens (one block of a pass, or one snippet) reads them:
-    theta_A's and theta_V's one row per cell, ta (P, K) and tv (V, N),
-    which the token-incidence matrices of indptr, cols and words sum,
-    and ea (T, K), ev (T, N) their rows at each token; psi (S, K),
-    phi (S, K, N) per snippet, eb, ei (T,) per word, eta (T, n) per tag."""
+    theta_A's and theta_V's one row per cell, ta (P', K) for the run of
+    P' support cells from the first to the last that the tokens use
+    (cols counts from its first) and tv (V, N), which the
+    token-incidence matrices of indptr, cols and words sum, and ea
+    (T, K), ev (T, N) their rows at each token; psi (S, K), phi (S, K, N)
+    per snippet, eb, ei (T,) per word, eta (T, n) per tag."""
 
     indptr: np.ndarray
     cols: np.ndarray
@@ -233,11 +246,17 @@ class _Gathered:
 
 def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathered:
     """The factors' expected logs gathered at snippets s0:s1 of the
-    context's corpus (every snippet by default) and at their tokens."""
+    context's corpus (every snippet by default) and at their tokens.
+    theta_A's is computed from its table at the tokens' run of support
+    cells, which for a per-entity bank holds the cells of the run's
+    entities only."""
     state, pack = ctx.state, ctx.pack
     s1 = pack.n_snippets if s1 is None else s1
     tok = slice(pack.offsets[s0], pack.offsets[s1])
     cols, words, ents = pack.aspect_columns(state)[tok], pack.words[tok], pack.ent_of_snip[s0:s1]
+    lo = int(cols.min())
+    ta = state.theta_A.elog_cells(lo, int(cols.max()) + 1).T
+    cols = cols - lo
 
     def rows(f, index):  # f's expected log at each bank row of index
         return None if f is None else np.take(f.expected_log(), f.entity_rows(index), axis=0)
@@ -245,7 +264,6 @@ def _gather(ctx: UpdateContext, s0: int = 0, s1: Optional[int] = None) -> _Gathe
     def cells(f, index):  # f's expected log at index along its last axis, one row each
         return None if f is None else np.take(f.expected_log().T, index, axis=0)
 
-    ta = state.theta_A.table_elog().T
     tv = None if state.theta_V is None else np.ascontiguousarray(state.theta_V.expected_log().T)
     return _Gathered(
         indptr=pack.offsets[s0 : s1 + 1] - tok.start, cols=cols, words=words,
@@ -283,6 +301,8 @@ class UpdateContext:
     freshest values.
     """
 
+    _stack = staticmethod(stack_rows)
+
     def __init__(self, state: VariationalState, corpus: Corpus):
         if not state.matches_corpus(corpus):
             raise ModelError("state shape does not match corpus")
@@ -290,9 +310,9 @@ class UpdateContext:
         if corpus._pack is None:
             corpus._pack = _PackedCorpus(corpus)
         self.pack = corpus._pack
-        self.qa = stack_rows(state.qa, state.hp.K)
-        self.qv = None if state.qv is None else stack_rows(state.qv, state.hp.N)
-        self.qw = stack_rows(state.qw, state.layout.n_topics)
+        self.qa = self._stack(state.qa, state.hp.K)
+        self.qv = None if state.qv is None else self._stack(state.qv, state.hp.N)
+        self.qw = self._stack(state.qw, state.layout.n_topics)
 
     def commit(self) -> None:
         """Make the per-entity views of the packed arrays the state's posteriors."""
@@ -301,10 +321,20 @@ class UpdateContext:
         state.qv = None if self.qv is None else row_views(self.qv, sb)
 
 
+class _StateReader(UpdateContext):
+    """A context that only reads its state (compute_free_energy's): where
+    the state's per-entity posteriors are consecutive views of one array,
+    as a fitted or loaded state's are, it reads that array in place
+    instead of a copy (packed_rows)."""
+
+    _stack = staticmethod(packed_rows)
+
+
 def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.ndarray]]:
     """Yield every parameter bank with the expected counts of the
-    context's packed posteriors, in the shape of its table, one bank at
-    a time. A bank the latents write is counted as (op.T @ q).T, op the
+    context's packed posteriors, a fresh array in the shape and layout
+    (cell-major) of its table, one bank at a time. A bank the latents
+    write is counted as (op.T @ q).T, op the
     incidence matrix of the writes (_incidence): the E-step's for theta_A
     and theta_V; each snippet's N cells by q(Z_V) for phi; each snippet
     at its bank row for psi, and each token at its tag for eta, by 1.
@@ -330,7 +360,7 @@ def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.n
         yield state.eta, count(pack.one_per_row, pack.tags, np.ones(len(qw)), state.tag_count, qw)
     n = layout.n_topics
     yield state.trans_start, np.take(qw, pack.first, axis=0).sum(axis=0)
-    main = np.empty((n, n + 1))
+    main = np.empty((n, n + 1), order="F")
     main[:, :n] = np.take(qw, pack.inner - 1, axis=0).T @ np.take(qw, pack.inner, axis=0)
     main[:, layout.end_col] = np.take(qw, pack.last, axis=0).sum(axis=0)
     yield state.trans_main, main
@@ -339,16 +369,18 @@ def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.n
 def update_parameters(ctx: UpdateContext) -> None:
     """Set every parameter factor to prior plus the expected counts of
     the context's packed posteriors."""
-    _refit(ctx)
+    for f, counts in _expected_counts(ctx):
+        f._adopt(counts)
 
 
 def _refit(ctx: UpdateContext) -> float:
     """update_parameters, returning the sum of the new factors'
-    free-energy terms (DirichletFactor._kl of the counts)."""
+    free-energy terms, each ln B(prior) - ln B(posterior)
+    (DirichletFactor._kl_at_refit)."""
     terms = 0.0
     for f, counts in _expected_counts(ctx):
-        f.set_counts(counts)
-        terms += f._kl(counts)
+        f._adopt(counts)
+        terms += f._kl_at_refit()
     return terms
 
 
@@ -498,8 +530,11 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     return q
 
 
-def _max_change(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.abs(new - old).max()) if new.size else 0.0
+def _put(q: np.ndarray, rows: np.ndarray | slice, new: np.ndarray) -> float:
+    """Write new into q[rows]; returns the largest absolute change."""
+    change = float(np.abs(new - q[rows]).max()) if new.size else 0.0
+    q[rows] = new
+    return change
 
 
 def _blocks(ctx: UpdateContext) -> Iterator[tuple[slice, slice, _Gathered]]:
@@ -530,18 +565,22 @@ def _pass(ctx: UpdateContext) -> float:
     layout = state.layout
     main = state.trans_main.expected_log()[:, : layout.n_topics]
     qw_a, qw_v = qw[:, layout.col("A")], None if qv is None else qw[:, layout.col("V")]
-    new_qa, new_qv = np.empty_like(qa), None if qv is None else np.empty_like(qv)
-    new_qw = qw.copy() if sequential else np.empty_like(qw)
     emis = np.empty_like(qw) if sequential else None
-    seen_qa, seen_qv = (new_qa, new_qv) if sequential else (qa, qv)
+    changes = []
     for snips, toks, g in _blocks(ctx):
-        new_qa[snips] = _aspect_step(g, None if qv is None else qv[snips], qw_a[toks])
+        # Each row is written in place once every read of its old value is
+        # done: the sequential schedule's q(Z_A) and q(Z_V) before the value
+        # step and the emissions read them, the batch schedule's after its
+        # word step. A snippet's rows are read by its own steps only.
+        new_qa = _aspect_step(g, None if qv is None else qv[snips], qw_a[toks])
+        if sequential:
+            changes.append(_put(qa, snips, new_qa))
         if qv is not None:
-            new_qv[snips] = _value_step(g, seen_qa[snips], qw_v[toks])
-        # The batch schedule keeps a block's emissions in its rows of new_qw
-        # until its word step overwrites them.
-        block_emis = (emis if sequential else new_qw)[toks]
-        _emissions(state, g, seen_qa, seen_qv, pack.snip_of_token[toks], block_emis)
+            new_qv = _value_step(g, qa[snips], qw_v[toks])
+            if sequential:
+                changes.append(_put(qv, snips, new_qv))
+        block_emis = emis[toks] if sequential else np.empty((toks.stop - toks.start, qw.shape[1]))
+        _emissions(state, g, qa, qv, pack.snip_of_token[toks], block_emis)
         del g  # before the next block's gather
         if not sequential:
             # Every row of the block multiplied, so that a 2-token block is
@@ -549,20 +588,19 @@ def _pass(ctx: UpdateContext) -> float:
             t0, old = toks.start, qw[toks]
             first, last = pack.first[snips] - t0, pack.last[snips] - t0
             from_prev, into_next = (old @ main)[:-1], (old @ main.T)[1:]
-            new_qw[toks] = _word_step(state, block_emis, from_prev, first, into_next, last)
+            new_qw = _word_step(state, block_emis, from_prev, first, into_next, last)
+            changes.append(_put(qw, toks, new_qw))
+            changes.append(_put(qa, snips, new_qa))
+            if qv is not None:
+                changes.append(_put(qv, snips, new_qv))
     if sequential:
         for p, (tok, n_lead) in enumerate(pack.positions):
-            prev, first = (new_qw[:0], slice(None)) if p == 0 else (new_qw[tok - 1], slice(0))
-            from_prev, into_next = prev @ main, new_qw[tok[:n_lead] + 1] @ main.T
+            prev, first = (qw[:0], slice(None)) if p == 0 else (qw[tok - 1], slice(0))
+            from_prev, into_next = prev @ main, qw[tok[:n_lead] + 1] @ main.T
             last = slice(n_lead, None)
-            new_qw[tok] = _word_step(state, emis[tok], from_prev, first, into_next, last)
-
-    changes = [_max_change(new_qa, qa), _max_change(new_qw, qw)]
-    qa[:], qw[:] = new_qa, new_qw
-    if qv is not None:
-        changes.append(_max_change(new_qv, qv))
-        qv[:] = new_qv
-    return float(np.max(changes))
+            new_qw = _word_step(state, emis[tok], from_prev, first, into_next, last)
+            changes.append(_put(qw, tok, new_qw))
+    return float(np.max(changes, initial=0.0))
 
 
 def _free_energy(ctx: UpdateContext, factor_terms: float) -> float:
@@ -597,7 +635,7 @@ def compute_free_energy(state: VariationalState, corpus: Corpus) -> float:
     An empty corpus at the prior state scores exactly 0, and the value
     is additive over entities that share no factors.
     """
-    ctx = UpdateContext(state, corpus)
+    ctx = _StateReader(state, corpus)
     return _free_energy(ctx, sum(f._kl(counts) for f, counts in _expected_counts(ctx)))
 
 

@@ -35,7 +35,7 @@ import math
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,10 @@ CANONICAL_TOPICS = ("A", "V", "B", "I")
 # reference corpus (300 x 42 snippets, vocab_size 1200, K = 10) has a
 # 3.6M-cell aspect table.
 MAX_CELLS = 10**8
+
+# Support cells whose expected log DirichletFactor._kl holds at once: a
+# table of any size is scored in pieces of at most this many cells.
+ELOG_CELLS = 2**14
 
 
 class ModelError(ValueError):
@@ -356,15 +360,23 @@ class DirichletFactor:
     exactly 0 to the KL: digamma and gammaln run on the support cells and
     the row totals only, with no approximation. A row total is its prior
     total plus its counts. The support only grows, through grow: a
-    dense write or a restored file adds its pairs off the prior. The
-    dense concentration and expected log are built on demand, and so
-    are the digamma and gammaln of the prior (scalars if it is constant).
-    table and its expected log are cell-major: .T is one row per cell.
+    dense write or a restored file adds its pairs off the prior. table is
+    cell-major: .T is one row per cell.
+
+    Until the next write the factor keeps the digamma of its row totals
+    and, once asked for, its dense expected log. The expected log of the
+    support cells is not kept: elog_cells computes it for a run of cells
+    from the table, and the dense concentration is built on demand. A
+    fit reads the dense expected log of every factor but theta_A, whose
+    dense bank is entities x aspects x words; it reads theta_A's expected
+    log one block of support cells at a time (see snipagg.inference).
+    The digamma and gammaln of the prior (scalars if it is constant) are
+    computed on first use and kept.
     """
 
     __slots__ = (
         "prior", "support", "table", "_base", "_compact", "_n_rows", "_base_special", "_base_total",
-        "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals", "_elog",
+        "_row_of", "_col_of", "_prior_table", "_rows", "_starts", "_totals", "_digamma_total",
         "_dense_elog", "_row_views",
     )
 
@@ -411,13 +423,13 @@ class DirichletFactor:
     def _changed(self) -> None:
         """Recompute the row totals after a write to table, each the prior
         total plus the row's counts summed over its support cells, and drop
-        the cached expected logs."""
+        the cached digamma of the totals and dense expected log."""
         counts = np.zeros(self.table.shape[:-1] + (self._n_rows,))
         counts[..., self._rows] = np.add.reduceat(
             self.table - self._prior_table, self._starts, axis=-1
         )
         self._totals = self._base_total[..., None] + counts
-        self._elog = self._dense_elog = None
+        self._digamma_total = self._dense_elog = None
 
     def grow(self, pairs: np.ndarray, table: Optional[np.ndarray] = None) -> np.ndarray:
         """Add distinct (bank row, element) pairs, as flat indices, to the
@@ -451,14 +463,17 @@ class DirichletFactor:
     def set_counts(self, counts: np.ndarray) -> None:
         """Replace the posterior with prior + counts (counts >= 0), counts
         given per support cell in the shape of table: for a factor over
-        every pair of one table, the prior's shape."""
+        every pair of one table, the prior's shape. counts is left as it is."""
         if np.shape(counts) != self.table.shape:
             raise ModelError(f"counts have shape {np.shape(counts)}, expected {self.table.shape}")
-        # A new array in the old one's layout, allocated once the old table
-        # and its expected logs are released: a table is never written in place.
-        order = "F" if self.table.flags.f_contiguous else "C"
-        self.table = self._elog = self._dense_elog = None
-        self.table = np.add(self._prior_table, counts, out=np.empty(np.shape(counts), order=order))
+        self._adopt(np.array(counts, dtype=float, order="F"))
+
+    def _adopt(self, counts: np.ndarray) -> None:
+        """set_counts for a fresh counts array laid out as table
+        (cell-major), which becomes the table: the prior is added to it in
+        place. An int array (a bincount of no tokens) is made float first."""
+        counts = np.asarray(counts, dtype=float)
+        self.table = np.add(counts, self._prior_table, out=counts)
         self._changed()
 
     def _write(self, start: int, dense: np.ndarray) -> None:
@@ -471,41 +486,55 @@ class DirichletFactor:
         self.table[..., lo:hi] = np.moveaxis(cells, 0, -1)
         self._changed()
 
+    def _digamma_totals(self) -> np.ndarray:
+        """digamma of the row totals, (..., R), kept until the next write."""
+        if self._digamma_total is None:
+            self._digamma_total = digamma(self._totals)
+        return self._digamma_total
+
+    def elog_cells(self, lo: int, hi: int) -> np.ndarray:
+        """digamma(alpha) - digamma(row total) at support cells lo:hi, in
+        the shape of table[..., lo:hi] and cell-major like it, computed
+        from the table on each call."""
+        at_rows = np.take(self._digamma_totals().T, self._row_of[lo:hi], axis=0)
+        return _minus(digamma(self.table.T[lo:hi]), at_rows).T
+
     def table_elog(self) -> np.ndarray:
-        """digamma(alpha) - digamma(row total) at every support cell, cached
-        with the digamma of the row totals."""
-        if self._elog is None:
-            digamma_total = digamma(self._totals)
-            elog = _minus(digamma(self.table.T), np.take(digamma_total.T, self._row_of, axis=0))
-            self._elog = (digamma_total, elog.T)
-        return self._elog[1]
+        """elog_cells of every support cell, in the shape of table. Not kept:
+        a fit never asks for theta_A's (see the class docstring)."""
+        return self.elog_cells(0, len(self.support))
 
     def _dense(
-        self, fill: np.ndarray, values: np.ndarray, rows: slice = slice(None)
+        self, fill: np.ndarray, values: Callable[[int, int], np.ndarray], rows: slice = slice(None)
     ) -> np.ndarray:
         """The dense table of bank rows `rows`, (n, ..., V): fill (per bank
-        row) with values, one per support cell, put at the support cells."""
+        row) with values(lo, hi), the values of the rows' support cells
+        lo:hi in the shape of table[..., lo:hi], put at those cells."""
         start, stop, _ = rows.indices(self._n_rows)
         lo, hi = np.searchsorted(self._row_of, [start, stop])
         out = np.empty((stop - start,) + self._base.shape)
         out[...] = fill
         cells = (self._row_of[lo:hi] - start, Ellipsis, self._col_of[lo:hi])
-        out[cells] = np.moveaxis(values[..., lo:hi], -1, 0)
+        out[cells] = np.moveaxis(values(lo, hi), -1, 0)
         return out
+
+    def _cells(self, lo: int, hi: int) -> np.ndarray:
+        """The concentration of support cells lo:hi, a view of table."""
+        return self.table[..., lo:hi]
 
     def _elog_of(self, rows: slice = slice(None)) -> np.ndarray:
         """The dense expected log of bank rows `rows`, (n, ..., V)."""
-        elog = self.table_elog()
-        digamma_total = np.moveaxis(self._elog[0], -1, 0)[rows, ..., None]
-        return self._dense(self._base_log()[0] - digamma_total, elog, rows)
+        digamma_total = np.moveaxis(self._digamma_totals(), -1, 0)[rows, ..., None]
+        return self._dense(self._base_log()[0] - digamma_total, self.elog_cells, rows)
 
     @property
     def concentration(self) -> np.ndarray:
         """The dense concentration, built from the support."""
-        return self._dense(self._base, self.table).reshape(self.prior.shape)
+        return self._dense(self._base, self._cells).reshape(self.prior.shape)
 
     def expected_log(self) -> np.ndarray:
-        """digamma(alpha) - digamma(alpha total), dense, per row, cached."""
+        """digamma(alpha) - digamma(alpha total), dense, per row, kept until
+        the next write."""
         if self._dense_elog is None:
             self._dense_elog = self._elog_of().reshape(self.prior.shape)
         return self._dense_elog
@@ -518,18 +547,31 @@ class DirichletFactor:
         """Sum over rows of KL(posterior row || prior row)."""
         return self._kl()
 
-    def _kl(self, counts=0.0) -> float:
-        # KL(posterior || prior) - <counts, E[log p]>, counts per support cell:
-        # the factor's free-energy term when counts are the posteriors' expected
-        # counts. Per row: gammaln(A) - gammaln(B) - sum (gammaln(a) - gammaln(b))
-        # + sum (a - b - counts) E[log p], for posterior a, prior b and totals A,
-        # B; cells off the support and rows without support cells add 0. Right
-        # after set_counts(counts), a = b + counts: the term is ln B(b) - ln B(a).
-        a, elog = self.table, self.table_elog()
+    def _kl_at_refit(self) -> float:
+        """_kl(counts) right after set_counts(counts), where a = b + counts:
+        ln B(b) - ln B(a) over the rows, each gammaln(A) - gammaln(B) - sum
+        (gammaln(a) - gammaln(b)) for posterior a, prior b and totals A,
+        B. It reads no expected log. Cells off the support and rows
+        without support cells add 0."""
         row_part = gammaln(self._totals[..., self._rows]) - gammaln(self._base_total)[..., None]
-        cell_part = _minus(gammaln(a), self._at_support(self._base_log()[1])).sum()
-        cross = np.vdot(_minus(a - self._prior_table, counts).T, elog.T)
-        return float(row_part.sum() - cell_part + cross)
+        cell_part = _minus(gammaln(self.table), self._at_support(self._base_log()[1])).sum()
+        return float(row_part.sum() - cell_part)
+
+    def _kl(self, counts=0.0) -> float:
+        """KL(posterior || prior) - <counts, E[log p]>, counts per support
+        cell: the factor's free-energy term when counts are the
+        posteriors' expected counts. That is _kl_at_refit plus the cross
+        term sum (a - b - counts) E[log p], whose expected log is computed
+        ELOG_CELLS support cells at a time."""
+        def at(x, lo, hi):  # a per-cell array's cells lo:hi; a scalar as it is
+            return x if np.ndim(x) == 0 else x[..., lo:hi]
+
+        n_cells, cross = len(self.support), 0.0
+        for lo in range(0, n_cells, ELOG_CELLS):
+            hi = min(lo + ELOG_CELLS, n_cells)
+            off = _minus(self._cells(lo, hi) - at(self._prior_table, lo, hi), at(counts, lo, hi))
+            cross += np.vdot(off.T, self.elog_cells(lo, hi).T)
+        return self._kl_at_refit() + float(cross)
 
 
 class FactorRow:
@@ -553,7 +595,7 @@ class FactorRow:
     @property
     def concentration(self) -> np.ndarray:
         rows = slice(self.index, self.index + 1)
-        return self.bank._dense(self.bank._base, self.bank.table, rows)[0]
+        return self.bank._dense(self.bank._base, self.bank._cells, rows)[0]
 
     def set_counts(self, counts: np.ndarray) -> None:
         """Replace this row of the bank with prior + counts (counts >= 0, dense)."""
@@ -651,8 +693,15 @@ class VariationalState:
         return self._shared_factors() + [row for bank in self._banks() for row in bank.rows()]
 
     def refresh_caches(self) -> None:
+        """Build what each factor keeps until its next write (see
+        DirichletFactor): the digamma of every factor's row totals, and
+        the dense expected log of every factor but theta_A, whose expected
+        log a fit computes one block of support cells at a time."""
         for f in self._shared_factors() + self._banks():
-            f.table_elog()
+            if f is self.theta_A:
+                f._digamma_totals()
+            else:
+                f.expected_log()
 
     def matches_corpus(self, corpus: Corpus) -> bool:
         counts = corpus.token_counts()
@@ -810,13 +859,27 @@ _BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
 _B64_PIECE = 2**20
 
 
-def _blob(a: np.ndarray, dtype: str) -> dict:
-    """An array as a state or true parameters file holds it: its dtype,
-    its shape and its little-endian C-order bytes, which write_json writes
-    as their base64 in bounded pieces."""
-    a = np.ascontiguousarray(a, dtype=dtype)
-    data = memoryview(a.reshape(-1).view(np.uint8))
-    return {"dtype": dtype, "shape": list(a.shape), "data": data}
+def _blob(a: np.ndarray | list[np.ndarray], dtype: str) -> dict:
+    """An array, or a list of arrays stacked along their first axis (the
+    first array fixes the shape of a row), as a state or true parameters
+    file holds it: its dtype, its shape and its little-endian C-order
+    bytes, which write_json writes as their base64 in bounded pieces.
+    The bytes are read piece by piece (_pieces), so no stacked or
+    C-ordered copy of the whole is made."""
+    parts = a if isinstance(a, list) else [a]
+    shape = [sum(len(p) for p in parts), *parts[0].shape[1:]] if isinstance(a, list) else a.shape
+    return {"dtype": dtype, "shape": list(shape), "data": _pieces(parts, dtype)}
+
+
+def _pieces(arrays: Iterable[np.ndarray], dtype: str) -> Iterator[memoryview]:
+    """The little-endian C-order bytes of arrays, one after another: an
+    array of dtype that is C-contiguous (or has at most one axis) as it
+    is, any other one leading row at a time, each row copied to C order."""
+    for a in arrays:
+        if a.ndim > 1 and not (a.flags.c_contiguous and a.dtype == dtype):
+            yield from _pieces(a, dtype)
+        else:
+            yield memoryview(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8))
 
 
 def _decoded(value, dtype: str, what: str) -> np.ndarray:
@@ -865,6 +928,29 @@ def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
     """Per-entity (rows_i, width) arrays as one packed (sum of rows_i,
     width) array, entities in order."""
     return np.concatenate([np.empty((0, width))] + list(arrays))
+
+
+def packed_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """stack_rows without the copy where the non-empty arrays are
+    consecutive row views of one C-contiguous float array, as row_views
+    makes them (a fitted or loaded state's posteriors): a view of those
+    rows of it."""
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    rows = [a for a in arrays if len(a)]
+    base = rows[0].base if rows else None
+    if not (isinstance(base, np.ndarray) and base.dtype == float and base.flags.c_contiguous
+            and base.shape[1:] == (width,)):
+        return stack_rows(arrays, width)
+    step = base.strides[0]
+    start = end = (address(rows[0]) - address(base)) // step
+    for a in rows:
+        at = address(base) + end * step
+        if a.base is not base or a.strides != base.strides or address(a) != at:
+            return stack_rows(arrays, width)
+        end += len(a)
+    return base[start:end]
 
 
 def row_views(packed: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
@@ -1179,7 +1265,8 @@ def save_state(state: VariationalState, path: str) -> None:
     """Serialize a state to versioned JSON (version 3), atomically: format,
     version and the fields of _STATE_FIELDS, written by _encoded (README
     "State file"). Every factor is written as it is held, its support
-    and table, and each posterior as one packed array over the corpus.
+    and table, and each posterior as one packed array over the corpus,
+    each piece by piece (_blob) without a stacked or reordered copy.
     The arrays hold the values' IEEE-754 bytes, so a load is exact and a
     load followed by a save reproduces the file byte for byte.
     """
@@ -1197,10 +1284,12 @@ def save_state(state: VariationalState, path: str) -> None:
             key: None if f is None else {"support": f.support, "table": f.table}
             for key, f in factors.items()
         },
+        # Each posterior is written entity by entity, a zero-row array
+        # first to fix the width.
         "q": {
-            "qa": stack_rows(state.qa, K),
-            "qv": None if state.qv is None else stack_rows(state.qv, N),
-            "qw": stack_rows(state.qw, n),
+            "qa": [np.empty((0, K)), *state.qa],
+            "qv": None if state.qv is None else [np.empty((0, N)), *state.qv],
+            "qw": [np.empty((0, n)), *state.qw],
         },
     }
     encoded = _encoded(_STATE_FIELDS, values)

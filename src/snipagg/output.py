@@ -7,13 +7,14 @@ interrupted write leaves any earlier file intact and no partial file
 behind.
 
 write_json emits exactly json.dumps(obj, sort_keys=True,
-separators=(",", ":")) plus a newline, with a memoryview of bytes
-standing for the JSON string of their base64, but builds the text piece
-by piece: each piece comes from the C encoder or the base64 encoder, a
-memoryview is encoded B64_CHUNK bytes at a time, and the pieces go
-straight to the file, so the whole base64 text of a large array
-(state.json, true_params.json) never exists at once. Any other value
-the encoder cannot write, a numpy array among them, raises TypeError.
+separators=(",", ":")) plus a newline, with a memoryview of bytes, or an
+iterator of memoryviews, standing for the JSON string of the base64 of
+their bytes (joined), but builds the text piece by piece: each piece
+comes from the C encoder or the base64 encoder, bytes are encoded
+B64_CHUNK at a time, and the pieces go straight to the file, so the
+whole base64 text of a large array (state.json, true_params.json) never
+exists at once, nor, given an iterator, its bytes. Any other value the
+encoder cannot write, a numpy array among them, raises TypeError.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 # Bytes per base64 piece of a memoryview: a multiple of 3, so no piece
 # but the last is padded and the pieces join to the whole one's base64.
@@ -68,15 +69,28 @@ def _streamed(obj) -> bool:
         if not all(isinstance(k, str) for k in obj):
             return False
         obj = obj.values()
-    return any(isinstance(v, (memoryview, dict, list, tuple)) for v in obj)
+    return any(isinstance(v, (memoryview, Iterator, dict, list, tuple)) for v in obj)
+
+
+def _emit_base64(pieces: Iterable[memoryview], write: Callable[[str], object]) -> None:
+    """The JSON string of the base64 of the pieces' bytes, joined. Each
+    piece is encoded B64_CHUNK bytes at a time; the 1 or 2 bytes at the
+    end of a piece that fill no 3-byte group go on to the next one."""
+    write('"')
+    carry = b""
+    for piece in pieces:
+        if carry:
+            piece = memoryview(carry + piece)
+        end = piece.nbytes - piece.nbytes % 3
+        for start in range(0, end, B64_CHUNK):
+            write(base64.b64encode(piece[start:min(start + B64_CHUNK, end)]).decode("ascii"))
+        carry = bytes(piece[end:])
+    write(base64.b64encode(carry).decode("ascii") + '"')
 
 
 def _emit(obj, write: Callable[[str], object]) -> None:
-    if isinstance(obj, memoryview):
-        write('"')
-        for start in range(0, obj.nbytes, B64_CHUNK):
-            write(base64.b64encode(obj[start:start + B64_CHUNK]).decode("ascii"))
-        write('"')
+    if isinstance(obj, (memoryview, Iterator)):
+        _emit_base64([obj] if isinstance(obj, memoryview) else obj, write)
     elif isinstance(obj, dict) and _streamed(obj):
         write("{")
         for n, key in enumerate(sorted(obj)):

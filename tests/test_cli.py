@@ -784,6 +784,25 @@ def test_eval_tree_expand_needs_parse_spans(workspace, capsys):
     assert "--tree-expand needs --parse-spans" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--metric", "muc"], "muc needs --gold-clusters"),
+    (["--metric", "sentiment", "--gold-polarity", "gold.tsv"], None),
+    (["--metric", "word-prf", "--gold-word-labels", "gold.jsonl", "--tree-expand"],
+     "--tree-expand needs --parse-spans"),
+])
+def test_eval_checks_its_usage_before_reading_a_file(tmp_path, capsys, flags, message):
+    # The corpus does not exist and the state is not JSON: a usage fault
+    # exits 2 all the same, and without one reading them fails with 3.
+    state = tmp_path / "bad.json"
+    state.write_text('{"format": ')
+    code = main(["-q", "eval", "--corpus", str(tmp_path / "corpus.jsonl"),
+                 "--state", str(state), *flags])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == ((3, "") if message is None else (2, ""))
+    if message is not None:
+        assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("stage", [
     ["eval", "--metric", "muc", "--gold-clusters", "GOLD"],
     ["report"],

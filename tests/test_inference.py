@@ -1,6 +1,7 @@
 """Variational updates, free energy behavior, and the fit loop."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 import count_reference
 import per_op_reference as reference
 from snipagg import inference
-from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token
+from snipagg.corpus import Corpus, Indexer, SeedLexicon, Snippet, Token, load_corpus, save_corpus
+from snipagg.generator import CorpusShape, make_separable
 from snipagg.inference import (
     EARLY_STOP_TOL,
     InferenceError,
@@ -972,6 +974,45 @@ def test_corpus_is_packed_once(monkeypatch, schedule):
     other = random_corpus(np.random.default_rng(4), n_entities=3, vocab_size=20)
     compute_free_energy(state, other)
     assert builds == [corpus, other]
+
+
+def test_reference_fit_never_holds_theta_a_expected_log_whole(tmp_path, monkeypatch):
+    # At the reference shape theta_A's (K, P) table and a whole expected
+    # log of it are 4.2 MB each. A 2-iteration fit of the loaded corpus
+    # and its save_state peaked at 28.4 MB (tracemalloc) while the fit
+    # kept that expected log and copied whole tables and posteriors.
+    import scipy.sparse
+    import scipy.special  # noqa: F401  (imported by a fit on first use, here before tracing)
+
+    hp = Hyperparameters(K=10, N=2, lambda_V=4.0, epsilon_V=0.05, rng_seed=0)
+    shape = CorpusShape(n_entities=300, snippets_per_entity=42, mean_words=8.0,
+                        vocab_size=1200, seed_words_per_value=10)
+    save_corpus(make_separable(hp, shape, 1.0, 1, [0.6, 0.25, 0.15]).corpus,
+                str(tmp_path / "corpus.jsonl"))
+    whole, spans = [], []
+    table_elog, elog_cells = DirichletFactor.table_elog, DirichletFactor.elog_cells
+
+    def counted_elog_cells(self, lo, hi):
+        spans.append((self, hi - lo))
+        return elog_cells(self, lo, hi)
+
+    monkeypatch.setattr(DirichletFactor, "table_elog",
+                        lambda self: whole.append(self) or table_elog(self))
+    monkeypatch.setattr(DirichletFactor, "elog_cells", counted_elog_cells)
+    hp = Hyperparameters(K=10, N=2, max_iters=2, rng_seed=0)
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(str(tmp_path / "corpus.jsonl"))
+        state, reports = run_inference(hp, corpus)
+        save_state(state, str(tmp_path / "state.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 2
+    assert state.theta_A not in whole
+    n_cells = len(state.theta_A.support)
+    assert max(n for f, n in spans if f is state.theta_A) < n_cells
+    assert peak < (28.4 - 5.0) * 2**20
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])

@@ -32,9 +32,12 @@ from snipagg.model import (
     init_state,
     load_config,
     load_state,
+    packed_rows,
     parse_config_value,
+    row_views,
     save_config,
     save_state,
+    stack_rows,
     tag_prior,
     transition_means,
     transition_priors,
@@ -140,6 +143,29 @@ def test_bank_row_counts_must_have_the_row_shape():
     with pytest.raises(ModelError, match=r"counts have shape \(3,\), expected \(2, 3\)"):
         bank.rows()[1].set_counts(np.array([0.0, 1.0, 2.0]))
     assert np.array_equal(bank.concentration, np.ones((2, 2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(), (1,), (3,)]),
+    rows=st.sampled_from([None, 1, 4]),
+    constant=st.booleans(),
+    partial=st.booleans(),
+)
+def test_refit_term_is_the_kl_of_the_counts(seed, lead, rows, constant, partial):
+    # Right after set_counts(counts) the factor's free-energy term is
+    # ln B(prior) - ln B(posterior), which reads no expected log.
+    rng = np.random.default_rng(seed)
+    shape = lead + (int(rng.integers(1, 9)),)
+    prior = np.full(shape, rng.uniform(0.05, 5.0)) if constant else rng.uniform(0.05, 5.0, shape)
+    n_pairs = (rows or 1) * shape[-1]
+    support = np.flatnonzero(rng.random(n_pairs) < 0.5) if partial else None
+    f = DirichletFactor(prior, rows=rows, support=support)
+    counts = rng.gamma(1.0, 3.0, f.table.shape) * (rng.random(f.table.shape) < 0.7)
+    f.set_counts(counts)
+    want = f._kl(counts)
+    assert abs(f._kl_at_refit() - want) <= 1e-12 * abs(want)
 
 
 def test_factor_rows():
@@ -613,6 +639,38 @@ def test_encoded_array_round_trip_is_exact(tmp_path_factory, a):
     assert got.tobytes() == a.tobytes()
     write_json({"a": _blob(got, dtype)}, str(path))
     assert path.read_bytes() == text
+
+
+def test_packed_rows_reads_consecutive_views_in_place():
+    packed = np.random.default_rng(0).random((9, 2))
+    views = row_views(packed[1:], np.array([0, 3, 3, 8]))  # an entity without rows
+    got = packed_rows(views, 2)
+    assert np.shares_memory(got, packed) and np.array_equal(got, packed[1:])
+    # Views out of order, a gap, or arrays of their own are stacked.
+    for arrays in ([views[2], views[0]], [packed[:2], packed[3:]], [packed[:2].copy(), packed[2:]]):
+        got = packed_rows(arrays, 2)
+        assert not np.shares_memory(got, packed) and np.array_equal(got, stack_rows(arrays, 2))
+    assert packed_rows([], 2).shape == (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=6)),
+    cuts=st.lists(st.integers(0, 6), max_size=3),
+)
+def test_blob_writes_any_layout_or_row_split_as_its_c_order_bytes(tmp_path_factory, a, cuts):
+    # A cell-major table is read a row at a time and a list of row blocks
+    # (a state's per-entity posteriors) block by block; either writes the
+    # bytes of the one C-ordered array.
+    path = tmp_path_factory.mktemp("blob") / "a.json"
+
+    def text(value):
+        write_json({"a": _blob(value, "<f8")}, str(path))
+        return path.read_bytes()
+
+    want = text(a.copy(order="C"))
+    assert text(np.asfortranarray(a)) == want
+    assert text(np.split(a, sorted(c for c in cuts if c <= len(a)))) == want
 
 
 _BASE64_TEXT = st.one_of(

@@ -69,6 +69,22 @@ def test_writer_matches_one_shot_dumps_on_large_bytes(tmp_path):
     assert written(obj, tmp_path / "big.json") == reference(obj)
 
 
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(st.binary(max_size=20), max_size=6),
+       b64_chunk=st.sampled_from([3, 6, output.B64_CHUNK]))
+def test_writer_joins_an_iterator_of_byte_pieces(tmp_path_factory, pieces, b64_chunk):
+    # Pieces of any length, the empty one included, write the base64 of
+    # their bytes joined, whatever 3-byte groups they split.
+    path = tmp_path_factory.mktemp("w") / "out.json"
+    saved = output.B64_CHUNK
+    output.B64_CHUNK = b64_chunk
+    try:
+        got = written({"a": iter(map(memoryview, pieces)), "b": [1]}, path)
+    finally:
+        output.B64_CHUNK = saved
+    assert got == reference({"a": memoryview(b"".join(pieces)), "b": [1]})
+
+
 def test_failed_write_keeps_earlier_file_and_leaves_no_temp(tmp_path):
     path = tmp_path / "state.json"
     write_json({"q": memoryview(b"\1" * 96)}, str(path))
