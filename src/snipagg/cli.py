@@ -405,12 +405,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if args.variant == "majority" and not args.gold_polarity:
         raise UsageError("majority variant needs --gold-polarity")
     corpus = load_corpus(args.corpus)
-    out = _outdir(args)
     manifest = RunManifest("baseline", args.argv)
     manifest.payload["config"] = {"variant": args.variant}
     manifest.add_input("corpus", args.corpus)
     t0 = time.perf_counter()
 
+    # Every input is read and every prediction made before --out is made,
+    # so a bad input leaves nothing behind.
     if clustering:
         manifest.payload["config"].update(
             clusters=args.clusters, linkage=args.linkage, scope=args.scope
@@ -425,18 +426,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         labels = {
             sid: f"c{cl}" for p in parts for sid, cl in p.assignment.items()
         }
-        pred_path = os.path.join(out, "clusters.tsv")
-        save_cluster_tsv(corpus, labels, pred_path)
-        manifest.add_output("clusters", pred_path)
     elif args.variant == "seed":
         lex = load_seed_lexicon(args.seeds, corpus, _value_names(args))
         manifest.add_input("seeds", args.seeds)
         preds = {
             sn.snippet_id: seed_sentiment(sn, lex) for sn in corpus.iter_snippets()
         }
-        pred_path = os.path.join(out, "polarity.tsv")
-        save_polarity_tsv(corpus, preds, lex.value_names, pred_path)
-        manifest.add_output("polarity", pred_path)
+        value_names = lex.value_names
     else:  # majority
         value_names = _value_names(args)
         gold_ann = load_gold(
@@ -447,6 +443,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         manifest.add_input("gold_polarity", args.gold_polarity)
         maj = majority_sentiment(list(gold_ann.polarity.values()))
         preds = dict.fromkeys(corpus.snippet_ids, maj)
+
+    out = _outdir(args)
+    if clustering:
+        pred_path = os.path.join(out, "clusters.tsv")
+        save_cluster_tsv(corpus, labels, pred_path)
+        manifest.add_output("clusters", pred_path)
+    else:
         pred_path = os.path.join(out, "polarity.tsv")
         save_polarity_tsv(corpus, preds, value_names, pred_path)
         manifest.add_output("polarity", pred_path)

@@ -36,16 +36,14 @@ term is then ln B(prior_f) - ln B(q_f), which reads no expected log
 with their cross term <q_f - prior_f - c_f, E[log theta_f]> and sets no
 factor. No token or snippet is scored again.
 
-UpdateContext is where a state meets its corpus: it reads the corpus's
-pack and stacks the state's per-entity posteriors into packed arrays,
-which the kernels read and write in place. The corpus arrives packed
-(Corpus.words, tags and offsets) and is immutable, so the index arrays
-derived from it are built on first use and kept with the corpus: a fit,
-every later UpdateContext and every compute_free_energy share them. A
-fit binds its state once, so the state's per-entity posteriors are
-views of those arrays. compute_free_energy leaves the caller's
-posteriors as they are: where they are views of one packed array (a
-fitted or loaded state's), it reads that array in place, else a copy.
+UpdateContext is where a state meets its corpus: it binds the corpus's
+pack and the state's own packed posteriors, one array each, which the
+kernels and the per-op updates read and write in place, with no copy.
+The state reads the same arrays per entity (VariationalState). The
+corpus arrives packed (Corpus.words, tags and offsets) and is
+immutable, so the index arrays derived from it are built on first use
+and kept with the corpus: a fit, every later UpdateContext and every
+compute_free_energy share them.
 
 Both schedules run one pass kernel with the same coordinate moves (per
 snippet: aspect, value, then each word) and differ only in when a new
@@ -63,9 +61,10 @@ one of p+1, what the one-token-at-a-time sweep reads.
 
 The public per-op updates (update_snippet_aspect, update_snippet_value,
 update_word_topic) run the same steps on one snippet's gather, the word
-step on one token as one wavefront row. No fit calls them: they are
-for tests and inspection, and a call costs more than a whole pass
-spends on one snippet.
+step on one token as one wavefront row, each reading the rows the
+updates before it wrote, as the sequential sweep does. No fit calls
+them: they are for tests and inspection, and a call costs more than a
+whole pass spends on one snippet.
 
 The expected logs and the KL to the prior are computed only on each
 factor's support (see DirichletFactor). A cell off it sits at its
@@ -94,13 +93,11 @@ from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus, SeedLexicon
 from snipagg.model import (
     DirichletFactor,
+    EntityRows,
     Hyperparameters,
     ModelError,
     VariationalState,
     init_state,
-    packed_rows,
-    row_views,
-    stack_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -290,18 +287,13 @@ class UpdateContext:
     """A state bound to its packed corpus.
 
     The constructor takes the corpus's pack (built by the corpus's first
-    context and kept in corpus._pack) and stacks copies of the state's
-    per-entity posteriors into qa (S, K), qv (S, N; None when N = 0) and
-    qw (T, n), in corpus order. The kernels and the per-op updates write
-    these arrays, a snippet or token at its corpus-wide index; the per-op
-    updates read the state's lists. Until commit() the state keeps its
-    own posteriors, so every read sees the state as it was when the
-    context was created. commit() makes one view of the packed arrays per
-    entity the state's posteriors, so from then on each update reads the
-    freshest values.
+    context and kept in corpus._pack) and binds the state's own packed
+    posteriors, with no copy: qa (S, K), qv (S, N; None when N = 0) and
+    qw (T, n), in corpus order. The kernels and the per-op updates read
+    and write these arrays, a snippet or token at its corpus-wide index,
+    so every write shows in the state at once and each update reads the
+    freshest rows.
     """
-
-    _stack = staticmethod(stack_rows)
 
     def __init__(self, state: VariationalState, corpus: Corpus):
         if not state.matches_corpus(corpus):
@@ -310,24 +302,8 @@ class UpdateContext:
         if corpus._pack is None:
             corpus._pack = _PackedCorpus(corpus)
         self.pack = corpus._pack
-        self.qa = self._stack(state.qa, state.hp.K)
-        self.qv = None if state.qv is None else self._stack(state.qv, state.hp.N)
-        self.qw = self._stack(state.qw, state.layout.n_topics)
-
-    def commit(self) -> None:
-        """Make the per-entity views of the packed arrays the state's posteriors."""
-        state, sb = self.state, self.pack.snippet_bounds
-        state.qa, state.qw = row_views(self.qa, sb), row_views(self.qw, self.pack.token_bounds)
-        state.qv = None if self.qv is None else row_views(self.qv, sb)
-
-
-class _StateReader(UpdateContext):
-    """A context that only reads its state (compute_free_energy's): where
-    the state's per-entity posteriors are consecutive views of one array,
-    as a fitted or loaded state's are, it reads that array in place
-    instead of a copy (packed_rows)."""
-
-    _stack = staticmethod(packed_rows)
+        self.qa, self.qw = state.qa.packed, state.qw.packed
+        self.qv = None if state.qv is None else state.qv.packed
 
 
 def _expected_counts(ctx: UpdateContext) -> Iterator[tuple[DirichletFactor, np.ndarray]]:
@@ -459,7 +435,7 @@ def _word_step(
 
 def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gathered, int, int, int]:
     """The gather at one snippet of an entity, its corpus-wide index s,
-    and lo, hi: the snippet owns tokens lo:hi of the entity's arrays."""
+    and t0, t1: the snippet owns the corpus's tokens t0:t1."""
     pack = ctx.pack
     n_entities = len(pack.snippet_bounds) - 1
     if not 0 <= entity < n_entities:
@@ -467,8 +443,8 @@ def _one_snippet(ctx: UpdateContext, entity: int, snippet: int) -> tuple[_Gather
     s0, s1 = pack.snippet_bounds[entity], pack.snippet_bounds[entity + 1]
     if not 0 <= snippet < s1 - s0:
         raise InferenceError(f"snippet index {snippet} out of range for entity {entity}")
-    s, t0 = s0 + snippet, pack.token_bounds[entity]
-    return _gather(ctx, s, s + 1), s, pack.offsets[s] - t0, pack.offsets[s + 1] - t0
+    s = s0 + snippet
+    return _gather(ctx, s, s + 1), s, pack.offsets[s], pack.offsets[s + 1]
 
 
 def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.ndarray:
@@ -477,10 +453,9 @@ def update_snippet_aspect(ctx: UpdateContext, entity: int, snippet: int) -> np.n
     score(a) = E[log psi(a)] + sum_w q(Z_W(w) = A) E[log theta_A(a, word_w)]
              + sum_v q(Z_V = v) E[log phi(a, v)]
     """
-    state = ctx.state
-    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
-    qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
-    q = _aspect_step(g, qv, state.qw[entity][lo:hi, state.layout.col("A")])[0]
+    g, s, t0, t1 = _one_snippet(ctx, entity, snippet)
+    qv = None if ctx.qv is None else ctx.qv[s : s + 1]
+    q = _aspect_step(g, qv, ctx.qw[t0:t1, ctx.state.layout.col("A")])[0]
     ctx.qa[s] = q
     return q
 
@@ -491,12 +466,10 @@ def update_snippet_value(ctx: UpdateContext, entity: int, snippet: int) -> np.nd
     score(v) = sum_a q(Z_A = a) E[log phi(a, v)]
              + sum_w q(Z_W(w) = V) E[log theta_V(v, word_w)]
     """
-    state = ctx.state
-    if state.qv is None:
+    if ctx.qv is None:
         raise InferenceError("value update requested but N = 0")
-    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
-    qa = state.qa[entity][snippet : snippet + 1]
-    q = _value_step(g, qa, state.qw[entity][lo:hi, state.layout.col("V")])[0]
+    g, s, t0, t1 = _one_snippet(ctx, entity, snippet)
+    q = _value_step(g, ctx.qa[s : s + 1], ctx.qw[t0:t1, ctx.state.layout.col("V")])[0]
     ctx.qv[s] = q
     return q
 
@@ -512,21 +485,20 @@ def update_word_topic(ctx: UpdateContext, entity: int, snippet: int, word: int) 
     snippet uses only start-to-T and T-to-end transitions.
     """
     state = ctx.state
-    g, s, lo, hi = _one_snippet(ctx, entity, snippet)
-    if not 0 <= word < hi - lo:
+    g, s, t0, t1 = _one_snippet(ctx, entity, snippet)
+    if not 0 <= word < t1 - t0:
         raise InferenceError(f"word index {word} out of range for snippet {snippet}")
-    qa = state.qa[entity][snippet : snippet + 1]
-    qv = None if state.qv is None else state.qv[entity][snippet : snippet + 1]
+    qv = None if ctx.qv is None else ctx.qv[s : s + 1]
     n = state.layout.n_topics
-    emis = np.empty((hi - lo, n))
-    _emissions(state, g, qa, qv, np.zeros(hi - lo, dtype=np.intp), emis)
+    emis = np.empty((t1 - t0, n))
+    _emissions(state, g, ctx.qa[s : s + 1], qv, np.zeros(t1 - t0, dtype=np.intp), emis)
     # One wavefront row: no prev (nxt) token means the start row (end column).
-    qw, main = state.qw[entity][lo:hi], state.trans_main.expected_log()[:, :n]
+    qw, main = ctx.qw[t0:t1], state.trans_main.expected_log()[:, :n]
     prev, nxt = qw[max(word - 1, 0) : word], qw[word + 1 : word + 2]
     from_prev, into_next = prev @ main, nxt @ main.T
     first, last = slice(len(prev), 1), slice(len(nxt), None)
     q = _word_step(state, emis[word : word + 1], from_prev, first, into_next, last)[0]
-    ctx.qw[ctx.pack.offsets[s] + word] = q
+    qw[word] = q
     return q
 
 
@@ -635,7 +607,7 @@ def compute_free_energy(state: VariationalState, corpus: Corpus) -> float:
     An empty corpus at the prior state scores exactly 0, and the value
     is additive over entities that share no factors.
     """
-    ctx = _StateReader(state, corpus)
+    ctx = UpdateContext(state, corpus)
     return _free_energy(ctx, sum(f._kl(counts) for f, counts in _expected_counts(ctx)))
 
 
@@ -735,7 +707,6 @@ def run_inference(
     if threads < 1:
         raise ModelError("threads must be at least 1")
     ctx = UpdateContext(init_state(hp, corpus, seeds), corpus)
-    ctx.commit()
     _prime(ctx)
     reports: list[FreeEnergyReport] = []
     _fit(ctx, reports, progress)
@@ -748,29 +719,24 @@ class Posteriors:
 
     aspect[i] holds one aspect index per snippet of entity i, value[i]
     one value index (None when the value component is disabled), and
-    word_role[i] one role column per token; letters maps columns back to
-    role letters.
+    word_role[i] one role column per token; each is read per entity from
+    one packed array (EntityRows), as the state's posteriors are.
+    letters maps columns back to role letters.
     """
 
     letters: tuple[str, ...]
-    aspect: list[np.ndarray]
-    value: Optional[list[np.ndarray]]
-    word_role: list[np.ndarray]
-    token_counts: list[list[int]]
-
-    def word_labels(self, entity: int) -> list[list[str]]:
-        """Per-snippet role letters for one entity's tokens."""
-        letters = [self.letters[c] for c in self.word_role[entity].tolist()]
-        bounds = np.cumsum([0] + self.token_counts[entity]).tolist()
-        return [letters[a:b] for a, b in zip(bounds, bounds[1:])]
+    aspect: EntityRows
+    value: Optional[EntityRows]
+    word_role: EntityRows
 
 
 def extract_posteriors(state: VariationalState) -> Posteriors:
     """Hard argmax summaries of every snippet and token posterior."""
-    aspect = [np.argmax(a, axis=1) for a in state.qa]
-    value = None if state.qv is None else [np.argmax(a, axis=1) for a in state.qv]
-    word_role = [np.argmax(a, axis=1) for a in state.qw]
-    return Posteriors(state.layout.letters, aspect, value, word_role, state.token_counts)
+
+    def argmax(q):
+        return None if q is None else EntityRows(np.argmax(q.packed, axis=1), q.bounds)
+
+    return Posteriors(state.layout.letters, argmax(state.qa), argmax(state.qv), argmax(state.qw))
 
 
 def aspect_clusterings(corpus: Corpus, post: Posteriors) -> list[Clustering]:
@@ -786,11 +752,11 @@ def polarity_predictions(corpus: Corpus, post: Posteriors) -> dict[str, int]:
     """Hard value assignment per snippet id (requires the value component)."""
     if post.value is None:
         raise InferenceError("no value posteriors: model was fit with N = 0")
-    values = (v for row in post.value for v in row.tolist())
-    return dict(zip(corpus.snippet_ids, values))
+    return dict(zip(corpus.snippet_ids, post.value.packed.tolist()))
 
 
 def word_label_predictions(corpus: Corpus, post: Posteriors) -> dict[str, list[str]]:
     """Per-token role letters keyed by snippet id."""
-    labels = (row for i in range(corpus.n_entities) for row in post.word_labels(i))
-    return dict(zip(corpus.snippet_ids, labels))
+    letters = [post.letters[c] for c in post.word_role.packed.tolist()]
+    bounds = corpus.offsets.tolist()
+    return {sid: letters[a:b] for sid, a, b in zip(corpus.snippet_ids, bounds, bounds[1:])}

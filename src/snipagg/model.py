@@ -29,13 +29,15 @@ and an end column.
 from __future__ import annotations
 
 import binascii
+import collections.abc
+import itertools
 import json
 import logging
 import math
 import os
 import re
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -627,6 +629,22 @@ def transition_means(start: DirichletFactor, main: DirichletFactor) -> np.ndarra
     return table
 
 
+class EntityRows(collections.abc.Sequence):
+    """A read-only per-entity sequence over one packed array: item i is
+    the view of rows bounds[i]:bounds[i+1] of packed, entity i's. Rows
+    are written through the views (rows[i][:] = ...) or packed itself."""
+
+    def __init__(self, packed: np.ndarray, bounds: list[int]):
+        self.packed, self.bounds = packed, bounds
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        i = range(len(self))[i]
+        return self.packed[self.bounds[i] : self.bounds[i + 1]]
+
+
 @dataclass
 class VariationalState:
     """All factors and per-snippet posteriors for one corpus.
@@ -640,11 +658,14 @@ class VariationalState:
     cell stays at the prior. theta_A_factor(i) builds entity i's dense
     (K, V) row on demand. trans_start (n_topics,) and trans_main
     (n_topics, n_topics + 1, the last column the end marker) are the
-    role chain's transition rows. q arrays are stored per entity: qa[i]
-    has shape (snippets_i, K), qv[i] (snippets_i, N), and qw[i]
-    (tokens_i, n_topics) with tokens concatenated in snippet order; a
-    fitted state's arrays are views of the packed arrays of the
-    UpdateContext that fit it.
+    role chain's transition rows. Each posterior is one C-contiguous
+    array packed over the corpus, snippets and tokens in corpus order:
+    qa.packed (S, K), qv.packed (S, N; qv is None when N = 0) and
+    qw.packed (T, n_topics). qa, qv and qw read them per entity
+    (EntityRows): qa[i] is the view of entity i's (snippets_i, K) rows,
+    qv[i] its (snippets_i, N) and qw[i] its (tokens_i, n_topics), tokens
+    in snippet order. A fit, the per-op updates and load_state write and
+    read the packed arrays themselves (UpdateContext binds them).
     """
 
     hp: Hyperparameters
@@ -662,9 +683,9 @@ class VariationalState:
     theta_V: Optional[DirichletFactor]
     theta_I: Optional[DirichletFactor]
     eta: Optional[DirichletFactor]
-    qa: list[np.ndarray]
-    qv: Optional[list[np.ndarray]]
-    qw: list[np.ndarray]
+    qa: EntityRows
+    qv: Optional[EntityRows]
+    qw: EntityRows
     seed_sets: list[list[int]] = field(default_factory=list)
 
     @property
@@ -762,12 +783,15 @@ def _prior_state(
 ) -> VariationalState:
     """Every factor at its prior, stacked banks with the row counts of
     hp.bank_rows (one row per entity, one when shared) and theta_A on an
-    empty support, holding the posteriors q ({"qa", "qv", "qw"}). The
-    caller has refused sizes above MAX_CELLS (check_state_sizes)."""
+    empty support, holding the packed posteriors q ({"qa", "qv", "qw"},
+    read per entity through EntityRows). The caller has refused sizes
+    above MAX_CELLS (check_state_sizes)."""
     layout = hp.layout()
     V = vocab_size
     n_psi, n_asp = hp.bank_rows(len(token_counts))
     start, main = transition_priors(hp, layout)
+    snips = [0, *itertools.accumulate(map(len, token_counts))]
+    toks = [0, *itertools.accumulate(map(sum, token_counts))]
     return VariationalState(
         hp=hp,
         layout=layout,
@@ -785,7 +809,9 @@ def _prior_state(
         theta_I=DirichletFactor(np.full(V, hp.lambda_I)) if hp.use_ignore else None,
         eta=DirichletFactor(tag_prior(hp, layout, tag_count)) if hp.use_pos else None,
         seed_sets=seed_sets,
-        **q,
+        qa=EntityRows(q["qa"], snips),
+        qv=None if q["qv"] is None else EntityRows(q["qv"], snips),
+        qw=EntityRows(q["qw"], toks),
     )
 
 
@@ -813,12 +839,12 @@ def build_priors(
         for v, s in enumerate(seeds.seed_words):
             seed_sets[v] = sorted(s)
     V, T, counts = len(corpus.vocabulary), len(corpus.tag_set), corpus.token_counts()
-    check_state_sizes(hp, V, T, len(counts), corpus.n_snippets)
-    n = hp.layout().n_topics
+    S, n = corpus.n_snippets, hp.layout().n_topics
+    check_state_sizes(hp, V, T, len(counts), S)
     q = {
-        "qa": [np.full((len(row), hp.K), 1.0 / hp.K) for row in counts],
-        "qv": [np.full((len(row), hp.N), 1.0 / hp.N) for row in counts] if hp.N else None,
-        "qw": [np.full((sum(row), n), 1.0 / n) for row in counts],
+        "qa": np.full((S, hp.K), 1.0 / hp.K),
+        "qv": np.full((S, hp.N), 1.0 / hp.N) if hp.N else None,
+        "qw": np.full((corpus.n_tokens, n), 1.0 / n),
     }
     return _prior_state(hp, V, T, counts, seed_sets, q)
 
@@ -834,17 +860,15 @@ def init_state(
     noise in [0.95, 1.05] and renormalized; q(Z_W) stays exactly
     uniform. The draw order is fixed (entities in corpus order, aspects
     before values), so a given rng_seed always produces the same state.
+    The noise is written through each entity's view of the packed arrays.
     """
     state = build_priors(hp, corpus, seeds)
     rng = np.random.default_rng(hp.rng_seed)
+    posteriors = [q for q in (state.qa, state.qv) if q is not None]
     for i in range(state.n_entities):
-        noise = rng.uniform(0.95, 1.05, size=state.qa[i].shape)
-        qa = state.qa[i] * noise
-        state.qa[i] = qa / qa.sum(axis=1, keepdims=True)
-        if state.qv is not None:
-            noise = rng.uniform(0.95, 1.05, size=state.qv[i].shape)
-            qv = state.qv[i] * noise
-            state.qv[i] = qv / qv.sum(axis=1, keepdims=True)
+        for rows in (q[i] for q in posteriors):
+            rows *= rng.uniform(0.95, 1.05, size=rows.shape)
+            rows /= rows.sum(axis=1, keepdims=True)
     return state
 
 
@@ -859,27 +883,23 @@ _BASE64 = re.compile("[A-Za-z0-9+/]*={0,2}")
 _B64_PIECE = 2**20
 
 
-def _blob(a: np.ndarray | list[np.ndarray], dtype: str) -> dict:
-    """An array, or a list of arrays stacked along their first axis (the
-    first array fixes the shape of a row), as a state or true parameters
-    file holds it: its dtype, its shape and its little-endian C-order
-    bytes, which write_json writes as their base64 in bounded pieces.
-    The bytes are read piece by piece (_pieces), so no stacked or
-    C-ordered copy of the whole is made."""
-    parts = a if isinstance(a, list) else [a]
-    shape = [sum(len(p) for p in parts), *parts[0].shape[1:]] if isinstance(a, list) else a.shape
-    return {"dtype": dtype, "shape": list(shape), "data": _pieces(parts, dtype)}
+def _blob(a: np.ndarray, dtype: str) -> dict:
+    """An array as a state or true parameters file holds it: its dtype,
+    its shape and its little-endian C-order bytes, which write_json
+    writes as their base64 in bounded pieces. The bytes are read piece
+    by piece (_pieces), so no C-ordered copy of the whole is made."""
+    return {"dtype": dtype, "shape": list(a.shape), "data": _pieces(a, dtype)}
 
 
-def _pieces(arrays: Iterable[np.ndarray], dtype: str) -> Iterator[memoryview]:
-    """The little-endian C-order bytes of arrays, one after another: an
-    array of dtype that is C-contiguous (or has at most one axis) as it
-    is, any other one leading row at a time, each row copied to C order."""
-    for a in arrays:
-        if a.ndim > 1 and not (a.flags.c_contiguous and a.dtype == dtype):
-            yield from _pieces(a, dtype)
-        else:
-            yield memoryview(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8))
+def _pieces(a: np.ndarray, dtype: str) -> Iterator[memoryview]:
+    """The little-endian C-order bytes of a: as it is where it is of
+    dtype and C-contiguous (or has at most one axis), else one leading
+    row at a time, each row copied to C order."""
+    if a.ndim > 1 and not (a.flags.c_contiguous and a.dtype == dtype):
+        for row in a:
+            yield from _pieces(row, dtype)
+    else:
+        yield memoryview(np.ascontiguousarray(a, dtype=dtype).reshape(-1).view(np.uint8))
 
 
 def _decoded(value, dtype: str, what: str) -> np.ndarray:
@@ -924,41 +944,6 @@ def _decoded(value, dtype: str, what: str) -> np.ndarray:
     return out
 
 
-def stack_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """Per-entity (rows_i, width) arrays as one packed (sum of rows_i,
-    width) array, entities in order."""
-    return np.concatenate([np.empty((0, width))] + list(arrays))
-
-
-def packed_rows(arrays: Sequence[np.ndarray], width: int) -> np.ndarray:
-    """stack_rows without the copy where the non-empty arrays are
-    consecutive row views of one C-contiguous float array, as row_views
-    makes them (a fitted or loaded state's posteriors): a view of those
-    rows of it."""
-    def address(a):
-        return a.__array_interface__["data"][0]
-
-    rows = [a for a in arrays if len(a)]
-    base = rows[0].base if rows else None
-    if not (isinstance(base, np.ndarray) and base.dtype == float and base.flags.c_contiguous
-            and base.shape[1:] == (width,)):
-        return stack_rows(arrays, width)
-    step = base.strides[0]
-    start = end = (address(rows[0]) - address(base)) // step
-    for a in rows:
-        at = address(base) + end * step
-        if a.base is not base or a.strides != base.strides or address(a) != at:
-            return stack_rows(arrays, width)
-        end += len(a)
-    return base[start:end]
-
-
-def row_views(packed: np.ndarray, bounds: np.ndarray) -> list[np.ndarray]:
-    """The per-entity views of a packed array: entity i owns rows
-    bounds[i]:bounds[i+1]."""
-    return [packed[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def _field(value, shape: Optional[tuple], what: str, tol: Optional[float] = None):
     """An "<f8" array field of a state or true parameters file: None where
     shape is None (a part the configuration disables must be null), else
@@ -994,12 +979,12 @@ def _support(value, n_cells: int, what: str) -> np.ndarray:
     return arr
 
 
-def _posteriors(value, what: str, entry, sizes: dict) -> list[np.ndarray]:
-    """The posteriors of each entity, views of one packed (sum of rows,
-    width) array with rows[i] rows of entity i, each row a distribution
-    within entry.tol, for the sizes rows and width that entry.shape names.
-    A fault names the entity, as what[i]; a wrong row count or row width
-    also names the size that set it."""
+def _posteriors(value, what: str, entry, sizes: dict) -> np.ndarray:
+    """The decoded packed (sum of rows, width) posteriors, rows[i] rows of
+    entity i, once each row is a distribution within entry.tol, for the
+    sizes rows and width that entry.shape names. A fault names the
+    entity, as what[i]; a wrong row count or row width also names the
+    size that set it."""
     names = entry.shape
     rows, width = (sizes[n] for n in names)
     n = sum(rows)  # exact, where an int64 sum of huge declared counts would wrap
@@ -1019,7 +1004,7 @@ def _posteriors(value, what: str, entry, sizes: dict) -> list[np.ndarray]:
     bad = (q < 0.0).any(axis=1) | (np.abs(q.sum(axis=1) - 1.0) > entry.tol)
     if bad.any():
         raise ModelError(f"{what}[{entity(bad.argmax())}] rows are not probability distributions")
-    return row_views(q, bounds)
+    return q
 
 
 # A file format is one table: each key maps to an _Array, a _Pair, a
@@ -1265,12 +1250,11 @@ def save_state(state: VariationalState, path: str) -> None:
     """Serialize a state to versioned JSON (version 3), atomically: format,
     version and the fields of _STATE_FIELDS, written by _encoded (README
     "State file"). Every factor is written as it is held, its support
-    and table, and each posterior as one packed array over the corpus,
-    each piece by piece (_blob) without a stacked or reordered copy.
+    and table, and each posterior as its packed array over the corpus,
+    each piece by piece (_blob) without a reordered copy.
     The arrays hold the values' IEEE-754 bytes, so a load is exact and a
     load followed by a save reproduces the file byte for byte.
     """
-    K, N, n = state.hp.K, state.hp.N, state.layout.n_topics
     factors = {key: getattr(state, key) for key in _STATE_FIELDS["factors"]}
     values = {
         "hyperparameters": hp_to_json(state.hp),
@@ -1284,12 +1268,10 @@ def save_state(state: VariationalState, path: str) -> None:
             key: None if f is None else {"support": f.support, "table": f.table}
             for key, f in factors.items()
         },
-        # Each posterior is written entity by entity, a zero-row array
-        # first to fix the width.
         "q": {
-            "qa": [np.empty((0, K)), *state.qa],
-            "qv": None if state.qv is None else [np.empty((0, N)), *state.qv],
-            "qw": [np.empty((0, n)), *state.qw],
+            "qa": state.qa.packed,
+            "qv": None if state.qv is None else state.qv.packed,
+            "qw": state.qw.packed,
         },
     }
     encoded = _encoded(_STATE_FIELDS, values)

@@ -410,9 +410,9 @@ def test_criterion_09_parameter_updates_match_brute_force():
         [0.25, 0.25, 0.25, 0.25],
         [0.0, 0.6, 0.4, 0.0],
     ]
-    state.qa[0] = np.array(qa)
-    state.qv[0] = np.array(qv)
-    state.qw[0] = np.array(qw)
+    state.qa[0][:] = qa
+    state.qv[0][:] = qv
+    state.qw[0][:] = qw
     ctx = UpdateContext(state, corpus)
     update_parameters(ctx)
 

@@ -236,6 +236,27 @@ def test_baseline_usage_errors_exit_2_before_any_output(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("variant, flag, text, message", [
+    ("seed", "--seeds", "x\n", "seed word before any [value:...] header"),
+    ("seed", "--seeds", "[value:a]\nx\n[value:b]\n[value:c]\n", "exactly two value types"),
+    ("majority", "--gold-polarity", "e0\ts0\t\n", "unknown value label ''"),
+    ("majority", "--gold-polarity", "# no labels\n", "no labels"),
+], ids=["seed-malformed", "seed-three-values", "majority-malformed", "majority-no-labels"])
+def test_baseline_data_errors_exit_3_before_any_output(tmp_path, capsys, variant, flag, text,
+                                                       message):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "s0", "entity": "e0", "tokens": [["x", "NN"]]}) + "\n")
+    second = tmp_path / "input.txt"
+    second.write_text(text)
+    out = tmp_path / "base"
+    code = main(["-q", "baseline", "--corpus", str(corpus), "--variant", variant,
+                 flag, str(second), "--value-names", "a,b,c", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_baseline_seed_variant(workspace, tmp_path, capsys):
     data, _ = workspace
     base = str(tmp_path / "seedbase")

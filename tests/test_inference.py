@@ -114,25 +114,22 @@ def test_softmax_rows_matrix():
 
 # --- per-snippet update operations ---------------------------------------
 
-def test_update_ops_write_buffers_only_in_batch_mode():
+def test_update_ops_write_through_to_the_state():
     corpus = tiny_corpus(n_entities=2)
     hp = Hyperparameters(K=2, N=2, rng_seed=0)
     state = init_state(hp, corpus, None)
     ctx = UpdateContext(state, corpus)
-    lists = state.qa
-    old = [a.copy() for a in state.qa]
+    assert ctx.qa is state.qa.packed and ctx.qv is state.qv.packed and ctx.qw is state.qw.packed
+    old = state.qa.packed.copy()
     q = update_snippet_aspect(ctx, 1, 1)
-    # The read state is untouched until commit().
-    assert state.qa is lists
-    for got, want in zip(state.qa, old, strict=True):
-        assert np.array_equal(got, want)
-        assert not np.shares_memory(got, ctx.qa)
+    # The write lands in the state's own array: its row, and no other.
+    assert np.array_equal(state.qa[1][1], q)
     assert np.array_equal(ctx.qa[3], q)            # entity 1, snippet 1
     assert q.sum() == pytest.approx(1.0, abs=1e-12)
-    ctx.commit()
-    assert np.array_equal(state.qa[1][1], q)
-    assert np.array_equal(state.qa[0], old[0])
-    assert all(np.shares_memory(a, ctx.qa) for a in state.qa)
+    assert np.array_equal(np.delete(state.qa.packed, 3, axis=0), np.delete(old, 3, axis=0))
+    # The next update reads it, as the reference reads the state's rows.
+    want = reference.update_snippet_value(ctx, 1, 1)
+    assert np.abs(update_snippet_value(ctx, 1, 1) - want).max() <= 1e-12
     # An index outside the corpus names itself and writes nothing.
     packed = [ctx.qa.copy(), ctx.qv.copy(), ctx.qw.copy()]
     for op, args, message in [
@@ -148,14 +145,57 @@ def test_update_ops_write_buffers_only_in_batch_mode():
         assert np.array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_entities=st.integers(0, 3),
+    n_values=st.sampled_from([0, 1, 2]),
+    use_ignore=st.booleans(),
+    stage=st.sampled_from(["build_priors", "init_state", "run_inference", "load_state"]),
+)
+def test_state_posteriors_are_views_of_one_packed_array(
+    tmp_path_factory, seed, n_entities, n_values, use_ignore, stage
+):
+    rng = np.random.default_rng(seed)
+    corpus = random_corpus(rng, n_entities=n_entities, vocab_size=8, snippets=3, max_len=3)
+    hp = Hyperparameters(K=2, N=n_values, use_ignore=use_ignore, max_iters=2, rng_seed=seed % 97)
+    if stage == "build_priors":
+        state = build_priors(hp, corpus)
+    elif stage == "init_state":
+        state = init_state(hp, corpus)
+    else:
+        state, _ = run_inference(hp, corpus)
+        if stage == "load_state":
+            path = str(tmp_path_factory.mktemp("state") / "state.json")
+            save_state(state, path)
+            state = load_state(path)
+    snips, toks = corpus.snippet_bounds, corpus.offsets[corpus.snippet_bounds]
+    ctx = UpdateContext(state, corpus)
+    for q, bound, width, bound_q in (
+        (state.qa, snips, hp.K, ctx.qa),
+        (state.qv, snips, hp.N, ctx.qv),
+        (state.qw, toks, state.layout.n_topics, ctx.qw),
+    ):
+        if not width:
+            assert q is None and bound_q is None
+            continue
+        packed = q.packed
+        assert bound_q is packed
+        assert packed.flags.c_contiguous and packed.dtype == np.float64
+        assert packed.shape == (bound[-1], width) and len(q) == corpus.n_entities
+        for i, rows in enumerate(q):
+            want = packed[bound[i] : bound[i + 1]]
+            assert rows.shape == want.shape and np.shares_memory(rows, want)
+            assert rows.__array_interface__ == want.__array_interface__
+
+
 def test_update_ops_apply_immediately_in_sequential_mode():
     corpus = tiny_corpus(n_entities=2)
     hp = Hyperparameters(K=2, N=2, rng_seed=0, schedule="sequential")
     state = init_state(hp, corpus, None)
     ctx = UpdateContext(state, corpus)
-    ctx.commit()
     q = update_snippet_aspect(ctx, 1, 1)
-    # One write shows through the state's list and the packed array.
+    # One write shows through the state's per-entity view and the packed array.
     assert np.array_equal(state.qa[1][1], q)
     assert np.array_equal(ctx.qa[3], q)            # entity 1, snippet 1
     qw = update_word_topic(ctx, 1, 1, 1)
@@ -303,7 +343,7 @@ def test_update_parameters_chain_counts():
     qw1 = np.zeros((2, 3))
     qw1[0] = [1.0, 0.0, 0.0]
     qw1[1] = [0.0, 0.5, 0.5]
-    state.qw[0] = np.vstack([qw0, qw1])
+    state.qw[0][:] = np.vstack([qw0, qw1])
     ctx = UpdateContext(state, corpus)
     update_parameters(ctx)
     start = state.trans_start.concentration
@@ -338,7 +378,7 @@ def test_update_parameters_emission_counts():
     qw[2] = [0.0, 1.0, 0.0]   # "great" value word
     qw[3] = [0.3, 0.0, 0.7]   # "crust" mixed
     qw[4] = [0.0, 1.0, 0.0]   # "great" value word again
-    state.qw[0] = qw
+    state.qw[0][:] = qw
     ctx = UpdateContext(state, corpus)
     update_parameters(ctx)
     theta_a = state.theta_A_factor(0).concentration
@@ -529,12 +569,14 @@ def per_op_pass(state, corpus, sequential, ops=reference):
     """A copy of state after one pass of the per-op updates of ops (by
     default the reference in tests/per_op_reference.py, which shares no
     code with the packed kernels) over every snippet (aspect, value,
-    then each word), committed at the end, and with sequential also
-    before the first update."""
+    then each word). The updates write the copy's packed posteriors;
+    with sequential they also read them, so each reads the ones before
+    it, and without they read a snapshot of the copy as it was before
+    the first update (ctx.state for the pass, the copy after it)."""
     state = copy.deepcopy(state)
     ctx = UpdateContext(state, corpus)
-    if sequential:
-        ctx.commit()
+    if not sequential:
+        ctx.state = copy.deepcopy(state)
     for i, group in enumerate(corpus.snippets):
         for j, sn in enumerate(group):
             ops.update_snippet_aspect(ctx, i, j)
@@ -542,7 +584,7 @@ def per_op_pass(state, corpus, sequential, ops=reference):
                 ops.update_snippet_value(ctx, i, j)
             for w in range(len(sn)):
                 ops.update_word_topic(ctx, i, j, w)
-    ctx.commit()
+    ctx.state = state
     return state, ctx
 
 
@@ -576,7 +618,6 @@ def test_pass_and_refit_match_per_op_updates(
     ctx = UpdateContext(state, corpus)
     delta = _pass(ctx)
     _refit(ctx)
-    ctx.commit()
     assert_same_posteriors(state, oracle, before, delta)
     for got, want in zip(state.parameter_factors(), oracle.parameter_factors(), strict=True):
         assert np.abs(got.concentration - want.concentration).max() <= 1e-12
@@ -637,17 +678,16 @@ def test_fit_gathers_at_most_one_block_at_a_time(monkeypatch):
         assert max(spans) == max(16, 40)  # no more, and the long snippet alone
 
 
-@pytest.mark.parametrize("schedule", ["batch", "sequential"])
 @settings(max_examples=30, deadline=None)
 @given(**STATE_FLAGS)
 def test_public_per_op_updates_match_the_reference(
-    schedule, seed, n_values, use_ignore, use_pos, shared, max_len
+    seed, n_values, use_ignore, use_pos, shared, max_len
 ):
-    # The public updates run the packed kernels on one snippet or token.
+    # The public updates run the packed kernels on one snippet or token,
+    # each reading the rows the ones before it wrote.
     corpus, state = random_state(seed, n_values, use_ignore, use_pos, shared, max_len)
-    sequential = schedule == "sequential"
-    want, _ = per_op_pass(state, corpus, sequential)
-    got, _ = per_op_pass(state, corpus, sequential, ops=inference)
+    want, _ = per_op_pass(state, corpus, True)
+    got, _ = per_op_pass(state, corpus, True, ops=inference)
     assert_same_posteriors(got, want, want, 0.0)  # no pass delta to compare
 
 
@@ -811,11 +851,11 @@ def test_free_energy_matches_dense_reference(
     arrays = [[(a, a.copy()) for a in q or []] for q in lists]
     got = compute_free_energy(state, corpus)
     assert abs(got - want) <= 1e-12 * abs(want)
-    # It reads a copy: the caller's lists and arrays are left as they were.
+    # It writes nothing: the caller's posteriors are left as they were.
     for name, lst, pairs in zip(("qa", "qv", "qw"), lists, arrays, strict=True):
         assert getattr(state, name) is lst
         for got_q, (arr, val) in zip(lst or [], pairs, strict=True):
-            assert got_q is arr and np.array_equal(arr, val)
+            assert np.shares_memory(got_q, arr) and np.array_equal(arr, val)
     kl = sum(f.kl_to_prior() for f in state.parameter_factors())
     dense = sum(dense_kl(f.concentration, np.asarray(f.prior)) for f in state.parameter_factors())
     assert abs(kl - dense) <= 1e-12 * abs(dense)
@@ -836,7 +876,6 @@ def test_free_energy_matches_dense_reference_at_refits(
     state.hp.schedule, state.hp.max_iters = schedule, 3
     state.hp.topic_prior = tuple(topic_prior)
     ctx = UpdateContext(state, corpus)
-    ctx.commit()
 
     def check(fe):
         want = dense_free_energy(state, corpus)
@@ -875,7 +914,6 @@ def test_aspect_bank_support_matches_dense_reference(seed, shared, ops):
     corpus = random_corpus(rng, n_entities=3, vocab_size=10, snippets=3, max_len=4)
     state = init_state(Hyperparameters(K=3, N=1, shared_aspects=shared), corpus)
     ctx = UpdateContext(state, corpus)
-    ctx.commit()
     qa, qw = ctx.qa, ctx.qw
     qa[:] = rng.dirichlet(np.ones(qa.shape[1]), size=len(qa))
     qw[:] = rng.dirichlet(np.ones(qw.shape[1]), size=len(qw))
@@ -1068,7 +1106,7 @@ def test_sequential_fit_on_empty_corpus():
     hp = Hyperparameters(K=2, N=2, schedule="sequential")
     state, reports = run_inference(hp, empty_corpus(), None)
     assert [r.value for r in reports] == [0.0]
-    assert state.qa == [] and state.qw == []
+    assert len(state.qa) == 0 and len(state.qw) == 0
 
 
 @pytest.mark.parametrize("schedule", ["batch", "sequential"])
@@ -1160,7 +1198,7 @@ def test_extract_posteriors_argmax_and_tiebreak():
     assert post.aspect[0][0] == 1
     assert post.aspect[0][1] == 0
     assert post.value[0][0] == 0
-    labels = post.word_labels(0)
+    labels = list(word_label_predictions(corpus, post).values())
     assert len(labels) == 2
     assert all(l in ("A", "V", "B") for sn in labels for l in sn)
 

@@ -32,12 +32,9 @@ from snipagg.model import (
     init_state,
     load_config,
     load_state,
-    packed_rows,
     parse_config_value,
-    row_views,
     save_config,
     save_state,
-    stack_rows,
     tag_prior,
     transition_means,
     transition_priors,
@@ -641,27 +638,13 @@ def test_encoded_array_round_trip_is_exact(tmp_path_factory, a):
     assert path.read_bytes() == text
 
 
-def test_packed_rows_reads_consecutive_views_in_place():
-    packed = np.random.default_rng(0).random((9, 2))
-    views = row_views(packed[1:], np.array([0, 3, 3, 8]))  # an entity without rows
-    got = packed_rows(views, 2)
-    assert np.shares_memory(got, packed) and np.array_equal(got, packed[1:])
-    # Views out of order, a gap, or arrays of their own are stacked.
-    for arrays in ([views[2], views[0]], [packed[:2], packed[3:]], [packed[:2].copy(), packed[2:]]):
-        got = packed_rows(arrays, 2)
-        assert not np.shares_memory(got, packed) and np.array_equal(got, stack_rows(arrays, 2))
-    assert packed_rows([], 2).shape == (0, 2)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=6)),
-    cuts=st.lists(st.integers(0, 6), max_size=3),
 )
-def test_blob_writes_any_layout_or_row_split_as_its_c_order_bytes(tmp_path_factory, a, cuts):
-    # A cell-major table is read a row at a time and a list of row blocks
-    # (a state's per-entity posteriors) block by block; either writes the
-    # bytes of the one C-ordered array.
+def test_blob_writes_any_layout_as_its_c_order_bytes(tmp_path_factory, a):
+    # A cell-major table is read a row at a time and writes the bytes of
+    # the one C-ordered array.
     path = tmp_path_factory.mktemp("blob") / "a.json"
 
     def text(value):
@@ -670,7 +653,6 @@ def test_blob_writes_any_layout_or_row_split_as_its_c_order_bytes(tmp_path_facto
 
     want = text(a.copy(order="C"))
     assert text(np.asfortranarray(a)) == want
-    assert text(np.split(a, sorted(c for c in cuts if c <= len(a)))) == want
 
 
 _BASE64_TEXT = st.one_of(
