@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from snipagg.corpus import Corpus, SeedLexicon, Snippet
-from snipagg.model import check_cells
 
 NOUN_TAG_PREFIX = "NN"
 
@@ -59,6 +58,8 @@ def tfidf_matrix(corpus: Corpus, start: int, stop: int, noun_only: bool = False)
     starting with NN). A term in every snippet weighs 0, and a snippet
     whose every token is filtered out gets a zero row.
     """
+    from snipagg.model import check_cells
+
     n = stop - start
     if n <= 0:
         raise BaselineError("empty snippet scope")
@@ -102,6 +103,8 @@ def agglomerative_cluster(
     A scope whose n x n similarity matrix would exceed MAX_CELLS cells
     is refused before it is built (check_cells); below that, time grows as n cubed.
     """
+    from snipagg.model import check_cells
+
     if linkage not in ("average", "single", "complete"):
         raise BaselineError(f"unknown linkage {linkage!r}")
     n = len(ids)
@@ -158,6 +161,8 @@ def cluster_snippets(
     share one corpus-wide scope. Each scope is one tfidf_matrix, built
     only once its similarity matrix is known to fit under MAX_CELLS.
     """
+    from snipagg.model import check_cells
+
     names = corpus.entities if per_entity else ["corpus"]
     bounds = corpus.snippet_bounds.tolist() if per_entity else [0, corpus.n_snippets]
     ids, out = corpus.snippet_ids, []

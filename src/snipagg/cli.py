@@ -15,75 +15,26 @@ identical across runs; the thread count changes nothing.
 
 Exit codes: 0 success, 2 usage error, 3 data error (unreadable or
 malformed inputs), 4 numeric failure during inference.
+
+Each subcommand imports the modules it runs when it runs, so --help and
+a usage error that argparse catches load no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import logging
 import math
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from snipagg.baselines import BaselineError, cluster_snippets, majority_sentiment, seed_sentiment
-from snipagg.corpus import (
-    CorpusError,
-    default_value_names,
-    load_corpus,
-    load_gold,
-    load_polarity_predictions,
-    load_seed_lexicon,
-    save_cluster_tsv,
-    save_corpus,
-    save_polarity_tsv,
-    save_seed_lexicon,
-    save_word_labels_jsonl,
-)
-from snipagg.evaluation import (
-    EvalError,
-    combine_clusterings,
-    gold_clustering,
-    muc_score,
-    restrict_clustering,
-    sentiment_accuracy,
-    tree_expand,
-    word_label_prf,
-)
-from snipagg.generator import (
-    CorpusShape,
-    GeneratorError,
-    aspect_vocabularies_disjoint,
-    make_separable,
-    save_true_params,
-)
-from snipagg.inference import (
-    InferenceError,
-    aspect_clusterings,
-    extract_posteriors,
-    free_energy_rises,
-    polarity_predictions,
-    run_inference,
-    word_label_predictions,
-)
-from snipagg.model import (
-    MAX_CELLS,  # re-exported: the ceiling check_cells enforces
-    Hyperparameters,
-    ModelError,
-    check_cells,
-    check_state_sizes,
-    hp_to_json,
-    load_config,
-    load_state,
-    parse_config_value,
-    save_state,
-    transition_means,
-)
 from snipagg.output import atomic_open
+
+if TYPE_CHECKING:
+    from snipagg.model import Hyperparameters
 
 log = logging.getLogger(__name__)
 
@@ -97,7 +48,44 @@ class UsageError(ValueError):
     """Bad flag combination caught after argparse."""
 
 
+# The package's error classes main maps to an exit code, by module. A
+# module that was never imported cannot have raised its class, so main
+# looks in the loaded modules only and imports none.
+_EXITS = (
+    (EXIT_DATA, "snipagg.corpus", "CorpusError"),
+    (EXIT_DATA, "snipagg.model", "ModelError"),
+    (EXIT_DATA, "snipagg.generator", "GeneratorError"),
+    (EXIT_DATA, "snipagg.baselines", "BaselineError"),
+    (EXIT_DATA, "snipagg.evaluation", "EvalError"),
+    (EXIT_NUMERIC, "snipagg.inference", "InferenceError"),
+)
+
+
+def _exit_code(exc: Exception) -> Optional[int]:
+    """The exit code main returns for exc, or None to let it propagate."""
+    if isinstance(exc, UsageError):
+        return EXIT_USAGE
+    if isinstance(exc, (OSError, json.JSONDecodeError)):
+        return EXIT_DATA
+    for code, module, name in _EXITS:
+        if module in sys.modules and isinstance(exc, getattr(sys.modules[module], name)):
+            return code
+    return None
+
+
+def __getattr__(name: str):
+    # MAX_CELLS, the ceiling check_cells enforces, is re-exported from
+    # snipagg.model without importing it with this module.
+    if name == "MAX_CELLS":
+        from snipagg.model import MAX_CELLS
+
+        return MAX_CELLS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _sha256(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -121,6 +109,8 @@ class RunManifest:
         }
 
     def set_config(self, hp: Hyperparameters) -> None:
+        from snipagg.model import hp_to_json
+
         self.payload["config"] = hp_to_json(hp)
         self.payload["seed"] = hp.rng_seed
 
@@ -138,6 +128,8 @@ class RunManifest:
 
 
 def _load_hp(args: argparse.Namespace) -> Hyperparameters:
+    from snipagg.model import Hyperparameters, ModelError, load_config, parse_config_value
+
     hp = load_config(args.config) if args.config else Hyperparameters()
     for pair in args.set or []:
         if "=" not in pair:
@@ -159,6 +151,8 @@ def _load_hp(args: argparse.Namespace) -> Hyperparameters:
 def _size_error(args: argparse.Namespace, keys, message: str, fallback=None) -> Exception:
     """message blamed on where keys came from: --set (UsageError, exit 2) if one
     was set there, else --config or else fallback (ModelError, exit 3) if given."""
+    from snipagg.model import ModelError
+
     set_keys = {pair.partition("=")[0].strip() for pair in args.set or []}
     source = None if set_keys & set(keys) else args.config or fallback
     return ModelError(f"{source}: {message}") if source else UsageError(f"--set: {message}")
@@ -184,6 +178,22 @@ def _outdir(args: argparse.Namespace) -> str:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from snipagg.corpus import (
+        save_cluster_tsv,
+        save_corpus,
+        save_polarity_tsv,
+        save_seed_lexicon,
+        save_word_labels_jsonl,
+    )
+    from snipagg.generator import (
+        CorpusShape,
+        GeneratorError,
+        aspect_vocabularies_disjoint,
+        make_separable,
+        save_true_params,
+    )
+    from snipagg.model import ModelError, check_cells
+
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     hp = _load_hp(args)
@@ -260,6 +270,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from snipagg.corpus import default_value_names, load_corpus, load_seed_lexicon
+    from snipagg.inference import InferenceError, free_energy_rises, run_inference
+    from snipagg.model import ModelError, check_state_sizes, save_state
+
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     hp = _load_hp(args)
@@ -320,6 +334,26 @@ _EVAL_FLAGS = {
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from snipagg.corpus import CorpusError, load_corpus, load_gold, load_polarity_predictions
+    from snipagg.evaluation import (
+        combine_clusterings,
+        gold_clustering,
+        muc_score,
+        restrict_clustering,
+        sentiment_accuracy,
+        tree_expand,
+        word_label_prf,
+    )
+    from snipagg.inference import (
+        aspect_clusterings,
+        extract_posteriors,
+        polarity_predictions,
+        word_label_predictions,
+    )
+    from snipagg.model import load_state
+
     # Usage is checked before the corpus or the state is read.
     gold_flag, pred_flag = _EVAL_FLAGS[args.metric]
     if not getattr(args, gold_flag):
@@ -395,6 +429,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    from snipagg.baselines import (
+        BaselineError,
+        cluster_snippets,
+        majority_sentiment,
+        seed_sentiment,
+    )
+    from snipagg.corpus import (
+        load_corpus,
+        load_gold,
+        load_seed_lexicon,
+        save_cluster_tsv,
+        save_polarity_tsv,
+    )
+
     clustering = args.variant in ("cluster-all", "cluster-noun")
     if clustering and args.clusters is None:
         raise UsageError(f"{args.variant} needs --clusters")
@@ -460,6 +508,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from snipagg.corpus import CorpusError, default_value_names, load_corpus
+    from snipagg.inference import InferenceError, extract_posteriors
+    from snipagg.model import load_state, transition_means
+
     if args.top_k < 1:
         raise UsageError(f"--top-k must be at least 1, got {args.top_k}")
     corpus = load_corpus(args.corpus)
@@ -619,23 +671,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except UsageError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        CorpusError,
-        ModelError,
-        GeneratorError,
-        BaselineError,
-        EvalError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except InferenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return code
 
 
 if __name__ == "__main__":

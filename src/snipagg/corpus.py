@@ -456,11 +456,17 @@ def load_seed_lexicon(
 
 
 def save_seed_lexicon(lexicon: SeedLexicon, corpus: Corpus, path: str) -> None:
+    """Write the lexicon's words that the corpus's tokens use. The corpus
+    read back from its file knows no other word, so load_seed_lexicon
+    would drop the rest with a warning."""
+    used = np.zeros(len(corpus.vocabulary), dtype=bool)
+    used[corpus.words] = True
     with atomic_open(path) as fh:
         for name, words in zip(lexicon.value_names, lexicon.seed_words):
             fh.write(f"[value:{name}]\n")
             for widx in sorted(words):
-                fh.write(corpus.vocabulary[widx] + "\n")
+                if used[widx]:
+                    fh.write(corpus.vocabulary[widx] + "\n")
 
 
 @dataclass

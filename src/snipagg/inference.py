@@ -85,11 +85,10 @@ import functools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from snipagg.baselines import Clustering
 from snipagg.corpus import Corpus, SeedLexicon
 from snipagg.model import (
     DirichletFactor,
@@ -99,6 +98,9 @@ from snipagg.model import (
     VariationalState,
     init_state,
 )
+
+if TYPE_CHECKING:
+    from snipagg.baselines import Clustering
 
 log = logging.getLogger(__name__)
 
@@ -741,6 +743,8 @@ def extract_posteriors(state: VariationalState) -> Posteriors:
 
 def aspect_clusterings(corpus: Corpus, post: Posteriors) -> list[Clustering]:
     """Per-entity clusterings labeled by hard aspect assignment."""
+    from snipagg.baselines import Clustering
+
     out, bounds = [], corpus.snippet_bounds.tolist()
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
         assignment = dict(zip(corpus.snippet_ids[a:b], post.aspect[i].tolist()))

@@ -449,18 +449,49 @@ def test_fit_manifest_records_inputs(workspace):
     assert "state" in manifest["outputs"]
 
 
-# Runs each argv through the CLI in one fresh interpreter and exits 1 if
-# scipy.special or scipy.sparse was imported at start-up or by any of them.
-_SCIPY_FREE = """
-import json, sys
-from snipagg.cli import main
-assert "scipy.special" not in sys.modules, "imported by snipagg.cli"
-assert "scipy.sparse" not in sys.modules, "imported by snipagg.cli"
-for argv in json.loads(sys.argv[1]):
-    assert main(["-q", *argv]) == 0, argv
-    assert "scipy.special" not in sys.modules, argv
-    assert "scipy.sparse" not in sys.modules, argv
+# Runs the CLI as `python -m snipagg.cli` does, on the arguments after the
+# first, in this fresh interpreter. Whatever the exit, it then writes the
+# numpy, scipy and snipagg modules loaded to the file the first names.
+_LOADED = """
+import json, runpy, sys
+report, sys.argv = sys.argv[1], ["snipagg", *sys.argv[2:]]
+try:
+    runpy.run_module("snipagg.cli", run_name="__main__")
+finally:
+    with open(report, "w") as fh:
+        json.dump([m for m in sys.modules
+                   if m.partition(".")[0] in ("numpy", "scipy", "snipagg")], fh)
 """
+
+
+def run_fresh(tmp_path, *argv):
+    """The CLI run on argv in a fresh interpreter: its exit code, its
+    stderr, and the set of numpy, scipy and snipagg modules it loaded."""
+    report = tmp_path / "loaded.json"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, str(report), *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr, set(json.loads(report.read_text()))
+
+
+# The modules each stage runs without: it must not load them.
+SCIPY = {"scipy.special", "scipy.sparse"}
+NOT_LOADED = {
+    "generate": SCIPY | {"snipagg.inference", "snipagg.evaluation", "snipagg.baselines"},
+    "fit": {"snipagg.generator", "snipagg.evaluation"},
+    "eval": SCIPY | {"snipagg.generator"},
+    "report": SCIPY | {"snipagg.generator", "snipagg.evaluation"},
+    "baseline": SCIPY | {"snipagg.generator", "snipagg.inference", "snipagg.evaluation"},
+}
+
+
+def test_help_and_argparse_usage_errors_load_no_numpy(tmp_path):
+    for argv, want in ((["--help"], 0), (["fit", "--out", str(tmp_path / "o")], 2)):
+        code, _, loaded = run_fresh(tmp_path, *argv)
+        assert code == want, argv
+        assert loaded <= {"snipagg", "snipagg.cli", "snipagg.output"}, argv
 
 
 def test_cli_stages_that_read_a_state_never_import_scipy_special(workspace, tmp_path):
@@ -468,6 +499,7 @@ def test_cli_stages_that_read_a_state_never_import_scipy_special(workspace, tmp_
     corpus, state = os.path.join(data, "corpus.jsonl"), os.path.join(fit, "state.json")
     stages = [
         generate_args(str(tmp_path / "gen")),
+        fit_args(data, str(tmp_path / "fit")),
         ["eval", "--corpus", corpus, "--metric", "muc", "--state", state,
          "--gold-clusters", os.path.join(data, "gold_clusters.tsv")],
         ["eval", "--corpus", corpus, "--metric", "sentiment", "--state", state,
@@ -476,13 +508,50 @@ def test_cli_stages_that_read_a_state_never_import_scipy_special(workspace, tmp_
         ["baseline", "--corpus", corpus, "--variant", "cluster-all", "--clusters", "2",
          "--out", str(tmp_path / "base")],
     ]
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE, json.dumps(stages)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for argv in stages:
+        code, err, loaded = run_fresh(tmp_path, "-q", *argv)
+        assert code == 0, err
+        assert not loaded & NOT_LOADED[argv[0]], argv
+
+
+def test_bad_inputs_exit_without_a_traceback_in_a_fresh_interpreter(workspace, tmp_path):
+    # main maps each error class to its exit code without importing the
+    # module that defines it; a stage meets its errors only in what it ran.
+    data, fit = workspace
+    corpus = os.path.join(data, "corpus.jsonl")
+    not_json = tmp_path / "not_json.jsonl"
+    with open(corpus, encoding="utf-8") as fh:
+        not_json.write_text(fh.readline() + '{"entity": nope\n')
+    truncated = tmp_path / "truncated.json"
+    with open(os.path.join(fit, "state.json"), "rb") as fh:
+        whole = fh.read()
+    truncated.write_bytes(whole[: len(whole) // 2])
+    out = tmp_path / "out"
+    cases = [
+        (["fit", "--corpus", str(not_json), "--out", str(out)], 3, f"{not_json}:2: "),
+        (["baseline", "--corpus", str(not_json), "--variant", "cluster-all",
+          "--clusters", "2", "--out", str(out)], 3, f"{not_json}:2: "),
+        (["eval", "--corpus", corpus, "--metric", "muc", "--state", str(truncated),
+          "--gold-clusters", os.path.join(data, "gold_clusters.tsv"), "--out", str(out)],
+         3, f"{truncated}: "),
+        (["report", "--corpus", corpus, "--state", str(truncated), "--out", str(out)],
+         3, f"{truncated}: "),
+        ([*generate_args(str(out)), "--topic-mix", "a,b"], 2, "--topic-mix "),
+    ]
+    for argv, want, named in cases:
+        code, err, _ = run_fresh(tmp_path, "-q", *argv)
+        assert code == want, (argv[0], err)
+        assert err.startswith("error: ") and named in err, (argv[0], err)
+        assert "Traceback" not in err and not out.exists(), (argv[0], err)
+
+
+def test_fit_reads_every_seed_word_generate_wrote(tmp_path, capsys, caplog):
+    # generate lists only the seed words its corpus uses, so the fit of
+    # its output drops none of them.
+    data = str(tmp_path / "data")
+    assert run(capsys, *generate_args(data))[0] == 0
+    assert run(capsys, *fit_args(data, str(tmp_path / "fit")))[0] == 0
+    assert "not in corpus vocabulary" not in caplog.text
 
 
 def _report(capsys, data, state_path):
@@ -664,8 +733,9 @@ def test_fit_exit_4_names_first_non_finite_iteration(workspace, tmp_path, capsys
             states[0].theta_B.set_counts(np.full(states[0].vocab_size, np.nan))
 
     monkeypatch.setattr(inference, "init_state", capture)
+    # cmd_fit imports run_inference when it runs, so it finds this one.
     monkeypatch.setattr(
-        cli, "run_inference", functools.partial(inference.run_inference, progress=poison)
+        inference, "run_inference", functools.partial(inference.run_inference, progress=poison)
     )
     out = tmp_path / "fit_nan"
     code = main(["-q", *fit_args(data, str(out))])

@@ -335,7 +335,8 @@ def test_topic_mix_validation():
 # for fixed seeds, recorded with the scalar one-draw-per-choice sampler
 # that preceded the block-drawn one. Any change to the order or number of
 # draws from the PCG64 stream, or to how a uniform selects a category,
-# changes these files. true_params.json is pinned as version 2 writes it.
+# changes these files. true_params.json is pinned as version 2 writes it,
+# and seeds.txt as it lists only the seed words the corpus's tokens use.
 PINNED_OUTPUTS = {
     "poisson-N2-sep0": (
         ["--entities", "3", "--snippets", "5", "--vocab-size", "60",
@@ -343,7 +344,7 @@ PINNED_OUTPUTS = {
          "--set", "K=3", "--set", "N=2"],
         {"corpus.jsonl": "434815c7cd5befca", "gold_clusters.tsv": "d77e540ea6eac742",
          "gold_polarity.tsv": "769171260ebc2052",
-         "gold_word_labels.jsonl": "133f36a4e1f236c6", "seeds.txt": "46f186cdd7c41da4",
+         "gold_word_labels.jsonl": "133f36a4e1f236c6", "seeds.txt": "249def6b5a82c614",
          "true_params.json": "dce879cb669d72ca"},
     ),
     "chain-N0-ignore-sep0.5": (
@@ -361,7 +362,7 @@ PINNED_OUTPUTS = {
          "--set", "shared_aspect_multinomial=true"],
         {"corpus.jsonl": "cd05f66db427f161", "gold_clusters.tsv": "cc94a35b8c734f60",
          "gold_polarity.tsv": "8a49a3731ad8b589",
-         "gold_word_labels.jsonl": "100d8b404d480e09", "seeds.txt": "3a1a41806208174f",
+         "gold_word_labels.jsonl": "100d8b404d480e09", "seeds.txt": "567dc6b51d02b52c",
          "true_params.json": "f30319c9bcdc95cd"},
     ),
     "chain-N1-mix-sep1": (
@@ -380,7 +381,7 @@ PINNED_OUTPUTS = {
          "--set", "use_ignore=true", "--set", "shared_aspects=true"],
         {"corpus.jsonl": "e2a1c1a4a46cd819", "gold_clusters.tsv": "6175ee9bcf272024",
          "gold_polarity.tsv": "9339b78cd1b003b1",
-         "gold_word_labels.jsonl": "92fd2537eeb286ce", "seeds.txt": "3f18efbd93481448",
+         "gold_word_labels.jsonl": "92fd2537eeb286ce", "seeds.txt": "3a91b6e411a20ae7",
          "true_params.json": "4bfa85ccd0ed261f"},
     ),
 }
